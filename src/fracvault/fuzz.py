@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .invariants import ALL_INVARIANTS, first_violation
+from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import HEALTHY, MUTANTS, Mutations
 from .system import SystemHandle, standard_world
@@ -54,6 +54,10 @@ DEFAULT_WEIGHTS: dict[str, int] = {
 }
 
 CLOCK_STEPS = (1, 30, 600, 900, 3_600, 86_400, 604_800)
+
+# steps between full scans, which catch writes that bypass the journal;
+# spread this thin, their cost per step stays small as history grows
+FULL_SCAN_INTERVAL = 1_000
 
 
 @dataclass(frozen=True)
@@ -451,18 +455,25 @@ def run_action(state: ChainState, action: FuzzAction) -> TxResult | None:
 
 
 def _step_violation(state: ChainState, handle: SystemHandle, plan: FuzzPlan,
-                    action: FuzzAction, pre_digest: str | None
-                    ) -> tuple[TxResult | None, str | None]:
+                    action: FuzzAction, pre_digest: str | None,
+                    checks: WriteSetChecks) -> tuple[TxResult | None, str | None]:
     result = run_action(state, action)
     if plan.check_revert_atomicity and result is not None and not result.ok:
         if state.digest() != pre_digest:
+            checks.rescan()  # the unjournaled writes escape the write set
             return result, "revert_atomicity: failed transaction mutated state"
-    return result, first_violation(state, handle, plan.invariants)
+    writes = state.last_writes if result is not None else ()
+    return result, checks.first_violation(writes)
+
+
+def _full_scan_due(step: int, steps: int) -> bool:
+    return (step + 1) % FULL_SCAN_INTERVAL == 0 or step == steps - 1
 
 
 def run_fuzz(plan: FuzzPlan) -> FuzzReport:
     state, handle, actors = build_fuzz_world(plan)
     generator = ActionGenerator(plan, state, handle, actors)
+    checks = WriteSetChecks(state, handle, plan.invariants)
     actions: list[FuzzAction] = []
     commits = reverts = 0
     violations: list[Violation] = []
@@ -470,7 +481,10 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
         action = generator.generate()
         actions.append(action)
         pre_digest = state.digest() if plan.check_revert_atomicity else None
-        result, detail = _step_violation(state, handle, plan, action, pre_digest)
+        if _full_scan_due(step, plan.steps):
+            checks.rescan()
+        result, detail = _step_violation(state, handle, plan, action, pre_digest,
+                                         checks)
         if result is None or result.ok:
             commits += 1
         else:
@@ -490,9 +504,12 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
 def replay_violates(plan: FuzzPlan, actions: list[FuzzAction],
                     invariant: str) -> bool:
     state, handle, _ = build_fuzz_world(plan)
-    for action in actions:
+    checks = WriteSetChecks(state, handle, plan.invariants)
+    for step, action in enumerate(actions):
         pre_digest = state.digest() if plan.check_revert_atomicity else None
-        _, detail = _step_violation(state, handle, plan, action, pre_digest)
+        if _full_scan_due(step, len(actions)):
+            checks.rescan()
+        _, detail = _step_violation(state, handle, plan, action, pre_digest, checks)
         if detail is not None and detail.split(":", 1)[0] == invariant:
             return True
     return False

@@ -3,22 +3,32 @@
 Each checker inspects a committed state and returns ``None`` when the
 invariant holds or a short description of the violation.  The fuzzer and
 the property suite run these after every committed transaction.
+
+Called as ``checker(state, handle)`` a checker scans the whole world.  The
+fuzzer passes a third argument, a ``WriteSetChecks``, and five checkers then
+look only at the NFTs, auctions, sales, proposals and timelock entries the
+step wrote, so a step costs the same early and late in a run.  The other
+three (native conservation, fungible supply, market books) are bounded by
+the account count and always scan.  Whenever a write-set check finds a
+problem, the full scan runs and writes the detail, so both ways of calling
+report the same text.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .governance import EXECUTED, Governance, Timelock
-from .ledger import ChainState, ZERO_ADDRESS
+from .governance import EXECUTED, Governance, Proposal, Timelock, TimelockEntry
+from .ledger import ChainState, JournalEntry, ZERO_ADDRESS
 from .market import Market
 from .system import SystemHandle
-from .vault import Vault
+from .vault import Auction, SaleRecord, Vault
 
-Checker = Callable[[ChainState, SystemHandle], str | None]
+Checker = Callable[..., str | None]  # (state, handle, scope=None)
 
 
-def check_native_conservation(state: ChainState, handle: SystemHandle) -> str | None:
+def check_native_conservation(state: ChainState, handle: SystemHandle,
+                              scope: WriteSetChecks | None = None) -> str | None:
     total = sum(state.native.values())
     if total != state.genesis_native_supply:
         return (f"native total {total} drifted from genesis supply "
@@ -28,7 +38,8 @@ def check_native_conservation(state: ChainState, handle: SystemHandle) -> str | 
     return None
 
 
-def check_fungible_supply(state: ChainState, handle: SystemHandle) -> str | None:
+def check_fungible_supply(state: ChainState, handle: SystemHandle,
+                          scope: WriteSetChecks | None = None) -> str | None:
     for ledger_id, ledger in state.fungible.items():
         total = sum(ledger.balances.values())
         if total != ledger.total_supply:
@@ -39,7 +50,16 @@ def check_fungible_supply(state: ChainState, handle: SystemHandle) -> str | None
     return None
 
 
-def check_nft_single_owner(state: ChainState, handle: SystemHandle) -> str | None:
+def check_nft_single_owner(state: ChainState, handle: SystemHandle,
+                           scope: WriteSetChecks | None = None) -> str | None:
+    if scope is not None and "nft_single_owner" not in scope.full:
+        for ledger_id, token_ids in scope.nft_tokens.items():
+            owners = state.nft[ledger_id].owners
+            if any(t in owners and (not owners[t] or owners[t] == ZERO_ADDRESS)
+                   for t in token_ids):
+                break
+        else:
+            return None
     for ledger_id, ledger in state.nft.items():
         for token_id, owner in ledger.owners.items():
             if not owner or owner == ZERO_ADDRESS:
@@ -47,13 +67,20 @@ def check_nft_single_owner(state: ChainState, handle: SystemHandle) -> str | Non
     return None
 
 
-def check_vault_escrow(state: ChainState, handle: SystemHandle) -> str | None:
+def check_vault_escrow(state: ChainState, handle: SystemHandle,
+                       scope: WriteSetChecks | None = None) -> str | None:
     vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
+    escrow = state.native.get(vault.address, 0)
+    if scope is not None:
+        sales, bids = scope.escrow_totals(vault)
+        pending = vault.pending.values()
+        if escrow == sum(pending) + sales + bids + vault.retained_dust \
+                and min(pending, default=0) >= 0:
+            return None
     claims = (sum(vault.pending.values())
               + sum(s.proceeds_remaining for s in vault.sales.values())
               + vault.active_bid_total()
               + vault.retained_dust)
-    escrow = state.native.get(vault.address, 0)
     if escrow != claims:
         return f"vault escrow {escrow} != outstanding claims {claims}"
     if any(v < 0 for v in vault.pending.values()):
@@ -61,8 +88,15 @@ def check_vault_escrow(state: ChainState, handle: SystemHandle) -> str | None:
     return None
 
 
-def check_sale_accounting(state: ChainState, handle: SystemHandle) -> str | None:
+def check_sale_accounting(state: ChainState, handle: SystemHandle,
+                          scope: WriteSetChecks | None = None) -> str | None:
     vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
+    if scope is not None and "sale_accounting" not in scope.full:
+        sales = vault.sales
+        if not scope.sales or not any(
+                t in sales and not 0 <= sales[t].proceeds_remaining <= sales[t].proceeds_total
+                for t in scope.sales):
+            return None
     for token_id, sale in vault.sales.items():
         if not 0 <= sale.proceeds_remaining <= sale.proceeds_total:
             return (f"sale {token_id}: credited payouts "
@@ -71,12 +105,20 @@ def check_sale_accounting(state: ChainState, handle: SystemHandle) -> str | None
     return None
 
 
-def check_vault_params(state: ChainState, handle: SystemHandle) -> str | None:
+def check_vault_params(state: ChainState, handle: SystemHandle,
+                       scope: WriteSetChecks | None = None) -> str | None:
     vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
     if not 0 <= vault.royalty_percent <= 100:
         return f"royalty {vault.royalty_percent} outside 0..100"
     if vault.auction_duration <= 0:
         return f"auction duration {vault.auction_duration} not positive"
+    if scope is not None and "vault_params" not in scope.full:
+        auctions = vault.auctions
+        if not scope.auctions or not any(
+                t in auctions and auctions[t].highest_bidder != ZERO_ADDRESS
+                and auctions[t].highest_bid < auctions[t].starting_price
+                for t in scope.auctions):
+            return None
     for token_id, auction in vault.auctions.items():
         if auction.highest_bidder != ZERO_ADDRESS and \
                 auction.highest_bid < auction.starting_price:
@@ -84,31 +126,47 @@ def check_vault_params(state: ChainState, handle: SystemHandle) -> str | None:
     return None
 
 
-def check_governance_soundness(state: ChainState, handle: SystemHandle) -> str | None:
-    governance: Governance = state.modules[handle.governance]  # type: ignore[assignment]
-    timelock: Timelock = state.modules[handle.timelock]  # type: ignore[assignment]
-    for proposal in governance.proposals:
-        if proposal.votes_for + proposal.votes_against != proposal.total_votes_cast:
-            return f"proposal {proposal.proposal_id}: vote tallies disagree"
-        if proposal.executed:
-            quorum = proposal.supply_at_creation // 2
-            if proposal.total_votes_cast <= quorum:
-                return (f"proposal {proposal.proposal_id} executed with "
-                        f"{proposal.total_votes_cast} votes against quorum {quorum}")
-            if proposal.votes_for <= proposal.votes_against:
-                return f"proposal {proposal.proposal_id} executed while defeated"
-            entry = timelock.entries.get(proposal.proposal_id)
-            if entry is None or entry.state != EXECUTED:
-                return f"proposal {proposal.proposal_id} executed without the timelock"
-            if entry.executed_at is None or \
-                    entry.executed_at - entry.scheduled_at < timelock.delay:
-                return (f"proposal {proposal.proposal_id} executed "
-                        f"{entry.executed_at} after scheduling at "
-                        f"{entry.scheduled_at}, below delay {timelock.delay}")
+def _proposal_problem(proposal: Proposal, timelock: Timelock) -> str | None:
+    if proposal.votes_for + proposal.votes_against != proposal.total_votes_cast:
+        return f"proposal {proposal.proposal_id}: vote tallies disagree"
+    if proposal.executed:
+        quorum = proposal.supply_at_creation // 2
+        if proposal.total_votes_cast <= quorum:
+            return (f"proposal {proposal.proposal_id} executed with "
+                    f"{proposal.total_votes_cast} votes against quorum {quorum}")
+        if proposal.votes_for <= proposal.votes_against:
+            return f"proposal {proposal.proposal_id} executed while defeated"
+        entry = timelock.entries.get(proposal.proposal_id)
+        if entry is None or entry.state != EXECUTED:
+            return f"proposal {proposal.proposal_id} executed without the timelock"
+        if entry.executed_at is None or \
+                entry.executed_at - entry.scheduled_at < timelock.delay:
+            return (f"proposal {proposal.proposal_id} executed "
+                    f"{entry.executed_at} after scheduling at "
+                    f"{entry.scheduled_at}, below delay {timelock.delay}")
     return None
 
 
-def check_market_books(state: ChainState, handle: SystemHandle) -> str | None:
+def check_governance_soundness(state: ChainState, handle: SystemHandle,
+                               scope: WriteSetChecks | None = None) -> str | None:
+    governance: Governance = state.modules[handle.governance]  # type: ignore[assignment]
+    timelock: Timelock = state.modules[handle.timelock]  # type: ignore[assignment]
+    proposals = governance.proposals
+    if scope is not None and "governance_soundness" not in scope.full:
+        if not scope.proposals or not any(
+                0 <= pid < len(proposals)
+                and _proposal_problem(proposals[pid], timelock) is not None
+                for pid in scope.proposals):
+            return None
+    for proposal in proposals:
+        detail = _proposal_problem(proposal, timelock)
+        if detail is not None:
+            return detail
+    return None
+
+
+def check_market_books(state: ChainState, handle: SystemHandle,
+                       scope: WriteSetChecks | None = None) -> str | None:
     market: Market = state.modules[handle.market]  # type: ignore[assignment]
     held_a = state.fungible_balance(market.token_a, market.address)
     held_b = state.fungible_balance(market.token_b, market.address)
@@ -139,8 +197,134 @@ ALL_INVARIANTS = tuple(CHECKERS)
 
 def first_violation(state: ChainState, handle: SystemHandle,
                     names: tuple[str, ...] = ALL_INVARIANTS) -> str | None:
+    """Full scan of every named invariant; the first failure as ``name: detail``."""
     for name in names:
         detail = CHECKERS[name](state, handle)
         if detail is not None:
             return f"{name}: {detail}"
     return None
+
+
+def _bid_part(auction: Auction) -> int:
+    # an auction's share of ``Vault.active_bid_total``
+    if auction.active and auction.highest_bidder != ZERO_ADDRESS:
+        return auction.highest_bid
+    return 0
+
+
+class WriteSetChecks:
+    """Step-by-step checking of one world from the write set of each step.
+
+    ``first_violation(writes)`` gives the same verdict as the full-scan
+    ``first_violation`` provided every write since the last full scan went
+    through the journal.  Its first call is a full scan that seeds the
+    running state, and so is the call after ``rescan()`` or after any
+    violation: a violated entity stays violated until a full scan clears
+    it, and a violation stops the checks of the names after it.  The
+    containers that hold NFTs, auctions, sales, proposals and timelock
+    entries are looked up again at every full scan.
+    """
+
+    def __init__(self, state: ChainState, handle: SystemHandle,
+                 names: tuple[str, ...] = ALL_INVARIANTS):
+        self.state = state
+        self.handle = handle
+        self.names = names
+        # what the current step wrote, cleared at the next step
+        self.nft_tokens: dict[str, set[int]] = {}
+        self.auctions: set[int] = set()
+        self.sales: set[int] = set()
+        self.proposals: set[int] = set()
+        # id of each dict or list whose keys name an entity -> its set above
+        self._keyed: dict[int, set] = {}
+        self._vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
+        self._timelock: Timelock = state.modules[handle.timelock]  # type: ignore[assignment]
+        # checkers that scan everything in the current step
+        self.full: frozenset[str] = frozenset()
+        self._rescan_next = True
+        # id of each sale record in ``Vault.sales`` -> its token id
+        self._sale_ids: dict[int, int] = {}
+        # running escrow sums, per token id and in total
+        self._sale_parts: dict[int, int] = {}
+        self._bid_parts: dict[int, int] = {}
+        self._sale_total = 0
+        self._bid_total = 0
+
+    def rescan(self) -> None:
+        """Make the next ``first_violation`` a full scan of every name."""
+        self._rescan_next = True
+
+    def first_violation(self, writes: list[JournalEntry] | tuple[()]) -> str | None:
+        """Check the world after a step that made ``writes``; ``name: detail``."""
+        if self._rescan_next:
+            self._reset()
+        else:
+            self._observe(writes)
+        for name in self.names:
+            detail = CHECKERS[name](self.state, self.handle, self)
+            if detail is not None:
+                self._rescan_next = True
+                return f"{name}: {detail}"
+        return None
+
+    def _reset(self) -> None:
+        state, vault = self.state, self._vault
+        governance: Governance = state.modules[self.handle.governance]  # type: ignore[assignment]
+        self._rescan_next = False
+        self.full = frozenset(self.names)
+        self.nft_tokens = {lid: set() for lid in state.nft}
+        self.auctions, self.sales, self.proposals = set(), set(), set()
+        self._keyed = {id(state.nft[lid].owners): tokens
+                       for lid, tokens in self.nft_tokens.items()}
+        self._keyed[id(vault.auctions)] = self.auctions
+        self._keyed[id(vault.sales)] = self.sales
+        self._keyed[id(governance.proposals)] = self.proposals
+        self._keyed[id(self._timelock.entries)] = self.proposals
+        self._sale_ids = {id(s): t for t, s in vault.sales.items()}
+
+    def _observe(self, writes: list[JournalEntry] | tuple[()]) -> None:
+        for touched in self._keyed.values():
+            touched.clear()
+        self.full = frozenset()
+        vault, timelock, keyed = self._vault, self._timelock, self._keyed
+        for container, key, _ in writes:
+            touched = keyed.get(id(container))
+            if touched is not None:
+                touched.add(key)
+                continue
+            kind = type(container)
+            if kind is Auction:
+                self.auctions.add(container.token_id)
+            elif kind is SaleRecord:
+                token_id = self._sale_ids.get(id(container))
+                if token_id is not None and vault.sales.get(token_id) is container:
+                    self.sales.add(token_id)
+            elif kind is Proposal or kind is TimelockEntry:
+                self.proposals.add(container.proposal_id)
+            elif container is timelock:
+                # a timelock setting, such as the delay, bears on every proposal
+                self.full = frozenset({"governance_soundness"})
+        for token_id in self.sales:
+            if token_id in vault.sales:
+                self._sale_ids[id(vault.sales[token_id])] = token_id
+
+    def escrow_totals(self, vault: Vault) -> tuple[int, int]:
+        """Proceeds left in sales and active bids, as running totals kept
+        from the touched sales and auctions."""
+        if "vault_escrow" in self.full:
+            self._sale_parts = {t: s.proceeds_remaining for t, s in vault.sales.items()}
+            self._bid_parts = {t: _bid_part(a) for t, a in vault.auctions.items()}
+            self._sale_total = sum(self._sale_parts.values())
+            self._bid_total = sum(self._bid_parts.values())
+            return self._sale_total, self._bid_total
+        for token_id in self.sales:
+            sale = vault.sales.get(token_id)
+            part = sale.proceeds_remaining if sale is not None else 0
+            self._sale_total += part - self._sale_parts.get(token_id, 0)
+            self._sale_parts[token_id] = part
+        for token_id in self.auctions:
+            auction = vault.auctions.get(token_id)
+            part = _bid_part(auction) if auction is not None else 0
+            self._bid_total += part - self._bid_parts.get(token_id, 0)
+            self._bid_parts[token_id] = part
+        return self._sale_total, self._bid_total

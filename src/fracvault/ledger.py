@@ -5,13 +5,16 @@ balances, any number of fungible and non-fungible token ledgers, a logical
 clock, installed protocol modules, and the committed event log.
 
 Every mutation flows through the journaled write helpers (``jset``,
-``jsetattr``, ``jappend``, ...).  A call frame is a marker into the undo
-journal; rolling a frame back replays the undo entries in reverse, so a
-transaction that raises leaves the committed state byte for byte unchanged,
-events included.  Frames nest: ``transact`` opens the outermost frame,
-``call`` opens one per nested module call, and native transfers execute
-recipient payment hooks inside their own child frame so that a reverting
-hook fails only the transfer, never the caller's frame directly.
+``jsetattr``, ``jappend``, ...), each of which records one
+``(container, key, old)`` entry in the undo journal.  A call frame is a
+marker into the journal; rolling a frame back replays the entries in
+reverse, so a transaction that raises leaves the committed state byte for
+byte unchanged, events included.  A committed transaction's entries stay
+readable as its write set, ``ChainState.last_writes``.  Frames nest:
+``transact`` opens the outermost frame, ``call`` opens one per nested
+module call, and native transfers execute recipient payment hooks inside
+their own child frame so that a reverting hook fails only the transfer,
+never the caller's frame directly.
 
 Determinism: no wall clock, no ambient randomness, insertion-ordered dicts
 only.  Identical genesis plus an identical transaction sequence produces an
@@ -24,7 +27,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from . import errors
 
@@ -32,6 +35,13 @@ Address = str
 
 ZERO_ADDRESS: Address = "0x0"
 MAX_CALL_DEPTH = 16
+
+# the ``old`` of a journal entry whose key did not exist before the write
+ABSENT: Any = object()
+
+# one undo-journal entry: the written dict, object or list, the key,
+# attribute name or appended index, and the value it held before
+JournalEntry = tuple[Any, Any, Any]
 
 
 def canonical_json(data: Any) -> str:
@@ -190,7 +200,10 @@ class ChainState:
         self.genesis_native_supply: int = 0
         self.max_call_depth = max_call_depth
         self.tx_index: int = 0
-        self._undo: list[Callable[[], None]] = []
+        self._undo: list[JournalEntry] = []
+        # write set of the latest transact(): its journal if it committed,
+        # empty if it reverted; replaced by the next transaction
+        self.last_writes: list[JournalEntry] | tuple[()] = ()
         self._frames: list[tuple[int, int]] = []  # (token, journal mark)
         self._next_frame_token: int = 1
         self._locks: set[tuple[str, str]] = set()
@@ -266,31 +279,25 @@ class ChainState:
     # Journal and frames
     # ------------------------------------------------------------------ #
 
-    def _record(self, undo: Callable[[], None]) -> None:
-        if self._frames:
-            self._undo.append(undo)
-
     def jset(self, mapping: dict, key: Any, value: Any) -> None:
-        if key in mapping:
-            old = mapping[key]
-            self._record(lambda: mapping.__setitem__(key, old))
-        else:
-            self._record(lambda: mapping.pop(key, None))
+        if self._frames:
+            self._undo.append((mapping, key, mapping.get(key, ABSENT)))
         mapping[key] = value
 
     def jdel(self, mapping: dict, key: Any) -> None:
         if key in mapping:
-            old = mapping[key]
-            self._record(lambda: mapping.__setitem__(key, old))
+            if self._frames:
+                self._undo.append((mapping, key, mapping[key]))
             del mapping[key]
 
     def jsetattr(self, obj: Any, name: str, value: Any) -> None:
-        old = getattr(obj, name)
-        self._record(lambda: setattr(obj, name, old))
+        if self._frames:
+            self._undo.append((obj, name, getattr(obj, name)))
         setattr(obj, name, value)
 
     def jappend(self, seq: list, item: Any) -> None:
-        self._record(seq.pop)
+        if self._frames:
+            self._undo.append((seq, len(seq), ABSENT))
         seq.append(item)
 
     def snapshot(self) -> int:
@@ -304,8 +311,18 @@ class ChainState:
         """Undo every mutation of the frame named by ``token`` and its children."""
         for i, (t, mark) in enumerate(self._frames):
             if t == token:
-                while len(self._undo) > mark:
-                    self._undo.pop()()
+                undo = self._undo
+                while len(undo) > mark:
+                    container, key, old = undo.pop()
+                    if isinstance(container, list):
+                        container.pop()  # jappend is the only list write
+                    elif isinstance(container, dict):
+                        if old is ABSENT:
+                            container.pop(key, None)
+                        else:
+                            container[key] = old
+                    else:
+                        setattr(container, key, old)
                 del self._frames[i:]
                 return
         raise errors.UnknownFrame(f"no live frame {token}")
@@ -342,7 +359,11 @@ class ChainState:
 
     def transact(self, sender: Address, module_id: str, method: str,
                  args: dict | None = None, value: int = 0) -> TxResult:
-        """Execute one top-level transaction; commit on success, revert on any LedgerError."""
+        """Execute one top-level transaction; commit on success, revert on any LedgerError.
+
+        Any other exception is a fault in a module: the frame is rolled back
+        so the world is left as it was, and the exception propagates.
+        """
         if self._frames:
             raise RuntimeError("transactions do not nest; use call()")
         if value < 0:
@@ -350,6 +371,7 @@ class ChainState:
         token = self.snapshot()
         events_mark = len(self.events)
         ctx = ExecutionContext(sender=sender, value=value, depth=0)
+        writes: list[JournalEntry] | tuple[()] = ()
         try:
             module = self._module_for_call(module_id, method, value)
             if value:
@@ -357,12 +379,17 @@ class ChainState:
                 self._credit_native(module.address, value)
             ret = self._dispatch(module, method, ctx, args)
             self._commit(token)
+            writes = self._undo
             result = TxResult(True, value=ret, events=list(self.events[events_mark:]))
         except errors.LedgerError as exc:
             self.rollback(token)
             result = TxResult(False, error=exc.name, error_message=str(exc))
-        self._undo.clear()
-        self.tx_index += 1
+        finally:
+            if self._frames:  # a non-LedgerError escaped with the frame open
+                self.rollback(token)
+            self._undo = []
+            self.last_writes = writes
+            self.tx_index += 1
         return result
 
     def call(self, ctx: ExecutionContext, module_id: str, method: str,

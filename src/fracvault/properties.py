@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from . import attackers
 from .fuzz import FuzzAction, clock_action, run_action, transact_action
-from .invariants import CHECKERS
+from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
 from .mutations import HEALTHY, MUTANTS, Mutations
@@ -251,15 +251,6 @@ def _actor(rng: random.Random, extras: dict) -> str:
     return rng.choice(extras["actors"])
 
 
-def _invariant_check(names: tuple[str, ...], state: ChainState,
-                     handle: SystemHandle) -> str | None:
-    for name in names:
-        detail = CHECKERS[name](state, handle)
-        if detail:
-            return f"{name}: {detail}"
-    return None
-
-
 # --------------------------------------------------------------------- #
 # The fourteen pinned properties
 # --------------------------------------------------------------------- #
@@ -336,7 +327,7 @@ def _total_supply_campaign() -> Campaign:
         supply = state.fungible_supply(handle.fractions)
         if supply != extras["supply"]:
             return f"transfer activity changed the supply to {supply}"
-        return _invariant_check(("fungible_supply",), state, handle)
+        return first_violation(state, handle, ("fungible_supply",))
 
     return Campaign("total_supply_constant", token_world, generate, after)
 
@@ -455,8 +446,8 @@ def _withdrawal_balance_campaign() -> Campaign:
 
     def after(state, handle, extras, action, result, token):
         if action.method != "withdraw_pending":
-            return _invariant_check(("vault_escrow", "native_conservation"),
-                                    state, handle)
+            return first_violation(state, handle,
+                                   ("vault_escrow", "native_conservation"))
         pre_pending, pre_native = token
         if result.ok:
             received = state.native.get(action.sender, 0) - pre_native
@@ -662,7 +653,7 @@ def _liquidity_campaign() -> Campaign:
         return (market.reserve_a, market.reserve_b, market.total_shares)
 
     def after(state, handle, extras, action, result, token):
-        detail = _invariant_check(("market_books",), state, handle)
+        detail = first_violation(state, handle, ("market_books",))
         if detail:
             return detail
         if action.method == "remove_liquidity" and result.ok and result.value:
@@ -731,7 +722,7 @@ def _trade_campaign() -> Campaign:
                 return f"viable trade rejected with {result.error}"
             if result.error != "SlippageExceeded":
                 return f"trade failed with {result.error}"
-        return _invariant_check(("market_books",), state, handle)
+        return first_violation(state, handle, ("market_books",))
 
     return Campaign("trade_execution", build, generate, after, before)
 
@@ -764,7 +755,7 @@ def _supply_management_campaign() -> Campaign:
                                min_amount_out=0)
 
     def after(state, handle, extras, action, result, token):
-        detail = _invariant_check(("market_books",), state, handle)
+        detail = first_violation(state, handle, ("market_books",))
         if detail:
             return detail
         if state.fungible_supply(handle.fractions) != extras["fraction_supply"]:
@@ -821,8 +812,8 @@ def _escrow_campaign() -> Campaign:
         return transact_action(sender, handle.vault, "withdraw_pending")
 
     def after(state, handle, extras, action, result, token):
-        return _invariant_check(("vault_escrow", "native_conservation",
-                                 "sale_accounting"), state, handle)
+        return first_violation(state, handle, ("vault_escrow", "native_conservation",
+                                               "sale_accounting"))
 
     return Campaign("escrow_conservation", nft_world, generate, after)
 
@@ -845,9 +836,8 @@ def _double_withdrawal_campaign() -> Campaign:
                                to=_actor(rng, extras), amount=rng.randrange(0, 100))
 
     def after(state, handle, extras, action, result, token):
-        return _invariant_check(("sale_accounting", "fungible_supply",
-                                 "vault_escrow", "native_conservation"),
-                                state, handle)
+        return first_violation(state, handle, ("sale_accounting", "fungible_supply",
+                                               "vault_escrow", "native_conservation"))
 
     return Campaign("redemption_double_withdrawal", build, generate, after)
 

@@ -11,7 +11,6 @@ cannot replay clean.
 from __future__ import annotations
 
 import json
-from typing import Iterator
 
 from .ledger import canonical_json, normalize
 from .scenario import ScenarioError, TraceRecord, build_world, execute_entry
@@ -72,9 +71,3 @@ def replay_trace(path: str) -> int:
                 raise DigestMismatch(i, field, recorded.get(field),
                                      produced[field])
     return len(records)
-
-
-def iter_trace_digests(path: str) -> Iterator[str]:
-    _, records = read_trace(path)
-    for record in records:
-        yield record["digest"]

@@ -9,6 +9,7 @@ import pytest
 
 from fracvault import errors
 from fracvault.ledger import ChainState, HookCall, ReceiveHook, ZERO_ADDRESS
+from fracvault.vault import Vault
 
 from helpers import native_total, tx, tx_err
 
@@ -265,6 +266,36 @@ def test_revert_atomicity_with_partial_writes(world):
                             {"token_ids": [1, 1]})
     assert not result.ok and result.error == "NotOwner"
     assert state.digest() == before
+
+
+def test_non_ledger_error_rolls_back_and_propagates(world, monkeypatch):
+    # A fault inside a module (here after a nested mint and an NFT transfer
+    # committed) must not leave the world half-written or wedged.
+    state, handle = world
+    original = Vault.deposit_nft
+
+    def faulty_deposit(self, state, ctx, nft_address, token_id):
+        original(self, state, ctx, nft_address, token_id)
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(Vault, "deposit_nft", faulty_deposit)
+    before = state.digest()
+    with pytest.raises(ValueError, match="planted fault"):
+        state.transact("alice", handle.vault, "deposit_nft",
+                       {"nft_address": handle.collection, "token_id": 1})
+    assert state.digest() == before
+    monkeypatch.undo()
+    tx(state, "alice", handle.vault, "deposit_nft",
+       nft_address=handle.collection, token_id=1)
+
+
+def test_write_set_of_committed_and_reverted_transactions(chain):
+    tx(chain, "alice", "native", "transfer", to="bob", amount=7)
+    assert [(c is chain.native, k) for c, k, _ in chain.last_writes] == \
+        [(True, "alice"), (True, "bob")]
+    tx_err(chain, "InsufficientNative", "alice", "native", "transfer",
+           to="bob", amount=10**12)
+    assert chain.last_writes == ()
 
 
 # --------------------------------------------------------------------- #
