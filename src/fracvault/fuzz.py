@@ -20,7 +20,7 @@ from typing import Any
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import HEALTHY, MUTANTS, Mutations
-from .system import SystemHandle, standard_world
+from .system import SystemHandle, must, standard_world
 
 ACTOR_FUND = 10**9
 PAIR_FUND = 10**9
@@ -166,14 +166,14 @@ def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str
     token_ids = list(range(1, 2 * plan.actor_count + 1))
     for i, token_id in enumerate(token_ids):
         owner = actors[i % len(actors)]
-        _must(state.transact("deployer", handle.collection, "mint",
-                             {"to": owner, "token_id": token_id}))
+        must(state.transact("deployer", handle.collection, "mint",
+                            {"to": owner, "token_id": token_id}))
     for actor in actors:
-        _must(state.transact("deployer", handle.pair, "mint",
-                             {"to": actor, "amount": PAIR_FUND}))
+        must(state.transact("deployer", handle.pair, "mint",
+                            {"to": actor, "amount": PAIR_FUND}))
         for token in (handle.fractions, handle.pair):
-            _must(state.transact(actor, token, "approve",
-                                 {"spender": handle.market, "amount": BIG_APPROVAL}))
+            must(state.transact(actor, token, "approve",
+                                {"spender": handle.market, "amount": BIG_APPROVAL}))
     intruder = actors[-1]
     state.set_receive_hook(intruder, ReceiveHook(
         owner=intruder, max_activations=2, calls=(
@@ -182,12 +182,6 @@ def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str
                      args=(("token_id", token_ids[0]), ("fraction_amount", 50))),
         )))
     return state, handle, actors
-
-
-def _must(result: TxResult) -> None:
-    if not result.ok:
-        raise RuntimeError(f"fuzz world setup failed: {result.error}: "
-                           f"{result.error_message}")
 
 
 # --------------------------------------------------------------------- #
@@ -459,7 +453,7 @@ def _step_violation(state: ChainState, handle: SystemHandle, plan: FuzzPlan,
                     checks: WriteSetChecks) -> tuple[TxResult | None, str | None]:
     result = run_action(state, action)
     if plan.check_revert_atomicity and result is not None and not result.ok:
-        if state.digest() != pre_digest:
+        if state.full_digest() != pre_digest:
             checks.rescan()  # the unjournaled writes escape the write set
             return result, "revert_atomicity: failed transaction mutated state"
     writes = state.last_writes if result is not None else ()
@@ -480,7 +474,7 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
     for step in range(plan.steps):
         action = generator.generate()
         actions.append(action)
-        pre_digest = state.digest() if plan.check_revert_atomicity else None
+        pre_digest = state.full_digest() if plan.check_revert_atomicity else None
         if _full_scan_due(step, plan.steps):
             checks.rescan()
         result, detail = _step_violation(state, handle, plan, action, pre_digest,
@@ -494,10 +488,10 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
             trace = shrink(plan, actions, invariant)
             violations.append(Violation(
                 invariant=invariant, step=step, detail=detail,
-                digest=state.digest(), trace=trace))
+                digest=state.full_digest(), trace=trace))
             break
     return FuzzReport(plan=plan, steps_executed=len(actions), commits=commits,
-                      reverts=reverts, final_digest=state.digest(),
+                      reverts=reverts, final_digest=state.full_digest(),
                       violations=violations)
 
 
@@ -506,7 +500,7 @@ def replay_violates(plan: FuzzPlan, actions: list[FuzzAction],
     state, handle, _ = build_fuzz_world(plan)
     checks = WriteSetChecks(state, handle, plan.invariants)
     for step, action in enumerate(actions):
-        pre_digest = state.digest() if plan.check_revert_atomicity else None
+        pre_digest = state.full_digest() if plan.check_revert_atomicity else None
         if _full_scan_due(step, len(actions)):
             checks.rescan()
         _, detail = _step_violation(state, handle, plan, action, pre_digest, checks)

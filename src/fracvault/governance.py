@@ -113,14 +113,14 @@ class Timelock(Module):
         self.controller_set = False
         self.entries: dict[int, TimelockEntry] = {}
 
-    def bind_controller(self, controller: Address) -> None:
+    def bind_controller(self, state: ChainState, controller: Address) -> None:
         """Deployment-time, write-once binding to the governance module."""
         if self.controller_set:
             raise errors.AlreadySet("timelock controller is write-once")
         if controller == ZERO_ADDRESS:
             raise errors.ZeroAddress("controller cannot be the zero address")
-        self.controller = controller
-        self.controller_set = True
+        state.jsetattr(self, "controller", controller)
+        state.jsetattr(self, "controller_set", True)
 
     def _require_controller(self, ctx: ExecutionContext) -> None:
         if not self.controller_set or ctx.sender != self.controller:
@@ -167,7 +167,7 @@ class Timelock(Module):
 
     def snapshot_data(self) -> dict:
         return {"kind": "timelock", "delay": self.delay, "controller": self.controller,
-                "entries": {pid: e.as_data() for pid, e in self.entries.items()}}
+                "entries": self.entries}
 
 
 class Governance(Module):
@@ -345,4 +345,4 @@ class Governance(Module):
         return {"kind": "governance", "guardian": self.guardian,
                 "fractions": self.fractions, "vault": self.vault,
                 "timelock": self.timelock, "threshold_bps": self.threshold_bps,
-                "proposals": [p.as_data() for p in self.proposals]}
+                "proposals": self.proposals}

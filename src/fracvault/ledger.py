@@ -16,6 +16,13 @@ module call, and native transfers execute recipient payment hooks inside
 their own child frame so that a reverting hook fails only the transfer,
 never the caller's frame directly.
 
+The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
+canonical JSON fragments, and the write helpers mark the fragments they
+touch, committed or rolled back, so a digest re-renders only those.
+``full_digest()`` recomputes the same bytes from the whole world; the
+revert-atomicity oracles use it because it does not rely on the journal,
+and ``digest()`` compares against it every ``DIGEST_CHECK_INTERVAL`` calls.
+
 Determinism: no wall clock, no ambient randomness, insertion-ordered dicts
 only.  Identical genesis plus an identical transaction sequence produces an
 identical state digest and event log.
@@ -43,9 +50,14 @@ ABSENT: Any = object()
 # attribute name or appended index, and the value it held before
 JournalEntry = tuple[Any, Any, Any]
 
+# cached digests between two full recomputes that cross-check the cache
+DIGEST_CHECK_INTERVAL = 1_000
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(data)
 
 
 def normalize(value: Any) -> Any:
@@ -67,6 +79,228 @@ def normalize(value: Any) -> Any:
 
 def digest_of(data: Any) -> str:
     return hashlib.sha256(canonical_json(normalize(data)).encode()).hexdigest()
+
+
+class DigestCacheMismatch(RuntimeError):
+    """A cached digest differs from the full recompute: some write to the
+    world bypassed the journaled write helpers."""
+
+
+# the entry key of an owner record for an entry collection: a write to the
+# collection dirties the entry under the write's own key
+_BY_WRITE_KEY: Any = object()
+
+
+def _containers(obj: Any) -> tuple:
+    """An object and the dicts and lists it holds directly, or a bare dict
+    or list."""
+    if isinstance(obj, (dict, list)):
+        return (obj,)
+    return (obj, *(v for v in vars(obj).values() if isinstance(v, (dict, list))))
+
+
+def _section_data(group: str, obj: Any) -> Any:
+    """One section of the digest document: the native balances, a fungible
+    or NFT ledger, or a module's snapshot."""
+    if group == "native":
+        return obj
+    if group == "fungible":
+        return {"supply": obj.total_supply, "balances": obj.balances,
+                "allowances": {f"{o}|{s}": v for (o, s), v in obj.allowances.items()}}
+    if group == "nft":
+        return {"owners": obj.owners, "approvals": obj.approvals}
+    return obj.snapshot_data()
+
+
+def _encoded(data: Any) -> bytes:
+    return canonical_json(normalize(data)).encode()
+
+
+def _object_bytes(plain: dict[str, Any], rendered: dict[str, bytes]) -> bytes:
+    """Canonical JSON of one object whose values are either ``plain`` data,
+    encoded here, or ``rendered`` fragments, spliced in at their keys."""
+    pieces = [b"{"]
+    run: dict[str, Any] = {}
+    for key in sorted(plain.keys() | rendered.keys()):
+        if key in rendered:
+            if run:
+                pieces += (_encoded(run)[1:-1], b",")
+                run = {}
+            pieces += (canonical_json(key).encode(), b":", rendered[key], b",")
+        else:
+            run[key] = plain[key]
+    if run:
+        pieces += (_encoded(run)[1:-1], b",")
+    if len(pieces) > 1:
+        del pieces[-1]  # the last comma
+    pieces.append(b"}")
+    return b"".join(pieces)
+
+
+@dataclass
+class _Collection:
+    container: dict | list
+    pieces: dict[str, bytes] | list[bytes]  # '"key":fragment' by key, or fragments
+    order: list[str]  # a dict's keys, sorted
+    text: bytes
+
+
+class DigestCache:
+    """Canonical JSON of the digest document, kept as encoded fragments and
+    re-rendered only where written.
+
+    A section is the native ledger, one fungible or NFT ledger, or one
+    module.  Inside a section, a dict or list that the section's data holds
+    live (not a copy), such as the vault's auctions or the NFT owners, is a
+    collection whose entries are fragments of their own.  ``owners`` maps
+    every container a fragment was rendered from, by id, to what a write to
+    it makes dirty; it keeps the container alive so that the id stays
+    unique.  The write helpers call ``mark`` whether the write later
+    commits or rolls back, so a rollback that fails to restore a value is
+    rendered as it is.  Scalars (clock, supply, event count and hash) are
+    read fresh on every call.
+    """
+
+    def __init__(self) -> None:
+        self.sections: dict[tuple[str, ...], bytes] = {}
+        self.groups: dict[str, tuple[tuple[str, ...], bytes]] = {}
+        self.collections: dict[tuple, _Collection] = {}
+        # id -> (container, section, collection path or None, entry key)
+        self.owners: dict[int, tuple[Any, tuple[str, ...], tuple | None, Any]] = {}
+        self.dirty: set[tuple[str, ...]] = set()
+        self.dirty_keys: dict[tuple, set] = {}
+        self.served = 0
+
+    def mark(self, container: Any, key: Any) -> None:
+        owner = self.owners.get(id(container))
+        if owner is not None:
+            _, section, path, entry_key = owner
+            self.dirty.add(section)
+            if path is not None:
+                self.dirty_keys.setdefault(path, set()).add(
+                    key if entry_key is _BY_WRITE_KEY else entry_key)
+
+    def document(self, state: "ChainState") -> bytes:
+        """The encoded canonical JSON of ``state``'s digest document."""
+        texts = {"native": self._section(("native",), "native", state.native)}
+        dirty_groups = {section[0] for section in self.dirty}
+        for group in ("fungible", "nft", "modules"):
+            members = getattr(state, group)
+            names = tuple(members)
+            cached = self.groups.get(group)
+            if cached is None or cached[0] != names or group in dirty_groups:
+                cached = self.groups[group] = (names, _object_bytes({}, {
+                    name: self._section((group, name), group, obj)
+                    for name, obj in members.items()}))
+            texts[group] = cached[1]
+        self.dirty.clear()
+        self.dirty_keys.clear()
+        return _object_bytes(state._scalars(), texts)
+
+    def stale_section(self, state: "ChainState") -> str:
+        """The first section whose cached fragment differs from a full render."""
+        for section, fragment in self.sections.items():
+            group, *name = section
+            obj = getattr(state, group)[name[0]] if name else state.native
+            if _encoded(_section_data(group, obj)) != fragment:
+                return ".".join(section)
+        return "document"
+
+    def _section(self, section: tuple[str, ...], group: str, obj: Any) -> bytes:
+        text = self.sections.get(section)
+        if text is not None and section not in self.dirty:
+            return text
+        containers = _containers(obj)
+        live = {id(c): c for c in containers}
+        data = _section_data(group, obj)
+        if id(data) in live:
+            text = self._collection(section, "", live.pop(id(data)))
+        else:
+            plain: dict[str, Any] = {}
+            rendered: dict[str, bytes] = {}
+            for key, value in data.items():
+                if id(value) in live:
+                    rendered[str(key)] = self._collection(section, str(key),
+                                                          live.pop(id(value)))
+                else:
+                    plain[str(key)] = value
+            text = _object_bytes(plain, rendered)
+        # the rest is rendered in full (or not at all): a write to it, or to
+        # an object it holds, dirties the whole section
+        for container in live.values():
+            self.owners[id(container)] = (container, section, None, None)
+            if isinstance(container, (dict, list)):
+                for value in (container.values() if isinstance(container, dict)
+                              else container):
+                    self._own(value, section, None, None)
+        self.sections[section] = text
+        return text
+
+    def _collection(self, section: tuple[str, ...], field: str,
+                    container: dict | list) -> bytes:
+        path = (section, field)
+        self.owners[id(container)] = (container, section, path, _BY_WRITE_KEY)
+        cached = self.collections.get(path)
+        if cached is None or cached.container is not container:
+            cached = self._build(path, container)
+        elif path in self.dirty_keys:
+            cached = self._update(path, cached, self.dirty_keys[path])
+        return cached.text
+
+    def _build(self, path: tuple, container: dict | list) -> _Collection:
+        if isinstance(container, list):
+            pieces: dict[str, bytes] | list[bytes] = [
+                self._entry(path, i, v) for i, v in enumerate(container)]
+            cached = _Collection(container, pieces, [], b"[" + b",".join(pieces) + b"]")
+        else:
+            # keys that render alike keep the last one, as normalize does
+            latest = {str(k): k for k in container}
+            pieces = {name: self._keyed_entry(path, name, k, container[k])
+                      for name, k in latest.items()}
+            order = sorted(pieces)
+            cached = _Collection(container, pieces, order,
+                                 b"{" + b",".join([pieces[n] for n in order]) + b"}")
+        self.collections[path] = cached
+        return cached
+
+    def _update(self, path: tuple, cached: _Collection, keys: set) -> _Collection:
+        container, pieces = cached.container, cached.pieces
+        if isinstance(container, list):
+            del pieces[len(container):]
+            for i in keys:
+                if i < len(pieces):
+                    pieces[i] = self._entry(path, i, container[i])
+            for i in range(len(pieces), len(container)):
+                pieces.append(self._entry(path, i, container[i]))
+            cached.text = b"[" + b",".join(pieces) + b"]"
+            return cached
+        reorder = False
+        for key in keys:
+            name = str(key)
+            if key in container:
+                reorder = reorder or name not in pieces
+                pieces[name] = self._keyed_entry(path, name, key, container[key])
+            elif pieces.pop(name, None) is not None:
+                reorder = True
+        if len(pieces) != len(container):  # keys that render alike
+            return self._build(path, container)
+        if reorder:
+            cached.order = sorted(pieces)
+        cached.text = b"{" + b",".join([pieces[n] for n in cached.order]) + b"}"
+        return cached
+
+    def _keyed_entry(self, path: tuple, name: str, key: Any, value: Any) -> bytes:
+        return canonical_json(name).encode() + b":" + self._entry(path, key, value)
+
+    def _entry(self, path: tuple, key: Any, value: Any) -> bytes:
+        self._own(value, path[0], path, key)
+        return _encoded(value)
+
+    def _own(self, value: Any, section: tuple[str, ...], path: tuple | None,
+             key: Any) -> None:
+        if isinstance(value, (dict, list)) or hasattr(value, "__dict__"):
+            for container in _containers(value):
+                self.owners[id(container)] = (container, section, path, key)
 
 
 @dataclass(frozen=True)
@@ -172,6 +406,12 @@ class Module:
         self.address: Address = module_id
 
     def snapshot_data(self) -> dict:
+        """The module's part of the state digest.
+
+        Return dicts and lists that the module holds as they are, not
+        copies: the digest cache then renders each of their entries as a
+        fragment of its own.  Callers must not modify the result.
+        """
         return {}
 
 
@@ -208,7 +448,15 @@ class ChainState:
         self._next_frame_token: int = 1
         self._locks: set[tuple[str, str]] = set()
         self._event_hash: str = hashlib.sha256(b"").hexdigest()
+        # built by the first digest(); from then on every write marks it
+        self._digest_cache: DigestCache | None = None
         self.install_module(NativeTransfers("native"))
+
+    def __getstate__(self) -> dict:
+        # a copy's containers are new objects, unknown to the digest cache
+        state = self.__dict__.copy()
+        state["_digest_cache"] = None
+        return state
 
     # ------------------------------------------------------------------ #
     # World setup (outside transactions)
@@ -220,7 +468,7 @@ class ChainState:
             raise RuntimeError("fund() is genesis-only")
         if amount < 0:
             raise ValueError("genesis amounts must be non-negative")
-        self.native[addr] = self.native.get(addr, 0) + amount
+        self.jset(self.native, addr, self.native.get(addr, 0) + amount)
         self.genesis_native_supply += amount
 
     def install_module(self, module: Module) -> Module:
@@ -282,22 +530,30 @@ class ChainState:
     def jset(self, mapping: dict, key: Any, value: Any) -> None:
         if self._frames:
             self._undo.append((mapping, key, mapping.get(key, ABSENT)))
+        if self._digest_cache is not None:
+            self._digest_cache.mark(mapping, key)
         mapping[key] = value
 
     def jdel(self, mapping: dict, key: Any) -> None:
         if key in mapping:
             if self._frames:
                 self._undo.append((mapping, key, mapping[key]))
+            if self._digest_cache is not None:
+                self._digest_cache.mark(mapping, key)
             del mapping[key]
 
     def jsetattr(self, obj: Any, name: str, value: Any) -> None:
         if self._frames:
             self._undo.append((obj, name, getattr(obj, name)))
+        if self._digest_cache is not None:
+            self._digest_cache.mark(obj, name)
         setattr(obj, name, value)
 
     def jappend(self, seq: list, item: Any) -> None:
         if self._frames:
             self._undo.append((seq, len(seq), ABSENT))
+        if self._digest_cache is not None:
+            self._digest_cache.mark(seq, len(seq))
         seq.append(item)
 
     def snapshot(self) -> int:
@@ -314,6 +570,9 @@ class ChainState:
                 undo = self._undo
                 while len(undo) > mark:
                     container, key, old = undo.pop()
+                    if self._digest_cache is not None:
+                        # writes of the frame made before a digest built the cache
+                        self._digest_cache.mark(container, key)
                     if isinstance(container, list):
                         container.pop()  # jappend is the only list write
                     elif isinstance(container, dict):
@@ -641,26 +900,38 @@ class ChainState:
         chained = self._event_hash + canonical_json(event.as_data())
         self.jsetattr(self, "_event_hash", hashlib.sha256(chained.encode()).hexdigest())
 
+    def _scalars(self) -> dict:
+        return {"clock": self.clock, "genesis_supply": self.genesis_native_supply,
+                "event_count": len(self.events), "event_hash": self._event_hash}
+
+    def _document(self) -> dict:
+        doc = self._scalars()
+        doc["native"] = self.native
+        for group in ("fungible", "nft", "modules"):
+            doc[group] = {name: _section_data(group, obj)
+                          for name, obj in getattr(self, group).items()}
+        return doc
+
     def digest(self) -> str:
-        """Hash of the canonical committed-state document (see docs in README)."""
-        doc = {
-            "clock": self.clock,
-            "genesis_supply": self.genesis_native_supply,
-            "native": dict(self.native),
-            "fungible": {
-                lid: {
-                    "supply": ledger.total_supply,
-                    "balances": dict(ledger.balances),
-                    "allowances": {f"{o}|{s}": v for (o, s), v in ledger.allowances.items()},
-                }
-                for lid, ledger in self.fungible.items()
-            },
-            "nft": {
-                lid: {"owners": dict(ledger.owners), "approvals": dict(ledger.approvals)}
-                for lid, ledger in self.nft.items()
-            },
-            "modules": {mid: m.snapshot_data() for mid, m in self.modules.items()},
-            "event_count": len(self.events),
-            "event_hash": self._event_hash,
-        }
-        return digest_of(doc)
+        """Hash of the canonical committed-state document (see docs in README).
+
+        Incremental: the first call builds a ``DigestCache`` and later calls
+        re-render only what was written since.  Every
+        ``DIGEST_CHECK_INTERVAL``-th call also recomputes in full and raises
+        ``DigestCacheMismatch``, naming the stale section, on a difference.
+        """
+        if self._digest_cache is None:
+            self._digest_cache = DigestCache()
+        cache = self._digest_cache
+        digest = hashlib.sha256(cache.document(self)).hexdigest()
+        cache.served += 1
+        if cache.served % DIGEST_CHECK_INTERVAL == 0 and self.full_digest() != digest:
+            raise DigestCacheMismatch(
+                f"cached digest section {cache.stale_section(self)} differs from "
+                f"the full recompute: a write bypassed the journaled helpers")
+        return digest
+
+    def full_digest(self) -> str:
+        """The same hash as ``digest``, recomputed from the whole world
+        without the cache, so it does not rely on writes being journaled."""
+        return digest_of(self._document())

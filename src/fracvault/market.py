@@ -202,4 +202,4 @@ class Market(Module):
         return {"kind": "market", "token_a": self.token_a, "token_b": self.token_b,
                 "fee_multiplier": self.fee_multiplier,
                 "reserve_a": self.reserve_a, "reserve_b": self.reserve_b,
-                "shares": dict(self.shares), "total_shares": self.total_shares}
+                "shares": self.shares, "total_shares": self.total_shares}

@@ -29,7 +29,7 @@ from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
 from .mutations import HEALTHY, MUTANTS, Mutations
-from .system import SystemHandle, standard_world
+from .system import SystemHandle, must, standard_world
 
 FUND = 10**9
 ACTORS = ("a0", "a1", "a2", "a3")
@@ -137,28 +137,21 @@ def run_campaign(campaign: Campaign, seed: int, steps: int,
 # World builders
 # --------------------------------------------------------------------- #
 
-def _must(result: TxResult) -> TxResult:
-    if not result.ok:
-        raise RuntimeError(f"world setup failed: {result.error}: "
-                           f"{result.error_message}")
-    return result
-
-
 def _spread_fractions(state: ChainState, handle: SystemHandle,
                       spread: tuple[tuple[str, int], ...]) -> None:
     for to, amount in spread:
-        _must(state.transact("a0", handle.fractions, "transfer",
-                             {"to": to, "amount": amount}))
+        must(state.transact("a0", handle.fractions, "transfer",
+                            {"to": to, "amount": amount}))
 
 
 def token_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     """One deposited NFT: 1000 fractions spread a0 400 / a1 300 / a2 200 / a3 100."""
     state, handle = standard_world({a: FUND for a in ACTORS},
                                    mutations=mutations)
-    _must(state.transact("deployer", handle.collection, "mint",
-                         {"to": "a0", "token_id": 1}))
-    _must(state.transact("a0", handle.vault, "deposit_nft",
-                         {"nft_address": handle.collection, "token_id": 1}))
+    must(state.transact("deployer", handle.collection, "mint",
+                        {"to": "a0", "token_id": 1}))
+    must(state.transact("a0", handle.vault, "deposit_nft",
+                        {"nft_address": handle.collection, "token_id": 1}))
     _spread_fractions(state, handle, (("a1", 300), ("a2", 200), ("a3", 100)))
     return state, handle, {"supply": 1000, "actors": list(ACTORS)}
 
@@ -169,8 +162,8 @@ def nft_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
                                    mutations=mutations)
     for token_id in range(1, 9):
         owner = ACTORS[(token_id - 1) % len(ACTORS)]
-        _must(state.transact("deployer", handle.collection, "mint",
-                             {"to": owner, "token_id": token_id}))
+        must(state.transact("deployer", handle.collection, "mint",
+                            {"to": owner, "token_id": token_id}))
     return state, handle, {"actors": list(ACTORS)}
 
 
@@ -183,18 +176,18 @@ def sold_world(mutations: Mutations, *, attacker_hook: str | None = None
     """
     state, handle = standard_world({a: FUND for a in ACTORS},
                                    mutations=mutations)
-    _must(state.transact("deployer", handle.collection, "mint",
-                         {"to": "a0", "token_id": 1}))
-    _must(state.transact("a0", handle.vault, "deposit_nft",
-                         {"nft_address": handle.collection, "token_id": 1}))
+    must(state.transact("deployer", handle.collection, "mint",
+                        {"to": "a0", "token_id": 1}))
+    must(state.transact("a0", handle.vault, "deposit_nft",
+                        {"nft_address": handle.collection, "token_id": 1}))
     _spread_fractions(state, handle, (("a1", 250), ("a2", 200), ("a3", 100)))
-    _must(state.transact("a0", handle.vault, "start_auction",
-                         {"asset_address": handle.collection, "token_id": 1,
-                          "starting_price": 1, "duration": 10_000}))
-    _must(state.transact("a3", handle.vault, "place_bid", {"token_id": 1},
-                         value=1_000_000))
+    must(state.transact("a0", handle.vault, "start_auction",
+                        {"asset_address": handle.collection, "token_id": 1,
+                         "starting_price": 1, "duration": 10_000}))
+    must(state.transact("a3", handle.vault, "place_bid", {"token_id": 1},
+                        value=1_000_000))
     state.advance_clock(10_000)
-    _must(state.transact("a2", handle.vault, "end_auction", {"token_id": 1}))
+    must(state.transact("a2", handle.vault, "end_auction", {"token_id": 1}))
     extras: dict = {"actors": list(ACTORS), "attacker": None}
     if attacker_hook is not None:
         record = attacker_hook == "probe"
@@ -219,17 +212,17 @@ def market_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     state, handle = standard_world({a: FUND for a in ACTORS},
                                    mutations=mutations)
     for token_id in (1, 2):
-        _must(state.transact("deployer", handle.collection, "mint",
-                             {"to": "a0", "token_id": token_id}))
-    _must(state.transact("a0", handle.vault, "deposit_nfts",
-                         {"token_ids": [1, 2]}))
+        must(state.transact("deployer", handle.collection, "mint",
+                            {"to": "a0", "token_id": token_id}))
+    must(state.transact("a0", handle.vault, "deposit_nfts",
+                        {"token_ids": [1, 2]}))
     _spread_fractions(state, handle, (("a1", 500), ("a2", 400)))
     for actor in ACTORS:
-        _must(state.transact("deployer", handle.pair, "mint",
-                             {"to": actor, "amount": FUND}))
+        must(state.transact("deployer", handle.pair, "mint",
+                            {"to": actor, "amount": FUND}))
         for token in (handle.fractions, handle.pair):
-            _must(state.transact(actor, token, "approve",
-                                 {"spender": handle.market, "amount": 10**27}))
+            must(state.transact(actor, token, "approve",
+                                {"spender": handle.market, "amount": 10**27}))
     return state, handle, {
         "actors": list(ACTORS),
         "fraction_supply": state.fungible_supply(handle.fractions),
@@ -395,9 +388,9 @@ def _duration_campaign() -> Campaign:
 def _deposited_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     state, handle, extras = nft_world(mutations)
     for token_id, owner in ((1, "a0"), (2, "a1")):
-        _must(state.transact(owner, handle.vault, "deposit_nft",
-                             {"nft_address": handle.collection,
-                              "token_id": token_id}))
+        must(state.transact(owner, handle.vault, "deposit_nft",
+                            {"nft_address": handle.collection,
+                             "token_id": token_id}))
     return state, handle, extras
 
 
@@ -510,12 +503,12 @@ def _original_owner_campaign() -> Campaign:
 def _voting_campaign() -> Campaign:
     def build(mutations):
         state, handle, extras = gov_world(mutations)
-        _must(state.transact("a0", handle.governance, "create_proposal",
-                             {"description": "standing proposal",
-                              "target": handle.vault,
-                              "action": {"kind": "set_royalty_percent",
-                                         "args": {"percent": 7}},
-                              "voting_period": 10**9}))
+        must(state.transact("a0", handle.governance, "create_proposal",
+                            {"description": "standing proposal",
+                             "target": handle.vault,
+                             "action": {"kind": "set_royalty_percent",
+                                        "args": {"percent": 7}},
+                             "voting_period": 10**9}))
         return state, handle, extras
 
     def generate(rng, state, handle, extras, step):
@@ -593,10 +586,10 @@ def _create_proposal_campaign() -> Campaign:
     def build(mutations):
         state, handle = standard_world({a: FUND for a in ACTORS},
                                        mutations=mutations)
-        _must(state.transact("deployer", handle.collection, "mint",
-                             {"to": "a0", "token_id": 1}))
-        _must(state.transact("a0", handle.vault, "deposit_nft",
-                             {"nft_address": handle.collection, "token_id": 1}))
+        must(state.transact("deployer", handle.collection, "mint",
+                            {"to": "a0", "token_id": 1}))
+        must(state.transact("a0", handle.vault, "deposit_nft",
+                            {"nft_address": handle.collection, "token_id": 1}))
         _spread_fractions(state, handle, (("a1", 300), ("a2", 295), ("a3", 5)))
         return state, handle, {"actors": list(ACTORS), "expected_id": 0}
 
@@ -672,8 +665,8 @@ def _liquidity_campaign() -> Campaign:
 def _trade_campaign() -> Campaign:
     def build(mutations):
         state, handle, extras = market_world(mutations)
-        _must(state.transact("a0", handle.market, "add_liquidity",
-                             {"amount_a": 1_000, "amount_b": 400_000}))
+        must(state.transact("a0", handle.market, "add_liquidity",
+                            {"amount_a": 1_000, "amount_b": 400_000}))
         return state, handle, extras
 
     def generate(rng, state, handle, extras, step):
@@ -730,8 +723,8 @@ def _trade_campaign() -> Campaign:
 def _supply_management_campaign() -> Campaign:
     def build(mutations):
         state, handle, extras = market_world(mutations)
-        _must(state.transact("a0", handle.market, "add_liquidity",
-                             {"amount_a": 1_000, "amount_b": 300_000}))
+        must(state.transact("a0", handle.market, "add_liquidity",
+                            {"amount_a": 1_000, "amount_b": 300_000}))
         return state, handle, extras
 
     def generate(rng, state, handle, extras, step):
@@ -943,8 +936,8 @@ def _anti_sniping_campaign() -> Campaign:
 
     def build(mutations):
         state, handle, extras = nft_world(mutations)
-        _must(state.transact("a0", handle.vault, "deposit_nft",
-                             {"nft_address": handle.collection, "token_id": 1}))
+        must(state.transact("a0", handle.vault, "deposit_nft",
+                            {"nft_address": handle.collection, "token_id": 1}))
         return state, handle, extras
 
     return Campaign("anti_sniping_extension", build, generate, after, before)
@@ -954,11 +947,11 @@ def _revert_atomicity_campaign() -> Campaign:
     base = _escrow_campaign()
 
     def before(state, handle, extras, action):
-        return state.digest()
+        return state.full_digest()
 
     def after(state, handle, extras, action, result, pre_digest):
         if result is not None and not result.ok:
-            if state.digest() != pre_digest:
+            if state.full_digest() != pre_digest:
                 return (f"failed {action.module}.{action.method} "
                         f"({result.error}) left residue in state")
         return None

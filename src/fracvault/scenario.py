@@ -211,7 +211,7 @@ def _deploy_entry(state: ChainState, entry: dict, params: GenesisParams,
                 args["timelock"], threshold_bps=params.proposal_threshold_bps,
                 mutations=mutations))
             timelock = state.modules[args["timelock"]]
-            timelock.bind_controller(mid)  # type: ignore[attr-defined]
+            timelock.bind_controller(state, mid)  # type: ignore[attr-defined]
             registration = state.transact(
                 deployer, args["vault"], "set_governance_contract",
                 {"governance": mid})

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .governance import (DEFAULT_PROPOSAL_THRESHOLD_BPS, DEFAULT_TIMELOCK_DELAY,
                          Governance, Timelock)
-from .ledger import Address, ChainState
+from .ledger import Address, ChainState, TxResult
 from .market import DEFAULT_FEE_MULTIPLIER, Market
 from .mutations import HEALTHY, Mutations
 from .tokens import FractionalToken, FungibleToken, NftCollection
@@ -66,10 +66,12 @@ class SystemHandle:
         return state.modules[self.market]  # type: ignore[return-value]
 
 
-def _must(result) -> None:
+def must(result: TxResult) -> TxResult:
+    """The result of a world-setup transaction; RuntimeError if it reverted."""
     if not result.ok:
-        raise RuntimeError(f"deployment transaction failed: {result.error}: "
+        raise RuntimeError(f"world setup transaction failed: {result.error}: "
                            f"{result.error_message}")
+    return result
 
 
 def deploy_standard_system(state: ChainState, deployer: Address,
@@ -85,17 +87,17 @@ def deploy_standard_system(state: ChainState, deployer: Address,
         handle.vault, state, deployer, handle.collection, handle.fractions,
         auction_duration=params.auction_duration,
         royalty_percent=params.royalty_percent, mutations=mutations))
-    _must(state.transact(deployer, handle.fractions, "update_nft_vault",
-                         {"vault": handle.vault}))
+    must(state.transact(deployer, handle.fractions, "update_nft_vault",
+                        {"vault": handle.vault}))
     timelock = Timelock(handle.timelock, state, deployer, delay=params.timelock_delay)
     state.install_module(timelock)
     state.install_module(Governance(
         handle.governance, state, deployer, handle.fractions, handle.vault,
         handle.timelock, threshold_bps=params.proposal_threshold_bps,
         mutations=mutations))
-    timelock.bind_controller(handle.governance)
-    _must(state.transact(deployer, handle.vault, "set_governance_contract",
-                         {"governance": handle.governance}))
+    timelock.bind_controller(state, handle.governance)
+    must(state.transact(deployer, handle.vault, "set_governance_contract",
+                        {"governance": handle.governance}))
     state.install_module(FungibleToken(
         handle.pair, state, deployer, "Base Token", "TB"))
     state.install_module(Market(

@@ -470,9 +470,9 @@ class Vault(Module):
             "governance_set": self.governance_set,
             "auction_duration": self.auction_duration,
             "royalty_percent": self.royalty_percent,
-            "original_owner": dict(self.original_owner),
-            "auctions": {tid: a.as_data() for tid, a in self.auctions.items()},
-            "sales": {tid: s.as_data() for tid, s in self.sales.items()},
-            "pending": dict(self.pending),
+            "original_owner": self.original_owner,
+            "auctions": self.auctions,
+            "sales": self.sales,
+            "pending": self.pending,
             "retained_dust": self.retained_dust,
         }
