@@ -13,7 +13,7 @@ from fracvault import errors, standard_world
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
                             run_action, run_fuzz)
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
-                              ReceiveHook)
+                              ReceiveHook, canonical_json, normalize)
 from fracvault.market import Market
 from fracvault.mutations import HEALTHY, MUTANTS
 from fracvault.properties import run_suite, sold_world
@@ -46,6 +46,41 @@ def test_fuzz_final_digest_pinned():
     assert (report.commits, report.reverts) == (5_873, 4_127)
     assert report.final_digest == \
         "44e582cf4cddd5e6c08f1a438d217e5edf17e9dae209c591455bdf4935b13c48"
+
+
+# sha256 of the canonical JSON of each mutant's fuzz report (seed 42, 2·10^4
+# steps, shrunk trace included) and suite report (seed 0, 400 steps)
+MUTANT_REPORTS = {
+    "drop-burn-before-pay": (
+        "cafcc388b12e95b7f2bf89416f43a76a32a358710d802c534585a0974bfc4ecd",
+        "2486b85ae1f4003a53b1e19c854dcbce640940f738a227a2de639d20eb826eb6"),
+    "drop-only-vault": (
+        "04c22c1ad94efaa29a55b684aebb1d392ad64f7329eab09a6bac37455a557d16",
+        "b720937cf14391c8eca149b1695a93080b0288b87cab968ce59ba6928ee5aa4c"),
+    "drop-quorum-check": (
+        "149bb18348f3152a9d3c01db456e91a13d7d76c06d11084c5fdf7f4576193fcf",
+        "4988bae31c93d01c35fae59029cc2d4de770d9f02dc352bbb1d525266859a304"),
+    "drop-reentrancy-guard": (
+        "046cd2a937430d128e46b170834e628b13486b170c34cab97d9f07227536965a",
+        "c7eea3695f53b2527c5b457a111c9fb9302208cde15aadd6cfebe3c1e2ebe578"),
+    "drop-set-once-governance": (
+        "fd3997bb12750db11098be171c6d911d2f427e8adfa7b15ec329d33601d34efa",
+        "ae8e339df658366b9804aea53adc0e71a3bb7a5ad108517959b70a465d8af528"),
+    "drop-slippage-check": (
+        "c9d8aceb458b4c96037e3731fbc474b1822b7310adc66f0ffaa6fb623f4cd0b3",
+        "6e2e9ec9ff04879a5c43dd6bbe14891cc1a27b0ad844a9e36dcc7fad3c3e7873"),
+}
+
+
+def _report_sha(report) -> str:
+    return hashlib.sha256(canonical_json(normalize(report.as_data())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANT_REPORTS))
+def test_mutant_reports_pinned(mutant):
+    fuzz_sha, suite_sha = MUTANT_REPORTS[mutant]
+    assert _report_sha(run_fuzz(FuzzPlan(seed=42, steps=20_000, mutant=mutant))) == fuzz_sha
+    assert _report_sha(run_suite(seed=0, steps=400, mutant=mutant)) == suite_sha
 
 
 # --------------------------------------------------------------------- #
