@@ -7,8 +7,10 @@ expected and count as coverage of the guard paths); every submitted action
 is recorded as plain data so any prefix can be replayed from genesis.
 
 On an invariant violation the failing prefix is shrunk by delete-only
-ddmin: chunks first, then single elements, until the trace is 1-minimal
-while still reproducing the same invariant failure.
+ddmin (``ddmin.ddmin``): chunks first, then single elements, until the
+trace is 1-minimal while still reproducing the same invariant failure.
+Candidates replay from checkpointed prefix worlds, with the verdicts of a
+replay from genesis.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+from .ddmin import Replay, ddmin
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import HEALTHY, MUTANTS, Mutations
@@ -460,8 +463,8 @@ def _step_violation(state: ChainState, handle: SystemHandle, plan: FuzzPlan,
     return result, checks.first_violation(writes)
 
 
-def _full_scan_due(step: int, steps: int) -> bool:
-    return (step + 1) % FULL_SCAN_INTERVAL == 0 or step == steps - 1
+def _full_scan_due(step: int, last: bool) -> bool:
+    return (step + 1) % FULL_SCAN_INTERVAL == 0 or last
 
 
 def run_fuzz(plan: FuzzPlan) -> FuzzReport:
@@ -470,12 +473,12 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
     checks = WriteSetChecks(state, handle, plan.invariants)
     actions: list[FuzzAction] = []
     commits = reverts = 0
-    violations: list[Violation] = []
+    found: tuple[int, str] | None = None
     for step in range(plan.steps):
         action = generator.generate()
         actions.append(action)
         pre_digest = state.full_digest() if plan.check_revert_atomicity else None
-        if _full_scan_due(step, plan.steps):
+        if _full_scan_due(step, step == plan.steps - 1):
             checks.rescan()
         result, detail = _step_violation(state, handle, plan, action, pre_digest,
                                          checks)
@@ -484,29 +487,48 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
         else:
             reverts += 1
         if detail is not None:
-            invariant = detail.split(":", 1)[0]
-            trace = shrink(plan, actions, invariant)
-            violations.append(Violation(
-                invariant=invariant, step=step, detail=detail,
-                digest=state.full_digest(), trace=trace))
+            found = (step, detail)
             break
+    digest = state.full_digest()
+    violations: list[Violation] = []
+    if found is not None:
+        step, detail = found
+        invariant = detail.split(":", 1)[0]
+        violations.append(Violation(
+            invariant=invariant, step=step, detail=detail, digest=digest,
+            trace=shrink(plan, actions, invariant)))
     return FuzzReport(plan=plan, steps_executed=len(actions), commits=commits,
-                      reverts=reverts, final_digest=state.full_digest(),
-                      violations=violations)
+                      reverts=reverts, final_digest=digest, violations=violations)
 
 
-def replay_violates(plan: FuzzPlan, actions: list[FuzzAction],
-                    invariant: str) -> bool:
-    state, handle, _ = build_fuzz_world(plan)
-    checks = WriteSetChecks(state, handle, plan.invariants)
-    for step, action in enumerate(actions):
-        pre_digest = state.full_digest() if plan.check_revert_atomicity else None
-        if _full_scan_due(step, len(actions)):
-            checks.rescan()
-        _, detail = _step_violation(state, handle, plan, action, pre_digest, checks)
-        if detail is not None and detail.split(":", 1)[0] == invariant:
-            return True
-    return False
+class FuzzReplay(Replay):
+    """A fuzz world replaying a trace, checked step by step as ``run_fuzz``
+    checks it; an action fails when its step violates ``invariant``.  A
+    fork copies the write-set checks along with the world."""
+
+    def __init__(self, plan: FuzzPlan, invariant: str):
+        self.plan = plan
+        self.invariant = invariant
+        self.state, self.handle, _ = build_fuzz_world(plan)
+        self.checks = WriteSetChecks(self.state, self.handle, plan.invariants)
+
+    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
+        state = self.state
+        pre_digest = state.full_digest() if self.plan.check_revert_atomicity else None
+        if _full_scan_due(index, last):
+            self.checks.rescan()
+        _, detail = _step_violation(state, self.handle, self.plan, action,
+                                    pre_digest, self.checks)
+        return detail is not None and detail.split(":", 1)[0] == self.invariant
+
+
+def replay_violates(plan: FuzzPlan, actions: list[FuzzAction], invariant: str,
+                    start: FuzzReplay | None = None) -> bool:
+    """Whether replaying ``actions`` violates ``invariant`` at some step:
+    from genesis, or from a fork of ``start``, a replay of a prefix of
+    ``actions`` that has not violated it."""
+    replay = FuzzReplay(plan, invariant) if start is None else start.fork()
+    return replay.run(actions)
 
 
 def shrink(plan: FuzzPlan, actions: list[FuzzAction], invariant: str,
@@ -517,14 +539,6 @@ def shrink(plan: FuzzPlan, actions: list[FuzzAction], invariant: str,
         trace = trace[-max_len:]
         if not replay_violates(plan, trace, invariant):
             trace = list(actions)  # suffix alone insufficient; keep everything
-    chunk = max(len(trace) // 2, 1)
-    while chunk >= 1:
-        i = 0
-        while i < len(trace):
-            candidate = trace[:i] + trace[i + chunk:]
-            if candidate and replay_violates(plan, candidate, invariant):
-                trace = candidate
-            else:
-                i += chunk
-        chunk //= 2
-    return trace
+    return ddmin(trace, lambda: FuzzReplay(plan, invariant),
+                 lambda candidate, start: replay_violates(plan, candidate,
+                                                          invariant, start))

@@ -16,6 +16,7 @@ report the same text.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 from .governance import EXECUTED, Governance, Proposal, Timelock, TimelockEntry
@@ -249,6 +250,19 @@ class WriteSetChecks:
         self._bid_parts: dict[int, int] = {}
         self._sale_total = 0
         self._bid_total = 0
+
+    def __deepcopy__(self, memo: dict) -> "WriteSetChecks":
+        # a copy checks the copied world: the maps keyed by id() are re-keyed
+        # to the copies of their containers, which are in ``memo`` once the
+        # world is copied (a rescan would do it too, at the cost of a full scan)
+        copied = WriteSetChecks.__new__(WriteSetChecks)
+        memo[id(self)] = copied
+        for name, value in vars(self).items():
+            setattr(copied, name, copy.deepcopy(value, memo))
+        copied._keyed = {id(memo[k]): v for k, v in copied._keyed.items() if k in memo}
+        copied._sale_ids = {id(memo[k]): t for k, t in copied._sale_ids.items()
+                            if k in memo}
+        return copied
 
     def rescan(self) -> None:
         """Make the next ``first_violation`` a full scan of every name."""

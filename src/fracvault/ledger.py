@@ -55,6 +55,9 @@ DIGEST_CHECK_INTERVAL = 1_000
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+# the event hash of an empty event log
+_EMPTY_HASH = hashlib.sha256(b"").hexdigest()
+
 
 def canonical_json(data: Any) -> str:
     return _CANONICAL.encode(data)
@@ -312,13 +315,19 @@ class ExecutionContext:
     depth: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Event:
+    """One emitted event.  Events never change, so copies of a world share
+    them, and the event hash chain may read them long after ``emit``."""
+
     name: str
     emitter: str
     payload: tuple[tuple[str, Any], ...]
     frame: int
     tx_index: int
+
+    def __deepcopy__(self, memo: dict) -> "Event":
+        return self
 
     def as_data(self) -> dict:
         return {
@@ -447,7 +456,8 @@ class ChainState:
         self._frames: list[tuple[int, int]] = []  # (token, journal mark)
         self._next_frame_token: int = 1
         self._locks: set[tuple[str, str]] = set()
-        self._event_hash: str = hashlib.sha256(b"").hexdigest()
+        # (event count, last event, hash) of the latest event_hash() read
+        self._event_chain: tuple[int, Event | None, str] = (0, None, _EMPTY_HASH)
         # built by the first digest(); from then on every write marks it
         self._digest_cache: DigestCache | None = None
         self.install_module(NativeTransfers("native"))
@@ -897,12 +907,29 @@ class ChainState:
         event = Event(name=name, emitter=emitter, payload=tuple(payload.items()),
                       frame=ctx.depth, tx_index=self.tx_index)
         self.jappend(self.events, event)
-        chained = self._event_hash + canonical_json(event.as_data())
-        self.jsetattr(self, "_event_hash", hashlib.sha256(chained.encode()).hexdigest())
+
+    def event_hash(self) -> str:
+        """The hash chain over the event log: each link is the sha256 of the
+        previous link followed by the canonical JSON of one event.
+
+        Computed when read, continuing from the previous read while its last
+        event still sits at the same place in the log; a rollback past it
+        restarts the chain.  Events nobody reads a digest after, such as
+        those of reverted transactions, are never hashed.
+        """
+        count, last, chained = self._event_chain
+        events = self.events
+        if count > len(events) or (count and events[count - 1] is not last):
+            count, chained = 0, _EMPTY_HASH
+        for event in events[count:]:
+            link = chained + canonical_json(event.as_data())
+            chained = hashlib.sha256(link.encode()).hexdigest()
+        self._event_chain = (len(events), events[-1] if events else None, chained)
+        return chained
 
     def _scalars(self) -> dict:
         return {"clock": self.clock, "genesis_supply": self.genesis_native_supply,
-                "event_count": len(self.events), "event_hash": self._event_hash}
+                "event_count": len(self.events), "event_hash": self.event_hash()}
 
     def _document(self) -> dict:
         doc = self._scalars()

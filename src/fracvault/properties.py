@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import attackers
+from .ddmin import Replay, ddmin
 from .fuzz import FuzzAction, clock_action, run_action, transact_action
 from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
@@ -86,32 +87,35 @@ class Campaign:
     before: BeforeFn | None = None
 
 
-def _replay_fails(campaign: Campaign, mutations: Mutations,
-                  actions: list[FuzzAction]) -> bool:
-    state, handle, extras = campaign.build(mutations)
-    for action in actions:
+class CampaignReplay(Replay):
+    """A campaign world replaying a trace; an action fails when the
+    campaign's ``after`` check reports a problem."""
+
+    def __init__(self, campaign: Campaign, mutations: Mutations):
+        self.campaign = campaign
+        self.state, self.handle, self.extras = campaign.build(mutations)
+
+    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
+        campaign, state, handle, extras = (self.campaign, self.state, self.handle,
+                                           self.extras)
         token = campaign.before(state, handle, extras, action) \
             if campaign.before else None
         result = run_action(state, action)
-        if campaign.after(state, handle, extras, action, result, token):
-            return True
-    return False
+        return bool(campaign.after(state, handle, extras, action, result, token))
+
+
+def _replay_fails(campaign: Campaign, mutations: Mutations,
+                  actions: list[FuzzAction],
+                  start: CampaignReplay | None = None) -> bool:
+    replay = CampaignReplay(campaign, mutations) if start is None else start.fork()
+    return replay.run(actions)
 
 
 def _minimize(campaign: Campaign, mutations: Mutations,
               actions: list[FuzzAction]) -> list[FuzzAction]:
-    trace = list(actions)
-    chunk = max(len(trace) // 2, 1)
-    while chunk >= 1:
-        i = 0
-        while i < len(trace):
-            candidate = trace[:i] + trace[i + chunk:]
-            if candidate and _replay_fails(campaign, mutations, candidate):
-                trace = candidate
-            else:
-                i += chunk
-        chunk //= 2
-    return trace
+    return ddmin(actions, lambda: CampaignReplay(campaign, mutations),
+                 lambda candidate, start: _replay_fails(campaign, mutations,
+                                                        candidate, start))
 
 
 def run_campaign(campaign: Campaign, seed: int, steps: int,

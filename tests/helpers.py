@@ -22,3 +22,20 @@ def tx_err(state: ChainState, error: str, sender: str, module: str, method: str,
 
 def native_total(state: ChainState) -> int:
     return sum(state.native.values())
+
+
+def genesis_ddmin(trace: list, fails) -> list:
+    """Delete-only ddmin that replays every candidate from genesis through
+    ``fails(candidate)``: the reference for the checkpointed ddmin."""
+    trace = list(trace)
+    chunk = max(len(trace) // 2, 1)
+    while chunk >= 1:
+        i = 0
+        while i < len(trace):
+            candidate = trace[:i] + trace[i + chunk:]
+            if candidate and fails(candidate):
+                trace = candidate
+            else:
+                i += chunk
+        chunk //= 2
+    return trace

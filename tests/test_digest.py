@@ -1,5 +1,6 @@
 """State digest: golden pins of its exact bytes, the incremental digest
-against the full recompute, and revert checks that the cache cannot blind."""
+against the full recompute, revert checks that the cache cannot blind, and
+the lazily computed event hash chain against the eager one."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fracvault import errors, standard_world
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
                             run_action, run_fuzz)
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
-                              ReceiveHook, canonical_json, normalize)
+                              Event, Module, ReceiveHook, canonical_json, normalize)
 from fracvault.market import Market
 from fracvault.mutations import HEALTHY, MUTANTS
 from fracvault.properties import run_suite, sold_world
@@ -250,3 +251,136 @@ def test_suite_revert_atomicity_sees_unjournaled_write(monkeypatch):
     [result] = run_suite(seed=0, steps=300, names=("revert_atomicity",)).results
     assert not result.passed
     assert "place_bid" in result.detail and "left residue" in result.detail
+
+
+# --------------------------------------------------------------------- #
+# The lazy event hash chain
+# --------------------------------------------------------------------- #
+
+EMPTY_HASH = hashlib.sha256(b"").hexdigest()
+
+
+def _chain_of(events) -> str:
+    chained = EMPTY_HASH
+    for event in events:
+        link = chained + canonical_json(event.as_data())
+        chained = hashlib.sha256(link.encode()).hexdigest()
+    return chained
+
+
+class _EagerChainState(ChainState):
+    """The event hash kept eagerly: extended at every emit through the
+    journal, so that a rollback restores it."""
+
+    def __init__(self):
+        super().__init__()
+        self.eager_hash = EMPTY_HASH
+
+    def emit(self, ctx, emitter, name, payload):
+        super().emit(ctx, emitter, name, payload)
+        link = self.eager_hash + canonical_json(self.events[-1].as_data())
+        self.jsetattr(self, "eager_hash", hashlib.sha256(link.encode()).hexdigest())
+
+    def event_hash(self):
+        return self.eager_hash
+
+
+class _Emitter(Module):
+    exposed = frozenset({"ping"})
+
+    def ping(self, state, ctx, tag, count=1, read=False, fail=False):
+        for i in range(count):
+            state.emit(ctx, self.module_id, "Ping", {"tag": tag, "i": i})
+        if read:
+            state.full_digest()  # a digest read inside the transaction's frame
+        if fail:
+            raise errors.InvalidAmount("planned revert")
+        return True
+
+
+def _emitter_world(cls):
+    state = cls()
+    state.fund("alice", 10)
+    state.install_module(_Emitter("emitter"))
+    return state
+
+
+def _ping(state, tag, **flags):
+    return state.transact("alice", "emitter", "ping", {"tag": tag, **flags})
+
+
+def _assert_same_chain(lazy, eager):
+    assert lazy.event_hash() == _chain_of(lazy.events) == eager.event_hash()
+    assert lazy.full_digest() == eager.full_digest()
+    assert lazy.digest() == lazy.full_digest()
+
+
+@pytest.mark.parametrize("after", [1, 3])  # fewer or more events than the read saw
+def test_event_hash_after_a_read_in_a_rolled_back_frame(after):
+    lazy, eager = _emitter_world(ChainState), _emitter_world(_EagerChainState)
+    for state in (lazy, eager):
+        assert _ping(state, "kept").ok
+    _assert_same_chain(lazy, eager)
+    for state in (lazy, eager):
+        assert not _ping(state, "gone", count=2, read=True, fail=True).ok
+        assert _ping(state, "next", count=after).ok
+    _assert_same_chain(lazy, eager)
+
+
+def test_reverted_events_never_enter_the_event_hash(monkeypatch):
+    eager = _emitter_world(_EagerChainState)
+    for tag, flags in (("a", {}), ("reverted", {"count": 3, "fail": True}), ("b", {})):
+        _ping(eager, tag, **flags)
+    hashed = []
+    as_data = Event.as_data
+    monkeypatch.setattr(Event, "as_data", lambda event: hashed.append(
+        dict(event.payload)["tag"]) or as_data(event))
+    lazy = _emitter_world(ChainState)
+    assert _ping(lazy, "a").ok
+    assert not _ping(lazy, "reverted", count=3, fail=True).ok
+    assert _ping(lazy, "b").ok
+    assert hashed == []  # nothing read a digest yet
+    _assert_same_chain(lazy, eager)
+    assert "reverted" not in hashed
+    assert [dict(e.payload)["tag"] for e in lazy.events] == ["a", "b"]
+
+
+def test_event_hash_of_a_copied_world_that_diverges():
+    lazy, eager = _emitter_world(ChainState), _emitter_world(_EagerChainState)
+    for state in (lazy, eager):
+        assert _ping(state, "shared", count=2).ok
+    _assert_same_chain(lazy, eager)  # the copies start from a read chain
+    lazy_twin, eager_twin = copy.deepcopy(lazy), copy.deepcopy(eager)
+    assert all(a is b for a, b in zip(lazy_twin.events, lazy.events))
+    for state in (lazy, eager):
+        assert _ping(state, "original").ok
+    for state in (lazy_twin, eager_twin):
+        assert _ping(state, "copy", count=2).ok
+    _assert_same_chain(lazy, eager)
+    _assert_same_chain(lazy_twin, eager_twin)
+    assert lazy.event_hash() != lazy_twin.event_hash()
+
+
+def _scalar(value) -> bool:
+    return value is None or isinstance(value, (bool, int, str))
+
+
+def _mutable_payload_values(events) -> list:
+    # payload values that could change between emit and a later hash read
+    return [(e.name, k, v) for e in events for k, v in e.payload
+            if not (_scalar(v) or isinstance(v, tuple) and all(map(_scalar, v)))]
+
+
+def test_event_payloads_hold_only_scalars():
+    scenario = parse_scenario(LIFECYCLE.read_text())
+    state = build_world(scenario)
+    for step, entry in enumerate(scenario["transactions"]):
+        execute_entry(state, step, entry)
+    assert _mutable_payload_values(state.events) == []
+    plan = FuzzPlan(seed=42, steps=2_000)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    for _ in range(plan.steps):
+        run_action(state, generator.generate())
+    assert len(state.events) > 1_000
+    assert _mutable_payload_values(state.events) == []

@@ -1,17 +1,24 @@
 """Fuzzer behavior: clean healthy runs, determinism, mutant detection,
-shrinker soundness (minimized traces reproduce and are 1-minimal), and
-write-set checks that agree with full scans."""
+shrinker soundness (minimized traces reproduce and are 1-minimal, and
+equal those of ddmin replaying from genesis), and write-set checks that
+agree with full scans."""
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from fracvault import fuzz
+from fracvault.ddmin import Replay, ddmin
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, build_fuzz_world,
                             replay_violates, run_action, run_fuzz)
 from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, canonical_json, normalize
 from fracvault.mutations import MUTANTS
 from fracvault.tokens import NftCollection
+
+from helpers import genesis_ddmin
 
 
 def test_healthy_run_is_clean_and_mixed():
@@ -150,8 +157,7 @@ class _Corrupter(Module):
         self.write(state)
 
 
-@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_write_set_check_sees_journaled_corruption(name):
+def _assert_corruption_seen(name, forked):
     plan = FuzzPlan(seed=2, steps=1500)
     state, handle, actors = build_fuzz_world(plan)
     generator = ActionGenerator(plan, state, handle, actors)
@@ -159,6 +165,8 @@ def test_write_set_check_sees_journaled_corruption(name):
         run_action(state, generator.generate())
     checks = WriteSetChecks(state, handle, (name,))
     assert checks.first_violation(()) is None  # the seeding full scan
+    if forked:
+        state, handle, checks = copy.deepcopy((state, handle, checks))
     state.install_module(_Corrupter(lambda s: CORRUPTIONS[name](s, handle)))
     assert state.transact("a0", "corrupter", "corrupt").ok
     detail = checks.first_violation(state.last_writes)
@@ -166,7 +174,18 @@ def test_write_set_check_sees_journaled_corruption(name):
     assert detail == first_violation(state, handle, (name,))
 
 
-def test_unjournaled_write_caught_by_end_of_run_scan(monkeypatch):
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_write_set_check_sees_journaled_corruption(name):
+    _assert_corruption_seen(name, forked=False)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_copied_write_set_check_sees_corruption_of_the_copied_world(name):
+    # the copy's id-keyed maps must name the copied containers
+    _assert_corruption_seen(name, forked=True)
+
+
+def _plant_leaky_mint(monkeypatch):
     original = NftCollection.mint
 
     def leaky_mint(self, state, ctx, to, token_id):
@@ -176,9 +195,77 @@ def test_unjournaled_write_caught_by_end_of_run_scan(monkeypatch):
             state.nft[self.module_id].owners[-token_id] = ZERO_ADDRESS
 
     monkeypatch.setattr(NftCollection, "mint", leaky_mint)
+
+
+def test_unjournaled_write_caught_by_end_of_run_scan(monkeypatch):
+    _plant_leaky_mint(monkeypatch)
     plan = FuzzPlan(seed=42, steps=300)
     report = run_fuzz(plan)
     [violation] = report.violations
     assert violation.invariant == "nft_single_owner"
     assert violation.step == plan.steps - 1  # seen by the end-of-run scan only
     assert [a.method for a in violation.trace] == ["mint"]
+
+
+# --------------------------------------------------------------------- #
+# Checkpointed shrink against ddmin replaying from genesis
+# --------------------------------------------------------------------- #
+
+def _fuzz_recording_shrink(monkeypatch, plan):
+    """``run_fuzz(plan)`` and the (actions, invariant) its shrink was given."""
+    calls = []
+    original = fuzz.shrink
+
+    def recording(plan, actions, invariant):
+        calls.append((list(actions), invariant))
+        return original(plan, actions, invariant)
+
+    monkeypatch.setattr(fuzz, "shrink", recording)
+    return run_fuzz(plan), calls
+
+
+def _assert_shrink_is_genesis_ddmin(monkeypatch, plan):
+    report, [(actions, invariant)] = _fuzz_recording_shrink(monkeypatch, plan)
+    reference = genesis_ddmin(
+        actions, lambda candidate: replay_violates(plan, candidate, invariant))
+    assert report.violations[0].trace == reference
+
+
+# the mutants the fuzzer catches within 3·10^3 steps on seeds 1, 2, 3, 7, 11
+CAUGHT_IN_3000 = [("drop-burn-before-pay", seed) for seed in (1, 2, 3, 7, 11)] \
+    + [("drop-quorum-check", seed) for seed in (2, 11)]
+
+
+@pytest.mark.parametrize("mutant,seed", CAUGHT_IN_3000)
+def test_checkpointed_shrink_equals_genesis_ddmin(monkeypatch, mutant, seed):
+    _assert_shrink_is_genesis_ddmin(
+        monkeypatch, FuzzPlan(seed=seed, steps=3_000, mutant=mutant))
+
+
+def test_checkpointed_shrink_equals_genesis_ddmin_on_unjournaled_write(monkeypatch):
+    # the violation shows only at the end-of-trace scan
+    _plant_leaky_mint(monkeypatch)
+    _assert_shrink_is_genesis_ddmin(monkeypatch, FuzzPlan(seed=42, steps=300))
+
+
+class _FailsAtLastAfterSeven(Replay):
+    """Fails on the last action of a trace that contains a 7: a check that,
+    like the fuzzer's end-of-trace scan, runs on the last action only."""
+
+    def __init__(self):
+        self.seen = False
+
+    def step(self, action, index, last):
+        self.seen = self.seen or action == 7
+        return last and self.seen
+
+
+def test_candidate_without_suffix_replays_from_genesis():
+    # trace[:i] ends on a prefix action, which the prefix ran as not last
+    trace = [1, 2, 7, 3, 4, 5, 6, 8]
+    shrunk = ddmin(trace, _FailsAtLastAfterSeven,
+                   lambda candidate, start: (start.fork() if start else
+                                             _FailsAtLastAfterSeven()).run(candidate))
+    assert shrunk == [7]
+    assert shrunk == genesis_ddmin(
+        trace, lambda candidate: _FailsAtLastAfterSeven().run(candidate))

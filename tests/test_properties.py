@@ -1,14 +1,18 @@
 """Suite behavior: green on the hardened build, each built-in mutant flagged
-by at least one property with a replayable minimized trace."""
+by at least one property with a replayable minimized trace, equal to the
+trace of ddmin replaying from genesis."""
 
 from __future__ import annotations
 
 import pytest
 
+from fracvault import properties
 from fracvault.mutations import MUTANTS
 from fracvault.properties import (ALL_PROPERTIES, PINNED_PROPERTIES,
                                   replay_property_trace, run_property,
                                   run_suite)
+
+from helpers import genesis_ddmin
 
 EXPECTED_DETECTORS = {
     "drop-burn-before-pay": {"redemption_double_withdrawal",
@@ -69,3 +73,21 @@ def test_suite_reports_deterministic():
 def test_single_property_runner():
     result = run_property("anti_sniping_extension", seed=4, steps=250)
     assert result.passed and result.steps == 250
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_checkpointed_minimize_equals_genesis_ddmin(monkeypatch, mutant):
+    calls = []
+    original = properties._minimize
+
+    def recording(campaign, mutations, actions):
+        trace = original(campaign, mutations, actions)
+        calls.append((campaign, mutations, list(actions), trace))
+        return trace
+
+    monkeypatch.setattr(properties, "_minimize", recording)
+    run_suite(seed=0, steps=400, mutant=mutant)
+    assert calls
+    for campaign, mutations, actions, trace in calls:
+        assert trace == genesis_ddmin(actions, lambda candidate: properties._replay_fails(
+            campaign, mutations, candidate)), campaign.name
