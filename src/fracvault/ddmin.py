@@ -5,13 +5,12 @@ A pass with chunk size ``chunk`` tests the candidates ``trace[:i] +
 trace[i + chunk:]`` for ``i = 0, chunk, 2·chunk, ...``; an accepted
 candidate becomes the trace and keeps ``i``, a rejected one moves ``i`` on
 by a chunk.  Every candidate of a pass therefore starts with the prefix
-``trace[:i]`` of the current trace.  The pass keeps one ``Replay`` of that
-prefix, advanced by a chunk each time a candidate is rejected, and each
-candidate replays only its suffix on a deep copy of it.  A candidate
-without a suffix ends on a prefix action, which a replay may check apart
-(the fuzzer's end-of-trace scan), so it is replayed from genesis.  The
-verdicts, and so the shrunk trace, are those of replaying every candidate
-from genesis.
+``trace[:i]`` of the current trace, and only its action ``i - 1`` can be
+its last, which a replay may check apart (the fuzzer's end-of-trace scan).
+The pass keeps one ``Replay`` of ``trace[:i - 1]``, advanced by a chunk
+each time a candidate is rejected, and each candidate replays the rest on a
+deep copy of it, action ``i - 1`` included.  The verdicts, and so the
+shrunk trace, are those of replaying every candidate from genesis.
 """
 
 from __future__ import annotations
@@ -56,13 +55,13 @@ class Replay:
 
 
 def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
-          fails: Callable[[list, Replay | None], bool]) -> list:
+          fails: Callable[[list, Replay], bool]) -> list:
     """Shrink ``trace`` to a 1-minimal trace that still fails.
 
     ``start()`` gives a replay at genesis.  ``fails(candidate, prefix)``
-    replays ``candidate`` and says whether it fails: from genesis when
-    ``prefix`` is None, or else from a fork of ``prefix``, a replay of the
-    candidate's first ``prefix.length`` actions that has not failed.
+    replays the rest of ``candidate`` on a fork of ``prefix``, a replay of
+    its first ``prefix.length`` actions that has not failed, and says
+    whether it fails.
     """
     trace = list(trace)
     chunk = max(len(trace) // 2, 1)
@@ -71,13 +70,7 @@ def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
         i = 0
         while i < len(trace):
             candidate = trace[:i] + trace[i + chunk:]
-            if not candidate:
-                failed = False
-            elif i + chunk >= len(trace):
-                failed = fails(candidate, None)  # no suffix
-            else:
-                failed = prefix.advance(trace, i) or fails(candidate, prefix)
-            if failed:
+            if prefix.advance(trace, max(i - 1, 0)) or fails(candidate, prefix):
                 trace = candidate
             else:
                 i += chunk

@@ -260,12 +260,12 @@ class _FailsAtLastAfterSeven(Replay):
         return last and self.seen
 
 
-def test_candidate_without_suffix_replays_from_genesis():
-    # trace[:i] ends on a prefix action, which the prefix ran as not last
+def test_candidate_without_suffix_runs_its_last_step_as_last():
+    # a candidate trace[:i] ends on trace[i - 1], which the shared prefix
+    # must leave for the fork to run as the last action
     trace = [1, 2, 7, 3, 4, 5, 6, 8]
     shrunk = ddmin(trace, _FailsAtLastAfterSeven,
-                   lambda candidate, start: (start.fork() if start else
-                                             _FailsAtLastAfterSeven()).run(candidate))
+                   lambda candidate, start: start.fork().run(candidate))
     assert shrunk == [7]
     assert shrunk == genesis_ddmin(
         trace, lambda candidate: _FailsAtLastAfterSeven().run(candidate))
