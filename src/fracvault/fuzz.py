@@ -109,6 +109,9 @@ class FuzzPlan:
     check_revert_atomicity: bool = False
     mutant: str | None = None
 
+    def __deepcopy__(self, memo: dict) -> "FuzzPlan":
+        return self  # never changes, so forks of a replay share it
+
     def mutations(self) -> Mutations:
         return MUTANTS[self.mutant] if self.mutant else HEALTHY
 

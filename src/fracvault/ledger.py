@@ -17,11 +17,14 @@ their own child frame so that a reverting hook fails only the transfer,
 never the caller's frame directly.
 
 The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
-canonical JSON fragments, and the write helpers mark the fragments they
-touch, committed or rolled back, so a digest re-renders only those.
-``full_digest()`` recomputes the same bytes from the whole world; the
-revert-atomicity oracles use it because it does not rely on the journal,
-and ``digest()`` compares against it every ``DIGEST_CHECK_INTERVAL`` calls.
+canonical JSON fragments, and each write helper marks the one fragment it
+touches (a balance, an allowance, an auction, sale or proposal entry, or
+one module scalar), committed or rolled back, so a digest re-encodes only
+those and joins their ancestors from cached pieces.  ``full_digest()``
+recomputes the same bytes from the whole world with ``normalize`` and
+``json``; the revert-atomicity oracles use it because it does not rely on
+the journal, and ``digest()`` compares against it every
+``DIGEST_CHECK_INTERVAL`` calls.
 
 Determinism: no wall clock, no ambient randomness, insertion-ordered dicts
 only.  Identical genesis plus an identical transaction sequence produces an
@@ -32,8 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Iterator
 
 from . import errors
@@ -84,14 +89,39 @@ def digest_of(data: Any) -> str:
     return hashlib.sha256(canonical_json(normalize(data)).encode()).hexdigest()
 
 
+def _text(value: Any) -> str:
+    """``canonical_json(normalize(value))``, encoded by exact type; other
+    types go through ``normalize``."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return '"%d"' % value
+    if kind is dict:
+        named = {str(k): v for k, v in value.items()}  # keys that render alike keep the last
+        return "{" + ",".join([_json_str(k) + ":" + _text(named[k]) for k in sorted(named)]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_text(v) for v in value]) + "]"
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    return canonical_json(normalize(value))
+
+
+def _key(name: str) -> bytes:
+    return _json_str(name).encode() + b":"
+
+
 class DigestCacheMismatch(RuntimeError):
     """A cached digest differs from the full recompute: some write to the
     world bypassed the journaled write helpers."""
 
 
-# the entry key of an owner record for an entry collection: a write to the
+# the entry key of an owner record for a collection: a write to the
 # collection dirties the entry under the write's own key
 _BY_WRITE_KEY: Any = object()
+
+# section values that a write replaces rather than changes in place
+_IMMUTABLE = (int, str, bool, type(None))
 
 
 def _containers(obj: Any) -> tuple:
@@ -102,208 +132,263 @@ def _containers(obj: Any) -> tuple:
     return (obj, *(v for v in vars(obj).values() if isinstance(v, (dict, list))))
 
 
-def _section_data(group: str, obj: Any) -> Any:
+def _pair_name(pair: tuple) -> str:
+    owner, spender = pair
+    return f"{owner}|{spender}"
+
+
+def _section_data(group: str, obj: Any, live: bool = False) -> Any:
     """One section of the digest document: the native balances, a fungible
-    or NFT ledger, or a module's snapshot."""
+    or NFT ledger, or a module's snapshot.  ``live`` keeps a ledger's
+    allowances as held, keyed by ``(owner, spender)``."""
     if group == "native":
         return obj
     if group == "fungible":
+        allowances = obj.allowances if live else {
+            _pair_name(pair): v for pair, v in obj.allowances.items()}
         return {"supply": obj.total_supply, "balances": obj.balances,
-                "allowances": {f"{o}|{s}": v for (o, s), v in obj.allowances.items()}}
+                "allowances": allowances}
     if group == "nft":
         return {"owners": obj.owners, "approvals": obj.approvals}
     return obj.snapshot_data()
 
 
-def _encoded(data: Any) -> bytes:
-    return canonical_json(normalize(data)).encode()
+class _Object:
+    """A JSON object with fixed keys as the pieces its text is joined from:
+    '{', then '"key":', fragment and ',' per key in sorted order, the last
+    ',' being '}'.  ``slots`` indexes each key's fragment."""
+
+    def __init__(self, names: Any) -> None:
+        self.parts, self.slots = [b"{"], {}
+        for name in sorted(names):
+            self.slots[name] = len(self.parts) + 1
+            self.parts += (_key(name), b"", b",")
+        if self.slots:
+            self.parts.pop()
+        self.parts.append(b"}")
+
+    def set(self, name: str, fragment: bytes) -> None:
+        self.parts[self.slots[name]] = fragment
+
+    def text(self) -> bytes:
+        return b"".join(self.parts)
 
 
-def _object_bytes(plain: dict[str, Any], rendered: dict[str, bytes]) -> bytes:
-    """Canonical JSON of one object whose values are either ``plain`` data,
-    encoded here, or ``rendered`` fragments, spliced in at their keys."""
-    pieces = [b"{"]
-    run: dict[str, Any] = {}
-    for key in sorted(plain.keys() | rendered.keys()):
-        if key in rendered:
-            if run:
-                pieces += (_encoded(run)[1:-1], b",")
-                run = {}
-            pieces += (canonical_json(key).encode(), b":", rendered[key], b",")
-        else:
-            run[key] = plain[key]
-    if run:
-        pieces += (_encoded(run)[1:-1], b",")
-    if len(pieces) > 1:
-        del pieces[-1]  # the last comma
-    pieces.append(b"}")
-    return b"".join(pieces)
-
-
-@dataclass
+@dataclass(eq=False)
 class _Collection:
+    """A dict or list that a section holds live, as the pieces its text is
+    joined from: '"name":fragment' in name order, or fragments."""
+
     container: dict | list
-    pieces: dict[str, bytes] | list[bytes]  # '"key":fragment' by key, or fragments
-    order: list[str]  # a dict's keys, sorted
-    text: bytes
+    name: Any  # renders an entry's key as its JSON name
+    pieces: list[bytes] = field(default_factory=list)
+    order: list[str] = field(default_factory=list)  # a dict's names, sorted
+    text: bytes = b""
+    dirty: set = field(default_factory=set)  # entry keys written since ``text``
+
+
+@dataclass(eq=False)
+class _Section:
+    """One section: its data's values as last encoded into ``fields``, with
+    the collections among them, or the one collection that it is."""
+
+    group: str
+    name: str  # its key in its group
+    obj: Any
+    values: dict[str, Any] = field(default_factory=dict)
+    collections: dict[str, _Collection] = field(default_factory=dict)
+    fields: _Object | None = None
+    whole: _Collection | None = None
+    text: bytes = b""
+    stale: bool = True  # its data may hold new values
 
 
 class DigestCache:
     """Canonical JSON of the digest document, kept as encoded fragments and
-    re-rendered only where written.
+    re-encoded only where written.
 
     A section is the native ledger, one fungible or NFT ledger, or one
-    module.  Inside a section, a dict or list that the section's data holds
-    live (not a copy), such as the vault's auctions or the NFT owners, is a
-    collection whose entries are fragments of their own.  ``owners`` maps
-    every container a fragment was rendered from, by id, to what a write to
-    it makes dirty; it keeps the container alive so that the id stays
+    module.  A dict or list that a section's data holds live (not a copy),
+    such as the vault's auctions or a ledger's allowances, is a collection
+    whose entries are fragments of their own; its other values are plain
+    fragments.  ``owners`` maps every container a fragment was encoded
+    from, by id, to what a write to it makes dirty: one collection entry,
+    or the section, whose data is then read again and encoded where it
+    holds new objects.  It keeps the container alive so that the id stays
     unique.  The write helpers call ``mark`` whether the write later
     commits or rolls back, so a rollback that fails to restore a value is
-    rendered as it is.  Scalars (clock, supply, event count and hash) are
-    read fresh on every call.
+    encoded as it is.  New fragments go into their parents' cached pieces,
+    and only dirty ancestors are joined again.  The scalars (clock, supply,
+    event count and hash) are read on every call.
     """
 
     def __init__(self) -> None:
-        self.sections: dict[tuple[str, ...], bytes] = {}
-        self.groups: dict[str, tuple[tuple[str, ...], bytes]] = {}
-        self.collections: dict[tuple, _Collection] = {}
-        # id -> (container, section, collection path or None, entry key)
-        self.owners: dict[int, tuple[Any, tuple[str, ...], tuple | None, Any]] = {}
-        self.dirty: set[tuple[str, ...]] = set()
-        self.dirty_keys: dict[tuple, set] = {}
+        self.sections: dict[tuple[str, ...], _Section] = {}
+        self.groups: dict[str, tuple[tuple[str, ...], _Object]] = {}
+        # id -> (container, section, collection or None, entry key)
+        self.owners: dict[int, tuple[Any, _Section, _Collection | None, Any]] = {}
+        self.dirty: set[_Section] = set()
+        self.top: _Object | None = None
+        self.scalars: dict[str, Any] = {}  # as last encoded into ``top``
         self.served = 0
 
     def mark(self, container: Any, key: Any) -> None:
         owner = self.owners.get(id(container))
         if owner is not None:
-            _, section, path, entry_key = owner
+            _, section, collection, entry = owner
             self.dirty.add(section)
-            if path is not None:
-                self.dirty_keys.setdefault(path, set()).add(
-                    key if entry_key is _BY_WRITE_KEY else entry_key)
+            if collection is None:
+                section.stale = True
+            else:
+                collection.dirty.add(key if entry is _BY_WRITE_KEY else entry)
 
     def document(self, state: "ChainState") -> bytes:
         """The encoded canonical JSON of ``state``'s digest document."""
-        texts = {"native": self._section(("native",), "native", state.native)}
-        dirty_groups = {section[0] for section in self.dirty}
+        self._member(("native",), "native", state.native)
+        joined = set()  # groups to join again
         for group in ("fungible", "nft", "modules"):
             members = getattr(state, group)
-            names = tuple(members)
-            cached = self.groups.get(group)
-            if cached is None or cached[0] != names or group in dirty_groups:
-                cached = self.groups[group] = (names, _object_bytes({}, {
-                    name: self._section((group, name), group, obj)
-                    for name, obj in members.items()}))
-            texts[group] = cached[1]
-        self.dirty.clear()
-        self.dirty_keys.clear()
-        return _object_bytes(state._scalars(), texts)
+            if group not in self.groups or self.groups[group][0] != tuple(members):
+                self.groups[group] = (tuple(members), _Object(members))
+                joined.add(group)
+                for name, obj in members.items():
+                    self.dirty.add(self._member((group, name), group, obj))
+        scalars = state._scalars()
+        if self.top is None:
+            self.top = _Object([*scalars, "native", *self.groups])
+        dirty, self.dirty = self.dirty, set()
+        for section in dirty:
+            self._render(section)
+            if section.group == "native":
+                self.top.set("native", section.text)
+            else:
+                self.groups[section.group][1].set(section.name, section.text)
+                joined.add(section.group)
+        for group in joined:
+            self.top.set(group, self.groups[group][1].text())
+        for name, value in scalars.items():
+            old = self.scalars.get(name, ABSENT)
+            if type(value) is not type(old) or value != old:
+                self.top.set(name, _text(value).encode())
+        self.scalars = scalars
+        return self.top.text()
 
     def stale_section(self, state: "ChainState") -> str:
         """The first section whose cached fragment differs from a full render."""
-        for section, fragment in self.sections.items():
-            group, *name = section
-            obj = getattr(state, group)[name[0]] if name else state.native
-            if _encoded(_section_data(group, obj)) != fragment:
-                return ".".join(section)
+        for key, section in self.sections.items():
+            full = canonical_json(normalize(_section_data(section.group, section.obj)))
+            if full.encode() != section.text:
+                return ".".join(key)
         return "document"
 
-    def _section(self, section: tuple[str, ...], group: str, obj: Any) -> bytes:
-        text = self.sections.get(section)
-        if text is not None and section not in self.dirty:
-            return text
-        containers = _containers(obj)
-        live = {id(c): c for c in containers}
-        data = _section_data(group, obj)
-        if id(data) in live:
-            text = self._collection(section, "", live.pop(id(data)))
-        else:
-            plain: dict[str, Any] = {}
-            rendered: dict[str, bytes] = {}
-            for key, value in data.items():
-                if id(value) in live:
-                    rendered[str(key)] = self._collection(section, str(key),
-                                                          live.pop(id(value)))
-                else:
-                    plain[str(key)] = value
-            text = _object_bytes(plain, rendered)
-        # the rest is rendered in full (or not at all): a write to it, or to
-        # an object it holds, dirties the whole section
+    def _member(self, key: tuple[str, ...], group: str, obj: Any) -> _Section:
+        section = self.sections.get(key)
+        if section is None or section.obj is not obj:
+            section = self.sections[key] = _Section(group, key[-1], obj)
+            self.dirty.add(section)
+        return section
+
+    def _render(self, section: _Section) -> None:
+        if section.stale:
+            self._refresh(section)
+        if section.whole is not None:
+            self._update(section, section.whole, section.whole.dirty)
+            section.text = section.whole.text
+            return
+        for name, collection in section.collections.items():
+            if collection.dirty:
+                self._update(section, collection, collection.dirty)
+                section.fields.set(name, collection.text)
+        section.text = section.fields.text()
+
+    def _refresh(self, section: _Section) -> None:
+        """Read a section's data again and encode its new objects: plain
+        values that a write replaced, and collections that are new."""
+        obj = section.obj
+        section.stale = False
+        live = {id(c): c for c in _containers(obj)}
+        data = _section_data(section.group, obj, live=True)
+        if id(data) in live:  # the section is one collection
+            data = {None: data}
+        elif section.fields is None or data.keys() != section.values.keys():
+            data = {str(k): v for k, v in data.items()}
+            section.fields, section.values, section.collections = _Object(data), {}, {}
+        values, collections = section.values, section.collections
+        for name, value in data.items():
+            if name in values and value is values[name] and (
+                    type(value) in _IMMUTABLE or name in collections):
+                continue
+            values[name] = value
+            if id(value) in live:
+                pairs = section.group == "fungible" and name == "allowances"
+                collection = collections[name] = _Collection(value, _pair_name if pairs else str)
+                self.owners[id(value)] = (value, section, collection, _BY_WRITE_KEY)
+                self._update(section, collection, () if isinstance(value, list) else value)
+                fragment = collection.text
+            else:
+                collections.pop(name, None)
+                fragment = self._entry(section, None, None, value)
+            if name is None:
+                section.whole = collection
+            else:
+                section.fields.set(name, fragment)
+        # a write to the object, or to a container it holds that is not a
+        # collection, makes the section read its data again
+        held = {id(collection.container) for collection in collections.values()}
         for container in live.values():
-            self.owners[id(container)] = (container, section, None, None)
-            if isinstance(container, (dict, list)):
-                for value in (container.values() if isinstance(container, dict)
-                              else container):
+            if id(container) not in held:
+                self.owners[id(container)] = (container, section, None, None)
+                for value in (container.values() if isinstance(container, dict) else
+                              container if isinstance(container, list) else ()):
                     self._own(value, section, None, None)
-        self.sections[section] = text
-        return text
 
-    def _collection(self, section: tuple[str, ...], field: str,
-                    container: dict | list) -> bytes:
-        path = (section, field)
-        self.owners[id(container)] = (container, section, path, _BY_WRITE_KEY)
-        cached = self.collections.get(path)
-        if cached is None or cached.container is not container:
-            cached = self._build(path, container)
-        elif path in self.dirty_keys:
-            cached = self._update(path, cached, self.dirty_keys[path])
-        return cached.text
-
-    def _build(self, path: tuple, container: dict | list) -> _Collection:
-        if isinstance(container, list):
-            pieces: dict[str, bytes] | list[bytes] = [
-                self._entry(path, i, v) for i, v in enumerate(container)]
-            cached = _Collection(container, pieces, [], b"[" + b",".join(pieces) + b"]")
-        else:
-            # keys that render alike keep the last one, as normalize does
-            latest = {str(k): k for k in container}
-            pieces = {name: self._keyed_entry(path, name, k, container[k])
-                      for name, k in latest.items()}
-            order = sorted(pieces)
-            cached = _Collection(container, pieces, order,
-                                 b"{" + b",".join([pieces[n] for n in order]) + b"}")
-        self.collections[path] = cached
-        return cached
-
-    def _update(self, path: tuple, cached: _Collection, keys: set) -> _Collection:
-        container, pieces = cached.container, cached.pieces
+    def _update(self, section: _Section, collection: _Collection, keys: Any,
+                rebuild: bool = False) -> None:
+        """Encode the entries under ``keys`` again, in their order, and join
+        the collection's text."""
+        container, pieces = collection.container, collection.pieces
         if isinstance(container, list):
             del pieces[len(container):]
             for i in keys:
                 if i < len(pieces):
-                    pieces[i] = self._entry(path, i, container[i])
+                    pieces[i] = self._entry(section, collection, i, container[i])
             for i in range(len(pieces), len(container)):
-                pieces.append(self._entry(path, i, container[i]))
-            cached.text = b"[" + b",".join(pieces) + b"]"
-            return cached
-        reorder = False
+                pieces.append(self._entry(section, collection, i, container[i]))
+            collection.text = b"[" + b",".join(pieces) + b"]"
+            collection.dirty.clear()
+            return
+        order = collection.order
         for key in keys:
-            name = str(key)
+            name = collection.name(key)
+            i = bisect_left(order, name)
+            found = i < len(order) and order[i] == name
             if key in container:
-                reorder = reorder or name not in pieces
-                pieces[name] = self._keyed_entry(path, name, key, container[key])
-            elif pieces.pop(name, None) is not None:
-                reorder = True
-        if len(pieces) != len(container):  # keys that render alike
-            return self._build(path, container)
-        if reorder:
-            cached.order = sorted(pieces)
-        cached.text = b"{" + b",".join([pieces[n] for n in cached.order]) + b"}"
-        return cached
+                piece = _key(name) + self._entry(section, collection, key, container[key])
+                if found:
+                    pieces[i] = piece
+                else:
+                    order.insert(i, name)
+                    pieces.insert(i, piece)
+            elif found:
+                del order[i], pieces[i]
+        collection.dirty.clear()
+        if len(pieces) != len(container) and not rebuild:
+            # keys that render alike: encoded in the container's order, the
+            # last one stays, as normalize keeps it
+            del order[:], pieces[:]
+            return self._update(section, collection, list(container), rebuild=True)
+        collection.text = b"{" + b",".join(pieces) + b"}"
 
-    def _keyed_entry(self, path: tuple, name: str, key: Any, value: Any) -> bytes:
-        return canonical_json(name).encode() + b":" + self._entry(path, key, value)
+    def _entry(self, section: _Section, collection: _Collection | None, key: Any,
+               value: Any) -> bytes:
+        self._own(value, section, collection, key)
+        return _text(value).encode()
 
-    def _entry(self, path: tuple, key: Any, value: Any) -> bytes:
-        self._own(value, path[0], path, key)
-        return _encoded(value)
-
-    def _own(self, value: Any, section: tuple[str, ...], path: tuple | None,
+    def _own(self, value: Any, section: _Section, collection: _Collection | None,
              key: Any) -> None:
         if isinstance(value, (dict, list)) or hasattr(value, "__dict__"):
             for container in _containers(value):
-                self.owners[id(container)] = (container, section, path, key)
+                self.owners[id(container)] = (container, section, collection, key)
 
 
 @dataclass(frozen=True)
@@ -328,6 +413,14 @@ class Event:
 
     def __deepcopy__(self, memo: dict) -> "Event":
         return self
+
+    def canonical(self) -> str:
+        """``canonical_json(self.as_data())``, encoded without building it:
+        string names and payload keys, ``frame`` and ``tx`` as JSON numbers."""
+        return '{"emitter":%s,"frame":%d,"name":%s,"payload":[%s],"tx":%d}' % (
+            _json_str(self.emitter), self.frame, _json_str(self.name),
+            ",".join(["[%s,%s]" % (_json_str(k), _text(v)) for k, v in self.payload]),
+            self.tx_index)
 
     def as_data(self) -> dict:
         return {
@@ -354,6 +447,9 @@ class HookCall:
     value: int = 0
     require_success: bool = False
     record_result: bool = False
+
+    def __deepcopy__(self, memo: dict) -> "HookCall":
+        return self  # never changes; its args are only read
 
 
 @dataclass
@@ -922,7 +1018,7 @@ class ChainState:
         if count > len(events) or (count and events[count - 1] is not last):
             count, chained = 0, _EMPTY_HASH
         for event in events[count:]:
-            link = chained + canonical_json(event.as_data())
+            link = chained + event.canonical()
             chained = hashlib.sha256(link.encode()).hexdigest()
         self._event_chain = (len(events), events[-1] if events else None, chained)
         return chained

@@ -26,6 +26,9 @@ class Mutations:
     # The vault's governance binding can be overwritten after the first set.
     drop_set_once_governance: bool = False
 
+    def __deepcopy__(self, memo: dict) -> "Mutations":
+        return self  # never changes, so copies of a world share it
+
 
 HEALTHY = Mutations()
 

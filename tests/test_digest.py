@@ -9,12 +9,15 @@ import hashlib
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracvault import errors, standard_world
+from fracvault import errors, ledger, standard_world
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
                             run_action, run_fuzz)
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
-                              Event, Module, ReceiveHook, canonical_json, normalize)
+                              Event, ExecutionContext, Module, ReceiveHook,
+                              canonical_json, normalize)
 from fracvault.market import Market
 from fracvault.mutations import HEALTHY, MUTANTS
 from fracvault.properties import run_suite, sold_world
@@ -146,6 +149,144 @@ def test_unjournaled_write_caught_by_interval_cross_check(world, section):
     with pytest.raises(DigestCacheMismatch, match=f"section {section} "):
         for _ in range(DIGEST_CHECK_INTERVAL):
             state.digest()
+
+
+# --------------------------------------------------------------------- #
+# The fragment encoder
+# --------------------------------------------------------------------- #
+
+class _Datum:
+    """A value that renders through ``as_data``."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def as_data(self):
+        return {"datum": self.data}
+
+
+# keys of different types that render alike under str(): normalize keeps
+# the value of the last one in the dict's order
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
+                  st.tuples(st.integers(0, 2), st.text(max_size=2)),
+                  st.sampled_from(["1", "True", "-2", "(0, '')", "None"]), st.none())
+_LEAVES = st.one_of(st.none(), st.booleans(), st.text(),
+                    st.integers(-2**70, 2**70), st.integers(2**64, 2**80))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner),
+    st.dictionaries(_KEYS, inner, max_size=5), st.builds(_Datum, inner)), max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_VALUES)
+def test_fragment_encoder_equals_normalize_and_json(value):
+    assert ledger._text(value) == canonical_json(normalize(value))
+
+
+def test_fragment_encoder_covers_keys_that_render_alike():
+    value = {1: "int", "1": "str", True: "bool", "True": "text", (0, "a"): [1, -2]}
+    assert ledger._text(value) == canonical_json(normalize(value))
+    assert ledger._text({"é\x00\n": "\u2603\x1f"}) == canonical_json(
+        normalize({"é\x00\n": "\u2603\x1f"}))
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, [1, {"a": 0.0}], {"k": frozenset()}])
+def test_fragment_encoder_rejects_what_normalize_rejects(value):
+    with pytest.raises(TypeError):
+        normalize(value)
+    with pytest.raises(TypeError):
+        ledger._text(value)
+
+
+def test_every_fuzz_event_encodes_as_its_data():
+    plan = FuzzPlan(seed=7, steps=3_000)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    for _ in range(plan.steps):
+        run_action(state, generator.generate())
+    assert len(state.events) > 1_000
+    for event in state.events:
+        assert event.canonical() == canonical_json(event.as_data())
+
+
+# --------------------------------------------------------------------- #
+# A write re-encodes only what it touched
+# --------------------------------------------------------------------- #
+
+def _crowded_world(n):
+    """The standard stack with ``n`` fraction allowances and ``n`` auctions."""
+    state, handle = standard_world({"alice": 10**9, "bob": 10**9})
+    for token_id in range(1, n + 1):
+        tx(state, "deployer", handle.collection, "mint", to="alice", token_id=token_id)
+    tx(state, "alice", handle.vault, "deposit_nfts", token_ids=list(range(1, n + 1)))
+    for token_id in range(1, n + 1):
+        tx(state, "alice", handle.vault, "start_auction", asset_address=handle.collection,
+           token_id=token_id, starting_price=100, duration=0)
+        tx(state, "alice", handle.fractions, "approve", spender=f"s{token_id}", amount=1)
+    return state, handle
+
+
+# one write of each kind: a balance, an allowance, a bid (auction entry,
+# native balances and events) and a module scalar
+FIELD_WRITES = {
+    "balance": lambda state, h: state.set_fungible_balance(h.fractions, "alice", 7),
+    "approve": lambda state, h: state.call(
+        ExecutionContext("alice"), h.fractions, "approve", {"spender": "s1", "amount": 9}),
+    "place_bid": lambda state, h: state.call(
+        ExecutionContext("bob"), h.vault, "place_bid", {"token_id": 2}, value=5_000),
+    "module scalar": lambda state, h: state.jsetattr(
+        h.vault_module(state), "retained_dust", 3),
+}
+
+
+def _encodings(monkeypatch, state) -> int:
+    """The fragments one ``digest()`` encodes: outermost encoder calls."""
+    calls, depth, encode = [0], [0], ledger._text
+
+    def counting(value):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return encode(value)
+        finally:
+            depth[0] -= 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger, "_text", counting)
+        state.digest()
+    return calls[0]
+
+
+def test_a_write_re_encodes_a_fixed_number_of_fragments(monkeypatch):
+    counts = {}
+    for n in (10, 500):
+        state, handle = _crowded_world(n)
+        state.digest()
+        for kind, write in FIELD_WRITES.items():
+            frame = state.snapshot()
+            write(state, handle)
+            counts[n, kind] = _encodings(monkeypatch, state)
+            assert state.digest() == state.full_digest(), (n, kind)
+            state.rollback(frame)
+            assert state.digest() == state.full_digest(), (n, kind)
+    for kind in FIELD_WRITES:
+        assert counts[10, kind] == counts[500, kind] <= 12, kind
+
+
+def test_allowance_names_that_collide_keep_the_last_pair(chain):
+    chain.create_fungible("units")
+    ledger_ = chain.fungible["units"]
+    chain.digest()
+    for pair, amount in ((("a|b", "c"), 1), (("a", "b|c"), 2), (("a|b", "c"), 3)):
+        chain.jset(ledger_.allowances, pair, amount)
+        assert chain.digest() == chain.full_digest(), pair
+    assert '"allowances":{"a|b|c":"2"}' in canonical_json(normalize(chain._document()))
+    frame = chain.snapshot()
+    chain.jset(ledger_.allowances, ("a", "b|c"), 4)
+    chain.jdel(ledger_.allowances, ("a|b", "c"))
+    assert chain.digest() == chain.full_digest()
+    chain.rollback(frame)  # puts ("a|b", "c") back last
+    assert chain.digest() == chain.full_digest()
 
 
 # --------------------------------------------------------------------- #
@@ -343,6 +484,20 @@ def test_reverted_events_never_enter_the_event_hash(monkeypatch):
     _assert_same_chain(lazy, eager)
     assert "reverted" not in hashed
     assert [dict(e.payload)["tag"] for e in lazy.events] == ["a", "b"]
+
+
+def test_reverted_events_are_never_encoded(monkeypatch):
+    encoded = []
+    canonical = Event.canonical
+    monkeypatch.setattr(Event, "canonical", lambda event: encoded.append(
+        dict(event.payload)["tag"]) or canonical(event))
+    lazy = _emitter_world(ChainState)
+    assert _ping(lazy, "a").ok
+    assert not _ping(lazy, "reverted", count=3, fail=True).ok
+    assert _ping(lazy, "b").ok
+    assert encoded == []  # nothing read a digest yet
+    lazy.digest()
+    assert encoded == ["a", "b"]
 
 
 def test_event_hash_of_a_copied_world_that_diverges():

@@ -185,6 +185,18 @@ def test_copied_write_set_check_sees_corruption_of_the_copied_world(name):
     _assert_corruption_seen(name, forked=True)
 
 
+def test_forks_share_the_frozen_plan_mutations_and_hook_calls():
+    replay = fuzz.FuzzReplay(FuzzPlan(seed=1, steps=10, mutant="drop-quorum-check"),
+                             "native_conservation")
+    fork = replay.fork()
+    assert fork.plan is replay.plan
+    vault = replay.state.modules[replay.handle.vault]
+    assert fork.state.modules[replay.handle.vault].mutations is vault.mutations
+    [hook] = [h for h in replay.state.hooks.values() if h.calls]
+    twin = fork.state.hooks[hook.owner]
+    assert twin is not hook and all(a is b for a, b in zip(twin.calls, hook.calls))
+
+
 def _plant_leaky_mint(monkeypatch):
     original = NftCollection.mint
 
