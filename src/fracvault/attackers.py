@@ -2,20 +2,21 @@
 
 Each strategy builds two identical worlds from the same genesis, installs
 the hostile payment hook (or extra hostile transactions) in one of them,
-runs the same legitimate script in both, and reports the attacker's net
-position relative to the honest twin.  A hardened system yields a net gain
-of exactly zero everywhere.
+runs the same legitimate script of ``FuzzAction``s in both, and reports
+the attacker's net position relative to the honest twin.  A hardened
+system yields a net gain of exactly zero everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .fuzz import (FuzzAction, actor_world, auction_start, build_sold_world,
+                   clock_action, deposit_prefix, fraction_transfers, run_action,
+                   run_setup, transact_action)
 from .ledger import ChainState, HookCall, ReceiveHook
 from .mutations import HEALTHY, Mutations
-from .system import SystemHandle, standard_world
-
-FUND = 10**9
+from .system import SystemHandle, must
 
 STRATEGIES = ("ReenterWithdraw", "ReenterRedeem", "RejectPayment",
               "DoubleRedeem", "BidSniper", "GovernanceSpammer")
@@ -47,60 +48,38 @@ def _position(state: ChainState, handle: SystemHandle, who: str) -> tuple[int, i
             state.fungible_balance(handle.fractions, who))
 
 
-def _sold_world(mutations: Mutations, attacker_fractions: int,
-                price: int = 1_000_000) -> tuple[ChainState, SystemHandle]:
-    """Token 1 deposited by a0 and sold to a3; attacker a1 holds fractions."""
-    state, handle = standard_world(
-        {a: FUND for a in ("a0", "a1", "a2", "a3")}, mutations=mutations)
-    for step in (
-        ("deployer", handle.collection, "mint", {"to": "a0", "token_id": 1}),
-        ("a0", handle.vault, "deposit_nft",
-         {"nft_address": handle.collection, "token_id": 1}),
-        ("a0", handle.fractions, "transfer",
-         {"to": "a1", "amount": attacker_fractions}),
-        ("a0", handle.vault, "start_auction",
-         {"asset_address": handle.collection, "token_id": 1,
-          "starting_price": 1, "duration": 10_000}),
-        ("a3", handle.vault, "place_bid", {"token_id": 1}, price),
-    ):
-        sender, module, method, args = step[0], step[1], step[2], step[3]
-        value = step[4] if len(step) > 4 else 0
-        result = state.transact(sender, module, method, args, value=value)
-        assert result.ok, f"{method}: {result.error_message}"
-    state.advance_clock(10_000)
-    result = state.transact("a2", handle.vault, "end_auction", {"token_id": 1})
-    assert result.ok
-    return state, handle
-
-
-def _run_script(state: ChainState, handle: SystemHandle,
-                script: list[tuple]) -> list:
+def _outcomes(state: ChainState, script: list[FuzzAction]) -> list[str]:
+    """Run ``script``; each step's error name, or "ok" where it committed."""
     outcomes = []
-    for sender, module, method, args, *rest in script:
-        value = rest[0] if rest else 0
-        result = state.transact(sender, module, method, args, value=value)
+    for action in script:
+        result = run_action(state, action)
         outcomes.append(result.error if not result.ok else "ok")
     return outcomes
+
+
+def _redeem(attacker: str, amount: int) -> FuzzAction:
+    return transact_action(attacker, "vault", "redeem_fraction_value",
+                           token_id=1, fraction_amount=amount)
+
+
+def _withdraw(attacker: str) -> FuzzAction:
+    return transact_action(attacker, "vault", "withdraw_pending")
 
 
 def reenter_withdraw(mutations: Mutations = HEALTHY) -> AttackReport:
     """Hook re-enters withdraw_pending during its own payout."""
     attacker = "a1"
-    script = [
-        (attacker, "vault", "redeem_fraction_value",
-         {"token_id": 1, "fraction_amount": 250}),
-        (attacker, "vault", "withdraw_pending", {}),
-    ]
-    honest, handle = _sold_world(mutations, attacker_fractions=250)
-    _run_script(honest, handle, script)
+    script = [_redeem(attacker, 250), _withdraw(attacker)]
+    honest, handle = build_sold_world(mutations, ((attacker, 250),))
+    _outcomes(honest, script)
 
-    attacked, handle2 = _sold_world(mutations, attacker_fractions=250)
+    attacked, handle2 = build_sold_world(mutations, ((attacker, 250),))
     hook = ReceiveHook(owner=attacker, max_activations=2, calls=(
         HookCall(module=handle2.vault, method="withdraw_pending",
                  record_result=True),
     ))
     attacked.set_receive_hook(attacker, hook)
-    outcomes = _run_script(attacked, handle2, script)
+    outcomes = _outcomes(attacked, script)
 
     native_h, frac_h = _position(honest, handle, attacker)
     native_a, frac_a = _position(attacked, handle2, attacker)
@@ -113,25 +92,18 @@ def reenter_withdraw(mutations: Mutations = HEALTHY) -> AttackReport:
 def reenter_redeem(mutations: Mutations = HEALTHY) -> AttackReport:
     """Hook re-enters redeem_fraction_value during the withdraw payout."""
     attacker = "a1"
-    script = [
-        (attacker, "vault", "redeem_fraction_value",
-         {"token_id": 1, "fraction_amount": 250}),
-        (attacker, "vault", "withdraw_pending", {}),
-        (attacker, "vault", "redeem_fraction_value",
-         {"token_id": 1, "fraction_amount": 250}),
-        (attacker, "vault", "withdraw_pending", {}),
-    ]
-    honest, handle = _sold_world(mutations, attacker_fractions=500)
-    _run_script(honest, handle, script)
+    script = [_redeem(attacker, 250), _withdraw(attacker)] * 2
+    honest, handle = build_sold_world(mutations, ((attacker, 500),))
+    _outcomes(honest, script)
 
-    attacked, handle2 = _sold_world(mutations, attacker_fractions=500)
+    attacked, handle2 = build_sold_world(mutations, ((attacker, 500),))
     hook = ReceiveHook(owner=attacker, max_activations=2, calls=(
         HookCall(module=handle2.vault, method="redeem_fraction_value",
                  args=(("token_id", 1), ("fraction_amount", 250)),
                  record_result=True),
     ))
     attacked.set_receive_hook(attacker, hook)
-    outcomes = _run_script(attacked, handle2, script)
+    outcomes = _outcomes(attacked, script)
 
     native_h, frac_h = _position(honest, handle, attacker)
     native_a, frac_a = _position(attacked, handle2, attacker)
@@ -144,21 +116,11 @@ def reenter_redeem(mutations: Mutations = HEALTHY) -> AttackReport:
 def double_redeem(mutations: Mutations = HEALTHY) -> AttackReport:
     """Plain second redemption of fractions that were already burned."""
     attacker = "a1"
-    honest, handle = _sold_world(mutations, attacker_fractions=250)
-    _run_script(honest, handle, [
-        (attacker, "vault", "redeem_fraction_value",
-         {"token_id": 1, "fraction_amount": 250}),
-        (attacker, "vault", "withdraw_pending", {}),
-    ])
-    attacked, handle2 = _sold_world(mutations, attacker_fractions=250)
-    outcomes = _run_script(attacked, handle2, [
-        (attacker, "vault", "redeem_fraction_value",
-         {"token_id": 1, "fraction_amount": 250}),
-        (attacker, "vault", "redeem_fraction_value",
-         {"token_id": 1, "fraction_amount": 250}),
-        (attacker, "vault", "withdraw_pending", {}),
-        (attacker, "vault", "withdraw_pending", {}),
-    ])
+    honest, handle = build_sold_world(mutations, ((attacker, 250),))
+    _outcomes(honest, [_redeem(attacker, 250), _withdraw(attacker)])
+    attacked, handle2 = build_sold_world(mutations, ((attacker, 250),))
+    outcomes = _outcomes(attacked, [_redeem(attacker, 250), _redeem(attacker, 250),
+                                    _withdraw(attacker), _withdraw(attacker)])
     native_h, frac_h = _position(honest, handle, attacker)
     native_a, frac_a = _position(attacked, handle2, attacker)
     return AttackReport(
@@ -174,25 +136,16 @@ def reject_payment(mutations: Mutations = HEALTHY) -> AttackReport:
     attacker = "a0"
 
     def build(with_hook: bool):
-        state, handle = standard_world(
-            {a: FUND for a in ("a0", "a1", "a2", "a3")}, mutations=mutations)
-        for sender, module, method, args, *rest in (
-            ("deployer", handle.collection, "mint", {"to": "a0", "token_id": 1}),
-            ("a0", handle.vault, "deposit_nft",
-             {"nft_address": handle.collection, "token_id": 1}),
-            ("a0", handle.vault, "start_auction",
-             {"asset_address": handle.collection, "token_id": 1,
-              "starting_price": 1, "duration": 10_000}),
-            ("a3", handle.vault, "place_bid", {"token_id": 1}, 1_000_000),
-        ):
-            value = rest[0] if rest else 0
-            assert state.transact(sender, module, method, args, value=value).ok
+        state, handle, _ = actor_world(4, mutations)
+        run_setup(state, deposit_prefix(handle)
+                  + auction_start(handle, "a3", 1_000_000))
         if with_hook:
             state.set_receive_hook(attacker,
                                    ReceiveHook(owner=attacker, reject=True))
         state.advance_clock(10_000)
-        settle = state.transact("a2", handle.vault, "end_auction", {"token_id": 1})
-        withdraw = state.transact(attacker, handle.vault, "withdraw_pending", {})
+        settle = run_action(state, transact_action("a2", handle.vault,
+                                                   "end_auction", token_id=1))
+        withdraw = run_action(state, _withdraw(attacker))
         return state, handle, settle, withdraw
 
     honest, handle, settle_h, _ = build(with_hook=False)
@@ -214,29 +167,20 @@ def bid_sniper(mutations: Mutations = HEALTHY) -> AttackReport:
     attacker = "a1"
 
     def build(with_snipe: bool):
-        state, handle = standard_world(
-            {a: FUND for a in ("a0", "a1", "a2", "a3")}, mutations=mutations)
-        for sender, module, method, args, *rest in (
-            ("deployer", handle.collection, "mint", {"to": "a0", "token_id": 1}),
-            ("a0", handle.vault, "deposit_nft",
-             {"nft_address": handle.collection, "token_id": 1}),
-            ("a0", handle.vault, "start_auction",
-             {"asset_address": handle.collection, "token_id": 1,
-              "starting_price": 1, "duration": 10_000}),
-            ("a2", handle.vault, "place_bid", {"token_id": 1}, 100),
-        ):
-            value = rest[0] if rest else 0
-            assert state.transact(sender, module, method, args, value=value).ok
-        state.advance_clock(10_000 - 60)
+        state, handle, _ = actor_world(4, mutations)
+        run_setup(state, deposit_prefix(handle) + auction_start(handle, "a2", 100)
+                  + [clock_action(10_000 - 60)])
         end_before = handle.vault_module(state).auctions[1].end_time
         if with_snipe:
-            assert state.transact(attacker, handle.vault, "place_bid",
-                                  {"token_id": 1}, value=150).ok
-            assert state.transact("a2", handle.vault, "place_bid",
-                                  {"token_id": 1}, value=200).ok
+            run_setup(state, [
+                transact_action(attacker, handle.vault, "place_bid", value=150,
+                                token_id=1),
+                transact_action("a2", handle.vault, "place_bid", value=200,
+                                token_id=1)])
         end_after = handle.vault_module(state).auctions[1].end_time
-        state.advance_clock(end_after - state.clock)
-        assert state.transact("a3", handle.vault, "end_auction", {"token_id": 1}).ok
+        run_setup(state, [clock_action(end_after - state.clock),
+                          transact_action("a3", handle.vault, "end_auction",
+                                          token_id=1)])
         return state, handle, end_after - end_before
 
     honest, handle, _ = build(with_snipe=False)
@@ -257,37 +201,27 @@ def governance_spammer(mutations: Mutations = HEALTHY) -> AttackReport:
     attacker = "a3"
 
     def build(with_spam: bool):
-        state, handle = standard_world(
-            {a: FUND for a in ("a0", "a1", "a2", "a3")}, mutations=mutations)
-        for sender, module, method, args in (
-            ("deployer", handle.collection, "mint", {"to": "a0", "token_id": 1}),
-            ("a0", handle.vault, "deposit_nft",
-             {"nft_address": handle.collection, "token_id": 1}),
-            ("a0", handle.fractions, "transfer", {"to": attacker, "amount": 5}),
-        ):
-            assert state.transact(sender, module, method, args).ok
+        state, handle, _ = actor_world(4, mutations)
+        gift = fraction_transfers(handle, ((attacker, 5),))
+        run_setup(state, deposit_prefix(handle) + gift)
         outcomes = []
         if with_spam:
-            proposal = {"kind": "set_royalty_percent", "args": {"percent": 0}}
-            for _ in range(5):  # below the 10-fraction threshold
-                outcomes.append(state.transact(
-                    attacker, handle.governance, "create_proposal",
-                    {"description": "spam", "target": handle.vault,
-                     "action": proposal, "voting_period": 600}).error)
-            assert state.transact("a0", handle.fractions, "transfer",
-                                  {"to": attacker, "amount": 5}).ok
-            created = state.transact(
+            spam = transact_action(
                 attacker, handle.governance, "create_proposal",
-                {"description": "spam", "target": handle.vault,
-                 "action": proposal, "voting_period": 600})
-            assert created.ok
-            assert state.transact(attacker, handle.governance, "vote",
-                                  {"proposal_id": created.value,
-                                   "support": True}).ok
-            state.advance_clock(600)
-            outcomes.append(state.transact(
+                description="spam", target=handle.vault,
+                action={"kind": "set_royalty_percent", "args": {"percent": 0}},
+                voting_period=600)
+            # below the 10-fraction threshold
+            outcomes += [run_action(state, spam).error for _ in range(5)]
+            run_setup(state, gift)
+            created = must(run_action(state, spam))
+            run_setup(state, [transact_action(attacker, handle.governance, "vote",
+                                              proposal_id=created.value,
+                                              support=True),
+                              clock_action(600)])
+            outcomes.append(run_action(state, transact_action(
                 attacker, handle.governance, "execute_proposal",
-                {"proposal_id": created.value}).error)
+                proposal_id=created.value)).error)
         return state, handle, outcomes
 
     honest, handle, _ = build(with_spam=False)

@@ -163,29 +163,92 @@ class FuzzReport:
 # World
 # --------------------------------------------------------------------- #
 
+def actor_world(actor_count: int, mutations: Mutations
+                ) -> tuple[ChainState, SystemHandle, list[str]]:
+    """The standard stack with actors a0, a1, ... funded ACTOR_FUND each."""
+    actors = [f"a{i}" for i in range(actor_count)]
+    state, handle = standard_world({a: ACTOR_FUND for a in actors},
+                                   mutations=mutations)
+    return state, handle, actors
+
+
+def run_setup(state: ChainState, actions: list[FuzzAction]) -> None:
+    """Run world-setup actions in order; RuntimeError on the first revert."""
+    for action in actions:
+        result = run_action(state, action)
+        if result is not None:
+            must(result)
+
+
+def round_robin_mints(handle: SystemHandle, actors: list[str]) -> list[FuzzAction]:
+    """NFTs 1 to 2n minted to the n actors in turn."""
+    return [transact_action("deployer", handle.collection, "mint",
+                            to=actors[i % len(actors)], token_id=i + 1)
+            for i in range(2 * len(actors))]
+
+
+def market_funding(handle: SystemHandle, actors: list[str]) -> list[FuzzAction]:
+    """PAIR_FUND pair tokens for every actor, and market approvals of both
+    tokens."""
+    actions = []
+    for actor in actors:
+        actions.append(transact_action("deployer", handle.pair, "mint",
+                                       to=actor, amount=PAIR_FUND))
+        actions += [transact_action(actor, token, "approve",
+                                    spender=handle.market, amount=BIG_APPROVAL)
+                    for token in (handle.fractions, handle.pair)]
+    return actions
+
+
+def deposit_prefix(handle: SystemHandle) -> list[FuzzAction]:
+    """NFT 1 minted to a0 and deposited, so a0 holds all 1000 fractions."""
+    return [transact_action("deployer", handle.collection, "mint",
+                            to="a0", token_id=1),
+            transact_action("a0", handle.vault, "deposit_nft",
+                            nft_address=handle.collection, token_id=1)]
+
+
+def fraction_transfers(handle: SystemHandle,
+                       spread: tuple[tuple[str, int], ...]) -> list[FuzzAction]:
+    """a0 sends each (recipient, amount) of ``spread`` its fractions."""
+    return [transact_action("a0", handle.fractions, "transfer", to=to,
+                            amount=amount) for to, amount in spread]
+
+
+def auction_start(handle: SystemHandle, bidder: str, bid: int) -> list[FuzzAction]:
+    """a0 auctions NFT 1 for 10,000 s from a starting price of 1, and
+    ``bidder`` bids ``bid``."""
+    return [transact_action("a0", handle.vault, "start_auction",
+                            asset_address=handle.collection, token_id=1,
+                            starting_price=1, duration=10_000),
+            transact_action(bidder, handle.vault, "place_bid", value=bid,
+                            token_id=1)]
+
+
+def build_sold_world(mutations: Mutations, spread: tuple[tuple[str, int], ...]
+                     ) -> tuple[ChainState, SystemHandle]:
+    """Actors a0 to a3; a0 deposits NFT 1, sends ``spread`` its fractions,
+    and auctions the NFT, which a3 buys for 1,000,000 and a2 settles."""
+    state, handle, _ = actor_world(4, mutations)
+    run_setup(state, deposit_prefix(handle) + fraction_transfers(handle, spread)
+              + auction_start(handle, "a3", 1_000_000)
+              + [clock_action(10_000),
+                 transact_action("a2", handle.vault, "end_auction", token_id=1)])
+    return state, handle
+
+
 def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str]]:
     """Funded actors, pre-minted NFTs and pair tokens, market approvals, and
     one actor wired with a reentry hook so guards stay under pressure."""
-    actors = [f"a{i}" for i in range(plan.actor_count)]
-    state, handle = standard_world({a: ACTOR_FUND for a in actors},
-                                   mutations=plan.mutations())
-    token_ids = list(range(1, 2 * plan.actor_count + 1))
-    for i, token_id in enumerate(token_ids):
-        owner = actors[i % len(actors)]
-        must(state.transact("deployer", handle.collection, "mint",
-                            {"to": owner, "token_id": token_id}))
-    for actor in actors:
-        must(state.transact("deployer", handle.pair, "mint",
-                            {"to": actor, "amount": PAIR_FUND}))
-        for token in (handle.fractions, handle.pair):
-            must(state.transact(actor, token, "approve",
-                                {"spender": handle.market, "amount": BIG_APPROVAL}))
+    state, handle, actors = actor_world(plan.actor_count, plan.mutations())
+    run_setup(state, round_robin_mints(handle, actors)
+              + market_funding(handle, actors))
     intruder = actors[-1]
     state.set_receive_hook(intruder, ReceiveHook(
         owner=intruder, max_activations=2, calls=(
             HookCall(module=handle.vault, method="withdraw_pending"),
             HookCall(module=handle.vault, method="redeem_fraction_value",
-                     args=(("token_id", token_ids[0]), ("fraction_amount", 50))),
+                     args=(("token_id", 1), ("fraction_amount", 50))),
         )))
     return state, handle, actors
 

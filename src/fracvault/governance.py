@@ -207,12 +207,11 @@ class Governance(Module):
         module = state.modules.get(target)
         if module is None:
             raise errors.InvalidTarget(f"no module {target!r}")
-        if action.kind in VAULT_ACTION_KINDS:
-            if not isinstance(module, Vault):
-                raise errors.InvalidTarget(
-                    f"{action.kind} only applies to a vault, not {target!r}")
-        elif action.kind != "generic":
+        if action.kind not in VAULT_ACTION_KINDS:
             raise errors.InvalidTarget(f"unknown action kind {action.kind!r}")
+        if not isinstance(module, Vault):
+            raise errors.InvalidTarget(
+                f"{action.kind} only applies to a vault, not {target!r}")
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -297,25 +296,13 @@ class Governance(Module):
             raise errors.AlreadyExecuted(f"proposal {proposal_id} already executed")
         state.call(ctx, self.timelock, "mark_executed",
                    {"proposal_id": proposal_id}, sender=self.address)
-        self._apply_action(state, ctx, proposal)
+        state.call(ctx, proposal.target, proposal.action.kind,
+                   dict(proposal.action.args), sender=self.address)
         state.jsetattr(proposal, "executed", True)
         state.emit(ctx, self.module_id, "ProposalExecuted",
                    {"proposal_id": proposal_id, "target": proposal.target,
                     "kind": proposal.action.kind})
         return EXECUTED
-
-    def _apply_action(self, state: ChainState, ctx: ExecutionContext,
-                      proposal: Proposal) -> None:
-        action = proposal.action
-        args = {k: v for k, v in action.args}
-        if action.kind in VAULT_ACTION_KINDS:
-            state.call(ctx, proposal.target, action.kind, args, sender=self.address)
-            return
-        handler = getattr(state.modules[proposal.target], "handle_governance_action", None)
-        if handler is None:
-            raise errors.InvalidTarget(
-                f"{proposal.target!r} registers no generic action handler")
-        handler(state, ExecutionContext(sender=self.address, depth=ctx.depth + 1), args)
 
     def cancel_scheduled(self, state: ChainState, ctx: ExecutionContext,
                          proposal_id: int) -> None:

@@ -25,14 +25,15 @@ from typing import Any, Callable
 
 from . import attackers
 from .ddmin import Replay, ddmin
-from .fuzz import FuzzAction, clock_action, run_action, transact_action
+from .fuzz import (FuzzAction, actor_world, build_sold_world, clock_action,
+                   deposit_prefix, fraction_transfers, market_funding,
+                   round_robin_mints, run_action, run_setup, transact_action)
 from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
 from .mutations import HEALTHY, MUTANTS, Mutations
-from .system import SystemHandle, must, standard_world
+from .system import SystemHandle
 
-FUND = 10**9
 ACTORS = ("a0", "a1", "a2", "a3")
 
 BuildFn = Callable[[Mutations], tuple[ChainState, SystemHandle, dict]]
@@ -141,33 +142,18 @@ def run_campaign(campaign: Campaign, seed: int, steps: int,
 # World builders
 # --------------------------------------------------------------------- #
 
-def _spread_fractions(state: ChainState, handle: SystemHandle,
-                      spread: tuple[tuple[str, int], ...]) -> None:
-    for to, amount in spread:
-        must(state.transact("a0", handle.fractions, "transfer",
-                            {"to": to, "amount": amount}))
-
-
 def token_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     """One deposited NFT: 1000 fractions spread a0 400 / a1 300 / a2 200 / a3 100."""
-    state, handle = standard_world({a: FUND for a in ACTORS},
-                                   mutations=mutations)
-    must(state.transact("deployer", handle.collection, "mint",
-                        {"to": "a0", "token_id": 1}))
-    must(state.transact("a0", handle.vault, "deposit_nft",
-                        {"nft_address": handle.collection, "token_id": 1}))
-    _spread_fractions(state, handle, (("a1", 300), ("a2", 200), ("a3", 100)))
+    state, handle, _ = actor_world(len(ACTORS), mutations)
+    run_setup(state, deposit_prefix(handle) + fraction_transfers(
+        handle, (("a1", 300), ("a2", 200), ("a3", 100))))
     return state, handle, {"supply": 1000, "actors": list(ACTORS)}
 
 
 def nft_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     """Eight NFTs spread round-robin, nothing deposited yet."""
-    state, handle = standard_world({a: FUND for a in ACTORS},
-                                   mutations=mutations)
-    for token_id in range(1, 9):
-        owner = ACTORS[(token_id - 1) % len(ACTORS)]
-        must(state.transact("deployer", handle.collection, "mint",
-                            {"to": owner, "token_id": token_id}))
+    state, handle, actors = actor_world(len(ACTORS), mutations)
+    run_setup(state, round_robin_mints(handle, actors))
     return state, handle, {"actors": list(ACTORS)}
 
 
@@ -178,20 +164,8 @@ def sold_world(mutations: Mutations, *, attacker_hook: str | None = None
     ``attacker_hook`` wires a1 with a payment hook: "reenter" retries
     withdraw and redeem, "probe" additionally records what it sees.
     """
-    state, handle = standard_world({a: FUND for a in ACTORS},
-                                   mutations=mutations)
-    must(state.transact("deployer", handle.collection, "mint",
-                        {"to": "a0", "token_id": 1}))
-    must(state.transact("a0", handle.vault, "deposit_nft",
-                        {"nft_address": handle.collection, "token_id": 1}))
-    _spread_fractions(state, handle, (("a1", 250), ("a2", 200), ("a3", 100)))
-    must(state.transact("a0", handle.vault, "start_auction",
-                        {"asset_address": handle.collection, "token_id": 1,
-                         "starting_price": 1, "duration": 10_000}))
-    must(state.transact("a3", handle.vault, "place_bid", {"token_id": 1},
-                        value=1_000_000))
-    state.advance_clock(10_000)
-    must(state.transact("a2", handle.vault, "end_auction", {"token_id": 1}))
+    state, handle = build_sold_world(mutations,
+                                     (("a1", 250), ("a2", 200), ("a3", 100)))
     extras: dict = {"actors": list(ACTORS), "attacker": None}
     if attacker_hook is not None:
         record = attacker_hook == "probe"
@@ -213,20 +187,13 @@ def sold_world(mutations: Mutations, *, attacker_hook: str | None = None
 
 def market_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     """2000 fractions with a0, pair tokens everywhere, market approvals set."""
-    state, handle = standard_world({a: FUND for a in ACTORS},
-                                   mutations=mutations)
-    for token_id in (1, 2):
-        must(state.transact("deployer", handle.collection, "mint",
-                            {"to": "a0", "token_id": token_id}))
-    must(state.transact("a0", handle.vault, "deposit_nfts",
-                        {"token_ids": [1, 2]}))
-    _spread_fractions(state, handle, (("a1", 500), ("a2", 400)))
-    for actor in ACTORS:
-        must(state.transact("deployer", handle.pair, "mint",
-                            {"to": actor, "amount": FUND}))
-        for token in (handle.fractions, handle.pair):
-            must(state.transact(actor, token, "approve",
-                                {"spender": handle.market, "amount": 10**27}))
+    state, handle, actors = actor_world(len(ACTORS), mutations)
+    run_setup(state, [
+        transact_action("deployer", handle.collection, "mint", to="a0", token_id=1),
+        transact_action("deployer", handle.collection, "mint", to="a0", token_id=2),
+        transact_action("a0", handle.vault, "deposit_nfts", token_ids=[1, 2]),
+    ] + fraction_transfers(handle, (("a1", 500), ("a2", 400)))
+        + market_funding(handle, actors))
     return state, handle, {
         "actors": list(ACTORS),
         "fraction_supply": state.fungible_supply(handle.fractions),
@@ -391,10 +358,10 @@ def _duration_campaign() -> Campaign:
 
 def _deposited_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     state, handle, extras = nft_world(mutations)
-    for token_id, owner in ((1, "a0"), (2, "a1")):
-        must(state.transact(owner, handle.vault, "deposit_nft",
-                            {"nft_address": handle.collection,
-                             "token_id": token_id}))
+    run_setup(state, [transact_action(owner, handle.vault, "deposit_nft",
+                                      nft_address=handle.collection,
+                                      token_id=token_id)
+                      for token_id, owner in ((1, "a0"), (2, "a1"))])
     return state, handle, extras
 
 
@@ -507,12 +474,11 @@ def _original_owner_campaign() -> Campaign:
 def _voting_campaign() -> Campaign:
     def build(mutations):
         state, handle, extras = gov_world(mutations)
-        must(state.transact("a0", handle.governance, "create_proposal",
-                            {"description": "standing proposal",
-                             "target": handle.vault,
-                             "action": {"kind": "set_royalty_percent",
-                                        "args": {"percent": 7}},
-                             "voting_period": 10**9}))
+        run_setup(state, [transact_action(
+            "a0", handle.governance, "create_proposal",
+            description="standing proposal", target=handle.vault,
+            action={"kind": "set_royalty_percent", "args": {"percent": 7}},
+            voting_period=10**9)])
         return state, handle, extras
 
     def generate(rng, state, handle, extras, step):
@@ -588,13 +554,9 @@ def _quorum_campaign() -> Campaign:
 def _create_proposal_campaign() -> Campaign:
     # a3 holds 5 fractions, below the 10-fraction threshold
     def build(mutations):
-        state, handle = standard_world({a: FUND for a in ACTORS},
-                                       mutations=mutations)
-        must(state.transact("deployer", handle.collection, "mint",
-                            {"to": "a0", "token_id": 1}))
-        must(state.transact("a0", handle.vault, "deposit_nft",
-                            {"nft_address": handle.collection, "token_id": 1}))
-        _spread_fractions(state, handle, (("a1", 300), ("a2", 295), ("a3", 5)))
+        state, handle, _ = actor_world(len(ACTORS), mutations)
+        run_setup(state, deposit_prefix(handle) + fraction_transfers(
+            handle, (("a1", 300), ("a2", 295), ("a3", 5))))
         return state, handle, {"actors": list(ACTORS), "expected_id": 0}
 
     def generate(rng, state, handle, extras, step):
@@ -669,8 +631,8 @@ def _liquidity_campaign() -> Campaign:
 def _trade_campaign() -> Campaign:
     def build(mutations):
         state, handle, extras = market_world(mutations)
-        must(state.transact("a0", handle.market, "add_liquidity",
-                            {"amount_a": 1_000, "amount_b": 400_000}))
+        run_setup(state, [transact_action("a0", handle.market, "add_liquidity",
+                                          amount_a=1_000, amount_b=400_000)])
         return state, handle, extras
 
     def generate(rng, state, handle, extras, step):
@@ -727,8 +689,8 @@ def _trade_campaign() -> Campaign:
 def _supply_management_campaign() -> Campaign:
     def build(mutations):
         state, handle, extras = market_world(mutations)
-        must(state.transact("a0", handle.market, "add_liquidity",
-                            {"amount_a": 1_000, "amount_b": 300_000}))
+        run_setup(state, [transact_action("a0", handle.market, "add_liquidity",
+                                          amount_a=1_000, amount_b=300_000)])
         return state, handle, extras
 
     def generate(rng, state, handle, extras, step):
@@ -940,8 +902,9 @@ def _anti_sniping_campaign() -> Campaign:
 
     def build(mutations):
         state, handle, extras = nft_world(mutations)
-        must(state.transact("a0", handle.vault, "deposit_nft",
-                            {"nft_address": handle.collection, "token_id": 1}))
+        run_setup(state, [transact_action("a0", handle.vault, "deposit_nft",
+                                          nft_address=handle.collection,
+                                          token_id=1)])
         return state, handle, extras
 
     return Campaign("anti_sniping_extension", build, generate, after, before)

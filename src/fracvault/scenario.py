@@ -8,10 +8,10 @@ entry names a ``sender`` and a ``call`` ("module.method"), may attach
 ``expect``: either ``"success"`` or ``{"error": "<ErrorName>"}``.  A run
 aborts on the first expectation mismatch, naming the step.
 
-The bundled ``scenarios/lifecycle.json`` deploys the stack in the canonical
-order (fraction token, NFT collection, vault, timelock, governance with its
-vault registration, pair token, market) and walks deposit, auction,
-redemption, withdrawal, governance and market trading end to end.
+Each deployment entry is installed by ``system.deploy_module``.  The
+bundled ``scenarios/lifecycle.json`` deploys ``system.STANDARD_DEPLOYMENT``
+and walks deposit, auction, redemption, withdrawal, governance and market
+trading end to end.
 """
 
 from __future__ import annotations
@@ -20,19 +20,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .governance import Governance, Timelock
 from .ledger import ChainState, HookCall, ReceiveHook, normalize
-from .market import Market
 from .mutations import HEALTHY, MUTANTS, Mutations
-from .system import GenesisParams
-from .tokens import FractionalToken, FungibleToken, NftCollection
-from .vault import Vault
+from .system import GenesisParams, ScenarioError, deploy_module
 
 FORMAT = "fracvault-scenario-v1"
-
-
-class ScenarioError(Exception):
-    """Malformed scenario document; the message carries line/step context."""
 
 
 class ExpectationMismatch(Exception):
@@ -164,6 +156,8 @@ def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainStat
     params = GenesisParams.from_data(genesis.get("parameters", {}))
     if mutations is None:
         name = scenario.get("mutant")
+        if name and name not in MUTANTS:
+            raise ScenarioError(f"unknown mutant {name!r}")
         mutations = MUTANTS[name] if name else HEALTHY
     state = ChainState()
     hooks: list[tuple[str, ReceiveHook]] = []
@@ -175,59 +169,10 @@ def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainStat
         else:
             state.fund(account, _amount(spec, account))
     for i, entry in enumerate(scenario["deployment"]):
-        _deploy_entry(state, entry, params, mutations, i)
+        deploy_module(state, entry, params, mutations, i)
     for account, hook in hooks:
         state.set_receive_hook(account, hook)
     return state
-
-
-def _deploy_entry(state: ChainState, entry: dict, params: GenesisParams,
-                  mutations: Mutations, index: int) -> None:
-    kind, mid, deployer = entry["kind"], entry["id"], entry["deployer"]
-    args = entry.get("args", {})
-    where = f"deployment[{index}]"
-    try:
-        if kind == "fractional_token":
-            state.install_module(FractionalToken(
-                mid, state, deployer, args["token_name"], args["symbol"],
-                mutations=mutations))
-        elif kind == "fungible_token":
-            state.install_module(FungibleToken(
-                mid, state, deployer, args["token_name"], args["symbol"]))
-        elif kind == "nft_collection":
-            state.install_module(NftCollection(
-                mid, state, deployer, args["collection_name"]))
-        elif kind == "vault":
-            state.install_module(Vault(
-                mid, state, deployer, args["collection"], args["fractions"],
-                auction_duration=params.auction_duration,
-                royalty_percent=params.royalty_percent, mutations=mutations))
-        elif kind == "timelock":
-            state.install_module(Timelock(mid, state, deployer,
-                                          delay=params.timelock_delay))
-        elif kind == "governance":
-            state.install_module(Governance(
-                mid, state, deployer, args["fractions"], args["vault"],
-                args["timelock"], threshold_bps=params.proposal_threshold_bps,
-                mutations=mutations))
-            timelock = state.modules[args["timelock"]]
-            timelock.bind_controller(state, mid)  # type: ignore[attr-defined]
-            registration = state.transact(
-                deployer, args["vault"], "set_governance_contract",
-                {"governance": mid})
-            if not registration.ok:
-                raise ScenarioError(
-                    f"{where}: vault registration failed: {registration.error}")
-        elif kind == "market":
-            state.install_module(Market(
-                mid, state, deployer, args["token_a"], args["token_b"],
-                fee_multiplier=params.fee_multiplier, mutations=mutations))
-        else:
-            raise ScenarioError(f"{where}: unknown kind {kind!r}")
-    except KeyError as exc:
-        raise ScenarioError(f"{where}: missing argument {exc}") from exc
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 # --------------------------------------------------------------------- #

@@ -1,15 +1,22 @@
 """Standard world assembly.
 
-``deploy_standard_system`` instantiates the full stack in the canonical
-order (fraction token, NFT collection, vault, timelock, governance with its
-vault registration, pair token, market) and wires the write-once bindings.
-Fuzz campaigns, attack scenarios and the CLI all build worlds through here
-so that every run shares one deployment recipe.
+A deployment is a list of entries, each naming a module ``id``, its
+``kind``, its ``deployer`` and its constructor ``args``.  ``deploy_module``
+installs one entry; ``scenario.build_world`` calls it for every entry of a
+scenario file, and ``deploy_standard_system`` for every entry of
+``STANDARD_DEPLOYMENT``, the canonical order (fraction token, NFT
+collection, vault, timelock, governance with its vault registration, pair
+token, market) that ``scenarios/lifecycle.json`` also lists.
+``standard_world`` funds the accounts and deploys that stack.  The fuzz
+world (``fuzz.build_fuzz_world``), the sold world (``fuzz.build_sold_world``)
+and the other property and attack worlds start from it through
+``fuzz.actor_world``, and run their setup transactions as
+``fuzz.FuzzAction`` lists through ``fuzz.run_setup``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .governance import (DEFAULT_PROPOSAL_THRESHOLD_BPS, DEFAULT_TIMELOCK_DELAY,
                          Governance, Timelock)
@@ -18,6 +25,26 @@ from .market import DEFAULT_FEE_MULTIPLIER, Market
 from .mutations import HEALTHY, Mutations
 from .tokens import FractionalToken, FungibleToken, NftCollection
 from .vault import DEFAULT_AUCTION_DURATION, Vault
+
+STANDARD_DEPLOYMENT: tuple[dict, ...] = (
+    {"id": "fractions", "kind": "fractional_token", "deployer": "deployer",
+     "args": {"token_name": "Fraction Token", "symbol": "FTK"}},
+    {"id": "collection", "kind": "nft_collection", "deployer": "deployer",
+     "args": {"collection_name": "Vaulted Collection"}},
+    {"id": "vault", "kind": "vault", "deployer": "deployer",
+     "args": {"collection": "collection", "fractions": "fractions"}},
+    {"id": "timelock", "kind": "timelock", "deployer": "deployer"},
+    {"id": "governance", "kind": "governance", "deployer": "deployer",
+     "args": {"fractions": "fractions", "vault": "vault", "timelock": "timelock"}},
+    {"id": "pair", "kind": "fungible_token", "deployer": "deployer",
+     "args": {"token_name": "Base Token", "symbol": "TB"}},
+    {"id": "market", "kind": "market", "deployer": "deployer",
+     "args": {"token_a": "fractions", "token_b": "pair"}},
+)
+
+
+class ScenarioError(Exception):
+    """Malformed scenario document; the message carries line/step context."""
 
 
 @dataclass(frozen=True)
@@ -30,8 +57,19 @@ class GenesisParams:
 
     @classmethod
     def from_data(cls, data: dict) -> "GenesisParams":
-        known = {f: int(v) for f, v in data.items()}
-        return cls(**known)
+        if not isinstance(data, dict):
+            raise ScenarioError("genesis.parameters must be an object")
+        known = {f.name for f in fields(cls)}
+        values = {}
+        for name, value in data.items():
+            if name not in known:
+                raise ScenarioError(f"genesis.parameters: unknown parameter {name!r}")
+            try:
+                values[name] = int(value)
+            except (TypeError, ValueError):
+                raise ScenarioError(f"genesis.parameters.{name}: {value!r} is "
+                                    "not a decimal amount") from None
+        return cls(**values)
 
     def as_data(self) -> dict:
         return {"auction_duration": self.auction_duration,
@@ -74,35 +112,71 @@ def must(result: TxResult) -> TxResult:
     return result
 
 
+def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
+                  mutations: Mutations, index: int) -> None:
+    """Install the module that deployment entry ``index`` describes: its
+    ``kind`` picks the class, its ``args`` the constructor arguments, and
+    ``params`` the tunable ones.  A governance entry also becomes its
+    timelock's controller and registers with its vault."""
+    kind, mid, deployer = entry["kind"], entry["id"], entry["deployer"]
+    args = entry.get("args", {})
+    where = f"deployment[{index}]"
+    try:
+        if kind == "fractional_token":
+            state.install_module(FractionalToken(
+                mid, state, deployer, args["token_name"], args["symbol"],
+                mutations=mutations))
+        elif kind == "fungible_token":
+            state.install_module(FungibleToken(
+                mid, state, deployer, args["token_name"], args["symbol"]))
+        elif kind == "nft_collection":
+            state.install_module(NftCollection(
+                mid, state, deployer, args["collection_name"]))
+        elif kind == "vault":
+            state.install_module(Vault(
+                mid, state, deployer, args["collection"], args["fractions"],
+                auction_duration=params.auction_duration,
+                royalty_percent=params.royalty_percent, mutations=mutations))
+        elif kind == "timelock":
+            state.install_module(Timelock(mid, state, deployer,
+                                          delay=params.timelock_delay))
+        elif kind == "governance":
+            state.install_module(Governance(
+                mid, state, deployer, args["fractions"], args["vault"],
+                args["timelock"], threshold_bps=params.proposal_threshold_bps,
+                mutations=mutations))
+            timelock = state.modules[args["timelock"]]
+            timelock.bind_controller(state, mid)  # type: ignore[attr-defined]
+            registration = state.transact(
+                deployer, args["vault"], "set_governance_contract",
+                {"governance": mid})
+            if not registration.ok:
+                raise ScenarioError(
+                    f"{where}: vault registration failed: {registration.error}")
+        elif kind == "market":
+            state.install_module(Market(
+                mid, state, deployer, args["token_a"], args["token_b"],
+                fee_multiplier=params.fee_multiplier, mutations=mutations))
+        else:
+            raise ScenarioError(f"{where}: unknown kind {kind!r}")
+    except KeyError as exc:
+        raise ScenarioError(f"{where}: missing argument {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def deploy_standard_system(state: ChainState, deployer: Address,
                            params: GenesisParams = GenesisParams(),
                            mutations: Mutations = HEALTHY) -> SystemHandle:
     handle = SystemHandle(deployer=deployer, params=params)
-    state.install_module(FractionalToken(
-        handle.fractions, state, deployer, "Fraction Token", "FTK",
-        mutations=mutations))
-    state.install_module(NftCollection(
-        handle.collection, state, deployer, "Vaulted Collection"))
-    state.install_module(Vault(
-        handle.vault, state, deployer, handle.collection, handle.fractions,
-        auction_duration=params.auction_duration,
-        royalty_percent=params.royalty_percent, mutations=mutations))
-    must(state.transact(deployer, handle.fractions, "update_nft_vault",
-                        {"vault": handle.vault}))
-    timelock = Timelock(handle.timelock, state, deployer, delay=params.timelock_delay)
-    state.install_module(timelock)
-    state.install_module(Governance(
-        handle.governance, state, deployer, handle.fractions, handle.vault,
-        handle.timelock, threshold_bps=params.proposal_threshold_bps,
-        mutations=mutations))
-    timelock.bind_controller(state, handle.governance)
-    must(state.transact(deployer, handle.vault, "set_governance_contract",
-                        {"governance": handle.governance}))
-    state.install_module(FungibleToken(
-        handle.pair, state, deployer, "Base Token", "TB"))
-    state.install_module(Market(
-        handle.market, state, deployer, handle.fractions, handle.pair,
-        fee_multiplier=params.fee_multiplier, mutations=mutations))
+    for index, entry in enumerate(STANDARD_DEPLOYMENT):
+        deploy_module(state, dict(entry, deployer=deployer), params, mutations,
+                      index)
+        if entry["kind"] == "vault":
+            # the binding's event precedes the governance registration's in
+            # every world's event hash
+            must(state.transact(deployer, handle.fractions, "update_nft_vault",
+                                {"vault": handle.vault}))
     return handle
 
 

@@ -278,16 +278,12 @@ def test_governed_cancel_auction_roundtrip(gov_world):
     assert vault.pending["carol"] == 77
 
 
-def test_generic_action_fails_at_execution(gov_world):
+def test_generic_action_rejected_at_creation(gov_world):
     state, handle = gov_world
-    pid = tx(state, "alice", handle.governance, "create_proposal",
-             description="opaque call", target=handle.market,
-             action={"kind": "generic", "args": {"payload": "0xdead"}},
-             voting_period=DAY)
-    tx(state, "alice", handle.governance, "vote", proposal_id=pid, support=True)
-    tx(state, "bob", handle.governance, "vote", proposal_id=pid, support=True)
-    state.advance_clock(DAY)
-    tx(state, "alice", handle.governance, "execute_proposal", proposal_id=pid)
-    state.advance_clock(172_800)
-    tx_err(state, "InvalidTarget", "alice", handle.governance,
-           "execute_proposal", proposal_id=pid)
+    result = tx_err(state, "InvalidTarget", "alice", handle.governance,
+                    "create_proposal", description="opaque call",
+                    target=handle.market,
+                    action={"kind": "generic", "args": {"payload": "0xdead"}},
+                    voting_period=DAY)
+    assert "unknown action kind 'generic'" in result.error_message
+    assert handle.governance_module(state).proposals == []

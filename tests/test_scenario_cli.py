@@ -11,7 +11,8 @@ from click.testing import CliRunner
 
 from fracvault.cli import main
 from fracvault.scenario import (ExpectationMismatch, ScenarioError,
-                                parse_scenario, run_scenario)
+                                build_world, parse_scenario, run_scenario)
+from fracvault.system import STANDARD_DEPLOYMENT
 from fracvault.trace import DigestMismatch, replay_trace, write_trace
 
 LIFECYCLE = resources.files("fracvault") / "scenarios" / "lifecycle.json"
@@ -43,6 +44,24 @@ def test_bundled_deployment_order(lifecycle):
     kinds = [entry["kind"] for entry in lifecycle["deployment"]]
     assert kinds == ["fractional_token", "nft_collection", "vault", "timelock",
                      "governance", "fungible_token", "market"]
+    assert lifecycle["deployment"] == list(STANDARD_DEPLOYMENT)
+
+
+@pytest.mark.parametrize("index, entry, message", [
+    (1, {"id": "collection", "kind": "nft_vault", "deployer": "deployer"},
+     r"deployment\[1\]: unknown kind 'nft_vault'"),
+    (2, {"id": "vault", "kind": "vault", "deployer": "deployer",
+         "args": {"collection": "collection"}},
+     r"deployment\[2\]: missing argument 'fractions'"),
+    (4, {"id": "governance", "kind": "governance", "deployer": "mallory",
+         "args": {"fractions": "fractions", "vault": "vault",
+                  "timelock": "timelock"}},
+     r"deployment\[4\]: vault registration failed: NotDeployer"),
+])
+def test_deployment_errors_name_the_entry(lifecycle, index, entry, message):
+    lifecycle["deployment"][index] = entry
+    with pytest.raises(ScenarioError, match=message):
+        build_world(lifecycle)
 
 
 def test_lifecycle_runs_and_replays(tmp_path, lifecycle):
@@ -142,6 +161,38 @@ def test_cli_run_parse_error(tmp_path):
     result = CliRunner().invoke(main, ["run", str(bad)])
     assert result.exit_code == 1
     assert "parse error" in result.output
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["genesis"]["parameters"].update(bogus="1"),
+     "genesis.parameters: unknown parameter 'bogus'"),
+    (lambda doc: doc["genesis"]["parameters"].update(royalty_percent="five"),
+     "genesis.parameters.royalty_percent: 'five' is not a decimal amount"),
+    (lambda doc: doc["genesis"].update(parameters=["604800"]),
+     "genesis.parameters must be an object"),
+    (lambda doc: doc.update(mutant="no-such-mutant"),
+     "unknown mutant 'no-such-mutant'"),
+], ids=["unknown-parameter", "non-decimal-parameter", "mistyped-parameters",
+        "unknown-mutant"])
+def test_cli_run_reports_bad_scenario_input(tmp_path, edit, message):
+    document = json.loads(LIFECYCLE.read_text())
+    edit(document)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1
+    assert f"scenario error: {message}" in result.output
+
+
+def test_cli_replay_reports_unknown_trace_mutant(tmp_path, lifecycle):
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), lifecycle, run_scenario(lifecycle).records)
+    header, *records = path.read_text().splitlines()
+    header = json.dumps(dict(json.loads(header), mutant="no-such-mutant"))
+    path.write_text("\n".join([header, *records]) + "\n")
+    result = CliRunner().invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1
+    assert "parse error: unknown mutant 'no-such-mutant'" in result.output
 
 
 def test_cli_fuzz_exit_codes(tmp_path):
