@@ -468,10 +468,25 @@ def test_event_hash_after_a_read_in_a_rolled_back_frame(after):
     _assert_same_chain(lazy, eager)
 
 
-def test_reverted_events_are_never_encoded(monkeypatch):
+def test_reverted_events_never_enter_the_event_hash(monkeypatch):
     eager = _emitter_world(_EagerChainState)
     for tag, flags in (("a", {}), ("reverted", {"count": 3, "fail": True}), ("b", {})):
         _ping(eager, tag, **flags)
+    hashed = []
+    canonical = Event.canonical
+    monkeypatch.setattr(Event, "canonical", lambda event: hashed.append(
+        dict(event.payload)["tag"]) or canonical(event))
+    lazy = _emitter_world(ChainState)
+    assert _ping(lazy, "a").ok
+    assert not _ping(lazy, "reverted", count=3, fail=True).ok
+    assert _ping(lazy, "b").ok
+    assert hashed == []  # nothing read a digest yet
+    _assert_same_chain(lazy, eager)
+    assert "reverted" not in hashed
+    assert [dict(e.payload)["tag"] for e in lazy.events] == ["a", "b"]
+
+
+def test_reverted_events_are_never_encoded(monkeypatch):
     encoded = []
     canonical = Event.canonical
     monkeypatch.setattr(Event, "canonical", lambda event: encoded.append(
@@ -483,9 +498,6 @@ def test_reverted_events_are_never_encoded(monkeypatch):
     assert encoded == []  # nothing read a digest yet
     lazy.digest()
     assert encoded == ["a", "b"]
-    _assert_same_chain(lazy, eager)
-    assert "reverted" not in encoded
-    assert [dict(e.payload)["tag"] for e in lazy.events] == ["a", "b"]
 
 
 def test_event_hash_of_a_copied_world_that_diverges():
