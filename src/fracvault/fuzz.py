@@ -62,6 +62,10 @@ CLOCK_STEPS = (1, 30, 600, 900, 3_600, 86_400, 604_800)
 # spread this thin, their cost per step stays small as history grows
 FULL_SCAN_INTERVAL = 1_000
 
+# ``shrink`` cuts a longer failing trace to its last SHRINK_WINDOW actions
+# when those alone still fail
+SHRINK_WINDOW = 4_000
+
 
 @dataclass(frozen=True)
 class FuzzAction:
@@ -597,12 +601,11 @@ def replay_violates(plan: FuzzPlan, actions: list[FuzzAction], invariant: str,
     return replay.run(actions)
 
 
-def shrink(plan: FuzzPlan, actions: list[FuzzAction], invariant: str,
-           max_len: int = 4000) -> list[FuzzAction]:
+def shrink(plan: FuzzPlan, actions: list[FuzzAction], invariant: str) -> list[FuzzAction]:
     """Delete-only ddmin: drop chunks, then single steps, until 1-minimal."""
     trace = list(actions)
-    if len(trace) > max_len:
-        trace = trace[-max_len:]
+    if len(trace) > SHRINK_WINDOW:
+        trace = trace[-SHRINK_WINDOW:]
         if not replay_violates(plan, trace, invariant):
             trace = list(actions)  # suffix alone insufficient; keep everything
     return ddmin(trace, lambda: FuzzReplay(plan, invariant),

@@ -7,12 +7,16 @@ after the voting deadline checks quorum and majority and schedules the
 action; a later call, once the delay has elapsed, applies the action to the
 target with the governance module as sender and marks the proposal executed.
 A guardian (the deployer by default) may cancel anything still scheduled.
+
+Proposals and timelock entries are frozen values: a write, a vote
+included, replaces the whole entry in ``Governance.proposals`` or
+``Timelock.entries`` through ``ChainState.jset``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import errors
@@ -41,17 +45,18 @@ class GovernanceAction:
     def from_data(cls, data: "GovernanceAction | dict") -> "GovernanceAction":
         if isinstance(data, GovernanceAction):
             return data
-        kind = data.get("kind")
-        if not isinstance(kind, str):
+        if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
             raise errors.InvalidTarget("action needs a kind")
         args = data.get("args", {})
-        return cls(kind=kind, args=tuple(sorted(args.items())))
+        if not isinstance(args, dict):
+            raise errors.InvalidTarget("action args must be an object")
+        return cls(kind=data["kind"], args=tuple(sorted(args.items())))
 
     def as_data(self) -> dict:
         return {"kind": self.kind, "args": {k: v for k, v in self.args}}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimelockEntry:
     proposal_id: int
     scheduled_at: int
@@ -65,7 +70,7 @@ class TimelockEntry:
                 "executed_at": self.executed_at}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Proposal:
     proposal_id: int
     description: str
@@ -144,7 +149,7 @@ class Timelock(Module):
         entry = self.entries.get(proposal_id)
         if entry is None or entry.state != SCHEDULED:
             raise errors.NotScheduled(f"proposal {proposal_id} is not scheduled")
-        state.jsetattr(entry, "state", CANCELLED)
+        state.jset(self.entries, proposal_id, replace(entry, state=CANCELLED))
         state.emit(ctx, self.module_id, "OperationCancelled",
                    {"proposal_id": proposal_id})
 
@@ -156,8 +161,8 @@ class Timelock(Module):
         if state.clock < entry.ready_at:
             raise errors.TimelockPending(
                 f"ready at {entry.ready_at}, clock is {state.clock}")
-        state.jsetattr(entry, "state", EXECUTED)
-        state.jsetattr(entry, "executed_at", state.clock)
+        state.jset(self.entries, proposal_id,
+                   replace(entry, state=EXECUTED, executed_at=state.clock))
 
     def entry_of(self, state: ChainState, ctx: ExecutionContext, proposal_id: int) -> dict:
         entry = self.entries.get(proposal_id)
@@ -254,13 +259,12 @@ class Governance(Module):
             weight = state.fungible_balance(self.fractions, ctx.sender)
             if weight <= 0:
                 raise errors.ZeroWeight(f"{ctx.sender} holds no fractions")
-            state.jset(proposal.voters, ctx.sender, weight)
-            if support:
-                state.jsetattr(proposal, "votes_for", proposal.votes_for + weight)
-            else:
-                state.jsetattr(proposal, "votes_against", proposal.votes_against + weight)
-            state.jsetattr(proposal, "total_votes_cast",
-                           proposal.total_votes_cast + weight)
+            votes_for = proposal.votes_for + (weight if support else 0)
+            votes_against = proposal.votes_against + (0 if support else weight)
+            state.jset(self.proposals, proposal_id, replace(
+                proposal, voters={**proposal.voters, ctx.sender: weight},
+                votes_for=votes_for, votes_against=votes_against,
+                total_votes_cast=proposal.total_votes_cast + weight))
             state.emit(ctx, self.module_id, "VoteCast",
                        {"proposal_id": proposal_id, "voter": ctx.sender,
                         "support": support, "weight": weight})
@@ -298,7 +302,7 @@ class Governance(Module):
                    {"proposal_id": proposal_id}, sender=self.address)
         state.call(ctx, proposal.target, proposal.action.kind,
                    dict(proposal.action.args), sender=self.address)
-        state.jsetattr(proposal, "executed", True)
+        state.jset(self.proposals, proposal_id, replace(proposal, executed=True))
         state.emit(ctx, self.module_id, "ProposalExecuted",
                    {"proposal_id": proposal_id, "target": proposal.target,
                     "kind": proposal.action.kind})

@@ -7,7 +7,9 @@ the property suite run these after every committed transaction.
 Called as ``checker(state, handle)`` a checker scans the whole world.  The
 fuzzer passes a third argument, a ``WriteSetChecks``, and five checkers then
 look only at the NFTs, auctions, sales, proposals and timelock entries the
-step wrote, so a step costs the same early and late in a run.  The other
+step wrote, so a step costs the same early and late in a run.  Those
+entries are frozen values that a write replaces in their collection, so
+the write set names each by its key in the collection.  The other
 three (native conservation, fungible supply, market books) are bounded by
 the account count and always scan.  Whenever a write-set check finds a
 problem, the full scan runs and writes the detail, so both ways of calling
@@ -19,11 +21,11 @@ from __future__ import annotations
 import copy
 from typing import Callable
 
-from .governance import EXECUTED, Governance, Proposal, Timelock, TimelockEntry
+from .governance import EXECUTED, Governance, Proposal, Timelock
 from .ledger import ChainState, JournalEntry, ZERO_ADDRESS
 from .market import Market
 from .system import SystemHandle
-from .vault import Auction, SaleRecord, Vault
+from .vault import Auction, Vault
 
 Checker = Callable[..., str | None]  # (state, handle, scope=None)
 
@@ -243,8 +245,6 @@ class WriteSetChecks:
         # checkers that scan everything in the current step
         self.full: frozenset[str] = frozenset()
         self._rescan_next = True
-        # id of each sale record in ``Vault.sales`` -> its token id
-        self._sale_ids: dict[int, int] = {}
         # running escrow sums, per token id and in total
         self._sale_parts: dict[int, int] = {}
         self._bid_parts: dict[int, int] = {}
@@ -252,16 +252,14 @@ class WriteSetChecks:
         self._bid_total = 0
 
     def __deepcopy__(self, memo: dict) -> "WriteSetChecks":
-        # a copy checks the copied world: the maps keyed by id() are re-keyed
-        # to the copies of their containers, which are in ``memo`` once the
+        # a copy checks the copied world: the map keyed by id() is re-keyed
+        # to the copies of its containers, which are in ``memo`` once the
         # world is copied (a rescan would do it too, at the cost of a full scan)
         copied = WriteSetChecks.__new__(WriteSetChecks)
         memo[id(self)] = copied
         for name, value in vars(self).items():
             setattr(copied, name, copy.deepcopy(value, memo))
         copied._keyed = {id(memo[k]): v for k, v in copied._keyed.items() if k in memo}
-        copied._sale_ids = {id(memo[k]): t for k, t in copied._sale_ids.items()
-                            if k in memo}
         return copied
 
     def rescan(self) -> None:
@@ -294,33 +292,19 @@ class WriteSetChecks:
         self._keyed[id(vault.sales)] = self.sales
         self._keyed[id(governance.proposals)] = self.proposals
         self._keyed[id(self._timelock.entries)] = self.proposals
-        self._sale_ids = {id(s): t for t, s in vault.sales.items()}
 
     def _observe(self, writes: list[JournalEntry] | tuple[()]) -> None:
         for touched in self._keyed.values():
             touched.clear()
         self.full = frozenset()
-        vault, timelock, keyed = self._vault, self._timelock, self._keyed
+        timelock, keyed = self._timelock, self._keyed
         for container, key, _ in writes:
             touched = keyed.get(id(container))
             if touched is not None:
                 touched.add(key)
-                continue
-            kind = type(container)
-            if kind is Auction:
-                self.auctions.add(container.token_id)
-            elif kind is SaleRecord:
-                token_id = self._sale_ids.get(id(container))
-                if token_id is not None and vault.sales.get(token_id) is container:
-                    self.sales.add(token_id)
-            elif kind is Proposal or kind is TimelockEntry:
-                self.proposals.add(container.proposal_id)
             elif container is timelock:
                 # a timelock setting, such as the delay, bears on every proposal
                 self.full = frozenset({"governance_soundness"})
-        for token_id in self.sales:
-            if token_id in vault.sales:
-                self._sale_ids[id(vault.sales[token_id])] = token_id
 
     def escrow_totals(self, vault: Vault) -> tuple[int, int]:
         """Proceeds left in sales and active bids, as running totals kept

@@ -6,7 +6,9 @@ clock, installed protocol modules, and the committed event log.
 
 Every mutation flows through the journaled write helpers (``jset``,
 ``jsetattr``, ``jappend``, ...), each of which records one
-``(container, key, old)`` entry in the undo journal.  A call frame is a
+``(container, key, old)`` entry in the undo journal.  Collection entries
+are scalars or frozen values, such as auctions and proposals, that a write
+replaces through ``jset`` on their dict or list.  A call frame is a
 marker into the journal; rolling a frame back replays the entries in
 reverse, so a transaction that raises leaves the committed state byte for
 byte unchanged, events included.  A committed transaction's entries stay
@@ -18,8 +20,8 @@ never the caller's frame directly.
 
 The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
 canonical JSON fragments, and each write helper marks the one fragment it
-touches (a balance, an allowance, an auction, sale or proposal entry, or
-one module scalar), committed or rolled back, so a digest re-encodes only
+touches (a collection entry, such as a balance or an auction, or one
+module scalar), committed or rolled back, so a digest re-encodes only
 those and joins their ancestors from cached pieces.  ``full_digest()``
 recomputes the same bytes from the whole world with ``normalize`` and
 ``json``; the revert-atomicity oracles use it because it does not rely on
@@ -33,6 +35,7 @@ identical state digest and event log.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from bisect import bisect_left
@@ -52,7 +55,7 @@ MAX_CALL_DEPTH = 16
 ABSENT: Any = object()
 
 # one undo-journal entry: the written dict, object or list, the key,
-# attribute name or appended index, and the value it held before
+# attribute name or list index, and the value it held before
 JournalEntry = tuple[Any, Any, Any]
 
 # cached digests between two full recomputes that cross-check the cache
@@ -115,10 +118,6 @@ class DigestCacheMismatch(RuntimeError):
     """A cached digest differs from the full recompute: some write to the
     world bypassed the journaled write helpers."""
 
-
-# the entry key of an owner record for a collection: a write to the
-# collection dirties the entry under the write's own key
-_BY_WRITE_KEY: Any = object()
 
 # section values that a write replaces rather than changes in place
 _IMMUTABLE = (int, str, bool, type(None))
@@ -211,22 +210,23 @@ class DigestCache:
     module.  A dict or list that a section's data holds live (not a copy),
     such as the vault's auctions or a ledger's allowances, is a collection
     whose entries are fragments of their own; its other values are plain
-    fragments.  ``owners`` maps every container a fragment was encoded
-    from, by id, to what a write to it makes dirty: one collection entry,
-    or the section, whose data is then read again and encoded where it
-    holds new objects.  It keeps the container alive so that the id stays
+    fragments.  Entries are never changed in place, so ``owners`` maps
+    only containers, by id: a collection, where a write dirties the entry
+    under its key, or the section's object and its other containers, where
+    a write makes the section's data be read again and encoded where it
+    holds new objects.  It keeps each container alive so that the id stays
     unique.  The write helpers call ``mark`` whether the write later
     commits or rolls back, so a rollback that fails to restore a value is
     encoded as it is.  New fragments go into their parents' cached pieces,
-    and only dirty ancestors are joined again.  The scalars (clock, supply,
-    event count and hash) are read on every call.
+    and only dirty ancestors are joined again.  The scalars (clock,
+    supply, event count and hash) are read on every call.
     """
 
     def __init__(self) -> None:
         self.sections: dict[tuple[str, ...], _Section] = {}
         self.groups: dict[str, tuple[tuple[str, ...], _Object]] = {}
-        # id -> (container, section, collection or None, entry key)
-        self.owners: dict[int, tuple[Any, _Section, _Collection | None, Any]] = {}
+        # id -> (container, section, the collection it is or None)
+        self.owners: dict[int, tuple[Any, _Section, _Collection | None]] = {}
         self.dirty: set[_Section] = set()
         self.top: _Object | None = None
         self.scalars: dict[str, Any] = {}  # as last encoded into ``top``
@@ -235,12 +235,12 @@ class DigestCache:
     def mark(self, container: Any, key: Any) -> None:
         owner = self.owners.get(id(container))
         if owner is not None:
-            _, section, collection, entry = owner
+            _, section, collection = owner
             self.dirty.add(section)
             if collection is None:
                 section.stale = True
             else:
-                collection.dirty.add(key if entry is _BY_WRITE_KEY else entry)
+                collection.dirty.add(key)
 
     def document(self, state: "ChainState") -> bytes:
         """The encoded canonical JSON of ``state``'s digest document."""
@@ -292,12 +292,12 @@ class DigestCache:
         if section.stale:
             self._refresh(section)
         if section.whole is not None:
-            self._update(section, section.whole, section.whole.dirty)
+            self._update(section.whole, section.whole.dirty)
             section.text = section.whole.text
             return
         for name, collection in section.collections.items():
             if collection.dirty:
-                self._update(section, collection, collection.dirty)
+                self._update(collection, collection.dirty)
                 section.fields.set(name, collection.text)
         section.text = section.fields.text()
 
@@ -322,12 +322,12 @@ class DigestCache:
             if id(value) in live:
                 pairs = section.group == "fungible" and name == "allowances"
                 collection = collections[name] = _Collection(value, _pair_name if pairs else str)
-                self.owners[id(value)] = (value, section, collection, _BY_WRITE_KEY)
-                self._update(section, collection, () if isinstance(value, list) else value)
+                self.owners[id(value)] = (value, section, collection)
+                self._update(collection, () if isinstance(value, list) else value)
                 fragment = collection.text
             else:
                 collections.pop(name, None)
-                fragment = self._entry(section, None, None, value)
+                fragment = _text(value).encode()
             if name is None:
                 section.whole = collection
             else:
@@ -337,13 +337,9 @@ class DigestCache:
         held = {id(collection.container) for collection in collections.values()}
         for container in live.values():
             if id(container) not in held:
-                self.owners[id(container)] = (container, section, None, None)
-                for value in (container.values() if isinstance(container, dict) else
-                              container if isinstance(container, list) else ()):
-                    self._own(value, section, None, None)
+                self.owners[id(container)] = (container, section, None)
 
-    def _update(self, section: _Section, collection: _Collection, keys: Any,
-                rebuild: bool = False) -> None:
+    def _update(self, collection: _Collection, keys: Any, rebuild: bool = False) -> None:
         """Encode the entries under ``keys`` again, in their order, and join
         the collection's text."""
         container, pieces = collection.container, collection.pieces
@@ -351,9 +347,9 @@ class DigestCache:
             del pieces[len(container):]
             for i in keys:
                 if i < len(pieces):
-                    pieces[i] = self._entry(section, collection, i, container[i])
+                    pieces[i] = _text(container[i]).encode()
             for i in range(len(pieces), len(container)):
-                pieces.append(self._entry(section, collection, i, container[i]))
+                pieces.append(_text(container[i]).encode())
             collection.text = b"[" + b",".join(pieces) + b"]"
             collection.dirty.clear()
             return
@@ -363,7 +359,7 @@ class DigestCache:
             i = bisect_left(order, name)
             found = i < len(order) and order[i] == name
             if key in container:
-                piece = _key(name) + self._entry(section, collection, key, container[key])
+                piece = _key(name) + _text(container[key]).encode()
                 if found:
                     pieces[i] = piece
                 else:
@@ -376,19 +372,8 @@ class DigestCache:
             # keys that render alike: encoded in the container's order, the
             # last one stays, as normalize keeps it
             del order[:], pieces[:]
-            return self._update(section, collection, list(container), rebuild=True)
+            return self._update(collection, list(container), rebuild=True)
         collection.text = b"{" + b",".join(pieces) + b"}"
-
-    def _entry(self, section: _Section, collection: _Collection | None, key: Any,
-               value: Any) -> bytes:
-        self._own(value, section, collection, key)
-        return _text(value).encode()
-
-    def _own(self, value: Any, section: _Section, collection: _Collection | None,
-             key: Any) -> None:
-        if isinstance(value, (dict, list)) or hasattr(value, "__dict__"):
-            for container in _containers(value):
-                self.owners[id(container)] = (container, section, collection, key)
 
 
 @dataclass(frozen=True)
@@ -564,6 +549,14 @@ class ChainState:
         state["_digest_cache"] = None
         return state
 
+    def __deepcopy__(self, memo: dict) -> "ChainState":
+        # a copy gets its own list of the same events, which never change;
+        # journal entries that name the list then name the copy's
+        memo[id(self.events)] = list(self.events)
+        copied = memo[id(self)] = type(self).__new__(type(self))
+        copied.__dict__.update(copy.deepcopy(self.__getstate__(), memo))
+        return copied
+
     # ------------------------------------------------------------------ #
     # World setup (outside transactions)
     # ------------------------------------------------------------------ #
@@ -633,12 +626,14 @@ class ChainState:
     # Journal and frames
     # ------------------------------------------------------------------ #
 
-    def jset(self, mapping: dict, key: Any, value: Any) -> None:
+    def jset(self, container: dict | list, key: Any, value: Any) -> None:
+        """Write a dict key, or a list index that exists."""
         if self._frames:
-            self._undo.append((mapping, key, mapping.get(key, ABSENT)))
+            old = container[key] if type(container) is list else container.get(key, ABSENT)
+            self._undo.append((container, key, old))
         if self._digest_cache is not None:
-            self._digest_cache.mark(mapping, key)
-        mapping[key] = value
+            self._digest_cache.mark(container, key)
+        container[key] = value
 
     def jdel(self, mapping: dict, key: Any) -> None:
         if key in mapping:
@@ -679,15 +674,14 @@ class ChainState:
                     if self._digest_cache is not None:
                         # writes of the frame made before a digest built the cache
                         self._digest_cache.mark(container, key)
-                    if isinstance(container, list):
-                        container.pop()  # jappend is the only list write
-                    elif isinstance(container, dict):
-                        if old is ABSENT:
-                            container.pop(key, None)
-                        else:
-                            container[key] = old
-                    else:
+                    if not isinstance(container, (dict, list)):
                         setattr(container, key, old)
+                    elif old is not ABSENT:
+                        container[key] = old
+                    elif isinstance(container, list):
+                        container.pop()  # undoes a jappend
+                    else:
+                        container.pop(key, None)
                 del self._frames[i:]
                 return
         raise errors.UnknownFrame(f"no live frame {token}")

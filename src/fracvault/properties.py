@@ -1049,9 +1049,8 @@ def _authorization_chain_campaign() -> Campaign:
 # Attack scenario wrappers
 # --------------------------------------------------------------------- #
 
-def _attack_property(strategy: str, extra_check=None) -> Callable[[int, int, Mutations], PropertyResult]:
-    name = f"attack_{_snake(strategy)}"
-
+def _attack_property(name: str, strategy: str,
+                     extra_check=None) -> Callable[[int, int, Mutations], PropertyResult]:
     def run(seed: int, steps: int, mutations: Mutations) -> PropertyResult:
         report = attackers.run_attack(strategy, mutations)
         detail = ""
@@ -1064,15 +1063,6 @@ def _attack_property(strategy: str, extra_check=None) -> Callable[[int, int, Mut
                               detail=detail)
 
     return run
-
-
-def _snake(name: str) -> str:
-    out = []
-    for i, ch in enumerate(name):
-        if ch.isupper() and i:
-            out.append("_")
-        out.append(ch.lower())
-    return "".join(out)
 
 
 def _check_reject_payment(report) -> str | None:
@@ -1147,17 +1137,14 @@ _CAMPAIGNS: dict[str, Callable[[], Campaign]] = {
     "authorization_chain": _authorization_chain_campaign,
 }
 
-_ATTACK_PROPERTIES = {
-    "attack_reenter_withdraw": _attack_property("ReenterWithdraw"),
-    "attack_reenter_redeem": _attack_property("ReenterRedeem"),
-    "attack_double_redeem": _attack_property("DoubleRedeem",
-                                             _check_double_redeem),
-    "attack_reject_payment": _attack_property("RejectPayment",
-                                              _check_reject_payment),
-    "attack_bid_sniper": _attack_property("BidSniper", _check_sniper),
-    "attack_governance_spammer": _attack_property("GovernanceSpammer",
-                                                  _check_spammer),
-}
+_ATTACK_PROPERTIES = {name: _attack_property(name, strategy, check) for name, strategy, check in (
+    ("attack_reenter_withdraw", "ReenterWithdraw", None),
+    ("attack_reenter_redeem", "ReenterRedeem", None),
+    ("attack_double_redeem", "DoubleRedeem", _check_double_redeem),
+    ("attack_reject_payment", "RejectPayment", _check_reject_payment),
+    ("attack_bid_sniper", "BidSniper", _check_sniper),
+    ("attack_governance_spammer", "GovernanceSpammer", _check_spammer),
+)}
 
 ALL_PROPERTIES = tuple(_CAMPAIGNS) + tuple(_ATTACK_PROPERTIES)
 

@@ -78,29 +78,41 @@ def parse_scenario(text: str) -> dict:
         raise ScenarioError("scenario must be a JSON object")
     if document.get("format", FORMAT) != FORMAT:
         raise ScenarioError(f"unsupported format {document.get('format')!r}")
-    for section, kind in (("genesis", dict), ("deployment", list),
-                          ("transactions", list)):
+    check_world(document)
+    if not isinstance(document.get("transactions"), list):
+        raise ScenarioError("'transactions' section missing or mistyped")
+    for i, entry in enumerate(document["transactions"]):
+        check_transaction(entry, f"transactions[{i}]")
+    return document
+
+
+def check_world(document: dict) -> None:
+    """Check the ``genesis`` and ``deployment`` sections of a scenario or a
+    trace header."""
+    for section, kind in (("genesis", dict), ("deployment", list)):
         if not isinstance(document.get(section), kind):
             raise ScenarioError(f"{section!r} section missing or mistyped")
-    genesis = document["genesis"]
-    if not isinstance(genesis.get("accounts"), dict):
+    if not isinstance(document["genesis"].get("accounts"), dict):
         raise ScenarioError("genesis.accounts missing or mistyped")
     for i, entry in enumerate(document["deployment"]):
         for key in ("id", "kind", "deployer"):
-            if not isinstance(entry.get(key), str):
+            if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
                 raise ScenarioError(f"deployment[{i}]: missing {key!r}")
-    for i, entry in enumerate(document["transactions"]):
-        if not isinstance(entry.get("sender"), str):
-            raise ScenarioError(f"transactions[{i}]: missing 'sender'")
-        call = entry.get("call")
-        if not isinstance(call, str) or call.count(".") != 1:
-            raise ScenarioError(f"transactions[{i}]: 'call' must be "
-                                "'module.method'")
-        expect = entry.get("expect", "success")
-        if expect != "success" and not (isinstance(expect, dict)
-                                        and isinstance(expect.get("error"), str)):
-            raise ScenarioError(f"transactions[{i}]: bad 'expect'")
-    return document
+
+
+def check_transaction(entry: Any, where: str) -> None:
+    """Check one transaction entry or trace record; ``where`` names it."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{where}: must be a JSON object")
+    if not isinstance(entry.get("sender"), str):
+        raise ScenarioError(f"{where}: missing 'sender'")
+    call = entry.get("call")
+    if not isinstance(call, str) or call.count(".") != 1:
+        raise ScenarioError(f"{where}: 'call' must be 'module.method'")
+    expect = entry.get("expect", "success")
+    if expect != "success" and not (isinstance(expect, dict)
+                                    and isinstance(expect.get("error"), str)):
+        raise ScenarioError(f"{where}: bad 'expect'")
 
 
 def load_scenario(path: str) -> dict:

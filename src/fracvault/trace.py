@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 
 from .ledger import canonical_json, normalize
-from .scenario import ScenarioError, TraceRecord, build_world, execute_entry
+from .scenario import (ScenarioError, TraceRecord, build_world, check_transaction,
+                       check_world, execute_entry)
 
 FORMAT = "fracvault-trace-v1"
 
@@ -47,8 +48,13 @@ def read_trace(path: str) -> tuple[dict, list[dict]]:
         records = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(header, dict):
+        raise ScenarioError("trace header must be a JSON object")
     if header.get("format") != FORMAT:
         raise ScenarioError(f"unsupported trace format {header.get('format')!r}")
+    check_world(header)
+    for i, record in enumerate(records):
+        check_transaction(record, f"record {i}")
     return header, records
 
 
@@ -62,10 +68,7 @@ def replay_trace(path: str) -> int:
                 "transactions": []}
     state = build_world(scenario)
     for i, recorded in enumerate(records):
-        entry = {"sender": recorded["sender"], "call": recorded["call"],
-                 "args": recorded["args"], "value": recorded["value"],
-                 "advance_clock": recorded["advance_clock"]}
-        produced = execute_entry(state, i, entry).as_data()
+        produced = execute_entry(state, i, recorded).as_data()
         for field in ("result", "return", "events", "digest"):
             if produced[field] != recorded.get(field):
                 raise DigestMismatch(i, field, recorded.get(field),

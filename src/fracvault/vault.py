@@ -7,12 +7,15 @@ construction and mints exactly 1000 fractions per deposited NFT; the same
 redemption proceeds) is credited to a pending-withdrawals ledger and pulled
 by the recipient later; the vault never pushes native currency during
 settlement.  Redemption burns fractions before crediting the payout.
+
+Auctions and sale records are frozen values: a write replaces the whole
+entry in ``auctions`` or ``sales`` through ``ChainState.jset``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import errors
 from .ledger import Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS
@@ -28,7 +31,7 @@ STATUS_ON_AUCTION = "OnAuction"
 STATUS_SOLD = "Sold"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Auction:
     token_id: int
     started_by: Address
@@ -54,7 +57,7 @@ class Auction:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaleRecord:
     """Per-sale redemption bucket, snapshotted at auction settlement."""
 
@@ -260,14 +263,15 @@ class Vault(Module):
                 f"{auction.starting_price}")
         if auction.highest_bidder != ZERO_ADDRESS:
             self._credit_pending(state, auction.highest_bidder, auction.highest_bid)
-        state.jsetattr(auction, "highest_bid", bid)
-        state.jsetattr(auction, "highest_bidder", ctx.sender)
+        extended = auction.end_time - state.clock < auction.extension_window
+        end_time = auction.end_time + auction.extension_delta if extended else auction.end_time
+        state.jset(self.auctions, token_id, replace(
+            auction, highest_bid=bid, highest_bidder=ctx.sender, end_time=end_time))
         state.emit(ctx, self.module_id, "BidPlaced",
                    {"token_id": token_id, "bidder": ctx.sender, "amount": bid})
-        if auction.end_time - state.clock < auction.extension_window:
-            state.jsetattr(auction, "end_time", auction.end_time + auction.extension_delta)
+        if extended:
             state.emit(ctx, self.module_id, "AuctionExtended",
-                       {"token_id": token_id, "end_time": auction.end_time})
+                       {"token_id": token_id, "end_time": end_time})
 
     def end_auction(self, state: ChainState, ctx: ExecutionContext, token_id: int) -> None:
         """Settle after the deadline; every payout is credited, never pushed."""
@@ -277,7 +281,7 @@ class Vault(Module):
         if state.clock < auction.end_time:
             raise errors.NotYetEnded(
                 f"auction runs until {auction.end_time}, clock is {state.clock}")
-        state.jsetattr(auction, "active", False)
+        state.jset(self.auctions, token_id, replace(auction, active=False))
         if auction.highest_bidder == ZERO_ADDRESS:
             state.emit(ctx, self.module_id, "AuctionEnded",
                        {"token_id": token_id, "sold": False})
@@ -308,7 +312,7 @@ class Vault(Module):
         auction = self._active_auction(token_id)
         if auction is None:
             raise errors.NoAuction(f"no active auction for token {token_id}")
-        state.jsetattr(auction, "active", False)
+        state.jset(self.auctions, token_id, replace(auction, active=False))
         if auction.highest_bidder != ZERO_ADDRESS:
             self._credit_pending(state, auction.highest_bidder, auction.highest_bid)
         state.emit(ctx, self.module_id, "AuctionCancelled",
@@ -344,8 +348,8 @@ class Vault(Module):
             self._burn_fractions(state, ctx, ctx.sender, fraction_amount)
             payout = fraction_amount * record.proceeds_total // record.supply_snapshot
             payout = min(payout, record.proceeds_remaining)
-            state.jsetattr(record, "proceeds_remaining",
-                           record.proceeds_remaining - payout)
+            state.jset(self.sales, token_id, replace(
+                record, proceeds_remaining=record.proceeds_remaining - payout))
             self._credit_pending(state, ctx.sender, payout)
             state.emit(ctx, self.module_id, "FractionsRedeemed",
                        {"token_id": token_id, "redeemer": ctx.sender,
@@ -369,7 +373,8 @@ class Vault(Module):
         if fraction_amount == 0:
             return 0
         payout = fraction_amount * record.proceeds_total // record.supply_snapshot
-        state.jsetattr(record, "proceeds_remaining", record.proceeds_remaining - payout)
+        state.jset(self.sales, token_id, replace(
+            record, proceeds_remaining=record.proceeds_remaining - payout))
         state.transfer_native(ctx, self.address, ctx.sender, payout)
         ledger = state.fungible[self.fractions]
         state.set_fungible_balance(self.fractions, ctx.sender, held - fraction_amount)

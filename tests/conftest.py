@@ -26,3 +26,17 @@ def world():
     for token_id, owner in ((1, "alice"), (2, "alice"), (3, "bob")):
         tx(state, "deployer", handle.collection, "mint", to=owner, token_id=token_id)
     return state, handle
+
+
+@pytest.fixture
+def proposal_world(world):
+    """``world`` after alice deposits NFT 1 (all 1000 fractions) and
+    proposes a one-day auction duration: proposal 0."""
+    state, handle = world
+    tx(state, "alice", handle.vault, "deposit_nft",
+       nft_address=handle.collection, token_id=1)
+    tx(state, "alice", handle.governance, "create_proposal",
+       description="one-day auctions", target=handle.vault,
+       action={"kind": "set_auction_duration", "args": {"seconds": 86_400}},
+       voting_period=86_400)
+    return state, handle

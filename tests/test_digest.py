@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+from dataclasses import is_dataclass, replace
 from importlib import resources
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from fracvault import errors, ledger, standard_world
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
                             run_action, run_fuzz)
+from fracvault.governance import Proposal, TimelockEntry
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
                               Event, ExecutionContext, Module, ReceiveHook,
                               canonical_json, normalize)
@@ -23,7 +25,7 @@ from fracvault.mutations import HEALTHY, MUTANTS
 from fracvault.properties import run_suite, sold_world
 from fracvault.scenario import build_world, execute_entry, parse_scenario, run_scenario
 from fracvault.tokens import FungibleToken
-from fracvault.vault import Vault
+from fracvault.vault import Auction, SaleRecord, Vault
 
 from helpers import tx
 
@@ -122,6 +124,21 @@ def test_copy_of_a_world_digests_without_the_original_cache(world):
     assert state.digest() == before
 
 
+def test_copy_of_a_world_has_its_own_list_of_the_same_events(world):
+    state, handle = world
+    events, before = list(state.events), state.digest()
+    twin = copy.deepcopy(state)
+    assert twin.events is not state.events
+    assert all(a is b for a, b in zip(twin.events, events, strict=True))
+    # the journal of the last transaction names the copy's list
+    assert any(c is twin.events for c, _, _ in twin.last_writes)
+    assert not any(c is state.events for c, _, _ in twin.last_writes)
+    tx(twin, "alice", handle.vault, "deposit_nft",
+       nft_address=handle.collection, token_id=1)
+    assert len(twin.events) > len(events)
+    assert state.events == events and state.digest() == before
+
+
 def test_digest_built_inside_a_frame_sees_its_rollback(chain):
     frame = chain.snapshot()
     chain.jset(chain.native, "alice", 1)  # written before the cache exists
@@ -149,6 +166,56 @@ def test_unjournaled_write_caught_by_interval_cross_check(world, section):
     with pytest.raises(DigestCacheMismatch, match=f"section {section} "):
         for _ in range(DIGEST_CHECK_INTERVAL):
             state.digest()
+
+
+@pytest.mark.parametrize("append_first", [False, True])
+def test_list_item_write_and_append_roll_back(proposal_world, append_first):
+    state, handle = proposal_world
+    proposals = handle.governance_module(state).proposals
+    original = list(proposals)
+    state.digest()
+    frame = state.snapshot()
+    writes = [lambda: state.jset(proposals, 0, replace(proposals[0], description="x")),
+              lambda: state.jappend(proposals, replace(proposals[0], proposal_id=1))]
+    for write in (writes[::-1] if append_first else writes):
+        write()
+        assert state.digest() == state.full_digest()
+    if append_first:  # and write the appended item too
+        state.jset(proposals, 1, replace(proposals[1], description="y"))
+        assert state.digest() == state.full_digest()
+    assert len(proposals) == 2 and proposals[0] is not original[0]
+    state.rollback(frame)
+    assert len(proposals) == len(original)
+    assert all(a is b for a, b in zip(proposals, original))
+    assert state.digest() == state.full_digest()
+
+
+def _entries(state):
+    """Every entry of every collection the digest cache holds live."""
+    state.digest()
+    for section in state._digest_cache.sections.values():
+        whole = [section.whole] if section.whole is not None else []
+        for collection in [*section.collections.values(), *whole]:
+            container = collection.container
+            yield from container.values() if isinstance(container, dict) else container
+
+
+def test_collection_entries_are_scalars_or_frozen_values():
+    # the digest cache sees only writes to collections, so an entry that
+    # could change in place would go stale without a mark
+    plan = FuzzPlan(seed=42, steps=3_000)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    for _ in range(plan.steps):
+        run_action(state, generator.generate())
+    lifecycle = run_scenario(parse_scenario(LIFECYCLE.read_text())).state
+    seen = set()
+    for world in (state, lifecycle):  # the lifecycle schedules a timelock entry
+        for entry in _entries(world):
+            seen.add(type(entry))
+            assert type(entry) in (int, str, bool, type(None)) or (
+                is_dataclass(entry) and type(entry).__dataclass_params__.frozen), entry
+    assert {Auction, SaleRecord, Proposal, TimelockEntry} <= seen
 
 
 # --------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ agree with full scans."""
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -121,28 +122,38 @@ def test_write_set_verdict_equals_full_scan(mutant):
 
 
 def _first_bid_auction(vault):
-    return next(a for a in vault.auctions.values()
+    return next(t for t, a in vault.auctions.items()
                 if a.active and a.highest_bidder != ZERO_ADDRESS)
 
 
 def _first_open_sale(vault):
-    return next(s for s in vault.sales.values() if s.proceeds_remaining > 0)
+    return next(t for t, s in vault.sales.items() if s.proceeds_remaining > 0)
+
+
+def _replace(state, collection, key, change):
+    """An entry is frozen: a write replaces it in its collection."""
+    state.jset(collection, key, change(collection[key]))
 
 
 # one journaled write each that breaks the named invariant
 CORRUPTIONS = {
     "nft_single_owner": lambda state, handle: state.jset(
         state.nft[handle.collection].owners, 5, ZERO_ADDRESS),
-    "governance_soundness": lambda state, handle: state.jsetattr(
-        handle.governance_module(state).proposals[3], "votes_for",
-        handle.governance_module(state).proposals[3].votes_for + 1),
-    "sale_accounting": lambda state, handle: state.jsetattr(
-        _first_open_sale(handle.vault_module(state)), "proceeds_remaining", -1),
-    "vault_params": lambda state, handle: state.jsetattr(
-        _first_bid_auction(handle.vault_module(state)), "starting_price", 10**12),
-    "vault_escrow": lambda state, handle: state.jsetattr(
-        _first_bid_auction(handle.vault_module(state)), "highest_bid",
-        _first_bid_auction(handle.vault_module(state)).highest_bid + 1),
+    "governance_soundness": lambda state, handle: _replace(
+        state, handle.governance_module(state).proposals, 3,
+        lambda proposal: replace(proposal, votes_for=proposal.votes_for + 1)),
+    "sale_accounting": lambda state, handle: _replace(
+        state, handle.vault_module(state).sales,
+        _first_open_sale(handle.vault_module(state)),
+        lambda sale: replace(sale, proceeds_remaining=-1)),
+    "vault_params": lambda state, handle: _replace(
+        state, handle.vault_module(state).auctions,
+        _first_bid_auction(handle.vault_module(state)),
+        lambda auction: replace(auction, starting_price=10**12)),
+    "vault_escrow": lambda state, handle: _replace(
+        state, handle.vault_module(state).auctions,
+        _first_bid_auction(handle.vault_module(state)),
+        lambda auction: replace(auction, highest_bid=auction.highest_bid + 1)),
 }
 
 

@@ -287,3 +287,16 @@ def test_generic_action_rejected_at_creation(gov_world):
                     voting_period=DAY)
     assert "unknown action kind 'generic'" in result.error_message
     assert handle.governance_module(state).proposals == []
+
+
+@pytest.mark.parametrize("action, message", [
+    ("set_auction_duration", "action needs a kind"),
+    ({"kind": "set_auction_duration", "args": [86_400]}, "action args must be an object"),
+], ids=["string-action", "list-args"])
+def test_malformed_action_rejected_at_creation(gov_world, action, message):
+    state, handle = gov_world
+    result = tx_err(state, "InvalidTarget", "alice", handle.governance,
+                    "create_proposal", description="malformed", target=handle.vault,
+                    action=action, voting_period=DAY)
+    assert message in result.error_message
+    assert handle.governance_module(state).proposals == []

@@ -8,7 +8,8 @@ import copy
 import pytest
 
 from fracvault import errors
-from fracvault.ledger import ChainState, HookCall, ReceiveHook, ZERO_ADDRESS
+from fracvault.ledger import (ChainState, ExecutionContext, HookCall, ReceiveHook,
+                              ZERO_ADDRESS)
 from fracvault.vault import Vault
 
 from helpers import native_total, tx, tx_err
@@ -287,6 +288,20 @@ def test_non_ledger_error_rolls_back_and_propagates(world, monkeypatch):
     monkeypatch.undo()
     tx(state, "alice", handle.vault, "deposit_nft",
        nft_address=handle.collection, token_id=1)
+
+
+def test_rolled_back_vote_restores_the_proposal_object(proposal_world):
+    state, handle = proposal_world
+    proposals = handle.governance_module(state).proposals
+    before = proposals[0]
+    frame = state.snapshot()
+    state.call(ExecutionContext("alice"), handle.governance, "vote",
+               {"proposal_id": 0, "support": True})
+    assert proposals[0] is not before
+    assert proposals[0].voters == {"alice": 1_000}
+    state.rollback(frame)
+    assert proposals[0] is before
+    assert before.voters == {} and before.total_votes_cast == 0
 
 
 def test_write_set_of_committed_and_reverted_transactions(chain):

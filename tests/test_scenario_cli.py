@@ -195,6 +195,39 @@ def test_cli_replay_reports_unknown_trace_mutant(tmp_path, lifecycle):
     assert "parse error: unknown mutant 'no-such-mutant'" in result.output
 
 
+@pytest.mark.parametrize("action", [
+    "set_auction_duration",
+    {"kind": "set_auction_duration", "args": ["86400"]},
+], ids=["string-action", "list-args"])
+def test_cli_run_reverts_a_malformed_governance_action(tmp_path, action):
+    document = json.loads(LIFECYCLE.read_text())
+    document["transactions"].append(
+        {"sender": "bob", "call": "governance.create_proposal",
+         "args": {"description": "malformed", "target": "vault",
+                  "action": action, "voting_period": "3600"},
+         "expect": {"error": "InvalidTarget"}})
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    result = CliRunner().invoke(main, ["run", str(path), "--trace",
+                                       str(tmp_path / "t.jsonl")])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("ok: ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"step":"0"}', "record 0: missing 'sender'"),
+    ("[1,2]", "record 0: must be a JSON object"),
+], ids=["missing-fields", "not-an-object"])
+def test_cli_replay_reports_a_malformed_record(tmp_path, lifecycle, line, message):
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), lifecycle, run_scenario(lifecycle).records)
+    header, _, *records = path.read_text().splitlines()
+    path.write_text("\n".join([header, line, *records]) + "\n")
+    result = CliRunner().invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1
+    assert f"parse error: {message}" in result.output
+
+
 def test_cli_fuzz_exit_codes(tmp_path):
     runner = CliRunner()
     report = tmp_path / "r.json"
