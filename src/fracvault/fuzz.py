@@ -3,8 +3,10 @@
 A ``FuzzPlan`` fully determines a run: the same seed, step count, actor
 count, weights and mutant produce byte-identical reports.  The generator
 inspects the evolving world to build semi-valid transactions (reverts are
-expected and count as coverage of the guard paths); every submitted action
-is recorded as plain data so any prefix can be replayed from genesis.
+expected and count as coverage of the guard paths).  Every action is a
+``system.FuzzAction``, the record scenario files and traces hold too, so
+any prefix can be replayed from genesis.  Reports (``-v2``) encode a shrunk
+trace's steps with ``FuzzAction.as_data``; ``from_data`` reads them back.
 
 On an invariant violation the failing prefix is shrunk by delete-only
 ddmin (``ddmin.ddmin``): chunks first, then single elements, until the
@@ -23,7 +25,7 @@ from .ddmin import Replay, ddmin
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import HEALTHY, MUTANTS, Mutations
-from .system import SystemHandle, must, standard_world
+from .system import FuzzAction, SystemHandle, must, run_action, standard_world
 
 ACTOR_FUND = 10**9
 PAIR_FUND = 10**9
@@ -67,40 +69,13 @@ FULL_SCAN_INTERVAL = 1_000
 SHRINK_WINDOW = 4_000
 
 
-@dataclass(frozen=True)
-class FuzzAction:
-    kind: str  # "transact" or "advance_clock"
-    sender: str = ""
-    module: str = ""
-    method: str = ""
-    args: tuple[tuple[str, Any], ...] = ()
-    value: int = 0
-    delta: int = 0
-
-    def as_data(self) -> dict:
-        if self.kind == "advance_clock":
-            return {"kind": self.kind, "delta": self.delta}
-        return {"kind": self.kind, "sender": self.sender, "module": self.module,
-                "method": self.method, "args": {k: v for k, v in self.args},
-                "value": self.value}
-
-    @classmethod
-    def from_data(cls, data: dict) -> "FuzzAction":
-        if data["kind"] == "advance_clock":
-            return cls(kind="advance_clock", delta=int(data["delta"]))
-        return cls(kind="transact", sender=data["sender"], module=data["module"],
-                   method=data["method"], args=tuple(sorted(data["args"].items())),
-                   value=int(data.get("value", 0)))
-
-
 def transact_action(sender: str, module: str, method: str,
                     value: int = 0, **args: Any) -> FuzzAction:
-    return FuzzAction(kind="transact", sender=sender, module=module, method=method,
-                      args=tuple(sorted(args.items())), value=value)
+    return FuzzAction(sender, module, method, args, value)
 
 
 def clock_action(delta: int) -> FuzzAction:
-    return FuzzAction(kind="advance_clock", delta=delta)
+    return FuzzAction("", "", "", {}, 0, delta)
 
 
 @dataclass(frozen=True)
@@ -156,7 +131,7 @@ class FuzzReport:
         return not self.violations
 
     def as_data(self) -> dict:
-        return {"format": "fracvault-fuzz-report-v1", "plan": self.plan.as_data(),
+        return {"format": "fracvault-fuzz-report-v2", "plan": self.plan.as_data(),
                 "steps_executed": self.steps_executed, "commits": self.commits,
                 "reverts": self.reverts, "final_digest": self.final_digest,
                 "passed": self.ok,
@@ -273,6 +248,9 @@ class ActionGenerator:
         self.kinds = [k for k, _ in names_weights]
         self.weights = [w for _, w in names_weights]
         self.next_token_id = 1000  # fresh mints live above the genesis range
+        self.vault = handle.vault_module(state)
+        self.market = handle.market_module(state)
+        self.governance = handle.governance_module(state)
 
     # helpers ----------------------------------------------------------- #
 
@@ -285,21 +263,20 @@ class ActionGenerator:
             return ZERO_ADDRESS
         return self.rng.choice(self.actors)
 
-    def _vault(self):
-        return self.state.modules[self.handle.vault]
-
-    def _market(self):
-        return self.state.modules[self.handle.market]
-
-    def _governance(self):
-        return self.state.modules[self.handle.governance]
-
     def owned_tokens(self, owner: str) -> list[int]:
         owners = self.state.nft[self.handle.collection].owners
         return [t for t, o in owners.items() if o == owner]
 
     def vaulted_tokens(self) -> list[int]:
-        return list(self._vault().original_owner)
+        return list(self.vault.original_owner)
+
+    def token(self, candidates: list[int]) -> int:
+        """One of ``candidates``, or an arbitrary low id if there are none."""
+        return self.rng.choice(candidates) if candidates else self.rng.randrange(1, 20)
+
+    def proposal_id(self) -> int:
+        count = len(self.governance.proposals)
+        return self.rng.randrange(0, count) if count else 0
 
     def amount_near(self, bound: int) -> int:
         if bound <= 0:
@@ -357,17 +334,15 @@ class ActionGenerator:
         sender = self.actor()
         owned = self.owned_tokens(sender)[:3]
         return transact_action(sender, self.handle.vault, "deposit_nfts",
-                               token_ids=tuple(owned))
+                               token_ids=owned)
 
     def gen_withdraw_nft(self) -> FuzzAction:
-        tokens = self.vaulted_tokens()
-        token_id = self.rng.choice(tokens) if tokens else self.rng.randrange(1, 20)
+        token_id = self.token(self.vaulted_tokens())
         return transact_action(self.actor(), self.handle.vault, "withdraw_nft",
                                nft_address=self.handle.collection, token_id=token_id)
 
     def gen_start_auction(self) -> FuzzAction:
-        tokens = self.vaulted_tokens()
-        token_id = self.rng.choice(tokens) if tokens else self.rng.randrange(1, 20)
+        token_id = self.token(self.vaulted_tokens())
         return transact_action(self.actor(), self.handle.vault, "start_auction",
                                asset_address=self.handle.collection,
                                token_id=token_id,
@@ -375,13 +350,12 @@ class ActionGenerator:
                                duration=self.rng.choice([0, 600, 3_600, 86_400]))
 
     def _auction_tokens(self) -> list[int]:
-        return [t for t, a in self._vault().auctions.items() if a.active]
+        return [t for t, a in self.vault.auctions.items() if a.active]
 
     def gen_place_bid(self) -> FuzzAction:
-        live = self._auction_tokens()
-        token_id = self.rng.choice(live) if live else self.rng.randrange(1, 20)
+        token_id = self.token(self._auction_tokens())
         sender = self.actor()
-        auction = self._vault().auctions.get(token_id)
+        auction = self.vault.auctions.get(token_id)
         floor = max(auction.highest_bid, auction.starting_price) if auction else 10
         value = self.amount_near(min(floor + self.rng.randrange(1, 500),
                                      self.state.native.get(sender, 0)))
@@ -389,21 +363,18 @@ class ActionGenerator:
                                value=value, token_id=token_id)
 
     def gen_end_auction(self) -> FuzzAction:
-        live = self._auction_tokens()
-        token_id = self.rng.choice(live) if live else self.rng.randrange(1, 20)
+        token_id = self.token(self._auction_tokens())
         return transact_action(self.actor(), self.handle.vault, "end_auction",
                                token_id=token_id)
 
     def gen_cancel_auction_attempt(self) -> FuzzAction:
-        live = self._auction_tokens()
-        token_id = self.rng.choice(live) if live else self.rng.randrange(1, 20)
+        token_id = self.token(self._auction_tokens())
         return transact_action(self.actor(), self.handle.vault, "cancel_auction",
                                token_id=token_id)
 
     def gen_redeem(self) -> FuzzAction:
-        vault = self._vault()
-        sold = [t for t, s in vault.sales.items() if s.proceeds_remaining > 0]
-        token_id = self.rng.choice(sold) if sold else self.rng.randrange(1, 20)
+        token_id = self.token([t for t, s in self.vault.sales.items()
+                               if s.proceeds_remaining > 0])
         sender = self.actor()
         held = self.state.fungible_balance(self.handle.fractions, sender)
         return transact_action(sender, self.handle.vault, "redeem_fraction_value",
@@ -411,8 +382,7 @@ class ActionGenerator:
                                fraction_amount=self.amount_near(held))
 
     def gen_withdraw_pending(self) -> FuzzAction:
-        vault = self._vault()
-        claimants = [a for a in self.actors if vault.pending.get(a, 0) > 0]
+        claimants = [a for a in self.actors if self.vault.pending.get(a, 0) > 0]
         sender = self.rng.choice(claimants) if claimants and self.rng.random() < 0.8 \
             else self.actor()
         return transact_action(sender, self.handle.vault, "withdraw_pending")
@@ -429,7 +399,7 @@ class ActionGenerator:
 
     def gen_add_liquidity(self) -> FuzzAction:
         sender = self.actor()
-        market = self._market()
+        market = self.market
         held_a = self.state.fungible_balance(market.token_a, sender)
         held_b = self.state.fungible_balance(market.token_b, sender)
         if market.total_shares == 0 or self.rng.random() < 0.2:
@@ -444,14 +414,13 @@ class ActionGenerator:
 
     def gen_remove_liquidity(self) -> FuzzAction:
         sender = self.actor()
-        held = self._market().shares.get(sender, 0)
+        held = self.market.shares.get(sender, 0)
         return transact_action(sender, self.handle.market, "remove_liquidity",
                                shares_burned=self.amount_near(held))
 
     def gen_trade(self) -> FuzzAction:
         sender = self.actor()
-        market = self._market()
-        token_in = self.rng.choice([market.token_a, market.token_b])
+        token_in = self.rng.choice([self.market.token_a, self.market.token_b])
         held = self.state.fungible_balance(token_in, sender)
         amount_in = self.amount_near(min(held, 50_000))
         return transact_action(sender, self.handle.market, "execute_trade",
@@ -470,28 +439,23 @@ class ActionGenerator:
         return transact_action(self.actor(), self.handle.governance,
                                "create_proposal", description=f"change {kind}",
                                target=self.handle.vault,
-                               action=(("args", tuple(sorted(args.items()))),
-                                       ("kind", kind)),
+                               action={"kind": kind, "args": args},
                                voting_period=self.rng.choice([3_600, 86_400]))
 
     def gen_vote(self) -> FuzzAction:
-        count = len(self._governance().proposals)
-        proposal_id = self.rng.randrange(0, count) if count else 0
+        proposal_id = self.proposal_id()
         return transact_action(self.actor(), self.handle.governance, "vote",
                                proposal_id=proposal_id,
                                support=self.rng.random() < 0.7)
 
     def gen_execute_proposal(self) -> FuzzAction:
-        count = len(self._governance().proposals)
-        proposal_id = self.rng.randrange(0, count) if count else 0
+        proposal_id = self.proposal_id()
         return transact_action(self.actor(), self.handle.governance,
                                "execute_proposal", proposal_id=proposal_id)
 
     def gen_cancel_scheduled(self) -> FuzzAction:
-        count = len(self._governance().proposals)
-        proposal_id = self.rng.randrange(0, count) if count else 0
         return transact_action("deployer", self.handle.governance,
-                               "cancel_scheduled", proposal_id=proposal_id)
+                               "cancel_scheduled", proposal_id=self.proposal_id())
 
 
 # --------------------------------------------------------------------- #
@@ -499,30 +463,12 @@ class ActionGenerator:
 # --------------------------------------------------------------------- #
 
 def _action_args(action: FuzzAction) -> dict:
-    # governance actions travel as nested pair sequences; rebuild dicts
-    args = {}
-    for key, value in action.args:
-        if key == "action" and isinstance(value, (tuple, list)):
-            nested = {k: v for k, v in value}
-            args[key] = {"kind": nested.get("kind"),
-                         "args": {k: v for k, v in nested.get("args", ())}}
-        elif isinstance(value, (tuple, list)):
-            args[key] = list(value)
-        else:
-            args[key] = value
-    return args
+    # the benchmark's scenario generator (bench/scenario_gen.py) is the one caller
+    return action.args
 
 
-def run_action(state: ChainState, action: FuzzAction) -> TxResult | None:
-    if action.kind == "advance_clock":
-        state.advance_clock(action.delta)
-        return None
-    return state.transact(action.sender, action.module, action.method,
-                          _action_args(action), value=action.value)
-
-
-def _step_violation(state: ChainState, handle: SystemHandle, plan: FuzzPlan,
-                    action: FuzzAction, pre_digest: str | None,
+def _step_violation(state: ChainState, plan: FuzzPlan, action: FuzzAction,
+                    pre_digest: str | None,
                     checks: WriteSetChecks) -> tuple[TxResult | None, str | None]:
     result = run_action(state, action)
     if plan.check_revert_atomicity and result is not None and not result.ok:
@@ -538,20 +484,15 @@ def _full_scan_due(step: int, last: bool) -> bool:
 
 
 def run_fuzz(plan: FuzzPlan) -> FuzzReport:
-    state, handle, actors = build_fuzz_world(plan)
-    generator = ActionGenerator(plan, state, handle, actors)
-    checks = WriteSetChecks(state, handle, plan.invariants)
+    world = FuzzReplay(plan, "")
+    generator = ActionGenerator(plan, world.state, world.handle, world.actors)
     actions: list[FuzzAction] = []
     commits = reverts = 0
     found: tuple[int, str] | None = None
     for step in range(plan.steps):
         action = generator.generate()
         actions.append(action)
-        pre_digest = state.full_digest() if plan.check_revert_atomicity else None
-        if _full_scan_due(step, step == plan.steps - 1):
-            checks.rescan()
-        result, detail = _step_violation(state, handle, plan, action, pre_digest,
-                                         checks)
+        result, detail = world.check(action, step, step == plan.steps - 1)
         if result is None or result.ok:
             commits += 1
         else:
@@ -559,7 +500,7 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
         if detail is not None:
             found = (step, detail)
             break
-    digest = state.full_digest()
+    digest = world.state.full_digest()
     violations: list[Violation] = []
     if found is not None:
         step, detail = found
@@ -572,23 +513,27 @@ def run_fuzz(plan: FuzzPlan) -> FuzzReport:
 
 
 class FuzzReplay(Replay):
-    """A fuzz world replaying a trace, checked step by step as ``run_fuzz``
-    checks it; an action fails when its step violates ``invariant``.  A
-    fork copies the write-set checks along with the world."""
+    """A fuzz world, checked step by step: ``run_fuzz`` runs one, and a
+    replay of a trace fails at an action whose step violates ``invariant``.
+    A fork copies the write-set checks along with the world."""
 
     def __init__(self, plan: FuzzPlan, invariant: str):
         self.plan = plan
         self.invariant = invariant
-        self.state, self.handle, _ = build_fuzz_world(plan)
+        self.state, self.handle, self.actors = build_fuzz_world(plan)
         self.checks = WriteSetChecks(self.state, self.handle, plan.invariants)
 
-    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
-        state = self.state
-        pre_digest = state.full_digest() if self.plan.check_revert_atomicity else None
+    def check(self, action: FuzzAction, index: int,
+              last: bool) -> tuple[TxResult | None, str | None]:
+        """Run the trace's ``index``-th action: its result and first violation."""
+        pre_digest = self.state.full_digest() if self.plan.check_revert_atomicity \
+            else None
         if _full_scan_due(index, last):
             self.checks.rescan()
-        _, detail = _step_violation(state, self.handle, self.plan, action,
-                                    pre_digest, self.checks)
+        return _step_violation(self.state, self.plan, action, pre_digest, self.checks)
+
+    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
+        _, detail = self.check(action, index, last)
         return detail is not None and detail.split(":", 1)[0] == self.invariant
 
 

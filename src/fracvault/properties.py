@@ -73,7 +73,7 @@ class SuiteReport:
         return [r for r in self.results if not r.passed]
 
     def as_data(self) -> dict:
-        return {"format": "fracvault-suite-report-v1", "seed": self.seed,
+        return {"format": "fracvault-suite-report-v2", "seed": self.seed,
                 "steps": self.steps, "mutant": self.mutant,
                 "passed": self.passed,
                 "properties": [r.as_data() for r in self.results]}
@@ -96,13 +96,17 @@ class CampaignReplay(Replay):
         self.campaign = campaign
         self.state, self.handle, self.extras = campaign.build(mutations)
 
-    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
+    def check(self, action: FuzzAction) -> str | None:
+        """Run ``action``; the campaign's ``after`` verdict on it."""
         campaign, state, handle, extras = (self.campaign, self.state, self.handle,
                                            self.extras)
         token = campaign.before(state, handle, extras, action) \
             if campaign.before else None
         result = run_action(state, action)
-        return bool(campaign.after(state, handle, extras, action, result, token))
+        return campaign.after(state, handle, extras, action, result, token)
+
+    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
+        return bool(self.check(action))
 
 
 def _replay_fails(campaign: Campaign, mutations: Mutations,
@@ -121,16 +125,14 @@ def _minimize(campaign: Campaign, mutations: Mutations,
 
 def run_campaign(campaign: Campaign, seed: int, steps: int,
                  mutations: Mutations = HEALTHY) -> PropertyResult:
-    state, handle, extras = campaign.build(mutations)
+    world = CampaignReplay(campaign, mutations)
     rng = random.Random(f"{seed}:{campaign.name}")
     actions: list[FuzzAction] = []
     for step in range(steps):
-        action = campaign.generate(rng, state, handle, extras, step)
+        action = campaign.generate(rng, world.state, world.handle, world.extras,
+                                   step)
         actions.append(action)
-        token = campaign.before(state, handle, extras, action) \
-            if campaign.before else None
-        result = run_action(state, action)
-        detail = campaign.after(state, handle, extras, action, result, token)
+        detail = world.check(action)
         if detail:
             trace = _minimize(campaign, mutations, actions)
             return PropertyResult(name=campaign.name, passed=False,
@@ -341,13 +343,13 @@ def _duration_campaign() -> Campaign:
         if vault.auction_duration <= 0:
             return f"stored auction duration {vault.auction_duration}"
         if action.method == "set_auction_duration":
-            seconds = dict(action.args)["seconds"]
+            seconds = action.args["seconds"]
             if seconds == 0 and result.ok:
                 return "zero duration accepted"
             if seconds > 0 and not result.ok:
                 return f"positive duration rejected with {result.error}"
         if action.method == "start_auction" and result is not None and result.ok:
-            token_id = dict(action.args)["token_id"]
+            token_id = action.args["token_id"]
             if vault.auctions[token_id].end_time <= pre_clock:
                 return "auction created with a non-positive window"
         return None
@@ -375,7 +377,7 @@ def _royalty_campaign() -> Campaign:
         vault = handle.vault_module(state)
         if not 0 <= vault.royalty_percent <= 100:
             return f"stored royalty {vault.royalty_percent}"
-        percent = dict(action.args)["percent"]
+        percent = action.args["percent"]
         if action.sender == handle.governance:
             if percent > 100 and result.ok:
                 return f"royalty {percent} accepted"
@@ -457,7 +459,7 @@ def _original_owner_campaign() -> Campaign:
     def after(state, handle, extras, action, result, token):
         vault = handle.vault_module(state)
         if action.method == "deposit_nft" and result.ok:
-            token_id = dict(action.args)["token_id"]
+            token_id = action.args["token_id"]
             recorded = vault.original_owner.get(token_id)
             if recorded != action.sender:
                 return (f"deposit of {token_id} by {action.sender} recorded "
@@ -521,8 +523,8 @@ def _quorum_campaign() -> Campaign:
             return transact_action("a0", handle.governance, "create_proposal",
                                    description="starves quorum",
                                    target=handle.vault,
-                                   action=(("args", (("percent", 3),)),
-                                           ("kind", "set_royalty_percent")),
+                                   action={"kind": "set_royalty_percent",
+                                           "args": {"percent": 3}},
                                    voting_period=600)
         if phase == 1:
             return transact_action(rng.choice(("a2", "a3")), handle.governance,
@@ -564,8 +566,8 @@ def _create_proposal_campaign() -> Campaign:
         return transact_action(sender, handle.governance, "create_proposal",
                                description=f"proposal by {sender}",
                                target=handle.vault,
-                               action=(("args", (("seconds", 3_600),)),
-                                       ("kind", "set_auction_duration")),
+                               action={"kind": "set_auction_duration",
+                                       "args": {"seconds": 3_600}},
                                voting_period=rng.choice((600, 86_400)))
 
     def after(state, handle, extras, action, result, token):
@@ -617,7 +619,7 @@ def _liquidity_campaign() -> Campaign:
             return detail
         if action.method == "remove_liquidity" and result.ok and result.value:
             reserve_a, reserve_b, total = token
-            burned = dict(action.args)["shares_burned"]
+            burned = action.args["shares_burned"]
             if total and burned:
                 expect = (burned * reserve_a // total, burned * reserve_b // total)
                 if tuple(result.value) != expect:
@@ -653,7 +655,7 @@ def _trade_campaign() -> Campaign:
 
     def before(state, handle, extras, action):
         market = handle.market_module(state)
-        args = dict(action.args)
+        args = action.args
         reserve_in, reserve_out = (
             (market.reserve_a, market.reserve_b)
             if args["token_in"] == market.token_a
@@ -665,7 +667,7 @@ def _trade_campaign() -> Campaign:
     def after(state, handle, extras, action, result, token):
         quote, product = token
         market = handle.market_module(state)
-        args = dict(action.args)
+        args = action.args
         if result.ok:
             if quote is None or result.value != quote:
                 return f"trade paid {result.value}, formula says {quote}"
@@ -934,8 +936,8 @@ def _timelock_campaign() -> Campaign:
             return transact_action("a0", handle.governance, "create_proposal",
                                    description="timed change",
                                    target=handle.vault,
-                                   action=(("args", (("seconds", 7_200),)),
-                                           ("kind", "set_auction_duration")),
+                                   action={"kind": "set_auction_duration",
+                                           "args": {"seconds": 7_200}},
                                    voting_period=600)
         if phase == 1:
             return transact_action("a0", handle.governance, "vote",
@@ -966,7 +968,7 @@ def _timelock_campaign() -> Campaign:
                 return f"unexpected execution error {result.error}"
             return None
         if result.value == "Executed":
-            pid = dict(action.args)["proposal_id"]
+            pid = action.args["proposal_id"]
             timelock = handle.timelock_module(state)
             entry = timelock.entries[pid]
             if entry.executed_at is None or \
@@ -992,13 +994,13 @@ def _authorization_chain_campaign() -> Campaign:
         pid = max(extras["created"] - 1, 0)
         if phase == 0:
             kind = rng.choice(("set_auction_duration", "set_royalty_percent"))
-            args = (("seconds", rng.randrange(600, 90_000)),) \
+            args = {"seconds": rng.randrange(600, 90_000)} \
                 if kind == "set_auction_duration" \
-                else (("percent", rng.randrange(0, 101)),)
+                else {"percent": rng.randrange(0, 101)}
             return transact_action("a0", handle.governance, "create_proposal",
                                    description="governed change",
                                    target=handle.vault,
-                                   action=(("args", args), ("kind", kind)),
+                                   action={"kind": kind, "args": args},
                                    voting_period=600)
         if phase in (1, 2):
             return transact_action(("a0", "a1")[phase - 1], handle.governance,

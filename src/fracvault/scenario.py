@@ -5,8 +5,11 @@ Format (``fracvault-scenario-v1``): amounts are decimal strings; account and
 module ids are strings containing at least one non-digit.  Every transaction
 entry names a ``sender`` and a ``call`` ("module.method"), may attach
 ``value`` and a pre-call ``advance_clock``, and pins its outcome with
-``expect``: either ``"success"`` or ``{"error": "<ErrorName>"}``.  A run
-aborts on the first expectation mismatch, naming the step.
+``expect``: either ``"success"`` or ``{"error": "<ErrorName>"}``.  Each
+entry decodes to a ``system.FuzzAction``; ``execute_entry`` runs it and adds
+the outcome (result, return value, events, digest) as a ``TraceRecord``, for
+``run_scenario`` and ``trace.replay_trace`` alike.  A run aborts on the
+first expectation mismatch, naming the step.
 
 Each deployment entry is installed by ``system.deploy_module``.  The
 bundled ``scenarios/lifecycle.json`` deploys ``system.STANDARD_DEPLOYMENT``
@@ -22,45 +25,40 @@ from typing import Any
 
 from .ledger import ChainState, HookCall, ReceiveHook, normalize
 from .mutations import HEALTHY, MUTANTS, Mutations
-from .system import GenesisParams, ScenarioError, deploy_module
+from .system import (FuzzAction, GenesisParams, ScenarioError, decode_value,
+                     deploy_module, parse_amount, run_action)
 
 FORMAT = "fracvault-scenario-v1"
 
 
 class ExpectationMismatch(Exception):
-    def __init__(self, step: int, expected: str, got: str, message: str = ""):
+    def __init__(self, step: int, expected: str, got: str):
         self.step = step
         self.expected = expected
         self.got = got
-        super().__init__(
-            f"transactions[{step}]: expected {expected}, got {got}"
-            + (f" ({message})" if message else ""))
+        super().__init__(f"transactions[{step}]: expected {expected}, got {got}")
 
 
 @dataclass
 class TraceRecord:
+    """One executed step: its record and the outcome."""
     step: int
-    sender: str
-    call: str
-    args: dict
-    value: int
-    advance_clock: int
+    action: FuzzAction
     result: str  # "success" or the error name
     returned: Any
     events: list[dict]
     digest: str
 
+    def outcome(self) -> dict:
+        return {"result": self.result, "return": normalize(self.returned),
+                "events": self.events, "digest": self.digest}
+
     def as_data(self) -> dict:
-        return {"step": self.step, "sender": self.sender, "call": self.call,
-                "args": normalize(self.args), "value": str(self.value),
-                "advance_clock": str(self.advance_clock), "result": self.result,
-                "return": normalize(self.returned), "events": self.events,
-                "digest": self.digest}
+        return {"step": self.step, **self.action.as_data(), **self.outcome()}
 
 
 @dataclass
 class ScenarioRun:
-    scenario: dict
     records: list[TraceRecord] = field(default_factory=list)
     state: ChainState | None = None
 
@@ -70,6 +68,7 @@ class ScenarioRun:
 # --------------------------------------------------------------------- #
 
 def parse_scenario(text: str) -> dict:
+    """The document, each transaction decoded to ``(action, expected result)``."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -81,8 +80,16 @@ def parse_scenario(text: str) -> dict:
     check_world(document)
     if not isinstance(document.get("transactions"), list):
         raise ScenarioError("'transactions' section missing or mistyped")
-    for i, entry in enumerate(document["transactions"]):
-        check_transaction(entry, f"transactions[{i}]")
+    transactions = document["transactions"]
+    for i, entry in enumerate(transactions):
+        where = f"transactions[{i}]"
+        action = decode_transaction(entry, where)
+        expect = entry.get("expect", "success")  # "success" or the error name
+        if isinstance(expect, dict) and isinstance(expect.get("error"), str):
+            expect = expect["error"]
+        elif expect != "success":
+            raise ScenarioError(f"{where}: bad 'expect'")
+        transactions[i] = (action, expect)
     return document
 
 
@@ -100,47 +107,18 @@ def check_world(document: dict) -> None:
                 raise ScenarioError(f"deployment[{i}]: missing {key!r}")
 
 
-def check_transaction(entry: Any, where: str) -> None:
-    """Check one transaction entry or trace record; ``where`` names it."""
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{where}: must be a JSON object")
-    if not isinstance(entry.get("sender"), str):
+def decode_transaction(entry: Any, where: str) -> FuzzAction:
+    """Decode one transaction entry or trace record, which must name a call;
+    ``where`` names it."""
+    action = FuzzAction.from_data(entry, where)
+    if not action.method:
         raise ScenarioError(f"{where}: missing 'sender'")
-    call = entry.get("call")
-    if not isinstance(call, str) or call.count(".") != 1:
-        raise ScenarioError(f"{where}: 'call' must be 'module.method'")
-    expect = entry.get("expect", "success")
-    if expect != "success" and not (isinstance(expect, dict)
-                                    and isinstance(expect.get("error"), str)):
-        raise ScenarioError(f"{where}: bad 'expect'")
+    return action
 
 
 def load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read())
-
-
-def _amount(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ScenarioError(f"{where}: amounts are decimal strings")
-    try:
-        number = int(value)
-    except ValueError:
-        raise ScenarioError(f"{where}: {value!r} is not a decimal amount") from None
-    if number < 0:
-        raise ScenarioError(f"{where}: negative amount")
-    return number
-
-
-def _decode(value: Any) -> Any:
-    """File-to-runtime value mapping: digit strings become integers."""
-    if isinstance(value, str) and value.isdigit():
-        return int(value)
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _decode(v) for k, v in value.items()}
-    return value
 
 
 # --------------------------------------------------------------------- #
@@ -152,8 +130,8 @@ def _parse_hook(owner: str, spec: dict) -> ReceiveHook:
     for entry in spec.get("calls", []):
         calls.append(HookCall(
             module=entry["module"], method=entry["method"],
-            args=tuple(sorted(_decode(entry.get("args", {})).items())),
-            value=_amount(entry.get("value", 0), f"hook of {owner}"),
+            args=tuple(sorted(decode_value(entry.get("args", {})).items())),
+            value=parse_amount(entry.get("value", 0), f"hook of {owner}"),
             require_success=bool(entry.get("require_success", False)),
             record_result=bool(entry.get("record_result", False))))
     max_activations = spec.get("max_activations")
@@ -175,11 +153,11 @@ def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainStat
     hooks: list[tuple[str, ReceiveHook]] = []
     for account, spec in genesis["accounts"].items():
         if isinstance(spec, dict):
-            state.fund(account, _amount(spec.get("balance", 0), account))
+            state.fund(account, parse_amount(spec.get("balance", 0), account))
             if "hook" in spec:
                 hooks.append((account, _parse_hook(account, spec["hook"])))
         else:
-            state.fund(account, _amount(spec, account))
+            state.fund(account, parse_amount(spec, account))
     for i, entry in enumerate(scenario["deployment"]):
         deploy_module(state, entry, params, mutations, i)
     for account, hook in hooks:
@@ -193,29 +171,20 @@ def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainStat
 
 def run_scenario(scenario: dict, mutations: Mutations | None = None) -> ScenarioRun:
     state = build_world(scenario, mutations)
-    run = ScenarioRun(scenario=scenario, state=state)
-    for step, entry in enumerate(scenario["transactions"]):
-        record = execute_entry(state, step, entry)
+    run = ScenarioRun(state=state)
+    for step, (action, expected) in enumerate(scenario["transactions"]):
+        record = execute_entry(state, step, action)
         run.records.append(record)
-        expect = entry.get("expect", "success")
-        expected = "success" if expect == "success" else expect["error"]
         if record.result != expected:
             raise ExpectationMismatch(step, expected, record.result)
     return run
 
 
-def execute_entry(state: ChainState, step: int, entry: dict) -> TraceRecord:
-    module, method = entry["call"].split(".", 1)
-    args = _decode(entry.get("args", {}))
-    value = _amount(entry.get("value", 0), f"transactions[{step}].value")
-    advance = _amount(entry.get("advance_clock", 0),
-                      f"transactions[{step}].advance_clock")
-    if advance:
-        state.advance_clock(advance)
-    result = state.transact(entry["sender"], module, method, args, value=value)
+def execute_entry(state: ChainState, step: int, action: FuzzAction) -> TraceRecord:
+    """Run ``action``, which names a call, and record its outcome."""
+    result = run_action(state, action)
     return TraceRecord(
-        step=step, sender=entry["sender"], call=entry["call"], args=args,
-        value=value, advance_clock=advance,
+        step=step, action=action,
         result="success" if result.ok else (result.error or "error"),
         returned=result.value if result.ok else None,
         events=[e.as_data() for e in result.events], digest=state.digest())

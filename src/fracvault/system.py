@@ -10,17 +10,23 @@ token, market) that ``scenarios/lifecycle.json`` also lists.
 ``standard_world`` funds the accounts and deploys that stack.  The fuzz
 world (``fuzz.build_fuzz_world``), the sold world (``fuzz.build_sold_world``)
 and the other property and attack worlds start from it through
-``fuzz.actor_world``, and run their setup transactions as
-``fuzz.FuzzAction`` lists through ``fuzz.run_setup``.
+``fuzz.actor_world``, and run their setup transactions as ``FuzzAction``
+lists through ``fuzz.run_setup``.
+
+``FuzzAction`` is the one transaction record (a fuzz or campaign action, a
+scenario transaction, a trace record's inputs) and ``run_action`` its one
+executor; its file encoding is the input fields of a ``fracvault-trace-v1``
+record, decoded as scenario files are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, NamedTuple
 
 from .governance import (DEFAULT_PROPOSAL_THRESHOLD_BPS, DEFAULT_TIMELOCK_DELAY,
                          Governance, Timelock)
-from .ledger import Address, ChainState, TxResult
+from .ledger import Address, ChainState, TxResult, normalize
 from .market import DEFAULT_FEE_MULTIPLIER, Market
 from .mutations import HEALTHY, Mutations
 from .tokens import FractionalToken, FungibleToken, NftCollection
@@ -45,6 +51,83 @@ STANDARD_DEPLOYMENT: tuple[dict, ...] = (
 
 class ScenarioError(Exception):
     """Malformed scenario document; the message carries line/step context."""
+
+
+def parse_amount(value: Any, where: str) -> int:
+    """A non-negative decimal amount of a scenario file; ``where`` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ScenarioError(f"{where}: amounts are decimal strings")
+    try:
+        number = int(value)
+    except ValueError:
+        raise ScenarioError(f"{where}: {value!r} is not a decimal amount") from None
+    if number < 0:
+        raise ScenarioError(f"{where}: negative amount")
+    return number
+
+
+def decode_value(value: Any) -> Any:
+    """File-to-runtime value mapping: digit strings become integers."""
+    if isinstance(value, str) and value.isdigit():
+        return int(value)
+    if isinstance(value, list):
+        return [decode_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: decode_value(v) for k, v in value.items()}
+    return value
+
+
+class FuzzAction(NamedTuple):
+    """One transaction: ``sender`` calls ``module.method`` with ``args``, the
+    keyword arguments the method receives, attaching ``value``, after the
+    clock advances by ``delta``.  A record with no call (an empty
+    ``method``) is a clock-only step."""
+
+    sender: str
+    module: str
+    method: str
+    args: dict
+    value: int = 0
+    delta: int = 0
+
+    def as_data(self) -> dict:
+        if not self.method:
+            return {"advance_clock": str(self.delta)}
+        return {"sender": self.sender, "call": f"{self.module}.{self.method}",
+                "args": normalize(self.args), "value": str(self.value),
+                "advance_clock": str(self.delta)}
+
+    @classmethod
+    def from_data(cls, data: Any, where: str = "step") -> "FuzzAction":
+        """Decode ``as_data`` output or a scenario entry; an entry with
+        neither ``sender`` nor ``call`` is a clock-only step."""
+        if not isinstance(data, dict):
+            raise ScenarioError(f"{where}: must be a JSON object")
+        delta = parse_amount(data.get("advance_clock", 0), f"{where}.advance_clock")
+        if "sender" not in data and "call" not in data:
+            return cls("", "", "", {}, 0, delta)
+        call, args = data.get("call"), data.get("args", {})
+        if not isinstance(data.get("sender"), str):
+            raise ScenarioError(f"{where}: missing 'sender'")
+        module, _, method = call.partition(".") if isinstance(call, str) \
+            else ("", "", "")
+        if not module or not method or "." in method:
+            raise ScenarioError(f"{where}: 'call' must be 'module.method'")
+        if not isinstance(args, dict):
+            raise ScenarioError(f"{where}: 'args' must be a JSON object")
+        return cls(data["sender"], module, method, decode_value(args),
+                   parse_amount(data.get("value", 0), f"{where}.value"), delta)
+
+
+def run_action(state: ChainState, action: FuzzAction) -> TxResult | None:
+    """Advance the clock by ``action.delta``, then run its call; None for a
+    clock-only step."""
+    if action.delta:
+        state.advance_clock(action.delta)
+    if not action.method:
+        return None
+    return state.transact(action.sender, action.module, action.method,
+                          action.args, value=action.value)
 
 
 @dataclass(frozen=True)
@@ -72,11 +155,7 @@ class GenesisParams:
         return cls(**values)
 
     def as_data(self) -> dict:
-        return {"auction_duration": self.auction_duration,
-                "royalty_percent": self.royalty_percent,
-                "fee_multiplier": self.fee_multiplier,
-                "timelock_delay": self.timelock_delay,
-                "proposal_threshold_bps": self.proposal_threshold_bps}
+        return asdict(self)
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Trace files: one JSON line per executed transaction plus a header, with a
 state digest after every step so replay detects any divergence.
 
-Replay rebuilds the world from the header's genesis and deployment, applies
-each recorded transaction's inputs, and compares result, return value,
-events and digest against the record.  Any difference raises
-``DigestMismatch`` naming the step and field; an edited or truncated trace
-cannot replay clean.
+A record's inputs are a ``system.FuzzAction`` in its ``as_data`` encoding
+(sender, call, args, value, advance_clock); its outcome adds result,
+return value, events and digest.  Replay rebuilds the world from the
+header's genesis and deployment, runs each decoded record through
+``scenario.execute_entry``, and compares the outcome against the record.
+Any difference raises ``DigestMismatch`` naming the step and field; an
+edited or truncated trace cannot replay clean.  A malformed line is a
+``ScenarioError`` naming its line number and record.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 import json
 
 from .ledger import canonical_json, normalize
-from .scenario import (ScenarioError, TraceRecord, build_world, check_transaction,
-                       check_world, execute_entry)
+from .scenario import (FuzzAction, ScenarioError, TraceRecord, build_world,
+                       check_world, decode_transaction, execute_entry)
 
 FORMAT = "fracvault-trace-v1"
 
@@ -38,39 +41,39 @@ def write_trace(path: str, scenario: dict, records: list[TraceRecord]) -> None:
             fh.write(canonical_json(record.as_data()) + "\n")
 
 
-def read_trace(path: str) -> tuple[dict, list[dict]]:
+def read_trace(path: str) -> tuple[dict, list[tuple[FuzzAction, dict]]]:
+    """The header, and each record decoded to its action next to its data."""
+    header = None
+    records: list[tuple[FuzzAction, dict]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = "header" if header is None else f"record {len(records)}"
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ScenarioError(f"line {number}: {where}: {exc.msg}") from exc
+            if header is not None:
+                records.append((decode_transaction(data, where), data))
+                continue
+            if not isinstance(data, dict):
+                raise ScenarioError("trace header must be a JSON object")
+            if data.get("format") != FORMAT:
+                raise ScenarioError(f"unsupported trace format {data.get('format')!r}")
+            check_world(data)
+            header = data
+    if header is None:
         raise ScenarioError("empty trace file")
-    try:
-        header = json.loads(lines[0])
-        records = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(header, dict):
-        raise ScenarioError("trace header must be a JSON object")
-    if header.get("format") != FORMAT:
-        raise ScenarioError(f"unsupported trace format {header.get('format')!r}")
-    check_world(header)
-    for i, record in enumerate(records):
-        check_transaction(record, f"record {i}")
     return header, records
 
 
 def replay_trace(path: str) -> int:
     """Re-execute a trace and verify every record; returns the step count."""
     header, records = read_trace(path)
-    scenario = {"format": "fracvault-scenario-v1",
-                "genesis": header["genesis"],
-                "deployment": header["deployment"],
-                "mutant": header.get("mutant"),
-                "transactions": []}
-    state = build_world(scenario)
-    for i, recorded in enumerate(records):
-        produced = execute_entry(state, i, recorded).as_data()
-        for field in ("result", "return", "events", "digest"):
-            if produced[field] != recorded.get(field):
-                raise DigestMismatch(i, field, recorded.get(field),
-                                     produced[field])
+    state = build_world(header)  # its genesis, deployment and mutant
+    for i, (action, recorded) in enumerate(records):
+        for field, produced in execute_entry(state, i, action).outcome().items():
+            if produced != recorded.get(field):
+                raise DigestMismatch(i, field, recorded.get(field), produced)
     return len(records)

@@ -58,23 +58,23 @@ def test_fuzz_final_digest_pinned():
 # steps, shrunk trace included) and suite report (seed 0, 400 steps)
 MUTANT_REPORTS = {
     "drop-burn-before-pay": (
-        "cafcc388b12e95b7f2bf89416f43a76a32a358710d802c534585a0974bfc4ecd",
-        "2486b85ae1f4003a53b1e19c854dcbce640940f738a227a2de639d20eb826eb6"),
+        "f45b7ae4bd2d2a3e93c65f9d4bcd6208955046da369497ad6e42fb94d2a28cac",
+        "8072c2cef2e2be426223a8b3ae682fe9dc2e150279065d36483f07a13ae3838b"),
     "drop-only-vault": (
-        "04c22c1ad94efaa29a55b684aebb1d392ad64f7329eab09a6bac37455a557d16",
-        "b720937cf14391c8eca149b1695a93080b0288b87cab968ce59ba6928ee5aa4c"),
+        "9977afb453c765e3c1a887548a7cec261f573125d931152f5cb2496607b8628b",
+        "9b7777b34efbd2570c459dc01a6d272bdcef07129b4e4ff57759eab3f80e7813"),
     "drop-quorum-check": (
-        "149bb18348f3152a9d3c01db456e91a13d7d76c06d11084c5fdf7f4576193fcf",
-        "4988bae31c93d01c35fae59029cc2d4de770d9f02dc352bbb1d525266859a304"),
+        "2538adac860244dbda3d6df7eff925b84ac64f4dfc4cd65d1c86dc0b8a7c7b1d",
+        "606a4c5d9a7fe806eb5d745fd0a8428b85ba325614881c5033c2c3c3e0caa648"),
     "drop-reentrancy-guard": (
-        "046cd2a937430d128e46b170834e628b13486b170c34cab97d9f07227536965a",
-        "c7eea3695f53b2527c5b457a111c9fb9302208cde15aadd6cfebe3c1e2ebe578"),
+        "2032efe050233a966b45238d54afebcec353cb3ade373a2044594cfb340fc0e3",
+        "78e368aa9804a4db48a374552d70b016ecf34a9cb3f45f9ede4371a561305778"),
     "drop-set-once-governance": (
-        "fd3997bb12750db11098be171c6d911d2f427e8adfa7b15ec329d33601d34efa",
-        "ae8e339df658366b9804aea53adc0e71a3bb7a5ad108517959b70a465d8af528"),
+        "d0cdab57c031515a657f61163254534fb74d4a59173a7fdfbc1148c39574bef4",
+        "0c200e52554802aedf8872252a432fef47786309c7018f8d8e85e13be88a27b5"),
     "drop-slippage-check": (
-        "c9d8aceb458b4c96037e3731fbc474b1822b7310adc66f0ffaa6fb623f4cd0b3",
-        "6e2e9ec9ff04879a5c43dd6bbe14891cc1a27b0ad844a9e36dcc7fad3c3e7873"),
+        "0bdcea5eb6904180259de6f072da8de176444d564a6303d83e447f155a0ba3fa",
+        "92ceb2d0f085cf1734841f65ac5016150737c491e756a9b5a9b548669fcd2cee"),
 }
 
 
@@ -97,8 +97,8 @@ def test_cached_digest_equals_full_recompute_on_lifecycle():
     scenario = parse_scenario(LIFECYCLE.read_text())
     state = build_world(scenario)
     assert state.digest() == state.full_digest()
-    for step, entry in enumerate(scenario["transactions"]):
-        record = execute_entry(state, step, entry)
+    for step, (action, _) in enumerate(scenario["transactions"]):
+        record = execute_entry(state, step, action)
         assert record.digest == state.full_digest(), step
 
 
@@ -596,8 +596,8 @@ def _mutable_payload_values(events) -> list:
 def test_event_payloads_hold_only_scalars():
     scenario = parse_scenario(LIFECYCLE.read_text())
     state = build_world(scenario)
-    for step, entry in enumerate(scenario["transactions"]):
-        execute_entry(state, step, entry)
+    for step, (action, _) in enumerate(scenario["transactions"]):
+        execute_entry(state, step, action)
     assert _mutable_payload_values(state.events) == []
     plan = FuzzPlan(seed=42, steps=2_000)
     state, handle, actors = build_fuzz_world(plan)

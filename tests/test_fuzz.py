@@ -6,6 +6,7 @@ agree with full scans."""
 from __future__ import annotations
 
 import copy
+import json
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from fracvault import fuzz
 from fracvault.ddmin import Replay, ddmin
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, build_fuzz_world,
-                            replay_violates, run_action, run_fuzz)
+                            clock_action, replay_violates, run_action, run_fuzz,
+                            transact_action)
 from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, canonical_json, normalize
 from fracvault.mutations import MUTANTS
@@ -55,11 +57,27 @@ def test_revert_atomicity_mode_clean():
 
 
 def test_action_round_trip():
-    action = FuzzAction(kind="transact", sender="a1", module="vault",
-                        method="place_bid", args=(("token_id", 3),), value=55)
-    assert FuzzAction.from_data(action.as_data()) == action
-    clock = FuzzAction(kind="advance_clock", delta=600)
-    assert FuzzAction.from_data(clock.as_data()) == clock
+    actions = [
+        transact_action("a1", "vault", "place_bid", value=55, token_id=3),
+        transact_action("a0", "governance", "create_proposal",
+                        description="change set_royalty_percent", target="vault",
+                        action={"kind": "set_royalty_percent",
+                                "args": {"percent": 7}},
+                        voting_period=3_600),
+        transact_action("a2", "vault", "deposit_nfts", token_ids=[1, 2, 3]),
+        transact_action("a3", "governance", "vote", proposal_id=0, support=True),
+        clock_action(600),
+    ]
+    for action in actions:
+        data = action.as_data()
+        assert FuzzAction.from_data(data) == action
+        # what a report file holds: normalized JSON
+        written = json.loads(json.dumps(normalize(data)))
+        assert FuzzAction.from_data(written) == action
+    assert actions[-1] == FuzzAction("", "", "", {}, 0, 600)
+    assert actions[-1].as_data() == {"advance_clock": "600"}
+    assert actions[1].as_data()["args"]["action"] == \
+        {"kind": "set_royalty_percent", "args": {"percent": "7"}}
 
 
 def test_mutant_caught_with_minimal_trace():

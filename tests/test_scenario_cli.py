@@ -1,5 +1,5 @@
-"""Scenario execution, trace replay idempotence, tamper detection, and the
-CLI exit-code contract."""
+"""Scenario execution, trace replay idempotence, tamper detection, the CLI
+exit-code contract, and reports that reproduce their findings from disk."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from fracvault.cli import main
+from fracvault.fuzz import FuzzAction, FuzzPlan, replay_violates
+from fracvault.mutations import MUTANTS
+from fracvault.properties import replay_property_trace
 from fracvault.scenario import (ExpectationMismatch, ScenarioError,
                                 build_world, parse_scenario, run_scenario)
 from fracvault.system import STANDARD_DEPLOYMENT
@@ -214,10 +217,50 @@ def test_cli_run_reverts_a_malformed_governance_action(tmp_path, action):
     assert result.output.startswith("ok: ")
 
 
+# a malformed transaction, and the error after the name of its entry
+MALFORMED_TRANSACTIONS = {
+    "list-args": ({"sender": "bob", "call": "vault.withdraw_pending", "args": [1]},
+                  ": 'args' must be a JSON object"),
+    "non-decimal-value": ({"sender": "bob", "call": "vault.withdraw_pending",
+                           "value": "1e3"},
+                          ".value: '1e3' is not a decimal amount"),
+    "negative-clock": ({"sender": "bob", "call": "vault.withdraw_pending",
+                        "advance_clock": "-5"}, ".advance_clock: negative amount"),
+    "no-method": ({"sender": "bob", "call": "vault."},
+                  ": 'call' must be 'module.method'"),
+}
+
+
+@pytest.mark.parametrize("entry, message", list(MALFORMED_TRANSACTIONS.values()),
+                         ids=list(MALFORMED_TRANSACTIONS))
+def test_cli_run_reports_a_malformed_transaction(tmp_path, entry, message):
+    document = json.loads(LIFECYCLE.read_text())
+    index = len(document["transactions"])
+    document["transactions"].append(entry)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1
+    assert f"parse error: transactions[{index}]{message}" in result.output
+
+
+def test_cli_replay_names_the_line_of_a_syntax_error(tmp_path, lifecycle):
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), lifecycle, run_scenario(lifecycle).records)
+    lines = path.read_text().splitlines()
+    lines[6] = lines[6].replace('"step":', "step:", 1)  # the seventh line
+    path.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1
+    assert "parse error: line 7: record 5: Expecting property name" in result.output
+
+
 @pytest.mark.parametrize("line, message", [
     ('{"step":"0"}', "record 0: missing 'sender'"),
     ("[1,2]", "record 0: must be a JSON object"),
-], ids=["missing-fields", "not-an-object"])
+] + [(json.dumps(entry), f"record 0{message}")
+     for entry, message in MALFORMED_TRANSACTIONS.values()],
+    ids=["missing-fields", "not-an-object", *MALFORMED_TRANSACTIONS])
 def test_cli_replay_reports_a_malformed_record(tmp_path, lifecycle, line, message):
     path = tmp_path / "t.jsonl"
     write_trace(str(path), lifecycle, run_scenario(lifecycle).records)
@@ -271,3 +314,35 @@ def test_cli_report_dir_env(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["fuzz", "--seed", "2", "--steps", "50"])
     assert result.exit_code == 0
     assert (tmp_path / "reports" / "fuzz-seed2-steps50.json").exists()
+
+
+# --------------------------------------------------------------------- #
+# Reports read back from disk
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("mutant", ["drop-burn-before-pay", "drop-quorum-check"])
+def test_written_fuzz_report_reproduces_its_violation(tmp_path, mutant):
+    path = tmp_path / "fuzz.json"
+    result = CliRunner().invoke(main, ["fuzz", "--seed", "42", "--steps", "20000",
+                                       "--mutant", mutant, "--report", str(path)])
+    assert result.exit_code == 1, result.output
+    violations = json.loads(path.read_text())["violations"]
+    assert violations
+    plan = FuzzPlan(seed=42, steps=20_000, mutant=mutant)
+    for violation in violations:
+        trace = [FuzzAction.from_data(step) for step in violation["trace"]]
+        assert replay_violates(plan, trace, violation["invariant"])
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_written_suite_report_reproduces_its_failures(tmp_path, mutant):
+    path = tmp_path / "suite.json"
+    result = CliRunner().invoke(main, ["suite", "--seed", "0", "--steps", "400",
+                                       "--mutant", mutant, "--report", str(path)])
+    assert result.exit_code == 1, result.output
+    traced = [p for p in json.loads(path.read_text())["properties"] if p["trace"]]
+    assert traced
+    for failure in traced:
+        trace = [FuzzAction.from_data(step) for step in failure["trace"]]
+        assert replay_property_trace(failure["name"], trace, MUTANTS[mutant]), \
+            failure["name"]
