@@ -18,12 +18,14 @@ replay from genesis.
 from __future__ import annotations
 
 import random
+from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import accumulate
+from typing import Any, Callable
 
 from .ddmin import Replay, ddmin
 from .invariants import ALL_INVARIANTS, WriteSetChecks
-from .ledger import ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
+from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import HEALTHY, MUTANTS, Mutations
 from .system import FuzzAction, SystemHandle, must, run_action, standard_world
 
@@ -236,6 +238,106 @@ def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str
 # Action generation
 # --------------------------------------------------------------------- #
 
+class _Index:
+    """The keys of one dict, grouped by ``group(value)`` (a group of None
+    holds nothing), each group a list in the dict's order.
+
+    ``apply`` takes a transaction's journal entries for the dict: an entry
+    whose old value is ``ABSENT`` inserted its key, which puts the key at
+    the end of the dict's order, and a key no longer present is dropped.
+    """
+
+    def __init__(self, mapping: dict, group: Callable[[Any], Any]):
+        self.mapping = mapping
+        self.group = group
+        self.place: dict[Any, int] = {}  # key -> its place in the dict's order
+        self.next_place = 0
+        self.member: dict[Any, Any] = {}  # key -> its group
+        # group -> (places, keys), both in the dict's order
+        self.groups: dict[Any, tuple[list[int], list]] = {}
+        self.apply([(key, ABSENT) for key in mapping])
+
+    def keys(self, group: Any) -> list:
+        """The keys in ``group``, in the dict's order; do not modify."""
+        found = self.groups.get(group)
+        return found[1] if found is not None else []
+
+    def apply(self, entries: list[tuple[Any, Any]]) -> None:
+        written = {}
+        for key, old in entries:
+            if old is ABSENT:
+                self._leave(key)
+                self.place[key] = self.next_place
+                self.next_place += 1
+            written[key] = None
+        for key in written:
+            value = self.mapping.get(key, ABSENT)
+            if value is ABSENT:
+                self._leave(key)
+                del self.place[key]
+                continue
+            group = self.group(value)
+            if self.member.get(key) != group:
+                self._leave(key)
+                if group is not None:
+                    places, keys = self.groups.setdefault(group, ([], []))
+                    i = bisect_left(places, self.place[key])
+                    places.insert(i, self.place[key])
+                    keys.insert(i, key)
+                    self.member[key] = group
+
+    def _leave(self, key: Any) -> None:
+        group = self.member.pop(key, None)
+        if group is not None:
+            places, keys = self.groups[group]
+            i = bisect_left(places, self.place[key])
+            del places[i], keys[i]
+
+
+class DrawIndex:
+    """What ``ActionGenerator`` draws tokens from, kept from the write set
+    of each transaction instead of scanned at every draw: each owner's
+    NFTs, the active auctions, the sales with proceeds left and the vaulted
+    NFTs, each in its collection's dict order, so that a draw equals the
+    draw from a scan.  ``sync`` applies ``state.last_writes`` when one
+    transaction ran since the last sync, and rebuilds from the world when
+    more did."""
+
+    def __init__(self, state: ChainState, handle: SystemHandle):
+        self.state = state
+        vault = handle.vault_module(state)
+        self._sources = (state.nft[handle.collection].owners, vault.auctions,
+                         vault.sales, vault.original_owner)
+        self.rebuild()
+
+    def rebuild(self) -> None:
+        owners, auctions, sales, vaulted = self._sources
+        self.owners = _Index(owners, lambda owner: owner)
+        self.auctions = _Index(auctions, lambda auction: auction.active or None)
+        self.sales = _Index(sales, lambda sale: sale.proceeds_remaining > 0 or None)
+        self.vaulted = _Index(vaulted, lambda _: True)
+        self._by_id = {id(index.mapping): index for index in
+                       (self.owners, self.auctions, self.sales, self.vaulted)}
+        self.synced = self.state.tx_index
+
+    def sync(self) -> None:
+        tx_index = self.state.tx_index
+        if tx_index == self.synced:
+            return
+        if tx_index != self.synced + 1:
+            self.rebuild()  # a transaction ran unseen
+            return
+        self.synced = tx_index
+        entries: dict[_Index, list[tuple[Any, Any]]] = {}
+        by_id = self._by_id
+        for container, key, old in self.state.last_writes:
+            index = by_id.get(id(container))
+            if index is not None:
+                entries.setdefault(index, []).append((key, old))
+        for index, written in entries.items():
+            index.apply(written)
+
+
 class ActionGenerator:
     def __init__(self, plan: FuzzPlan, state: ChainState, handle: SystemHandle,
                  actors: list[str]):
@@ -245,12 +347,16 @@ class ActionGenerator:
         self.actors = actors
         self.rng = random.Random(plan.seed)
         names_weights = [(k, w) for k, w in plan.weights if w > 0]
-        self.kinds = [k for k, _ in names_weights]
-        self.weights = [w for _, w in names_weights]
+        # functions, not bound methods, so the generator holds no cycle
+        # and its world is freed by reference counting
+        self.draws = [getattr(ActionGenerator, f"gen_{k}") for k, _ in names_weights]
+        self.cum_weights = list(accumulate(w for _, w in names_weights))
+        self.total_weight = sum(w for _, w in names_weights)
         self.next_token_id = 1000  # fresh mints live above the genesis range
         self.vault = handle.vault_module(state)
         self.market = handle.market_module(state)
         self.governance = handle.governance_module(state)
+        self.index = DrawIndex(state, handle)
 
     # helpers ----------------------------------------------------------- #
 
@@ -264,11 +370,10 @@ class ActionGenerator:
         return self.rng.choice(self.actors)
 
     def owned_tokens(self, owner: str) -> list[int]:
-        owners = self.state.nft[self.handle.collection].owners
-        return [t for t, o in owners.items() if o == owner]
+        return self.index.owners.keys(owner)
 
     def vaulted_tokens(self) -> list[int]:
-        return list(self.vault.original_owner)
+        return self.index.vaulted.keys(True)
 
     def token(self, candidates: list[int]) -> int:
         """One of ``candidates``, or an arbitrary low id if there are none."""
@@ -288,8 +393,11 @@ class ActionGenerator:
     # generation -------------------------------------------------------- #
 
     def generate(self) -> FuzzAction:
-        kind = self.rng.choices(self.kinds, weights=self.weights, k=1)[0]
-        return getattr(self, f"gen_{kind}")()
+        self.index.sync()
+        # the draw of ``rng.choices(self.draws, cum_weights=self.cum_weights)``
+        i = bisect(self.cum_weights, self.rng.random() * self.total_weight,
+                   0, len(self.draws) - 1)
+        return self.draws[i](self)
 
     def gen_advance_clock(self) -> FuzzAction:
         return clock_action(self.rng.choice(CLOCK_STEPS))
@@ -350,7 +458,7 @@ class ActionGenerator:
                                duration=self.rng.choice([0, 600, 3_600, 86_400]))
 
     def _auction_tokens(self) -> list[int]:
-        return [t for t, a in self.vault.auctions.items() if a.active]
+        return self.index.auctions.keys(True)
 
     def gen_place_bid(self) -> FuzzAction:
         token_id = self.token(self._auction_tokens())
@@ -373,8 +481,7 @@ class ActionGenerator:
                                token_id=token_id)
 
     def gen_redeem(self) -> FuzzAction:
-        token_id = self.token([t for t, s in self.vault.sales.items()
-                               if s.proceeds_remaining > 0])
+        token_id = self.token(self.index.sales.keys(True))
         sender = self.actor()
         held = self.state.fungible_balance(self.handle.fractions, sender)
         return transact_action(sender, self.handle.vault, "redeem_fraction_value",
@@ -467,6 +574,9 @@ def _action_args(action: FuzzAction) -> dict:
     return action.args
 
 
+REVERT_RESIDUE = "revert_atomicity: failed transaction mutated state"
+
+
 def _step_violation(state: ChainState, plan: FuzzPlan, action: FuzzAction,
                     pre_digest: str | None,
                     checks: WriteSetChecks) -> tuple[TxResult | None, str | None]:
@@ -474,7 +584,7 @@ def _step_violation(state: ChainState, plan: FuzzPlan, action: FuzzAction,
     if plan.check_revert_atomicity and result is not None and not result.ok:
         if state.full_digest() != pre_digest:
             checks.rescan()  # the unjournaled writes escape the write set
-            return result, "revert_atomicity: failed transaction mutated state"
+            return result, REVERT_RESIDUE
     writes = state.last_writes if result is not None else ()
     return result, checks.first_violation(writes)
 
@@ -522,15 +632,24 @@ class FuzzReplay(Replay):
         self.invariant = invariant
         self.state, self.handle, self.actors = build_fuzz_world(plan)
         self.checks = WriteSetChecks(self.state, self.handle, plan.invariants)
+        # the full digest after a clean revert, which the next step starts from
+        self.clean_digest: str | None = None
 
     def check(self, action: FuzzAction, index: int,
               last: bool) -> tuple[TxResult | None, str | None]:
         """Run the trace's ``index``-th action: its result and first violation."""
-        pre_digest = self.state.full_digest() if self.plan.check_revert_atomicity \
-            else None
+        pre_digest = None
+        if self.plan.check_revert_atomicity and action.method:  # a call can revert
+            pre_digest = self.clean_digest or self.state.full_digest()
+        self.clean_digest = None
         if _full_scan_due(index, last):
             self.checks.rescan()
-        return _step_violation(self.state, self.plan, action, pre_digest, self.checks)
+        result, detail = _step_violation(self.state, self.plan, action, pre_digest,
+                                         self.checks)
+        if pre_digest is not None and not result.ok and detail != REVERT_RESIDUE:
+            # the revert left the world as it was, with the same digest
+            self.clean_digest = pre_digest
+        return result, detail
 
     def step(self, action: FuzzAction, index: int, last: bool) -> bool:
         _, detail = self.check(action, index, last)

@@ -5,15 +5,15 @@ invariant holds or a short description of the violation.  The fuzzer and
 the property suite run these after every committed transaction.
 
 Called as ``checker(state, handle)`` a checker scans the whole world.  The
-fuzzer passes a third argument, a ``WriteSetChecks``, and five checkers then
-look only at the NFTs, auctions, sales, proposals and timelock entries the
-step wrote, so a step costs the same early and late in a run.  Those
-entries are frozen values that a write replaces in their collection, so
-the write set names each by its key in the collection.  The other
-three (native conservation, fungible supply, market books) are bounded by
-the account count and always scan.  Whenever a write-set check finds a
-problem, the full scan runs and writes the detail, so both ways of calling
-report the same text.
+fuzzer passes a third argument, a ``WriteSetChecks``, which runs only the
+checkers that read a container the step wrote, so a reverted or clock-only
+step runs none.  A checker so called looks only at the entries the step
+wrote: NFTs, auctions, sales, proposals and timelock entries, and the
+native, fraction and share balances, whose sums it keeps as running
+totals.  Collection entries are frozen values that a write replaces in
+their collection, so the write set names each by its key in the
+collection.  Whenever a write-set check finds a problem, the full scan
+runs and writes the detail, so both ways of calling report the same text.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import copy
 from typing import Callable
 
 from .governance import EXECUTED, Governance, Proposal, Timelock
-from .ledger import ChainState, JournalEntry, ZERO_ADDRESS
+from .ledger import ABSENT, ChainState, JournalEntry, ZERO_ADDRESS
 from .market import Market
 from .system import SystemHandle
 from .vault import Auction, Vault
@@ -32,6 +32,11 @@ Checker = Callable[..., str | None]  # (state, handle, scope=None)
 
 def check_native_conservation(state: ChainState, handle: SystemHandle,
                               scope: WriteSetChecks | None = None) -> str | None:
+    native = state.native
+    if scope is not None and "native_conservation" not in scope.full:
+        if scope.total(native) == state.genesis_native_supply and \
+                all(native.get(k, 0) >= 0 for k in scope.native):
+            return None
     total = sum(state.native.values())
     if total != state.genesis_native_supply:
         return (f"native total {total} drifted from genesis supply "
@@ -43,6 +48,15 @@ def check_native_conservation(state: ChainState, handle: SystemHandle,
 
 def check_fungible_supply(state: ChainState, handle: SystemHandle,
                           scope: WriteSetChecks | None = None) -> str | None:
+    if scope is not None and "fungible_supply" not in scope.full:
+        for ledger_id, written in scope.balances.items():
+            ledger = state.fungible[ledger_id]
+            balances = ledger.balances
+            if scope.total(balances) != ledger.total_supply or \
+                    written and any(balances.get(k, 0) < 0 for k in written):
+                break
+        else:
+            return None
     for ledger_id, ledger in state.fungible.items():
         total = sum(ledger.balances.values())
         if total != ledger.total_supply:
@@ -176,6 +190,11 @@ def check_market_books(state: ChainState, handle: SystemHandle,
     if (held_a, held_b) != (market.reserve_a, market.reserve_b):
         return (f"pool holds ({held_a}, {held_b}) but books say "
                 f"({market.reserve_a}, {market.reserve_b})")
+    shares = market.shares
+    if scope is not None and "market_books" not in scope.full:
+        if scope.total(shares) == market.total_shares and \
+                all(shares.get(k, 0) >= 0 for k in scope.shares):
+            return None
     total = sum(market.shares.values())
     if total != market.total_shares:
         return f"share books {market.total_shares} != sum {total}"
@@ -196,6 +215,8 @@ CHECKERS: dict[str, Checker] = {
 }
 
 ALL_INVARIANTS = tuple(CHECKERS)
+
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def first_violation(state: ChainState, handle: SystemHandle,
@@ -223,9 +244,10 @@ class WriteSetChecks:
     through the journal.  Its first call is a full scan that seeds the
     running state, and so is the call after ``rescan()`` or after any
     violation: a violated entity stays violated until a full scan clears
-    it, and a violation stops the checks of the names after it.  The
-    containers that hold NFTs, auctions, sales, proposals and timelock
-    entries are looked up again at every full scan.
+    it, and a violation stops the checks of the names after it.  Between
+    full scans a step runs only the checkers that read a container or
+    object it wrote, in the order of ``names``.  Those containers and
+    objects are looked up again at every full scan.
     """
 
     def __init__(self, state: ChainState, handle: SystemHandle,
@@ -233,13 +255,23 @@ class WriteSetChecks:
         self.state = state
         self.handle = handle
         self.names = names
-        # what the current step wrote, cleared at the next step
-        self.nft_tokens: dict[str, set[int]] = {}
-        self.auctions: set[int] = set()
-        self.sales: set[int] = set()
-        self.proposals: set[int] = set()
-        # id of each dict or list whose keys name an entity -> its set above
-        self._keyed: dict[int, set] = {}
+        # what the current step wrote, cleared at the next step: each key
+        # written and the value it held before the step (ABSENT if none)
+        self.native: dict = {}
+        self.balances: dict[str, dict] = {}
+        self.nft_tokens: dict[str, dict] = {}
+        self.auctions: dict = {}
+        self.sales: dict = {}
+        self.proposals: dict = {}
+        self.shares: dict = {}
+        # id of each dict or list whose keys name an entity -> its dict above
+        self._keyed: dict[int, dict] = {}
+        # id of each container or object a checker reads -> the names reading it
+        self._readers: dict[int, frozenset[str]] = {}
+        # id of each dict of balances -> the running sum of its values
+        self._totals: dict[int, int] = {}
+        # the dicts above that hold keys of the previous step
+        self._dirty: list[dict] = []
         self._vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
         self._timelock: Timelock = state.modules[handle.timelock]  # type: ignore[assignment]
         # checkers that scan everything in the current step
@@ -252,59 +284,117 @@ class WriteSetChecks:
         self._bid_total = 0
 
     def __deepcopy__(self, memo: dict) -> "WriteSetChecks":
-        # a copy checks the copied world: the map keyed by id() is re-keyed
-        # to the copies of its containers, which are in ``memo`` once the
+        # a copy checks the copied world: the maps keyed by id() are re-keyed
+        # to the copies of their containers, which are in ``memo`` once the
         # world is copied (a rescan would do it too, at the cost of a full scan)
         copied = WriteSetChecks.__new__(WriteSetChecks)
         memo[id(self)] = copied
         for name, value in vars(self).items():
             setattr(copied, name, copy.deepcopy(value, memo))
-        copied._keyed = {id(memo[k]): v for k, v in copied._keyed.items() if k in memo}
+        for name in ("_keyed", "_readers", "_totals"):
+            setattr(copied, name, {id(memo[k]): v for k, v in getattr(copied, name).items()
+                                   if k in memo})
         return copied
 
     def rescan(self) -> None:
         """Make the next ``first_violation`` a full scan of every name."""
         self._rescan_next = True
 
+    def total(self, balances: dict) -> int:
+        """The sum of a dict of balances, kept from the keys each step wrote."""
+        return self._totals[id(balances)]
+
     def first_violation(self, writes: list[JournalEntry] | tuple[()]) -> str | None:
         """Check the world after a step that made ``writes``; ``name: detail``."""
         if self._rescan_next:
             self._reset()
+            due = self.full
         else:
-            self._observe(writes)
+            due = self._observe(writes)
+            if not due:
+                return None
         for name in self.names:
-            detail = CHECKERS[name](self.state, self.handle, self)
-            if detail is not None:
-                self._rescan_next = True
-                return f"{name}: {detail}"
+            if name in due:
+                detail = CHECKERS[name](self.state, self.handle, self)
+                if detail is not None:
+                    self._rescan_next = True
+                    return f"{name}: {detail}"
         return None
 
     def _reset(self) -> None:
-        state, vault = self.state, self._vault
+        state, vault, timelock = self.state, self._vault, self._timelock
         governance: Governance = state.modules[self.handle.governance]  # type: ignore[assignment]
+        market: Market = state.modules[self.handle.market]  # type: ignore[assignment]
         self._rescan_next = False
         self.full = frozenset(self.names)
-        self.nft_tokens = {lid: set() for lid in state.nft}
-        self.auctions, self.sales, self.proposals = set(), set(), set()
-        self._keyed = {id(state.nft[lid].owners): tokens
-                       for lid, tokens in self.nft_tokens.items()}
-        self._keyed[id(vault.auctions)] = self.auctions
-        self._keyed[id(vault.sales)] = self.sales
-        self._keyed[id(governance.proposals)] = self.proposals
-        self._keyed[id(self._timelock.entries)] = self.proposals
+        self._dirty = []
+        self.native, self.shares = {}, {}
+        self.auctions, self.sales, self.proposals = {}, {}, {}
+        self.balances = {lid: {} for lid in state.fungible}
+        self.nft_tokens = {lid: {} for lid in state.nft}
+        pool = (market.token_a, market.token_b)
+        # each container or object a checker reads, the checkers reading it
+        # and, where its keys name entities, the dict of the keys written
+        reads: list[tuple[object, tuple[str, ...], dict | None]] = [
+            (state.native, ("native_conservation", "vault_escrow"), self.native),
+            (vault, ("vault_escrow", "vault_params"), None),
+            (vault.pending, ("vault_escrow",), None),
+            (vault.sales, ("vault_escrow", "sale_accounting"), self.sales),
+            (vault.auctions, ("vault_escrow", "vault_params"), self.auctions),
+            (governance.proposals, ("governance_soundness",), self.proposals),
+            (timelock, ("governance_soundness",), None),
+            (timelock.entries, ("governance_soundness",), self.proposals),
+            (market, ("market_books",), None),
+            (market.shares, ("market_books",), self.shares),
+        ]
+        for lid, ledger in state.fungible.items():
+            reads += [(ledger, ("fungible_supply",), None),
+                      (ledger.balances, ("fungible_supply", "market_books") if lid in pool
+                       else ("fungible_supply",), self.balances[lid])]
+        reads += [(ledger.owners, ("nft_single_owner",), self.nft_tokens[lid])
+                  for lid, ledger in state.nft.items()]
+        self._keyed = {id(obj): written for obj, _, written in reads if written is not None}
+        self._readers = {}
+        for obj, names, _ in reads:
+            selected = frozenset(names).intersection(self.names)
+            if selected:
+                self._readers[id(obj)] = selected
+        summed = [state.native, market.shares,
+                  *(ledger.balances for ledger in state.fungible.values())]
+        self._totals = {id(balances): sum(balances.values()) for balances in summed}
 
-    def _observe(self, writes: list[JournalEntry] | tuple[()]) -> None:
-        for touched in self._keyed.values():
-            touched.clear()
-        self.full = frozenset()
-        timelock, keyed = self._timelock, self._keyed
-        for container, key, _ in writes:
-            touched = keyed.get(id(container))
-            if touched is not None:
-                touched.add(key)
-            elif container is timelock:
-                # a timelock setting, such as the delay, bears on every proposal
-                self.full = frozenset({"governance_soundness"})
+    def _observe(self, writes: list[JournalEntry] | tuple[()]) -> set[str] | frozenset[str]:
+        """Note the step's writes; the names of the checkers they reach."""
+        for written in self._dirty:
+            written.clear()
+        self.full = _NO_NAMES
+        self._dirty = []
+        if not writes:
+            return _NO_NAMES
+        keyed, totals = self._keyed, self._totals
+        containers: dict[int, object] = {}
+        for container, key, old in writes:
+            cid = id(container)
+            if cid not in containers:
+                containers[cid] = container
+            written = keyed.get(cid)
+            if written is not None and key not in written:
+                written[key] = old
+        due: set[str] = set()
+        for cid, container in containers.items():
+            names = self._readers.get(cid)
+            if names is not None:
+                due |= names
+            written = keyed.get(cid)
+            if written is not None:
+                self._dirty.append(written)
+                if cid in totals:
+                    for k, old in written.items():
+                        totals[cid] += container.get(k, 0) - (0 if old is ABSENT else old)  # type: ignore[attr-defined]
+        if id(self._timelock) in containers:
+            # a timelock setting, such as the delay, bears on every proposal
+            self.full = frozenset({"governance_soundness"})
+        return due
 
     def escrow_totals(self, vault: Vault) -> tuple[int, int]:
         """Proceeds left in sales and active bids, as running totals kept

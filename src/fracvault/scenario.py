@@ -125,20 +125,34 @@ def load_scenario(path: str) -> dict:
 # World construction
 # --------------------------------------------------------------------- #
 
-def _parse_hook(owner: str, spec: dict) -> ReceiveHook:
+def _parse_hook(owner: str, spec: Any) -> ReceiveHook:
+    where = f"hook of {owner}"
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    entries = spec.get("calls", [])
+    if not isinstance(entries, list):
+        raise ScenarioError(f"{where}: 'calls' must be a list")
     calls = []
-    for entry in spec.get("calls", []):
+    for i, entry in enumerate(entries):
+        call = f"{where}: calls[{i}]"
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{call} must be a JSON object")
+        for key in ("module", "method"):
+            if not isinstance(entry.get(key), str):
+                raise ScenarioError(f"{call}: missing {key!r}")
+        if not isinstance(entry.get("args", {}), dict):
+            raise ScenarioError(f"{call}: 'args' must be an object")
         calls.append(HookCall(
             module=entry["module"], method=entry["method"],
             args=tuple(sorted(decode_value(entry.get("args", {})).items())),
-            value=parse_amount(entry.get("value", 0), f"hook of {owner}"),
+            value=parse_amount(entry.get("value", 0), call),
             require_success=bool(entry.get("require_success", False)),
             record_result=bool(entry.get("record_result", False))))
     max_activations = spec.get("max_activations")
     return ReceiveHook(owner=owner, calls=tuple(calls),
                        reject=bool(spec.get("reject", False)),
                        max_activations=None if max_activations is None
-                       else int(max_activations))
+                       else parse_amount(max_activations, f"{where}: max_activations"))
 
 
 def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainState:

@@ -1,7 +1,8 @@
 """Fuzzer behavior: clean healthy runs, determinism, mutant detection,
 shrinker soundness (minimized traces reproduce and are 1-minimal, and
-equal those of ddmin replaying from genesis), and write-set checks that
-agree with full scans."""
+equal those of ddmin replaying from genesis), write-set checks that agree
+with full scans and run only the checkers a step's writes reach, and draw
+indexes that agree with scans of the world."""
 
 from __future__ import annotations
 
@@ -11,17 +12,18 @@ from dataclasses import replace
 
 import pytest
 
-from fracvault import fuzz
+from fracvault import fuzz, invariants
 from fracvault.ddmin import Replay, ddmin
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, build_fuzz_world,
                             clock_action, replay_violates, run_action, run_fuzz,
                             transact_action)
+from fracvault.governance import SCHEDULED
 from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, canonical_json, normalize
 from fracvault.mutations import MUTANTS
 from fracvault.tokens import NftCollection
 
-from helpers import genesis_ddmin
+from helpers import genesis_ddmin, tx
 
 
 def test_healthy_run_is_clean_and_mixed():
@@ -153,8 +155,17 @@ def _replace(state, collection, key, change):
     state.jset(collection, key, change(collection[key]))
 
 
+def _add(state, balances, key, amount):
+    state.jset(balances, key, balances.get(key, 0) + amount)
+
+
 # one journaled write each that breaks the named invariant
 CORRUPTIONS = {
+    "native_conservation": lambda state, handle: _add(state, state.native, "a1", 1),
+    "fungible_supply": lambda state, handle: _add(
+        state, state.fungible[handle.pair].balances, "a1", 1),
+    "market_books": lambda state, handle: _add(
+        state, handle.market_module(state).shares, "a1", 1),
     "nft_single_owner": lambda state, handle: state.jset(
         state.nft[handle.collection].owners, 5, ZERO_ADDRESS),
     "governance_soundness": lambda state, handle: _replace(
@@ -186,21 +197,25 @@ class _Corrupter(Module):
         self.write(state)
 
 
+def _assert_seen(state, handle, name, corrupt, forked=False):
+    checks = WriteSetChecks(state, handle, (name,))
+    assert checks.first_violation(()) is None  # the seeding full scan
+    if forked:
+        state, handle, checks = copy.deepcopy((state, handle, checks))
+    state.install_module(_Corrupter(lambda s: corrupt(s, handle)))
+    assert state.transact("a0", "corrupter", "corrupt").ok
+    detail = checks.first_violation(state.last_writes)
+    assert detail is not None and detail.startswith(name + ":")
+    assert detail == first_violation(state, handle, (name,))
+
+
 def _assert_corruption_seen(name, forked):
     plan = FuzzPlan(seed=2, steps=1500)
     state, handle, actors = build_fuzz_world(plan)
     generator = ActionGenerator(plan, state, handle, actors)
     for _ in range(plan.steps):
         run_action(state, generator.generate())
-    checks = WriteSetChecks(state, handle, (name,))
-    assert checks.first_violation(()) is None  # the seeding full scan
-    if forked:
-        state, handle, checks = copy.deepcopy((state, handle, checks))
-    state.install_module(_Corrupter(lambda s: CORRUPTIONS[name](s, handle)))
-    assert state.transact("a0", "corrupter", "corrupt").ok
-    detail = checks.first_violation(state.last_writes)
-    assert detail is not None and detail.startswith(name + ":")
-    assert detail == first_violation(state, handle, (name,))
+    _assert_seen(state, handle, name, CORRUPTIONS[name], forked)
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
@@ -212,6 +227,120 @@ def test_write_set_check_sees_journaled_corruption(name):
 def test_copied_write_set_check_sees_corruption_of_the_copied_world(name):
     # the copy's id-keyed maps must name the copied containers
     _assert_corruption_seen(name, forked=True)
+
+
+# a journaled write to each object or dict the checkers read that no
+# CORRUPTIONS entry writes, and the invariant the write breaks
+OBJECT_CORRUPTIONS = {
+    "vault": ("vault_params", lambda state, handle: state.jsetattr(
+        handle.vault_module(state), "royalty_percent", 101)),
+    "vault.pending": ("vault_escrow", lambda state, handle: _add(
+        state, handle.vault_module(state).pending, "alice", 1)),
+    "timelock": ("governance_soundness", lambda state, handle: state.jsetattr(
+        state.modules[handle.timelock], "delay", 10**9)),
+    "timelock.entries": ("governance_soundness", lambda state, handle: _replace(
+        state, state.modules[handle.timelock].entries, 0,
+        lambda entry: replace(entry, state=SCHEDULED))),
+    "market": ("market_books", lambda state, handle: state.jsetattr(
+        handle.market_module(state), "total_shares",
+        handle.market_module(state).total_shares + 1)),
+    "fungible ledger": ("fungible_supply", lambda state, handle: state.jsetattr(
+        state.fungible[handle.pair], "total_supply",
+        state.fungible[handle.pair].total_supply + 1)),
+}
+
+
+@pytest.mark.parametrize("target", sorted(OBJECT_CORRUPTIONS))
+def test_write_set_check_sees_corruption_of_each_read_object(proposal_world, target):
+    state, handle = proposal_world
+    tx(state, "alice", handle.governance, "vote", proposal_id=0, support=True)
+    state.advance_clock(86_400)
+    for _ in range(2):  # schedule, then execute after the timelock delay
+        tx(state, "alice", handle.governance, "execute_proposal", proposal_id=0)
+        state.advance_clock(172_800)
+    name, corrupt = OBJECT_CORRUPTIONS[target]
+    _assert_seen(state, handle, name, corrupt)
+
+
+def _counted_checker_calls(monkeypatch):
+    """The names of the checkers called from now on, in call order."""
+    calls = []
+    for name, checker in list(invariants.CHECKERS.items()):
+        def counted(*args, _name=name, _checker=checker):
+            calls.append(_name)
+            return _checker(*args)
+        monkeypatch.setitem(invariants.CHECKERS, name, counted)
+    return calls
+
+
+def test_a_step_evaluates_only_the_checkers_its_writes_reach(monkeypatch):
+    state, handle, _ = build_fuzz_world(FuzzPlan(seed=2, steps=0))
+    checks = WriteSetChecks(state, handle)
+    calls = _counted_checker_calls(monkeypatch)
+    assert checks.first_violation(()) is None  # the seeding full scan
+    assert calls == list(invariants.ALL_INVARIANTS)
+    calls.clear()
+    result = run_action(state, transact_action("a0", handle.vault, "withdraw_pending"))
+    assert not result.ok
+    assert checks.first_violation(state.last_writes) is None
+    assert run_action(state, clock_action(600)) is None
+    assert checks.first_violation(()) is None
+    assert calls == []  # a reverted and a clock-only step
+    result = run_action(state, transact_action("a0", "native", "transfer",
+                                               to="a1", amount=5))
+    assert result.ok
+    assert checks.first_violation(state.last_writes) is None
+    assert calls == ["native_conservation", "vault_escrow"]
+
+
+def test_a_healthy_run_evaluates_few_checkers_per_step(monkeypatch):
+    # a count, not a timing: a return to running every checker at every
+    # step (8 per step) fails here
+    calls = _counted_checker_calls(monkeypatch)
+    plan = FuzzPlan(seed=2, steps=3_000)
+    assert run_fuzz(plan).ok
+    assert len(calls) <= 1.5 * plan.steps
+
+
+def _scanned_draws(generator):
+    """What ``DrawIndex`` serves, scanned from the world."""
+    state, handle = generator.state, generator.handle
+    owners = state.nft[handle.collection].owners
+    vault = handle.vault_module(state)
+    return ({a: [t for t, o in owners.items() if o == a] for a in generator.actors},
+            [t for t, a in vault.auctions.items() if a.active],
+            [t for t, s in vault.sales.items() if s.proceeds_remaining > 0],
+            list(vault.original_owner))
+
+
+def _indexed_draws(generator):
+    index = generator.index
+    index.sync()
+    return ({a: index.owners.keys(a) for a in generator.actors},
+            index.auctions.keys(True), index.sales.keys(True), index.vaulted.keys(True))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_draw_index_equals_the_scans(seed):
+    plan = FuzzPlan(seed=seed, steps=20_000)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    seen = [False] * 4
+    for step in range(plan.steps):
+        run_action(state, generator.generate())
+        if step % 97 == 0:
+            draws = _indexed_draws(generator)
+            assert draws == _scanned_draws(generator), (seed, step)
+            seen = [was or bool(now) for was, now in zip(seen, draws)]
+    assert all(seen)
+    # two transactions the index did not see: the next sync rebuilds it
+    for action in (transact_action("deployer", handle.collection, "mint",
+                                   to="a1", token_id=10**6),
+                   transact_action("a1", handle.vault, "deposit_nft",
+                                   nft_address=handle.collection, token_id=10**6)):
+        assert run_action(state, action).ok
+    assert _indexed_draws(generator) == _scanned_draws(generator)
+    assert 10**6 in generator.index.vaulted.keys(True)
 
 
 def test_forks_share_the_frozen_plan_mutations_and_hook_calls():

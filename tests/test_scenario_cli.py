@@ -187,6 +187,30 @@ def test_cli_run_reports_bad_scenario_input(tmp_path, edit, message):
     assert f"scenario error: {message}" in result.output
 
 
+@pytest.mark.parametrize("hook, message", [
+    ({"max_activations": "two"},
+     "hook of mallory: max_activations: 'two' is not a decimal amount"),
+    ({"max_activations": "-1"}, "hook of mallory: max_activations: negative amount"),
+    ({"calls": [{"method": "withdraw_pending"}]},
+     "hook of mallory: calls[0]: missing 'module'"),
+    ({"calls": [{"module": "vault"}]}, "hook of mallory: calls[0]: missing 'method'"),
+    ({"calls": {"module": "vault", "method": "withdraw_pending"}},
+     "hook of mallory: 'calls' must be a list"),
+    ({"calls": ["vault.withdraw_pending"]},
+     "hook of mallory: calls[0] must be a JSON object"),
+], ids=["non-decimal-activations", "negative-activations", "call-without-module",
+        "call-without-method", "calls-not-a-list", "call-not-an-object"])
+def test_cli_run_reports_a_malformed_genesis_hook(tmp_path, hook, message):
+    document = json.loads(LIFECYCLE.read_text())
+    document["genesis"]["accounts"]["mallory"] = {"balance": "0", "hook": hook}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1
+    assert f"scenario error: {message}" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_cli_replay_reports_unknown_trace_mutant(tmp_path, lifecycle):
     path = tmp_path / "t.jsonl"
     write_trace(str(path), lifecycle, run_scenario(lifecycle).records)
