@@ -8,11 +8,11 @@ expected and count as coverage of the guard paths).  Every action is a
 any prefix can be replayed from genesis.  Reports (``-v2``) encode a shrunk
 trace's steps with ``FuzzAction.as_data``; ``from_data`` reads them back.
 
-On an invariant violation the failing prefix is shrunk by delete-only
-ddmin (``ddmin.ddmin``): chunks first, then single elements, until the
-trace is 1-minimal while still reproducing the same invariant failure.
-Candidates replay from checkpointed prefix worlds, with the verdicts of a
-replay from genesis.
+A run is a campaign on the runner in ``ddmin``: its generator is
+``ActionGenerator`` and its step check ``FuzzPlan.check``, the write-set
+invariant checks plus, with ``check_revert_atomicity``, the shared
+revert-atomicity oracle.  On a violation the failing prefix is shrunk by
+``ddmin.ddmin`` to a 1-minimal trace that violates the same invariant.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Callable
 
-from .ddmin import Replay, ddmin
+from .ddmin import CheckedReplay, ddmin, run_checked
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import HEALTHY, MUTANTS, Mutations
@@ -95,6 +95,11 @@ class FuzzPlan:
 
     def mutations(self) -> Mutations:
         return MUTANTS[self.mutant] if self.mutant else HEALTHY
+
+    def check(self, replay: CheckedReplay, action: FuzzAction, index: int,
+              last: bool) -> tuple[TxResult | None, str | None]:
+        # one module-level call per step, which the benchmark's tracer wraps
+        return _step_violation(replay, self, action, index, last)
 
     def as_data(self) -> dict:
         return {"seed": self.seed, "steps": self.steps,
@@ -574,104 +579,61 @@ def _action_args(action: FuzzAction) -> dict:
     return action.args
 
 
-REVERT_RESIDUE = "revert_atomicity: failed transaction mutated state"
+def fuzz_replay(plan: FuzzPlan, invariant: str | None = None) -> CheckedReplay:
+    """A fresh fuzz world, checked by ``plan``; a replay fails at a step
+    that violates ``invariant``.  A fork copies the write-set checks along
+    with the world."""
+    state, handle, actors = build_fuzz_world(plan)
+    return CheckedReplay(plan, (state, handle, {
+        "actors": actors,
+        "checks": WriteSetChecks(state, handle, plan.invariants)}), invariant)
 
 
-def _step_violation(state: ChainState, plan: FuzzPlan, action: FuzzAction,
-                    pre_digest: str | None,
-                    checks: WriteSetChecks) -> tuple[TxResult | None, str | None]:
-    result = run_action(state, action)
-    if plan.check_revert_atomicity and result is not None and not result.ok:
-        if state.full_digest() != pre_digest:
-            checks.rescan()  # the unjournaled writes escape the write set
-            return result, REVERT_RESIDUE
-    writes = state.last_writes if result is not None else ()
+def _step_violation(replay: CheckedReplay, plan: FuzzPlan, action: FuzzAction,
+                    index: int, last: bool) -> tuple[TxResult | None, str | None]:
+    """The fuzz step check: the write-set invariant checks, with a full
+    scan every FULL_SCAN_INTERVAL steps and after the last one."""
+    checks = replay.extras["checks"]
+    if (index + 1) % FULL_SCAN_INTERVAL == 0 or last:
+        checks.rescan()
+    result, detail = replay.call(action, plan.check_revert_atomicity)
+    if detail:
+        checks.rescan()  # the unjournaled writes escape the write set
+        return result, detail
+    writes = replay.state.last_writes if result is not None else ()
     return result, checks.first_violation(writes)
 
 
-def _full_scan_due(step: int, last: bool) -> bool:
-    return (step + 1) % FULL_SCAN_INTERVAL == 0 or last
-
-
 def run_fuzz(plan: FuzzPlan) -> FuzzReport:
-    world = FuzzReplay(plan, "")
-    generator = ActionGenerator(plan, world.state, world.handle, world.actors)
-    actions: list[FuzzAction] = []
-    commits = reverts = 0
-    found: tuple[int, str] | None = None
-    for step in range(plan.steps):
-        action = generator.generate()
-        actions.append(action)
-        result, detail = world.check(action, step, step == plan.steps - 1)
-        if result is None or result.ok:
-            commits += 1
-        else:
-            reverts += 1
-        if detail is not None:
-            found = (step, detail)
-            break
+    world = fuzz_replay(plan)
+    generator = ActionGenerator(plan, world.state, world.handle,
+                                world.extras["actors"])
+    actions, detail, reverts = run_checked(
+        world, lambda step: generator.generate(), plan.steps)
     digest = world.state.full_digest()
     violations: list[Violation] = []
-    if found is not None:
-        step, detail = found
+    if detail:
         invariant = detail.split(":", 1)[0]
         violations.append(Violation(
-            invariant=invariant, step=step, detail=detail, digest=digest,
-            trace=shrink(plan, actions, invariant)))
-    return FuzzReport(plan=plan, steps_executed=len(actions), commits=commits,
-                      reverts=reverts, final_digest=digest, violations=violations)
-
-
-class FuzzReplay(Replay):
-    """A fuzz world, checked step by step: ``run_fuzz`` runs one, and a
-    replay of a trace fails at an action whose step violates ``invariant``.
-    A fork copies the write-set checks along with the world."""
-
-    def __init__(self, plan: FuzzPlan, invariant: str):
-        self.plan = plan
-        self.invariant = invariant
-        self.state, self.handle, self.actors = build_fuzz_world(plan)
-        self.checks = WriteSetChecks(self.state, self.handle, plan.invariants)
-        # the full digest after a clean revert, which the next step starts from
-        self.clean_digest: str | None = None
-
-    def check(self, action: FuzzAction, index: int,
-              last: bool) -> tuple[TxResult | None, str | None]:
-        """Run the trace's ``index``-th action: its result and first violation."""
-        pre_digest = None
-        if self.plan.check_revert_atomicity and action.method:  # a call can revert
-            pre_digest = self.clean_digest or self.state.full_digest()
-        self.clean_digest = None
-        if _full_scan_due(index, last):
-            self.checks.rescan()
-        result, detail = _step_violation(self.state, self.plan, action, pre_digest,
-                                         self.checks)
-        if pre_digest is not None and not result.ok and detail != REVERT_RESIDUE:
-            # the revert left the world as it was, with the same digest
-            self.clean_digest = pre_digest
-        return result, detail
-
-    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
-        _, detail = self.check(action, index, last)
-        return detail is not None and detail.split(":", 1)[0] == self.invariant
+            invariant=invariant, step=len(actions) - 1, detail=detail,
+            digest=digest, trace=shrink(plan, actions, invariant)))
+    return FuzzReport(plan=plan, steps_executed=len(actions),
+                      commits=len(actions) - reverts, reverts=reverts,
+                      final_digest=digest, violations=violations)
 
 
 def replay_violates(plan: FuzzPlan, actions: list[FuzzAction], invariant: str,
-                    start: FuzzReplay | None = None) -> bool:
+                    start: CheckedReplay | None = None) -> bool:
     """Whether replaying ``actions`` violates ``invariant`` at some step:
     from genesis, or from a fork of ``start``, a replay of a prefix of
     ``actions`` that has not violated it."""
-    replay = FuzzReplay(plan, invariant) if start is None else start.fork()
+    replay = fuzz_replay(plan, invariant) if start is None else start.fork()
     return replay.run(actions)
 
 
 def shrink(plan: FuzzPlan, actions: list[FuzzAction], invariant: str) -> list[FuzzAction]:
-    """Delete-only ddmin: drop chunks, then single steps, until 1-minimal."""
-    trace = list(actions)
-    if len(trace) > SHRINK_WINDOW:
-        trace = trace[-SHRINK_WINDOW:]
-        if not replay_violates(plan, trace, invariant):
-            trace = list(actions)  # suffix alone insufficient; keep everything
-    return ddmin(trace, lambda: FuzzReplay(plan, invariant),
+    """Delete-only ddmin, after trying the last SHRINK_WINDOW actions alone."""
+    return ddmin(actions, lambda: fuzz_replay(plan, invariant),
                  lambda candidate, start: replay_violates(plan, candidate,
-                                                          invariant, start))
+                                                          invariant, start),
+                 SHRINK_WINDOW)

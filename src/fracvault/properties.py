@@ -2,10 +2,12 @@
 worlds, one per named property.
 
 Campaign shape: a builder creates the world, a generator produces one
-transaction per step (inspecting live state, recording pure data), and a
-checker inspects state after every commit.  On failure the recorded action
-prefix is shrunk delete-only until 1-minimal and attached to the result, so
-every red property ships a replayable reproducer.
+transaction per step (inspecting live state, recording pure data), and the
+``before`` and ``after`` hooks judge each step; ``before`` sees the world
+after the step's clock advance.  Campaigns run on the runner in ``ddmin``,
+as the fuzzer does.  On failure the recorded action prefix is shrunk
+delete-only until 1-minimal and attached to the result, so every red
+property ships a replayable reproducer.
 
 The first fourteen names in ``PINNED_PROPERTIES`` are the externally pinned
 suite: minting/burning authorization, total-supply invariance, the
@@ -24,10 +26,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import attackers
-from .ddmin import Replay, ddmin
+from .ddmin import CheckedReplay, ddmin, run_checked
 from .fuzz import (FuzzAction, actor_world, build_sold_world, clock_action,
                    deposit_prefix, fraction_transfers, market_funding,
-                   round_robin_mints, run_action, run_setup, transact_action)
+                   round_robin_mints, run_setup, transact_action)
 from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
@@ -79,65 +81,58 @@ class SuiteReport:
                 "properties": [r.as_data() for r in self.results]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Campaign:
     name: str
     build: BuildFn
     generate: GenFn
-    after: AfterFn
+    after: AfterFn | None = None
     before: BeforeFn | None = None
+    check_revert_atomicity: bool = False
 
+    def __deepcopy__(self, memo: dict) -> "Campaign":
+        return self  # never changes, so forks of a replay share it
 
-class CampaignReplay(Replay):
-    """A campaign world replaying a trace; an action fails when the
-    campaign's ``after`` check reports a problem."""
+    def check(self, replay: CheckedReplay, action: FuzzAction, index: int,
+              last: bool) -> tuple[TxResult | None, str | None]:
+        """The campaign step check: ``before`` sees the world after the
+        clock advance, the call runs, and ``after`` judges it."""
+        state, handle, extras = replay.state, replay.handle, replay.extras
+        token = self.before(state, handle, extras, action) if self.before else None
+        result, detail = replay.call(action, self.check_revert_atomicity)
+        if detail or self.after is None:
+            return result, detail
+        return result, self.after(state, handle, extras, action, result, token)
 
-    def __init__(self, campaign: Campaign, mutations: Mutations):
-        self.campaign = campaign
-        self.state, self.handle, self.extras = campaign.build(mutations)
-
-    def check(self, action: FuzzAction) -> str | None:
-        """Run ``action``; the campaign's ``after`` verdict on it."""
-        campaign, state, handle, extras = (self.campaign, self.state, self.handle,
-                                           self.extras)
-        token = campaign.before(state, handle, extras, action) \
-            if campaign.before else None
-        result = run_action(state, action)
-        return campaign.after(state, handle, extras, action, result, token)
-
-    def step(self, action: FuzzAction, index: int, last: bool) -> bool:
-        return bool(self.check(action))
+    def replay(self, mutations: Mutations) -> CheckedReplay:
+        """A fresh world of the campaign, checked by it."""
+        return CheckedReplay(self, self.build(mutations))
 
 
 def _replay_fails(campaign: Campaign, mutations: Mutations,
                   actions: list[FuzzAction],
-                  start: CampaignReplay | None = None) -> bool:
-    replay = CampaignReplay(campaign, mutations) if start is None else start.fork()
+                  start: CheckedReplay | None = None) -> bool:
+    replay = campaign.replay(mutations) if start is None else start.fork()
     return replay.run(actions)
 
 
 def _minimize(campaign: Campaign, mutations: Mutations,
               actions: list[FuzzAction]) -> list[FuzzAction]:
-    return ddmin(actions, lambda: CampaignReplay(campaign, mutations),
+    return ddmin(actions, lambda: campaign.replay(mutations),
                  lambda candidate, start: _replay_fails(campaign, mutations,
                                                         candidate, start))
 
 
 def run_campaign(campaign: Campaign, seed: int, steps: int,
                  mutations: Mutations = HEALTHY) -> PropertyResult:
-    world = CampaignReplay(campaign, mutations)
+    world = campaign.replay(mutations)
     rng = random.Random(f"{seed}:{campaign.name}")
-    actions: list[FuzzAction] = []
-    for step in range(steps):
-        action = campaign.generate(rng, world.state, world.handle, world.extras,
-                                   step)
-        actions.append(action)
-        detail = world.check(action)
-        if detail:
-            trace = _minimize(campaign, mutations, actions)
-            return PropertyResult(name=campaign.name, passed=False,
-                                  steps=step + 1, detail=detail, trace=trace)
-    return PropertyResult(name=campaign.name, passed=True, steps=steps)
+    actions, detail, _ = run_checked(world, lambda step: campaign.generate(
+        rng, world.state, world.handle, world.extras, step), steps)
+    if not detail:
+        return PropertyResult(name=campaign.name, passed=True, steps=steps)
+    return PropertyResult(name=campaign.name, passed=False, steps=len(actions),
+                          detail=detail, trace=_minimize(campaign, mutations, actions))
 
 
 # --------------------------------------------------------------------- #
@@ -203,9 +198,10 @@ def market_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     }
 
 
-def gov_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
-    state, handle, extras = token_world(mutations)
-    extras["created"] = 0
+def _probe_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
+    """The sold world with a1's probing hook, none of its record seen yet."""
+    state, handle, extras = sold_world(mutations, attacker_hook="probe")
+    extras["seen"] = 0
     return state, handle, extras
 
 
@@ -217,59 +213,39 @@ def _actor(rng: random.Random, extras: dict) -> str:
     return rng.choice(extras["actors"])
 
 
+def _proposal_count(state: ChainState, handle: SystemHandle) -> int:
+    return len(handle.governance_module(state).proposals)
+
+
 # --------------------------------------------------------------------- #
 # The fourteen pinned properties
 # --------------------------------------------------------------------- #
 
-def _mint_auth_campaign() -> Campaign:
-    def generate(rng, state, handle, extras, step):
-        if rng.random() < 0.25:
-            sender = _actor(rng, extras)
-            return transact_action(sender, handle.fractions, "transfer",
-                                   to=_actor(rng, extras),
-                                   amount=rng.randrange(0, 200))
-        sender = rng.choice(extras["actors"] + ["deployer"])
-        return transact_action(sender, handle.fractions, "mint",
-                               to=_actor(rng, extras),
-                               amount=rng.randrange(1, 1000))
-
-    def after(state, handle, extras, action, result, token):
-        if action.method == "mint":
-            if result.ok:
-                return f"unauthorized mint by {action.sender} was committed"
-            if result.error != "NotVault":
-                return f"mint failed with {result.error}, not NotVault"
-        supply = state.fungible_supply(handle.fractions)
-        if supply != extras["supply"]:
-            return f"supply moved to {supply} without an authorized mint"
-        return None
-
-    return Campaign("mint_authorization", token_world, generate, after)
-
-
-def _burn_auth_campaign() -> Campaign:
+def _supply_auth_campaign(verb: str, method: str, party: str, cap: int) -> Campaign:
+    """Actors and the deployer call the vault-only ``method`` on an actor
+    (its ``party`` argument), between transfers: every such call must fail
+    with NotVault, and the supply never move."""
     def generate(rng, state, handle, extras, step):
         if rng.random() < 0.25:
             return transact_action(_actor(rng, extras), handle.fractions,
                                    "transfer", to=_actor(rng, extras),
                                    amount=rng.randrange(0, 200))
         sender = rng.choice(extras["actors"] + ["deployer"])
-        return transact_action(sender, handle.fractions, "burn_from",
-                               frm=_actor(rng, extras),
-                               amount=rng.randrange(1, 500))
+        args = {party: _actor(rng, extras), "amount": rng.randrange(1, cap)}
+        return transact_action(sender, handle.fractions, method, **args)
 
     def after(state, handle, extras, action, result, token):
-        if action.method == "burn_from":
+        if action.method == method:
             if result.ok:
-                return f"unauthorized burn by {action.sender} was committed"
+                return f"unauthorized {verb} by {action.sender} was committed"
             if result.error != "NotVault":
-                return f"burn failed with {result.error}, not NotVault"
+                return f"{verb} failed with {result.error}, not NotVault"
         supply = state.fungible_supply(handle.fractions)
         if supply != extras["supply"]:
-            return f"supply moved to {supply} without an authorized burn"
+            return f"supply moved to {supply} without an authorized {verb}"
         return None
 
-    return Campaign("burn_authorization", token_world, generate, after)
+    return Campaign(f"{verb}_authorization", token_world, generate, after)
 
 
 def _total_supply_campaign() -> Campaign:
@@ -354,8 +330,8 @@ def _duration_campaign() -> Campaign:
                 return "auction created with a non-positive window"
         return None
 
-    world = _deposited_world
-    return Campaign("positive_auction_duration", world, generate, after, before)
+    return Campaign("positive_auction_duration", _deposited_world, generate, after,
+                    before)
 
 
 def _deposited_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
@@ -427,10 +403,7 @@ def _withdrawal_balance_campaign() -> Campaign:
                 return f"claim of {pre_pending} refused as NothingPending"
         return None
 
-    def build(mutations):
-        return sold_world(mutations)
-
-    return Campaign("withdrawal_balance_check", build, generate, after, before)
+    return Campaign("withdrawal_balance_check", sold_world, generate, after, before)
 
 
 def _original_owner_campaign() -> Campaign:
@@ -475,7 +448,7 @@ def _original_owner_campaign() -> Campaign:
 
 def _voting_campaign() -> Campaign:
     def build(mutations):
-        state, handle, extras = gov_world(mutations)
+        state, handle, extras = token_world(mutations)
         run_setup(state, [transact_action(
             "a0", handle.governance, "create_proposal",
             description="standing proposal", target=handle.vault,
@@ -519,6 +492,7 @@ def _quorum_campaign() -> Campaign:
     # only a2 (200) and a3 (100) ever vote: 300 of 1000 can never reach 501
     def generate(rng, state, handle, extras, step):
         phase = step % 4
+        created = _proposal_count(state, handle)
         if phase == 0:
             return transact_action("a0", handle.governance, "create_proposal",
                                    description="starves quorum",
@@ -528,17 +502,15 @@ def _quorum_campaign() -> Campaign:
                                    voting_period=600)
         if phase == 1:
             return transact_action(rng.choice(("a2", "a3")), handle.governance,
-                                   "vote", proposal_id=extras["created"] - 1,
+                                   "vote", proposal_id=created - 1,
                                    support=True)
         if phase == 2:
             return clock_action(600)
         return transact_action(_actor(rng, extras), handle.governance,
                                "execute_proposal",
-                               proposal_id=rng.randrange(0, max(extras["created"], 1)))
+                               proposal_id=rng.randrange(0, max(created, 1)))
 
     def after(state, handle, extras, action, result, token):
-        if action.method == "create_proposal" and result.ok:
-            extras["created"] += 1
         if action.method == "execute_proposal" and result is not None:
             if result.ok:
                 return "under-quorum proposal advanced"
@@ -550,7 +522,7 @@ def _quorum_campaign() -> Campaign:
             return "under-quorum proposal reached the timelock"
         return None
 
-    return Campaign("quorum_not_met_rejected", gov_world, generate, after)
+    return Campaign("quorum_not_met_rejected", token_world, generate, after)
 
 
 def _create_proposal_campaign() -> Campaign:
@@ -581,8 +553,7 @@ def _create_proposal_campaign() -> Campaign:
         else:
             if action.sender != "a3" or result.error != "BelowThreshold":
                 return f"creation by {action.sender} failed with {result.error}"
-        count = handle.governance_module(state).proposals
-        if len(count) != extras["expected_id"]:
+        if len(handle.governance_module(state).proposals) != extras["expected_id"]:
             return "proposal count diverged from accepted creations"
         return None
 
@@ -630,13 +601,19 @@ def _liquidity_campaign() -> Campaign:
     return Campaign("liquidity_maintenance", market_world, generate, after, before)
 
 
-def _trade_campaign() -> Campaign:
+def _pool_world(amount_b: int) -> BuildFn:
+    """The market world after a0 pools 1,000 fractions and ``amount_b``
+    pair tokens."""
     def build(mutations):
         state, handle, extras = market_world(mutations)
         run_setup(state, [transact_action("a0", handle.market, "add_liquidity",
-                                          amount_a=1_000, amount_b=400_000)])
+                                          amount_a=1_000, amount_b=amount_b)])
         return state, handle, extras
 
+    return build
+
+
+def _trade_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
         sender = _actor(rng, extras)
         market = handle.market_module(state)
@@ -685,16 +662,10 @@ def _trade_campaign() -> Campaign:
                 return f"trade failed with {result.error}"
         return first_violation(state, handle, ("market_books",))
 
-    return Campaign("trade_execution", build, generate, after, before)
+    return Campaign("trade_execution", _pool_world(400_000), generate, after, before)
 
 
 def _supply_management_campaign() -> Campaign:
-    def build(mutations):
-        state, handle, extras = market_world(mutations)
-        run_setup(state, [transact_action("a0", handle.market, "add_liquidity",
-                                          amount_a=1_000, amount_b=300_000)])
-        return state, handle, extras
-
     def generate(rng, state, handle, extras, step):
         sender = _actor(rng, extras)
         market = handle.market_module(state)
@@ -725,7 +696,7 @@ def _supply_management_campaign() -> Campaign:
             return "market activity changed the pair supply"
         return None
 
-    return Campaign("supply_management", build, generate, after)
+    return Campaign("supply_management", _pool_world(300_000), generate, after)
 
 
 # --------------------------------------------------------------------- #
@@ -803,25 +774,30 @@ def _double_withdrawal_campaign() -> Campaign:
     return Campaign("redemption_double_withdrawal", build, generate, after)
 
 
-def _reentrancy_probe_campaign() -> Campaign:
-    def build(mutations):
-        state, handle, extras = sold_world(mutations, attacker_hook="probe")
-        extras["seen"] = 0
-        return state, handle, extras
-
+def _probe_campaign(name: str, fraction_amount: int,
+                    judge: Callable[[dict], str | None]) -> Campaign:
+    """a1 alternately redeems ``fraction_amount`` fractions and withdraws;
+    ``judge`` reads what a1's probing hook saw during each paid withdrawal,
+    by method."""
     def generate(rng, state, handle, extras, step):
         if step % 2 == 0:
             return transact_action("a1", handle.vault, "redeem_fraction_value",
-                                   token_id=1, fraction_amount=10)
+                                   token_id=1, fraction_amount=fraction_amount)
         return transact_action("a1", handle.vault, "withdraw_pending")
 
     def after(state, handle, extras, action, result, token):
         if action.method != "withdraw_pending" or not result.ok:
             return None
-        hook = extras["hook"]
-        new = hook.observed[extras["seen"]:]
-        extras["seen"] = len(hook.observed)
-        outcomes = dict(new)
+        observed = extras["hook"].observed
+        new = observed[extras["seen"]:]
+        extras["seen"] = len(observed)
+        return judge(dict(new))
+
+    return Campaign(name, _probe_world, generate, after)
+
+
+def _reentrancy_probe_campaign() -> Campaign:
+    def judge(outcomes):
         if outcomes.get("withdraw_pending") != "error:Reentered":
             return (f"nested withdraw saw {outcomes.get('withdraw_pending')!r}, "
                     "not the reentrancy guard")
@@ -830,34 +806,17 @@ def _reentrancy_probe_campaign() -> Campaign:
                     " not the reentrancy guard")
         return None
 
-    return Campaign("reentrancy_guard_probe", build, generate, after)
+    return _probe_campaign("reentrancy_guard_probe", 10, judge)
 
 
 def _cei_observable_campaign() -> Campaign:
-    def build(mutations):
-        state, handle, extras = sold_world(mutations, attacker_hook="probe")
-        extras["seen"] = 0
-        return state, handle, extras
-
-    def generate(rng, state, handle, extras, step):
-        if step % 2 == 0:
-            return transact_action("a1", handle.vault, "redeem_fraction_value",
-                                   token_id=1, fraction_amount=5)
-        return transact_action("a1", handle.vault, "withdraw_pending")
-
-    def after(state, handle, extras, action, result, token):
-        if action.method != "withdraw_pending" or not result.ok:
-            return None
-        hook = extras["hook"]
-        new = hook.observed[extras["seen"]:]
-        extras["seen"] = len(hook.observed)
-        outcomes = dict(new)
+    def judge(outcomes):
         if outcomes.get("pending_of") != 0:
             return (f"pending read {outcomes.get('pending_of')!r} inside the "
                     "payout hook; effects must precede interactions")
         return None
 
-    return Campaign("checks_effects_observable", build, generate, after)
+    return _probe_campaign("checks_effects_observable", 5, judge)
 
 
 def _anti_sniping_campaign() -> Campaign:
@@ -913,25 +872,14 @@ def _anti_sniping_campaign() -> Campaign:
 
 
 def _revert_atomicity_campaign() -> Campaign:
-    base = _escrow_campaign()
-
-    def before(state, handle, extras, action):
-        return state.full_digest()
-
-    def after(state, handle, extras, action, result, pre_digest):
-        if result is not None and not result.ok:
-            if state.full_digest() != pre_digest:
-                return (f"failed {action.module}.{action.method} "
-                        f"({result.error}) left residue in state")
-        return None
-
-    return Campaign("revert_atomicity", nft_world, base.generate, after, before)
+    return Campaign("revert_atomicity", nft_world, _escrow_campaign().generate,
+                    check_revert_atomicity=True)
 
 
 def _timelock_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
         phase = step % 7
-        pid = max(extras["created"] - 1, 0)
+        pid = max(_proposal_count(state, handle) - 1, 0)
         if phase == 0:
             return transact_action("a0", handle.governance, "create_proposal",
                                    description="timed change",
@@ -957,8 +905,6 @@ def _timelock_campaign() -> Campaign:
                                "execute_proposal", proposal_id=pid)
 
     def after(state, handle, extras, action, result, token):
-        if action.method == "create_proposal" and result.ok:
-            extras["created"] += 1
         if action.method != "execute_proposal" or result is None:
             return None
         if not result.ok:
@@ -983,7 +929,7 @@ def _timelock_campaign() -> Campaign:
                 return f"proposal {pid} executed while defeated"
         return None
 
-    return Campaign("timelock_delay_enforced", gov_world, generate, after)
+    return Campaign("timelock_delay_enforced", token_world, generate, after)
 
 
 def _authorization_chain_campaign() -> Campaign:
@@ -991,7 +937,7 @@ def _authorization_chain_campaign() -> Campaign:
 
     def generate(rng, state, handle, extras, step):
         phase = step % 8
-        pid = max(extras["created"] - 1, 0)
+        pid = max(_proposal_count(state, handle) - 1, 0)
         if phase == 0:
             kind = rng.choice(("set_auction_duration", "set_royalty_percent"))
             args = {"seconds": rng.randrange(600, 90_000)} \
@@ -1025,8 +971,6 @@ def _authorization_chain_campaign() -> Campaign:
                     "AuctionCancelled"}
 
     def after(state, handle, extras, action, result, token):
-        if action.method == "create_proposal" and result.ok:
-            extras["created"] += 1
         if action.module == handle.vault and action.method in GOVERNED:
             if result.ok:
                 return f"direct {action.method} by {action.sender} committed"
@@ -1044,7 +988,7 @@ def _authorization_chain_campaign() -> Campaign:
                         "matching executed proposal")
         return None
 
-    return Campaign("authorization_chain", gov_world, generate, after)
+    return Campaign("authorization_chain", token_world, generate, after)
 
 
 # --------------------------------------------------------------------- #
@@ -1115,8 +1059,8 @@ PINNED_PROPERTIES = (
 )
 
 _CAMPAIGNS: dict[str, Callable[[], Campaign]] = {
-    "mint_authorization": _mint_auth_campaign,
-    "burn_authorization": _burn_auth_campaign,
+    "mint_authorization": lambda: _supply_auth_campaign("mint", "mint", "to", 1000),
+    "burn_authorization": lambda: _supply_auth_campaign("burn", "burn_from", "frm", 500),
     "total_supply_constant": _total_supply_campaign,
     "governance_singleton": _singleton_campaign,
     "positive_auction_duration": _duration_campaign,

@@ -451,6 +451,8 @@ def test_fuzz_revert_atomicity_sees_unjournaled_write(monkeypatch):
     plan = FuzzPlan(seed=42, steps=300, invariants=(), check_revert_atomicity=True)
     [violation] = run_fuzz(plan).violations
     assert violation.invariant == "revert_atomicity"
+    assert violation.detail.startswith("revert_atomicity: failed vault.place_bid (")
+    assert violation.detail.endswith(") left residue in state")
     assert [a.method for a in violation.trace] == ["place_bid"]
 
 
@@ -459,6 +461,7 @@ def test_suite_revert_atomicity_sees_unjournaled_write(monkeypatch):
     [result] = run_suite(seed=0, steps=300, names=("revert_atomicity",)).results
     assert not result.passed
     assert "place_bid" in result.detail and "left residue" in result.detail
+    assert result.detail.startswith("revert_atomicity: failed vault.place_bid (")
 
 
 # --------------------------------------------------------------------- #

@@ -20,7 +20,8 @@ from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, build_fuzz_wo
 from fracvault.governance import SCHEDULED
 from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, canonical_json, normalize
-from fracvault.mutations import MUTANTS
+from fracvault.mutations import HEALTHY, MUTANTS
+from fracvault.properties import nft_world, replay_property_trace
 from fracvault.tokens import NftCollection
 
 from helpers import genesis_ddmin, tx
@@ -56,6 +57,32 @@ def test_different_seeds_diverge():
 def test_revert_atomicity_mode_clean():
     report = run_fuzz(FuzzPlan(seed=11, steps=400, check_revert_atomicity=True))
     assert report.ok
+
+
+# a step that advances the clock, then makes a call that reverts cleanly
+WAIT_THEN_WITHDRAW = FuzzAction("a0", "vault", "withdraw_pending", {}, 0, 600)
+ATOMICITY_PATHS = {
+    "fuzz": (lambda: build_fuzz_world(FuzzPlan(seed=1, steps=0))[0],
+             lambda trace: replay_violates(
+                 FuzzPlan(seed=1, steps=len(trace), check_revert_atomicity=True),
+                 trace, "revert_atomicity")),
+    "suite": (lambda: nft_world(HEALTHY)[0],
+              lambda trace: replay_property_trace("revert_atomicity", trace)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ATOMICITY_PATHS))
+@pytest.mark.parametrize("trace", [
+    [WAIT_THEN_WITHDRAW],
+    # the first revert's digest must not stand in for the second's
+    [WAIT_THEN_WITHDRAW._replace(delta=0), WAIT_THEN_WITHDRAW],
+], ids=["first-step", "after-clean-revert"])
+def test_clock_advance_is_not_revert_residue(path, trace):
+    world, fails = ATOMICITY_PATHS[path]
+    state = world()
+    assert [run_action(state, action).error for action in trace] == \
+        ["NothingPending"] * len(trace)
+    assert not fails(trace)
 
 
 def test_action_round_trip():
@@ -344,10 +371,10 @@ def test_draw_index_equals_the_scans(seed):
 
 
 def test_forks_share_the_frozen_plan_mutations_and_hook_calls():
-    replay = fuzz.FuzzReplay(FuzzPlan(seed=1, steps=10, mutant="drop-quorum-check"),
-                             "native_conservation")
+    plan = FuzzPlan(seed=1, steps=10, mutant="drop-quorum-check")
+    replay = fuzz.fuzz_replay(plan, "native_conservation")
     fork = replay.fork()
-    assert fork.plan is replay.plan
+    assert fork.spec is replay.spec is plan
     vault = replay.state.modules[replay.handle.vault]
     assert fork.state.modules[replay.handle.vault].mutations is vault.mutations
     [hook] = [h for h in replay.state.hooks.values() if h.calls]

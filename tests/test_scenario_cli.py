@@ -308,6 +308,15 @@ def test_cli_fuzz_exit_codes(tmp_path):
     assert "violation" in bad.output
 
 
+def test_cli_fuzz_check_revert_atomicity(tmp_path):
+    path = tmp_path / "atomic.json"
+    result = CliRunner().invoke(main, ["fuzz", "--check-revert-atomicity",
+                                       "--seed", "11", "--steps", "400",
+                                       "--report", str(path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(path.read_text())["plan"]["check_revert_atomicity"] is True
+
+
 def test_cli_fuzz_zero_steps(tmp_path):
     result = CliRunner().invoke(main, ["fuzz", "--seed", "1", "--steps", "0",
                                        "--report", str(tmp_path / "z.json")])
