@@ -64,6 +64,9 @@ class TimelockEntry:
     state: str = SCHEDULED
     executed_at: int | None = None
 
+    def __deepcopy__(self, memo: dict) -> "TimelockEntry":
+        return self  # a write replaces the entry, so forks of a world share it
+
     def as_data(self) -> dict:
         return {"proposal_id": self.proposal_id, "scheduled_at": self.scheduled_at,
                 "ready_at": self.ready_at, "state": self.state,
@@ -84,6 +87,11 @@ class Proposal:
     votes_against: int = 0
     total_votes_cast: int = 0
     voters: dict[Address, int] = field(default_factory=dict)
+
+    def __deepcopy__(self, memo: dict) -> "Proposal":
+        # a write replaces the entry, and a vote replaces ``voters`` with a
+        # new dict, so forks of a world share it
+        return self
 
     def as_data(self) -> dict:
         return {

@@ -286,11 +286,13 @@ class WriteSetChecks:
     def __deepcopy__(self, memo: dict) -> "WriteSetChecks":
         # a copy checks the copied world: the maps keyed by id() are re-keyed
         # to the copies of their containers, which are in ``memo`` once the
-        # world is copied (a rescan would do it too, at the cost of a full scan)
+        # world is copied (a rescan would do it too, at the cost of a full scan);
+        # the frozensets of checker names never change, so the copy shares them
         copied = WriteSetChecks.__new__(WriteSetChecks)
         memo[id(self)] = copied
         for name, value in vars(self).items():
-            setattr(copied, name, copy.deepcopy(value, memo))
+            setattr(copied, name, value if name in ("full", "_readers")
+                    else copy.deepcopy(value, memo))
         for name in ("_keyed", "_readers", "_totals"):
             setattr(copied, name, {id(memo[k]): v for k, v in getattr(copied, name).items()
                                    if k in memo})
@@ -364,34 +366,36 @@ class WriteSetChecks:
         self._totals = {id(balances): sum(balances.values()) for balances in summed}
 
     def _observe(self, writes: list[JournalEntry] | tuple[()]) -> set[str] | frozenset[str]:
-        """Note the step's writes; the names of the checkers they reach."""
-        for written in self._dirty:
+        """Note the step's writes, in one pass; the names of the checkers
+        they reach."""
+        dirty = self._dirty
+        for written in dirty:
             written.clear()
+        dirty.clear()
         self.full = _NO_NAMES
-        self._dirty = []
         if not writes:
             return _NO_NAMES
-        keyed, totals = self._keyed, self._totals
-        containers: dict[int, object] = {}
+        keyed, readers, totals = self._keyed, self._readers, self._totals
+        due: set[str] = set()
+        # id of each container written -> its dict of keys written, or None
+        seen: dict[int, dict | None] = {}
         for container, key, old in writes:
             cid = id(container)
-            if cid not in containers:
-                containers[cid] = container
-            written = keyed.get(cid)
+            if cid in seen:
+                written = seen[cid]
+            else:
+                written = seen[cid] = keyed.get(cid)
+                names = readers.get(cid)
+                if names is not None:
+                    due |= names
+                if written is not None:
+                    dirty.append(written)
             if written is not None and key not in written:
-                written[key] = old
-        due: set[str] = set()
-        for cid, container in containers.items():
-            names = self._readers.get(cid)
-            if names is not None:
-                due |= names
-            written = keyed.get(cid)
-            if written is not None:
-                self._dirty.append(written)
+                written[key] = old  # the value before the step: its first write's old
                 if cid in totals:
-                    for k, old in written.items():
-                        totals[cid] += container.get(k, 0) - (0 if old is ABSENT else old)  # type: ignore[attr-defined]
-        if id(self._timelock) in containers:
+                    # the write set is complete, so the container holds the new value
+                    totals[cid] += container.get(key, 0) - (0 if old is ABSENT else old)  # type: ignore[union-attr]
+        if id(self._timelock) in seen:
             # a timelock setting, such as the delay, bears on every proposal
             self.full = frozenset({"governance_soundness"})
         return due

@@ -18,6 +18,12 @@ module call, and native transfers execute recipient payment hooks inside
 their own child frame so that a reverting hook fails only the transfer,
 never the caller's frame directly.
 
+The records on the transaction path, ``ExecutionContext``, ``Event`` and
+``TxResult``, are ``NamedTuple``s built positionally: a step makes several
+of them, and a tuple is the cheapest record to build.  None of them
+changes once built; a ``TxResult`` holds the committed events as one slice
+of the log.
+
 The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
 canonical JSON fragments, and each write helper marks the one fragment it
 touches (a collection entry, such as a balance or an auction, or one
@@ -39,10 +45,9 @@ import copy
 import hashlib
 import json
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Iterator
+from typing import Any, NamedTuple, Sequence
 
 from . import errors
 
@@ -72,19 +77,33 @@ def canonical_json(data: Any) -> str:
 
 
 def normalize(value: Any) -> Any:
-    """Render a value as portable JSON data: ints become decimal strings."""
+    """Render a value as portable JSON data: ints become decimal strings.
+
+    A record with ``as_data`` renders as its data, a ``NamedTuple`` record
+    too; any other list or tuple renders as a list.  Exact types are tested
+    first, as they make up nearly all of a digest document.
+    """
+    kind = type(value)
+    if kind is str or kind is bool or value is None:
+        return value
+    if kind is int:
+        return str(value)
+    if kind is dict:
+        return {str(k): normalize(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [normalize(v) for v in value]
+    if hasattr(value, "as_data"):
+        return normalize(value.as_data())
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str) or value is None:
+    if isinstance(value, str):
         return value
     if isinstance(value, (list, tuple)):
         return [normalize(v) for v in value]
     if isinstance(value, dict):
         return {str(k): normalize(v) for k, v in value.items()}
-    if hasattr(value, "as_data"):
-        return normalize(value.as_data())
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 
@@ -376,8 +395,7 @@ class DigestCache:
         collection.text = b"{" + b",".join(pieces) + b"}"
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
+class ExecutionContext(NamedTuple):
     """Per-call frame view: who is calling, with how much attached value."""
 
     sender: Address
@@ -385,8 +403,7 @@ class ExecutionContext:
     depth: int = 0
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One emitted event.  Events never change, so copies of a world share
     them, and the event hash chain may read them long after ``emit``."""
 
@@ -470,13 +487,32 @@ class NftLedger:
     approvals: dict[int, Address] = field(default_factory=dict)
 
 
-@dataclass
-class TxResult:
+class TxResult(NamedTuple):
+    """The outcome of one top-level transaction; a committed one carries
+    its return value and the events it emitted."""
+
     ok: bool
     value: Any = None
     error: str | None = None
     error_message: str = ""
-    events: list[Event] = field(default_factory=list)
+    events: Sequence[Event] = ()
+
+
+class _Lock:
+    """A held-or-free reentrancy lock, entered with ``with``."""
+
+    __slots__ = ("locks", "key")
+
+    def __init__(self, locks: set[tuple[str, str]], key: tuple[str, str]) -> None:
+        self.locks, self.key = locks, key
+
+    def __enter__(self) -> None:
+        if self.key in self.locks:
+            raise errors.Reentered("%s.%s already held" % self.key)
+        self.locks.add(self.key)
+
+    def __exit__(self, *exc: Any) -> None:
+        self.locks.discard(self.key)
 
 
 class Module:
@@ -691,16 +727,10 @@ class ChainState:
             raise errors.UnknownFrame(f"frame {token} is not on top")
         self._frames.pop()
 
-    @contextmanager
-    def reentrancy_lock(self, module_id: str, name: str = "nonreentrant") -> Iterator[None]:
-        key = (module_id, name)
-        if key in self._locks:
-            raise errors.Reentered(f"{module_id}.{name} already held")
-        self._locks.add(key)
-        try:
-            yield
-        finally:
-            self._locks.discard(key)
+    def reentrancy_lock(self, module_id: str, name: str = "nonreentrant") -> "_Lock":
+        """A context manager holding ``module_id``'s lock ``name``; entering
+        it while held raises ``Reentered``."""
+        return _Lock(self._locks, (module_id, name))
 
     # ------------------------------------------------------------------ #
     # Transactions and nested calls
@@ -729,7 +759,7 @@ class ChainState:
             raise ValueError("attached value must be non-negative")
         token = self.snapshot()
         events_mark = len(self.events)
-        ctx = ExecutionContext(sender=sender, value=value, depth=0)
+        ctx = ExecutionContext(sender, value, 0)
         writes: list[JournalEntry] | tuple[()] = ()
         try:
             module = self._module_for_call(module_id, method, value)
@@ -739,10 +769,10 @@ class ChainState:
             ret = self._dispatch(module, method, ctx, args)
             self._commit(token)
             writes = self._undo
-            result = TxResult(True, value=ret, events=list(self.events[events_mark:]))
+            result = TxResult(True, ret, None, "", self.events[events_mark:])
         except errors.LedgerError as exc:
             self.rollback(token)
-            result = TxResult(False, error=exc.name, error_message=str(exc))
+            result = TxResult(False, None, exc.name, str(exc))
         finally:
             if self._frames:  # a non-LedgerError escaped with the frame open
                 self.rollback(token)
@@ -764,7 +794,7 @@ class ChainState:
             if value:
                 self._debit_native(sender, value)
                 self._credit_native(module.address, value)
-            child = ExecutionContext(sender=sender, value=value, depth=depth)
+            child = ExecutionContext(sender, value, depth)
             ret = self._dispatch(module, method, child, args)
             self._commit(token)
             return ret
@@ -775,9 +805,12 @@ class ChainState:
     def _dispatch(self, module: Module, method: str, ctx: ExecutionContext,
                   args: dict | None) -> Any:
         # malformed arguments (wrong names, incomparable types) revert rather
-        # than escape as raw TypeErrors; scenario input is untrusted
+        # than escape as raw TypeErrors; scenario input is untrusted.  A dict
+        # goes to ``**`` as it is: the call binds its own copy
         try:
-            return getattr(module, method)(self, ctx, **dict(args or {}))
+            if type(args) is not dict:
+                args = dict(args or {})
+            return getattr(module, method)(self, ctx, **args)
         except TypeError as exc:
             raise errors.UnknownOperation(
                 f"bad arguments for {module.module_id}.{method}: {exc}") from exc
@@ -838,7 +871,7 @@ class ChainState:
         depth = ctx.depth + 1
         if depth > self.max_call_depth:
             raise errors.DepthExceeded(f"hook at depth {depth} exceeds {self.max_call_depth}")
-        hook_ctx = ExecutionContext(sender=hook.owner, value=0, depth=depth)
+        hook_ctx = ExecutionContext(hook.owner, 0, depth)
         for call_spec in hook.calls:
             try:
                 ret = self.call(hook_ctx, call_spec.module, call_spec.method,
@@ -994,9 +1027,8 @@ class ChainState:
     # ------------------------------------------------------------------ #
 
     def emit(self, ctx: ExecutionContext, emitter: str, name: str, payload: dict) -> None:
-        event = Event(name=name, emitter=emitter, payload=tuple(payload.items()),
-                      frame=ctx.depth, tx_index=self.tx_index)
-        self.jappend(self.events, event)
+        self.jappend(self.events, Event(name, emitter, tuple(payload.items()),
+                                        ctx.depth, self.tx_index))
 
     def event_hash(self) -> str:
         """The hash chain over the event log: each link is the sha256 of the

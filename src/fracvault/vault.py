@@ -43,6 +43,9 @@ class Auction:
     highest_bidder: Address = ZERO_ADDRESS
     active: bool = True
 
+    def __deepcopy__(self, memo: dict) -> "Auction":
+        return self  # a write replaces the entry, so forks of a world share it
+
     def as_data(self) -> dict:
         return {
             "token_id": self.token_id,
@@ -65,6 +68,9 @@ class SaleRecord:
     proceeds_remaining: int
     supply_snapshot: int
     original_owner: Address
+
+    def __deepcopy__(self, memo: dict) -> "SaleRecord":
+        return self  # a write replaces the entry, so forks of a world share it
 
     def as_data(self) -> dict:
         return {

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fracvault import errors, ledger, standard_world
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
-                            run_action, run_fuzz)
+                            run_action, run_fuzz, transact_action)
 from fracvault.governance import Proposal, TimelockEntry
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
                               Event, ExecutionContext, Module, ReceiveHook,
@@ -263,6 +263,18 @@ def test_fragment_encoder_rejects_what_normalize_rejects(value):
         normalize(value)
     with pytest.raises(TypeError):
         ledger._text(value)
+
+
+def test_tuple_records_encode_as_their_data():
+    # a NamedTuple is a tuple, but a record with ``as_data`` encodes as its data
+    records = [Event("Transfer", "fractions", (("from", "a0"), ("amount", 7)), 1, 3),
+               transact_action("a1", "vault", "place_bid", value=55, token_id=3)]
+    for record in records:
+        assert isinstance(record, tuple)
+        assert normalize(record) == normalize(record.as_data())
+        assert ledger._text(record) == canonical_json(normalize(record.as_data()))
+    assert normalize([records, (2, "x")]) == [
+        [normalize(r.as_data()) for r in records], ["2", "x"]]
 
 
 def test_every_fuzz_event_encodes_as_its_data():

@@ -8,8 +8,8 @@ import copy
 import pytest
 
 from fracvault import errors
-from fracvault.ledger import (ChainState, ExecutionContext, HookCall, ReceiveHook,
-                              ZERO_ADDRESS)
+from fracvault.ledger import (ChainState, ExecutionContext, HookCall, Module,
+                              ReceiveHook, ZERO_ADDRESS)
 from fracvault.vault import Vault
 
 from helpers import native_total, tx, tx_err
@@ -288,6 +288,40 @@ def test_non_ledger_error_rolls_back_and_propagates(world, monkeypatch):
     monkeypatch.undo()
     tx(state, "alice", handle.vault, "deposit_nft",
        nft_address=handle.collection, token_id=1)
+
+
+class _Guarded(Module):
+    """Methods that take the module's reentrancy lock."""
+
+    exposed = frozenset({"reenter", "fail", "fault", "ping"})
+
+    def reenter(self, state, ctx):
+        with state.reentrancy_lock(self.module_id):
+            return state.call(ctx, self.module_id, "ping")
+
+    def fail(self, state, ctx):
+        with state.reentrancy_lock(self.module_id):
+            raise errors.InvalidAmount("planted revert")
+
+    def fault(self, state, ctx):
+        with state.reentrancy_lock(self.module_id):
+            raise ValueError("planted fault")
+
+    def ping(self, state, ctx):
+        with state.reentrancy_lock(self.module_id):
+            return "pong"
+
+
+def test_reentered_guard_raises_and_a_raising_guard_releases(chain):
+    chain.install_module(_Guarded("guarded"))
+    result = tx_err(chain, "Reentered", "alice", "guarded", "reenter")
+    assert result.error_message == "guarded.nonreentrant already held"
+    tx_err(chain, "InvalidAmount", "alice", "guarded", "fail")
+    assert tx(chain, "alice", "guarded", "ping") == "pong"
+    with pytest.raises(ValueError, match="planted fault"):
+        chain.transact("alice", "guarded", "fault")
+    assert tx(chain, "alice", "guarded", "ping") == "pong"
+    assert chain._locks == set()
 
 
 def test_rolled_back_vote_restores_the_proposal_object(proposal_world):
