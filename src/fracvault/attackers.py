@@ -1,22 +1,24 @@
 """Scripted adversaries run against twin worlds.
 
-Each strategy builds two identical worlds from the same genesis, installs
-the hostile payment hook (or extra hostile transactions) in one of them,
-runs the same legitimate script of ``FuzzAction``s in both, and reports
-the attacker's net position relative to the honest twin.  A hardened
-system yields a net gain of exactly zero everywhere.
+``ATTACKS`` is one table of ``Strategy`` records, one per attack, and
+``run_attack`` the one runner, which plays a record on an honest and an
+attacked twin of one genesis.  A hardened system yields a net gain of
+exactly zero everywhere.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .fuzz import (FuzzAction, actor_world, auction_start, build_sold_world,
-                   clock_action, deposit_prefix, fraction_transfers, run_action,
-                   run_setup, transact_action)
-from .ledger import ChainState, HookCall, ReceiveHook
+from .fuzz import (FuzzAction, actor_world, auction_start, clock_action,
+                   deposit_prefix, fraction_transfers, run_action, run_setup,
+                   sold_setup, transact_action)
+from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .mutations import HEALTHY, Mutations
-from .system import SystemHandle, must
+from .system import SystemHandle
+from .vault import EXTENSION_DELTA, Vault
 
 STRATEGIES = ("ReenterWithdraw", "ReenterRedeem", "RejectPayment",
               "DoubleRedeem", "BidSniper", "GovernanceSpammer")
@@ -41,214 +43,187 @@ class AttackReport:
                 "neutralized": self.neutralized, "details": self.details}
 
 
-def _position(state: ChainState, handle: SystemHandle, who: str) -> tuple[int, int]:
-    """Attacker worth: native plus unclaimed pending, and fraction holdings."""
-    vault = handle.vault_module(state)
-    return (state.native.get(who, 0) + vault.pending.get(who, 0),
-            state.fungible_balance(handle.fractions, who))
+class Twin(NamedTuple):
+    """One world of an attack after its script: each step's result (None
+    for a clock-only step) and the attacker's hook, if it installed one."""
+
+    state: ChainState
+    handle: SystemHandle
+    results: list[TxResult | None]
+    hook: ReceiveHook | None
+
+    @property
+    def vault(self) -> Vault:
+        return self.handle.vault_module(self.state)
+
+    def position(self, who: str) -> tuple[int, int]:
+        """Native plus unclaimed pending, and fraction holdings."""
+        return (self.state.native.get(who, 0) + self.vault.pending.get(who, 0),
+                self.state.fungible_balance(self.handle.fractions, who))
+
+    def outcomes(self) -> list[str]:
+        """Each step's error name, or "ok" where it committed."""
+        return [result.error or "ok" for result in self.results]
 
 
-def _outcomes(state: ChainState, script: list[FuzzAction]) -> list[str]:
-    """Run ``script``; each step's error name, or "ok" where it committed."""
-    outcomes = []
-    for action in script:
-        result = run_action(state, action)
-        outcomes.append(result.error if not result.ok else "ok")
-    return outcomes
+@dataclass(frozen=True)
+class Strategy:
+    """One attack.  The attacked twin runs ``hostile`` in place of
+    ``honest`` where it is set, and installs a copy of ``hook`` first.
+    ``details`` reads the attacked and the honest twin; ``judge`` names what
+    a neutralized attack's details show went wrong, or returns None."""
 
-
-def _redeem(attacker: str, amount: int) -> FuzzAction:
-    return transact_action(attacker, "vault", "redeem_fraction_value",
-                           token_id=1, fraction_amount=amount)
-
-
-def _withdraw(attacker: str) -> FuzzAction:
-    return transact_action(attacker, "vault", "withdraw_pending")
-
-
-def reenter_withdraw(mutations: Mutations = HEALTHY) -> AttackReport:
-    """Hook re-enters withdraw_pending during its own payout."""
-    attacker = "a1"
-    script = [_redeem(attacker, 250), _withdraw(attacker)]
-    honest, handle = build_sold_world(mutations, ((attacker, 250),))
-    _outcomes(honest, script)
-
-    attacked, handle2 = build_sold_world(mutations, ((attacker, 250),))
-    hook = ReceiveHook(owner=attacker, max_activations=2, calls=(
-        HookCall(module=handle2.vault, method="withdraw_pending",
-                 record_result=True),
-    ))
-    attacked.set_receive_hook(attacker, hook)
-    outcomes = _outcomes(attacked, script)
-
-    native_h, frac_h = _position(honest, handle, attacker)
-    native_a, frac_a = _position(attacked, handle2, attacker)
-    return AttackReport(
-        strategy="ReenterWithdraw", attacker=attacker,
-        net_native_gain=native_a - native_h, net_fraction_gain=frac_a - frac_h,
-        details={"outcomes": outcomes, "hook_observed": list(map(list, hook.observed))})
-
-
-def reenter_redeem(mutations: Mutations = HEALTHY) -> AttackReport:
-    """Hook re-enters redeem_fraction_value during the withdraw payout."""
-    attacker = "a1"
-    script = [_redeem(attacker, 250), _withdraw(attacker)] * 2
-    honest, handle = build_sold_world(mutations, ((attacker, 500),))
-    _outcomes(honest, script)
-
-    attacked, handle2 = build_sold_world(mutations, ((attacker, 500),))
-    hook = ReceiveHook(owner=attacker, max_activations=2, calls=(
-        HookCall(module=handle2.vault, method="redeem_fraction_value",
-                 args=(("token_id", 1), ("fraction_amount", 250)),
-                 record_result=True),
-    ))
-    attacked.set_receive_hook(attacker, hook)
-    outcomes = _outcomes(attacked, script)
-
-    native_h, frac_h = _position(honest, handle, attacker)
-    native_a, frac_a = _position(attacked, handle2, attacker)
-    return AttackReport(
-        strategy="ReenterRedeem", attacker=attacker,
-        net_native_gain=native_a - native_h, net_fraction_gain=frac_a - frac_h,
-        details={"outcomes": outcomes, "hook_observed": list(map(list, hook.observed))})
-
-
-def double_redeem(mutations: Mutations = HEALTHY) -> AttackReport:
-    """Plain second redemption of fractions that were already burned."""
-    attacker = "a1"
-    honest, handle = build_sold_world(mutations, ((attacker, 250),))
-    _outcomes(honest, [_redeem(attacker, 250), _withdraw(attacker)])
-    attacked, handle2 = build_sold_world(mutations, ((attacker, 250),))
-    outcomes = _outcomes(attacked, [_redeem(attacker, 250), _redeem(attacker, 250),
-                                    _withdraw(attacker), _withdraw(attacker)])
-    native_h, frac_h = _position(honest, handle, attacker)
-    native_a, frac_a = _position(attacked, handle2, attacker)
-    return AttackReport(
-        strategy="DoubleRedeem", attacker=attacker,
-        net_native_gain=native_a - native_h, net_fraction_gain=frac_a - frac_h,
-        details={"outcomes": outcomes,
-                 "second_redeem_rejected": outcomes[1] == "InsufficientFractions"})
-
-
-def reject_payment(mutations: Mutations = HEALTHY) -> AttackReport:
-    """Original owner refuses payments during settlement; pull-over-push
-    means the auction still settles and the royalty stays claimable."""
-    attacker = "a0"
-
-    def build(with_hook: bool):
-        state, handle, _ = actor_world(4, mutations)
-        run_setup(state, deposit_prefix(handle)
-                  + auction_start(handle, "a3", 1_000_000))
-        if with_hook:
-            state.set_receive_hook(attacker,
-                                   ReceiveHook(owner=attacker, reject=True))
-        state.advance_clock(10_000)
-        settle = run_action(state, transact_action("a2", handle.vault,
-                                                   "end_auction", token_id=1))
-        withdraw = run_action(state, _withdraw(attacker))
-        return state, handle, settle, withdraw
-
-    honest, handle, settle_h, _ = build(with_hook=False)
-    attacked, handle2, settle_a, withdraw_a = build(with_hook=True)
-    vault = handle2.vault_module(attacked)
-    native_h, frac_h = _position(honest, handle, attacker)
-    native_a, frac_a = _position(attacked, handle2, attacker)
-    return AttackReport(
-        strategy="RejectPayment", attacker=attacker,
-        net_native_gain=native_a - native_h, net_fraction_gain=frac_a - frac_h,
-        details={"settlement_committed": settle_a.ok,
-                 "withdraw_error": withdraw_a.error,
-                 "royalty_still_claimable": vault.pending.get(attacker, 0)})
-
-
-def bid_sniper(mutations: Mutations = HEALTHY) -> AttackReport:
-    """Last-minute bid triggers the extension; an honest rival retakes the
-    lead inside the extra window and the sniper gets a full refund."""
-    attacker = "a1"
-
-    def build(with_snipe: bool):
-        state, handle, _ = actor_world(4, mutations)
-        run_setup(state, deposit_prefix(handle) + auction_start(handle, "a2", 100)
-                  + [clock_action(10_000 - 60)])
-        end_before = handle.vault_module(state).auctions[1].end_time
-        if with_snipe:
-            run_setup(state, [
-                transact_action(attacker, handle.vault, "place_bid", value=150,
-                                token_id=1),
-                transact_action("a2", handle.vault, "place_bid", value=200,
-                                token_id=1)])
-        end_after = handle.vault_module(state).auctions[1].end_time
-        run_setup(state, [clock_action(end_after - state.clock),
-                          transact_action("a3", handle.vault, "end_auction",
-                                          token_id=1)])
-        return state, handle, end_after - end_before
-
-    honest, handle, _ = build(with_snipe=False)
-    attacked, handle2, extension = build(with_snipe=True)
-    native_h, frac_h = _position(honest, handle, attacker)
-    native_a, frac_a = _position(attacked, handle2, attacker)
-    return AttackReport(
-        strategy="BidSniper", attacker=attacker,
-        net_native_gain=native_a - native_h, net_fraction_gain=frac_a - frac_h,
-        details={"extension_seconds": extension,
-                 "winner": attacked.nft_owner(handle2.collection, 1),
-                 "sniper_refund": handle2.vault_module(attacked).pending.get(attacker, 0)})
-
-
-def governance_spammer(mutations: Mutations = HEALTHY) -> AttackReport:
-    """Dust holder floods proposal creation and votes alone; nothing passes
-    quorum and no governed parameter moves."""
-    attacker = "a3"
-
-    def build(with_spam: bool):
-        state, handle, _ = actor_world(4, mutations)
-        gift = fraction_transfers(handle, ((attacker, 5),))
-        run_setup(state, deposit_prefix(handle) + gift)
-        outcomes = []
-        if with_spam:
-            spam = transact_action(
-                attacker, handle.governance, "create_proposal",
-                description="spam", target=handle.vault,
-                action={"kind": "set_royalty_percent", "args": {"percent": 0}},
-                voting_period=600)
-            # below the 10-fraction threshold
-            outcomes += [run_action(state, spam).error for _ in range(5)]
-            run_setup(state, gift)
-            created = must(run_action(state, spam))
-            run_setup(state, [transact_action(attacker, handle.governance, "vote",
-                                              proposal_id=created.value,
-                                              support=True),
-                              clock_action(600)])
-            outcomes.append(run_action(state, transact_action(
-                attacker, handle.governance, "execute_proposal",
-                proposal_id=created.value)).error)
-        return state, handle, outcomes
-
-    honest, handle, _ = build(with_spam=False)
-    attacked, handle2, outcomes = build(with_spam=True)
-    vault_h = handle.vault_module(honest)
-    vault_a = handle2.vault_module(attacked)
-    native_h, frac_h = _position(honest, handle, attacker)
-    native_a, frac_a = _position(attacked, handle2, attacker)
-    return AttackReport(
-        strategy="GovernanceSpammer", attacker=attacker,
-        net_native_gain=native_a - native_h,
-        net_fraction_gain=(frac_a - frac_h) - 5,  # the extra 5 were a gift
-        details={"outcomes": outcomes,
-                 "params_unchanged": (vault_a.royalty_percent,
-                                      vault_a.auction_duration)
-                 == (vault_h.royalty_percent, vault_h.auction_duration)})
-
-
-ATTACKS = {
-    "ReenterWithdraw": reenter_withdraw,
-    "ReenterRedeem": reenter_redeem,
-    "DoubleRedeem": double_redeem,
-    "RejectPayment": reject_payment,
-    "BidSniper": bid_sniper,
-    "GovernanceSpammer": governance_spammer,
-}
+    name: str
+    attacker: str
+    setup: list[FuzzAction]
+    honest: list[FuzzAction]
+    details: Callable[[Twin, Twin], dict]
+    hostile: list[FuzzAction] | None = None
+    hook: ReceiveHook | None = None
+    judge: Callable[[dict], str | None] = lambda details: None
 
 
 def run_attack(strategy: str, mutations: Mutations = HEALTHY) -> AttackReport:
-    return ATTACKS[strategy](mutations)
+    """Build the honest and the attacked twin from the same genesis, run
+    each its script, and net the attacker's position in the attacked twin
+    against the honest one."""
+    attack = ATTACKS[strategy]
+    twins = []
+    for hostile in (False, True):
+        state, handle, _ = actor_world(4, mutations)
+        run_setup(state, attack.setup)
+        hook = copy.deepcopy(attack.hook) if hostile else None
+        if hook is not None:
+            state.set_receive_hook(attack.attacker, hook)
+        script = attack.hostile if hostile and attack.hostile else attack.honest
+        twins.append(Twin(state, handle,
+                          [run_action(state, action) for action in script], hook))
+    honest, attacked = twins
+    native_h, frac_h = honest.position(attack.attacker)
+    native_a, frac_a = attacked.position(attack.attacker)
+    return AttackReport(
+        strategy=strategy, attacker=attack.attacker,
+        net_native_gain=native_a - native_h, net_fraction_gain=frac_a - frac_h,
+        details=attack.details(attacked, honest))
+
+
+# the module ids of the standard deployment every attack world starts from
+_IDS = SystemHandle(deployer="deployer")
+_REDEEM = transact_action("a1", _IDS.vault, "redeem_fraction_value",
+                          token_id=1, fraction_amount=250)
+_WITHDRAW = transact_action("a1", _IDS.vault, "withdraw_pending")
+# the clock passes the end of one extension, and a3 settles
+_SNIPER_SETTLE = [clock_action(60 + EXTENSION_DELTA),
+                  transact_action("a3", _IDS.vault, "end_auction", token_id=1)]
+_GIFT = fraction_transfers(_IDS, (("a3", 5),))
+# below the 10-fraction threshold until a3 holds a second gift
+_SPAM = transact_action(
+    "a3", _IDS.governance, "create_proposal", description="spam",
+    target=_IDS.vault,
+    action={"kind": "set_royalty_percent", "args": {"percent": 0}},
+    voting_period=600)
+
+
+def _reentry_hook(method: str, *args: tuple[str, int]) -> ReceiveHook:
+    """a1 calls ``method`` back on each of up to two payments and records
+    the result."""
+    return ReceiveHook(owner="a1", max_activations=2, calls=(
+        HookCall(module=_IDS.vault, method=method, args=args,
+                 record_result=True),))
+
+
+def _reentry_details(attacked: Twin, honest: Twin) -> dict:
+    return {"outcomes": attacked.outcomes(),
+            "hook_observed": list(map(list, attacked.hook.observed))}
+
+
+def _reject_payment_details(attacked: Twin, honest: Twin) -> dict:
+    _, settle, withdraw = attacked.results
+    return {"settlement_committed": settle.ok,
+            "withdraw_error": withdraw.error,
+            "royalty_still_claimable": attacked.vault.pending.get("a0", 0)}
+
+
+def _reject_payment_judge(details: dict) -> str | None:
+    if not details["settlement_committed"]:
+        return "a rejecting recipient blocked auction settlement"
+    if details["royalty_still_claimable"] <= 0:
+        return "royalty claim was lost"
+    return None
+
+
+def _sniper_details(attacked: Twin, honest: Twin) -> dict:
+    return {"extension_seconds": attacked.vault.auctions[1].end_time
+            - honest.vault.auctions[1].end_time,
+            "winner": attacked.state.nft_owner(attacked.handle.collection, 1),
+            "sniper_refund": attacked.vault.pending.get("a1", 0)}
+
+
+def _spammer_details(attacked: Twin, honest: Twin) -> dict:
+    def params(twin: Twin) -> tuple[int, int]:
+        return twin.vault.royalty_percent, twin.vault.auction_duration
+
+    spam, execute = attacked.results[:5], attacked.results[-1]
+    return {"outcomes": [result.error for result in spam] + [execute.error],
+            "params_unchanged": params(attacked) == params(honest)}
+
+
+ATTACKS = {attack.name: attack for attack in (
+    # a1's hook re-enters withdraw_pending during its own payout
+    Strategy("ReenterWithdraw", "a1", sold_setup(_IDS, (("a1", 250),)),
+             [_REDEEM, _WITHDRAW], hook=_reentry_hook("withdraw_pending"),
+             details=_reentry_details),
+    # a1's hook re-enters redeem_fraction_value during the withdraw payout
+    Strategy("ReenterRedeem", "a1", sold_setup(_IDS, (("a1", 500),)),
+             [_REDEEM, _WITHDRAW] * 2,
+             hook=_reentry_hook("redeem_fraction_value", ("token_id", 1),
+                                ("fraction_amount", 250)),
+             details=_reentry_details),
+    # a plain second redemption of fractions that were already burned
+    Strategy("DoubleRedeem", "a1", sold_setup(_IDS, (("a1", 250),)),
+             [_REDEEM, _WITHDRAW],
+             hostile=[_REDEEM, _REDEEM, _WITHDRAW, _WITHDRAW],
+             details=lambda attacked, honest: {
+                 "outcomes": attacked.outcomes(),
+                 "second_redeem_rejected":
+                     attacked.outcomes()[1] == "InsufficientFractions"},
+             judge=lambda details: None if details["second_redeem_rejected"]
+             else "second redemption of burned fractions was not rejected"),
+    # the original owner refuses payments during settlement; pull over push
+    # means the auction still settles and the royalty stays claimable
+    Strategy("RejectPayment", "a0",
+             deposit_prefix(_IDS) + auction_start(_IDS, "a3", 1_000_000),
+             [clock_action(10_000),
+              transact_action("a2", _IDS.vault, "end_auction", token_id=1),
+              transact_action("a0", _IDS.vault, "withdraw_pending")],
+             hook=ReceiveHook(owner="a0", reject=True),
+             details=_reject_payment_details, judge=_reject_payment_judge),
+    # a last-minute bid triggers the extension; an honest rival retakes the
+    # lead inside the extra window and the sniper gets a full refund
+    Strategy("BidSniper", "a1",
+             deposit_prefix(_IDS) + auction_start(_IDS, "a2", 100)
+             + [clock_action(10_000 - 60)],
+             _SNIPER_SETTLE,
+             hostile=[transact_action("a1", _IDS.vault, "place_bid", value=150,
+                                      token_id=1),
+                      transact_action("a2", _IDS.vault, "place_bid", value=200,
+                                      token_id=1)] + _SNIPER_SETTLE,
+             details=_sniper_details,
+             judge=lambda details: None
+             if details["extension_seconds"] == EXTENSION_DELTA
+             else f"snipe extended by {details['extension_seconds']}, "
+                  f"not {EXTENSION_DELTA}"),
+    # a dust holder floods proposal creation and votes alone on proposal 0;
+    # nothing passes quorum and no governed parameter moves
+    Strategy("GovernanceSpammer", "a3", deposit_prefix(_IDS) + _GIFT, _GIFT,
+             hostile=[_SPAM] * 5 + _GIFT + [
+                 _SPAM,
+                 transact_action("a3", _IDS.governance, "vote", proposal_id=0,
+                                 support=True),
+                 clock_action(600),
+                 transact_action("a3", _IDS.governance, "execute_proposal",
+                                 proposal_id=0)],
+             details=_spammer_details,
+             judge=lambda details: None if details["params_unchanged"]
+             else "spam campaign moved a governed parameter"),
+)}

@@ -211,16 +211,15 @@ def auction_start(handle: SystemHandle, bidder: str, bid: int) -> list[FuzzActio
                             token_id=1)]
 
 
-def build_sold_world(mutations: Mutations, spread: tuple[tuple[str, int], ...]
-                     ) -> tuple[ChainState, SystemHandle]:
-    """Actors a0 to a3; a0 deposits NFT 1, sends ``spread`` its fractions,
-    and auctions the NFT, which a3 buys for 1,000,000 and a2 settles."""
-    state, handle, _ = actor_world(4, mutations)
-    run_setup(state, deposit_prefix(handle) + fraction_transfers(handle, spread)
-              + auction_start(handle, "a3", 1_000_000)
-              + [clock_action(10_000),
-                 transact_action("a2", handle.vault, "end_auction", token_id=1)])
-    return state, handle
+def sold_setup(handle: SystemHandle, spread: tuple[tuple[str, int], ...]
+               ) -> list[FuzzAction]:
+    """For actors a0 to a3: a0 deposits NFT 1, sends ``spread`` its
+    fractions, and auctions the NFT, which a3 buys for 1,000,000 and a2
+    settles."""
+    return (deposit_prefix(handle) + fraction_transfers(handle, spread)
+            + auction_start(handle, "a3", 1_000_000)
+            + [clock_action(10_000),
+               transact_action("a2", handle.vault, "end_auction", token_id=1)])
 
 
 def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str]]:

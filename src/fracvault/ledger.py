@@ -555,7 +555,7 @@ class NativeTransfers(Module):
 
 
 class ChainState:
-    def __init__(self, max_call_depth: int = MAX_CALL_DEPTH):
+    def __init__(self) -> None:
         self.native: dict[Address, int] = {}
         self.fungible: dict[str, FungibleLedger] = {}
         self.nft: dict[str, NftLedger] = {}
@@ -564,7 +564,6 @@ class ChainState:
         self.modules: dict[str, Module] = {}
         self.hooks: dict[Address, ReceiveHook] = {}
         self.genesis_native_supply: int = 0
-        self.max_call_depth = max_call_depth
         self.tx_index: int = 0
         self._undo: list[JournalEntry] = []
         # write set of the latest transact(): its journal if it committed,
@@ -786,8 +785,8 @@ class ChainState:
         """Nested module call in a child frame; reverts the child and re-raises on error."""
         sender = ctx.sender if sender is None else sender
         depth = ctx.depth + 1
-        if depth > self.max_call_depth:
-            raise errors.DepthExceeded(f"call depth {depth} exceeds {self.max_call_depth}")
+        if depth > MAX_CALL_DEPTH:
+            raise errors.DepthExceeded(f"call depth {depth} exceeds {MAX_CALL_DEPTH}")
         token = self.snapshot()
         try:
             module = self._module_for_call(module_id, method, value)
@@ -804,12 +803,17 @@ class ChainState:
 
     def _dispatch(self, module: Module, method: str, ctx: ExecutionContext,
                   args: dict | None) -> Any:
-        # malformed arguments (wrong names, incomparable types) revert rather
-        # than escape as raw TypeErrors; scenario input is untrusted.  A dict
+        # malformed arguments (wrong names, incomparable types, a sequence
+        # that is no list of pairs) revert rather than escape as raw
+        # TypeErrors or ValueErrors; scenario input is untrusted.  A dict
         # goes to ``**`` as it is: the call binds its own copy
-        try:
-            if type(args) is not dict:
+        if type(args) is not dict:
+            try:
                 args = dict(args or {})
+            except (TypeError, ValueError) as exc:
+                raise errors.UnknownOperation(
+                    f"bad arguments for {module.module_id}.{method}: {exc}") from exc
+        try:
             return getattr(module, method)(self, ctx, **args)
         except TypeError as exc:
             raise errors.UnknownOperation(
@@ -869,8 +873,8 @@ class ChainState:
             return
         hook._fired_count += 1
         depth = ctx.depth + 1
-        if depth > self.max_call_depth:
-            raise errors.DepthExceeded(f"hook at depth {depth} exceeds {self.max_call_depth}")
+        if depth > MAX_CALL_DEPTH:
+            raise errors.DepthExceeded(f"hook at depth {depth} exceeds {MAX_CALL_DEPTH}")
         hook_ctx = ExecutionContext(hook.owner, 0, depth)
         for call_spec in hook.calls:
             try:

@@ -7,7 +7,9 @@ transaction per step (inspecting live state, recording pure data), and the
 after the step's clock advance.  Campaigns run on the runner in ``ddmin``,
 as the fuzzer does.  On failure the recorded action prefix is shrunk
 delete-only until 1-minimal and attached to the result, so every red
-property ships a replayable reproducer.
+campaign ships a replayable reproducer.  An attack property runs one
+``attackers`` strategy and judges its report: it counts as one step and
+carries no trace.
 
 The first fourteen names in ``PINNED_PROPERTIES`` are the externally pinned
 suite: minting/burning authorization, total-supply invariance, the
@@ -22,14 +24,15 @@ the governance authorization chain, plus the six attack scenarios.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import attackers
 from .ddmin import CheckedReplay, ddmin, run_checked
-from .fuzz import (FuzzAction, actor_world, build_sold_world, clock_action,
-                   deposit_prefix, fraction_transfers, market_funding,
-                   round_robin_mints, run_setup, transact_action)
+from .fuzz import (FuzzAction, actor_world, clock_action, deposit_prefix,
+                   fraction_transfers, market_funding, round_robin_mints,
+                   run_setup, sold_setup, transact_action)
 from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
@@ -161,8 +164,8 @@ def sold_world(mutations: Mutations, *, attacker_hook: str | None = None
     ``attacker_hook`` wires a1 with a payment hook: "reenter" retries
     withdraw and redeem, "probe" additionally records what it sees.
     """
-    state, handle = build_sold_world(mutations,
-                                     (("a1", 250), ("a2", 200), ("a3", 100)))
+    state, handle, _ = actor_world(len(ACTORS), mutations)
+    run_setup(state, sold_setup(handle, (("a1", 250), ("a2", 200), ("a3", 100))))
     extras: dict = {"actors": list(ACTORS), "attacker": None}
     if attacker_hook is not None:
         record = attacker_hook == "probe"
@@ -992,52 +995,6 @@ def _authorization_chain_campaign() -> Campaign:
 
 
 # --------------------------------------------------------------------- #
-# Attack scenario wrappers
-# --------------------------------------------------------------------- #
-
-def _attack_property(name: str, strategy: str,
-                     extra_check=None) -> Callable[[int, int, Mutations], PropertyResult]:
-    def run(seed: int, steps: int, mutations: Mutations) -> PropertyResult:
-        report = attackers.run_attack(strategy, mutations)
-        detail = ""
-        if not report.neutralized:
-            detail = (f"attacker netted {report.net_native_gain} native and "
-                      f"{report.net_fraction_gain} fractions")
-        elif extra_check:
-            detail = extra_check(report) or ""
-        return PropertyResult(name=name, passed=not detail, steps=1,
-                              detail=detail)
-
-    return run
-
-
-def _check_reject_payment(report) -> str | None:
-    if not report.details["settlement_committed"]:
-        return "a rejecting recipient blocked auction settlement"
-    if report.details["royalty_still_claimable"] <= 0:
-        return "royalty claim was lost"
-    return None
-
-
-def _check_sniper(report) -> str | None:
-    if report.details["extension_seconds"] != 900:
-        return f"snipe extended by {report.details['extension_seconds']}, not 900"
-    return None
-
-
-def _check_double_redeem(report) -> str | None:
-    if not report.details["second_redeem_rejected"]:
-        return "second redemption of burned fractions was not rejected"
-    return None
-
-
-def _check_spammer(report) -> str | None:
-    if not report.details["params_unchanged"]:
-        return "spam campaign moved a governed parameter"
-    return None
-
-
-# --------------------------------------------------------------------- #
 # Registry and suite runner
 # --------------------------------------------------------------------- #
 
@@ -1083,14 +1040,9 @@ _CAMPAIGNS: dict[str, Callable[[], Campaign]] = {
     "authorization_chain": _authorization_chain_campaign,
 }
 
-_ATTACK_PROPERTIES = {name: _attack_property(name, strategy, check) for name, strategy, check in (
-    ("attack_reenter_withdraw", "ReenterWithdraw", None),
-    ("attack_reenter_redeem", "ReenterRedeem", None),
-    ("attack_double_redeem", "DoubleRedeem", _check_double_redeem),
-    ("attack_reject_payment", "RejectPayment", _check_reject_payment),
-    ("attack_bid_sniper", "BidSniper", _check_sniper),
-    ("attack_governance_spammer", "GovernanceSpammer", _check_spammer),
-)}
+# attack_reenter_withdraw for ReenterWithdraw, and so on
+_ATTACK_PROPERTIES = {"attack" + re.sub("([A-Z])", r"_\1", strategy).lower(): strategy
+                      for strategy in attackers.ATTACKS}
 
 ALL_PROPERTIES = tuple(_CAMPAIGNS) + tuple(_ATTACK_PROPERTIES)
 
@@ -1100,7 +1052,12 @@ def run_property(name: str, seed: int = 0, steps: int = 2_000,
     if name in _CAMPAIGNS:
         return run_campaign(_CAMPAIGNS[name](), seed, steps, mutations)
     if name in _ATTACK_PROPERTIES:
-        return _ATTACK_PROPERTIES[name](seed, steps, mutations)
+        report = attackers.run_attack(_ATTACK_PROPERTIES[name], mutations)
+        detail = attackers.ATTACKS[report.strategy].judge(report.details) or ""
+        if not report.neutralized:
+            detail = (f"attacker netted {report.net_native_gain} native and "
+                      f"{report.net_fraction_gain} fractions")
+        return PropertyResult(name=name, passed=not detail, steps=1, detail=detail)
     raise KeyError(f"unknown property {name!r}")
 
 

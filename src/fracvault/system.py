@@ -8,7 +8,7 @@ scenario file, and ``deploy_standard_system`` for every entry of
 collection, vault, timelock, governance with its vault registration, pair
 token, market) that ``scenarios/lifecycle.json`` also lists.
 ``standard_world`` funds the accounts and deploys that stack.  The fuzz
-world (``fuzz.build_fuzz_world``), the sold world (``fuzz.build_sold_world``)
+world (``fuzz.build_fuzz_world``), the sold worlds (``fuzz.sold_setup``)
 and the other property and attack worlds start from it through
 ``fuzz.actor_world``, and run their setup transactions as ``FuzzAction``
 lists through ``fuzz.run_setup``.

@@ -117,8 +117,6 @@ class Vault(Module):
                  collection: str, fractions: str, *,
                  auction_duration: int = DEFAULT_AUCTION_DURATION,
                  royalty_percent: int = 5,
-                 extension_window: int = EXTENSION_WINDOW,
-                 extension_delta: int = EXTENSION_DELTA,
                  mutations: Mutations = HEALTHY):
         super().__init__(module_id)
         if auction_duration <= 0:
@@ -132,8 +130,6 @@ class Vault(Module):
         self.governance_set = False
         self.auction_duration = auction_duration
         self.royalty_percent = royalty_percent
-        self.extension_window = extension_window
-        self.extension_delta = extension_delta
         self.original_owner: dict[int, Address] = {}
         self.auctions: dict[int, Auction] = {}
         self.sales: dict[int, SaleRecord] = {}
@@ -248,8 +244,8 @@ class Vault(Module):
         auction = Auction(token_id=token_id, started_by=ctx.sender,
                           starting_price=starting_price,
                           end_time=state.clock + duration,
-                          extension_window=self.extension_window,
-                          extension_delta=self.extension_delta)
+                          extension_window=EXTENSION_WINDOW,
+                          extension_delta=EXTENSION_DELTA)
         state.jset(self.auctions, token_id, auction)
         state.emit(ctx, self.module_id, "AuctionStarted",
                    {"token_id": token_id, "starting_price": starting_price,

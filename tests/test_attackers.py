@@ -3,17 +3,39 @@ turn profitable (or blocked) in the expected way under the matching mutant."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from fracvault.attackers import ATTACKS, run_attack
-from fracvault.mutations import MUTANTS
+from fracvault.ledger import canonical_json, normalize
+from fracvault.mutations import HEALTHY, MUTANTS
+
+# the one (strategy, mutant) pair that nets anything: a redemption that pays
+# before it burns lets the reentrant hook redeem the same fractions twice
+EXPLOITS = {("ReenterRedeem", "drop-burn-before-pay"): (475_000, 0)}
 
 
-@pytest.mark.parametrize("strategy", sorted(ATTACKS))
-def test_attacks_neutralized_on_hardened_system(strategy):
-    report = run_attack(strategy)
-    assert report.net_native_gain == 0
-    assert report.net_fraction_gain == 0
+@pytest.mark.parametrize("strategy, mutant", [
+    pytest.param(strategy, mutant, id=strategy if mutant is None
+                 else f"{strategy}-{mutant}")
+    for mutant in (None, *sorted(MUTANTS)) for strategy in sorted(ATTACKS)])
+def test_attacks_neutralized_on_hardened_system(strategy, mutant):
+    report = run_attack(strategy, MUTANTS[mutant] if mutant else HEALTHY)
+    assert (report.net_native_gain, report.net_fraction_gain) == \
+        EXPLOITS.get((strategy, mutant), (0, 0))
+
+
+def test_attack_reports_pinned():
+    """sha256 over the canonical JSON of every strategy's report, healthy
+    and under each mutant."""
+    digest = hashlib.sha256()
+    for mutant in (None, *sorted(MUTANTS)):
+        for strategy in sorted(ATTACKS):
+            report = run_attack(strategy, MUTANTS[mutant] if mutant else HEALTHY)
+            digest.update(canonical_json(normalize(report.as_data())).encode())
+    assert digest.hexdigest() == \
+        "95455fa0ddb9c9b73ccf37b19deeece5c745b1314c5ba499630f8e1fce74f259"
 
 
 def test_reenter_withdraw_probe_sees_guard():

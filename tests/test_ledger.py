@@ -90,6 +90,19 @@ def test_bad_argument_names_revert_cleanly(world):
     tx_err(state, "UnknownOperation", "alice", handle.vault, "snapshot_data")
 
 
+@pytest.mark.parametrize("args, error", [
+    (["ab", "c"], "UnknownOperation"),  # dict() rejects it with ValueError
+    (5, "UnknownOperation"),  # dict() rejects it with TypeError
+    ([("to", "b"), ("amount", 1)], None),
+])
+def test_argument_sequences_convert_or_revert(args, error):
+    state = ChainState()
+    state.fund("a", 10)
+    result = state.transact("a", "native", "transfer", args)
+    assert result.error == error
+    assert state.native.get("b", 0) == (1 if error is None else 0)
+
+
 def test_value_attach_rejected_for_nonpayable(world):
     state, handle = world
     tx_err(state, "NonPayable", "alice", handle.vault, "get_asset",
