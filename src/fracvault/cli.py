@@ -72,8 +72,8 @@ def run_command(scenario_path: str, trace_path: str | None) -> None:
 
 @main.command("fuzz")
 @click.option("--seed", type=int, required=True)
-@click.option("--steps", type=int, default=10_000, show_default=True)
-@click.option("--actors", type=int, default=6, show_default=True)
+@click.option("--steps", type=click.IntRange(min=0), default=10_000, show_default=True)
+@click.option("--actors", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--mutant", type=click.Choice(sorted(MUTANTS)), default=None)
 @click.option("--check-revert-atomicity", is_flag=True, default=False,
               help="Digest-compare state around every failed transaction.")
@@ -115,7 +115,7 @@ def replay_command(trace_path: str) -> None:
 
 @main.command("suite")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--steps", type=int, default=10_000, show_default=True,
+@click.option("--steps", type=click.IntRange(min=0), default=10_000, show_default=True,
               help="Randomized transactions per property campaign.")
 @click.option("--mutant", type=click.Choice(sorted(MUTANTS)), default=None)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),

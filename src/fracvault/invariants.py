@@ -4,22 +4,22 @@ Each checker inspects a committed state and returns ``None`` when the
 invariant holds or a short description of the violation.  The fuzzer and
 the property suite run these after every committed transaction.
 
-Called as ``checker(state, handle)`` a checker scans the whole world.  The
-fuzzer passes a third argument, a ``WriteSetChecks``, which runs only the
-checkers that read a container the step wrote, so a reverted or clock-only
-step runs none.  A checker so called looks only at the entries the step
-wrote: NFTs, auctions, sales, proposals and timelock entries, and the
-native, fraction and share balances, whose sums it keeps as running
-totals.  Collection entries are frozen values that a write replaces in
-their collection, so the write set names each by its key in the
-collection.  Whenever a write-set check finds a problem, the full scan
-runs and writes the detail, so both ways of calling report the same text.
+A checker is one function, ``checker(state, handle, scope=None)``.  Called
+without a scope it scans the whole world.  The fuzzer's ``WriteSetChecks``
+runs only the checkers that read a container the step wrote, so a
+reverted or clock-only step runs none, and passes itself as the scope:
+each loop of the checker then reads only the keys the step wrote in its
+collection (``scope.written``), and each sum it compares is a running
+total kept from those keys (``scope.total``).  Collection entries are
+frozen values that a write replaces in their collection, so the write set
+names each by its key in the collection.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable
+from operator import attrgetter
+from typing import Any, Callable
 
 from .governance import EXECUTED, Governance, Proposal, Timelock
 from .ledger import ABSENT, ChainState, JournalEntry, ZERO_ADDRESS
@@ -33,52 +33,36 @@ Checker = Callable[..., str | None]  # (state, handle, scope=None)
 def check_native_conservation(state: ChainState, handle: SystemHandle,
                               scope: WriteSetChecks | None = None) -> str | None:
     native = state.native
-    if scope is not None and "native_conservation" not in scope.full:
-        if scope.total(native) == state.genesis_native_supply and \
-                all(native.get(k, 0) >= 0 for k in scope.native):
-            return None
-    total = sum(state.native.values())
+    total = sum(native.values()) if scope is None else scope.total(native)
     if total != state.genesis_native_supply:
         return (f"native total {total} drifted from genesis supply "
                 f"{state.genesis_native_supply}")
-    if any(v < 0 for v in state.native.values()):
-        return "negative native balance"
+    for k in (native if scope is None else scope.written(native)):
+        if native.get(k, 0) < 0:
+            return "negative native balance"
     return None
 
 
 def check_fungible_supply(state: ChainState, handle: SystemHandle,
                           scope: WriteSetChecks | None = None) -> str | None:
-    if scope is not None and "fungible_supply" not in scope.full:
-        for ledger_id, written in scope.balances.items():
-            ledger = state.fungible[ledger_id]
-            balances = ledger.balances
-            if scope.total(balances) != ledger.total_supply or \
-                    written and any(balances.get(k, 0) < 0 for k in written):
-                break
-        else:
-            return None
     for ledger_id, ledger in state.fungible.items():
-        total = sum(ledger.balances.values())
+        balances = ledger.balances
+        total = sum(balances.values()) if scope is None else scope.total(balances)
         if total != ledger.total_supply:
             return (f"{ledger_id}: supply {ledger.total_supply} but balances "
                     f"sum to {total}")
-        if any(v < 0 for v in ledger.balances.values()):
-            return f"{ledger_id}: negative balance"
+        for k in (balances if scope is None else scope.written(balances)):
+            if balances.get(k, 0) < 0:
+                return f"{ledger_id}: negative balance"
     return None
 
 
 def check_nft_single_owner(state: ChainState, handle: SystemHandle,
                            scope: WriteSetChecks | None = None) -> str | None:
-    if scope is not None and "nft_single_owner" not in scope.full:
-        for ledger_id, token_ids in scope.nft_tokens.items():
-            owners = state.nft[ledger_id].owners
-            if any(t in owners and (not owners[t] or owners[t] == ZERO_ADDRESS)
-                   for t in token_ids):
-                break
-        else:
-            return None
     for ledger_id, ledger in state.nft.items():
-        for token_id, owner in ledger.owners.items():
+        owners = ledger.owners
+        for token_id in (owners if scope is None else scope.written(owners)):
+            owner = owners.get(token_id, ABSENT)
             if not owner or owner == ZERO_ADDRESS:
                 return f"{ledger_id}: token {token_id} owned by the zero address"
     return None
@@ -87,35 +71,30 @@ def check_nft_single_owner(state: ChainState, handle: SystemHandle,
 def check_vault_escrow(state: ChainState, handle: SystemHandle,
                        scope: WriteSetChecks | None = None) -> str | None:
     vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
+    pending = vault.pending
+    if scope is None:
+        claims = (sum(pending.values())
+                  + sum(s.proceeds_remaining for s in vault.sales.values())
+                  + vault.active_bid_total())
+    else:
+        claims = scope.total(pending) + scope.total(vault.sales) + scope.total(vault.auctions)
+    claims += vault.retained_dust
     escrow = state.native.get(vault.address, 0)
-    if scope is not None:
-        sales, bids = scope.escrow_totals(vault)
-        pending = vault.pending.values()
-        if escrow == sum(pending) + sales + bids + vault.retained_dust \
-                and min(pending, default=0) >= 0:
-            return None
-    claims = (sum(vault.pending.values())
-              + sum(s.proceeds_remaining for s in vault.sales.values())
-              + vault.active_bid_total()
-              + vault.retained_dust)
     if escrow != claims:
         return f"vault escrow {escrow} != outstanding claims {claims}"
-    if any(v < 0 for v in vault.pending.values()):
-        return "negative pending withdrawal"
+    for k in (pending if scope is None else scope.written(pending)):
+        if pending.get(k, 0) < 0:
+            return "negative pending withdrawal"
     return None
 
 
 def check_sale_accounting(state: ChainState, handle: SystemHandle,
                           scope: WriteSetChecks | None = None) -> str | None:
     vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
-    if scope is not None and "sale_accounting" not in scope.full:
-        sales = vault.sales
-        if not scope.sales or not any(
-                t in sales and not 0 <= sales[t].proceeds_remaining <= sales[t].proceeds_total
-                for t in scope.sales):
-            return None
-    for token_id, sale in vault.sales.items():
-        if not 0 <= sale.proceeds_remaining <= sale.proceeds_total:
+    sales = vault.sales
+    for token_id in (sales if scope is None else scope.written(sales)):
+        sale = sales.get(token_id)
+        if sale is not None and not 0 <= sale.proceeds_remaining <= sale.proceeds_total:
             return (f"sale {token_id}: credited payouts "
                     f"{sale.proceeds_total - sale.proceeds_remaining} outside "
                     f"0..{sale.proceeds_total}")
@@ -129,15 +108,10 @@ def check_vault_params(state: ChainState, handle: SystemHandle,
         return f"royalty {vault.royalty_percent} outside 0..100"
     if vault.auction_duration <= 0:
         return f"auction duration {vault.auction_duration} not positive"
-    if scope is not None and "vault_params" not in scope.full:
-        auctions = vault.auctions
-        if not scope.auctions or not any(
-                t in auctions and auctions[t].highest_bidder != ZERO_ADDRESS
-                and auctions[t].highest_bid < auctions[t].starting_price
-                for t in scope.auctions):
-            return None
-    for token_id, auction in vault.auctions.items():
-        if auction.highest_bidder != ZERO_ADDRESS and \
+    auctions = vault.auctions
+    for token_id in (auctions if scope is None else scope.written(auctions)):
+        auction = auctions.get(token_id)
+        if auction is not None and auction.highest_bidder != ZERO_ADDRESS and \
                 auction.highest_bid < auction.starting_price:
             return f"auction {token_id}: highest bid below the starting price"
     return None
@@ -169,16 +143,12 @@ def check_governance_soundness(state: ChainState, handle: SystemHandle,
     governance: Governance = state.modules[handle.governance]  # type: ignore[assignment]
     timelock: Timelock = state.modules[handle.timelock]  # type: ignore[assignment]
     proposals = governance.proposals
-    if scope is not None and "governance_soundness" not in scope.full:
-        if not scope.proposals or not any(
-                0 <= pid < len(proposals)
-                and _proposal_problem(proposals[pid], timelock) is not None
-                for pid in scope.proposals):
-            return None
-    for proposal in proposals:
-        detail = _proposal_problem(proposal, timelock)
-        if detail is not None:
-            return detail
+    # under a scope, the ids of the proposals and timelock entries the step wrote
+    for pid in (range(len(proposals)) if scope is None else scope.written(proposals)):
+        if 0 <= pid < len(proposals):
+            detail = _proposal_problem(proposals[pid], timelock)
+            if detail is not None:
+                return detail
     return None
 
 
@@ -191,15 +161,12 @@ def check_market_books(state: ChainState, handle: SystemHandle,
         return (f"pool holds ({held_a}, {held_b}) but books say "
                 f"({market.reserve_a}, {market.reserve_b})")
     shares = market.shares
-    if scope is not None and "market_books" not in scope.full:
-        if scope.total(shares) == market.total_shares and \
-                all(shares.get(k, 0) >= 0 for k in scope.shares):
-            return None
-    total = sum(market.shares.values())
+    total = sum(shares.values()) if scope is None else scope.total(shares)
     if total != market.total_shares:
         return f"share books {market.total_shares} != sum {total}"
-    if any(v < 0 for v in market.shares.values()):
-        return "negative share balance"
+    for k in (shares if scope is None else scope.written(shares)):
+        if shares.get(k, 0) < 0:
+            return "negative share balance"
     return None
 
 
@@ -246,8 +213,14 @@ class WriteSetChecks:
     violation: a violated entity stays violated until a full scan clears
     it, and a violation stops the checks of the names after it.  Between
     full scans a step runs only the checkers that read a container or
-    object it wrote, in the order of ``names``.  Those containers and
-    objects are looked up again at every full scan.
+    object it wrote, in the order of ``names``, each with this object as
+    its scope: ``written`` gives the keys the step wrote in a collection
+    and ``total`` the running sum of a summed dict, one per dict.  A dict
+    of frozen entries sums a part of each entry, taken of the new entry and
+    of the journal's old one.  When a checker so called finds a problem its
+    full scan runs and writes the detail, so both ways report the same
+    text.  The containers and objects are looked up again at every full
+    scan.
     """
 
     def __init__(self, state: ChainState, handle: SystemHandle,
@@ -255,45 +228,36 @@ class WriteSetChecks:
         self.state = state
         self.handle = handle
         self.names = names
-        # what the current step wrote, cleared at the next step: each key
-        # written and the value it held before the step (ABSENT if none)
-        self.native: dict = {}
-        self.balances: dict[str, dict] = {}
-        self.nft_tokens: dict[str, dict] = {}
-        self.auctions: dict = {}
-        self.sales: dict = {}
-        self.proposals: dict = {}
-        self.shares: dict = {}
-        # id of each dict or list whose keys name an entity -> its dict above
+        # id of each container whose keys name an entity -> what the current
+        # step wrote there, cleared at the next step: each key written and the
+        # value it held before the step (ABSENT if none)
         self._keyed: dict[int, dict] = {}
         # id of each container or object a checker reads -> the names reading it
         self._readers: dict[int, frozenset[str]] = {}
-        # id of each dict of balances -> the running sum of its values
+        # id of each summed dict -> the running sum of its values, or of a
+        # part of each entry where ``_parts`` names the part
         self._totals: dict[int, int] = {}
-        # the dicts above that hold keys of the previous step
+        self._parts: dict[int, Callable[[Any], int]] = {}
+        # the dicts of ``_keyed`` that hold keys of the previous step
         self._dirty: list[dict] = []
         self._vault: Vault = state.modules[handle.vault]  # type: ignore[assignment]
         self._timelock: Timelock = state.modules[handle.timelock]  # type: ignore[assignment]
         # checkers that scan everything in the current step
         self.full: frozenset[str] = frozenset()
         self._rescan_next = True
-        # running escrow sums, per token id and in total
-        self._sale_parts: dict[int, int] = {}
-        self._bid_parts: dict[int, int] = {}
-        self._sale_total = 0
-        self._bid_total = 0
 
     def __deepcopy__(self, memo: dict) -> "WriteSetChecks":
         # a copy checks the copied world: the maps keyed by id() are re-keyed
         # to the copies of their containers, which are in ``memo`` once the
         # world is copied (a rescan would do it too, at the cost of a full scan);
-        # the frozensets of checker names never change, so the copy shares them
+        # the checker names and the part functions never change, so the copy
+        # shares them
         copied = WriteSetChecks.__new__(WriteSetChecks)
         memo[id(self)] = copied
         for name, value in vars(self).items():
-            setattr(copied, name, value if name in ("full", "_readers")
+            setattr(copied, name, value if name in ("full", "_readers", "_parts")
                     else copy.deepcopy(value, memo))
-        for name in ("_keyed", "_readers", "_totals"):
+        for name in ("_keyed", "_readers", "_totals", "_parts"):
             setattr(copied, name, {id(memo[k]): v for k, v in getattr(copied, name).items()
                                    if k in memo})
         return copied
@@ -302,9 +266,14 @@ class WriteSetChecks:
         """Make the next ``first_violation`` a full scan of every name."""
         self._rescan_next = True
 
-    def total(self, balances: dict) -> int:
-        """The sum of a dict of balances, kept from the keys each step wrote."""
-        return self._totals[id(balances)]
+    def written(self, container: dict | list) -> dict:
+        """The keys the current step wrote in ``container``; for the
+        proposals, also the proposal ids of the timelock entries it wrote."""
+        return self._keyed[id(container)]
+
+    def total(self, summed: dict) -> int:
+        """The sum of a summed dict, kept from the keys each step wrote."""
+        return self._totals[id(summed)]
 
     def first_violation(self, writes: list[JournalEntry] | tuple[()]) -> str | None:
         """Check the world after a step that made ``writes``; ``name: detail``."""
@@ -315,9 +284,14 @@ class WriteSetChecks:
             due = self._observe(writes)
             if not due:
                 return None
+        state, handle, full = self.state, self.handle, self.full
         for name in self.names:
             if name in due:
-                detail = CHECKERS[name](self.state, self.handle, self)
+                checker = CHECKERS[name]
+                scope = None if name in full else self
+                detail = checker(state, handle, scope)
+                if detail is not None and scope is not None:
+                    detail = checker(state, handle)  # the full scan writes the detail
                 if detail is not None:
                     self._rescan_next = True
                     return f"{name}: {detail}"
@@ -330,40 +304,41 @@ class WriteSetChecks:
         self._rescan_next = False
         self.full = frozenset(self.names)
         self._dirty = []
-        self.native, self.shares = {}, {}
-        self.auctions, self.sales, self.proposals = {}, {}, {}
-        self.balances = {lid: {} for lid in state.fungible}
-        self.nft_tokens = {lid: {} for lid in state.nft}
+        proposals: dict = {}  # shared by the proposals and the timelock entries
         pool = (market.token_a, market.token_b)
         # each container or object a checker reads, the checkers reading it
         # and, where its keys name entities, the dict of the keys written
         reads: list[tuple[object, tuple[str, ...], dict | None]] = [
-            (state.native, ("native_conservation", "vault_escrow"), self.native),
+            (state.native, ("native_conservation", "vault_escrow"), {}),
             (vault, ("vault_escrow", "vault_params"), None),
-            (vault.pending, ("vault_escrow",), None),
-            (vault.sales, ("vault_escrow", "sale_accounting"), self.sales),
-            (vault.auctions, ("vault_escrow", "vault_params"), self.auctions),
-            (governance.proposals, ("governance_soundness",), self.proposals),
+            (vault.pending, ("vault_escrow",), {}),
+            (vault.sales, ("vault_escrow", "sale_accounting"), {}),
+            (vault.auctions, ("vault_escrow", "vault_params"), {}),
+            (governance.proposals, ("governance_soundness",), proposals),
             (timelock, ("governance_soundness",), None),
-            (timelock.entries, ("governance_soundness",), self.proposals),
+            (timelock.entries, ("governance_soundness",), proposals),
             (market, ("market_books",), None),
-            (market.shares, ("market_books",), self.shares),
+            (market.shares, ("market_books",), {}),
         ]
         for lid, ledger in state.fungible.items():
             reads += [(ledger, ("fungible_supply",), None),
                       (ledger.balances, ("fungible_supply", "market_books") if lid in pool
-                       else ("fungible_supply",), self.balances[lid])]
-        reads += [(ledger.owners, ("nft_single_owner",), self.nft_tokens[lid])
-                  for lid, ledger in state.nft.items()]
+                       else ("fungible_supply",), {})]
+        reads += [(ledger.owners, ("nft_single_owner",), {}) for ledger in state.nft.values()]
         self._keyed = {id(obj): written for obj, _, written in reads if written is not None}
         self._readers = {}
         for obj, names, _ in reads:
             selected = frozenset(names).intersection(self.names)
             if selected:
                 self._readers[id(obj)] = selected
-        summed = [state.native, market.shares,
-                  *(ledger.balances for ledger in state.fungible.values())]
-        self._totals = {id(balances): sum(balances.values()) for balances in summed}
+        # each summed dict and the part of an entry it sums (None: the value)
+        summed: list[tuple[dict, Callable[[Any], int] | None]] = [
+            (state.native, None), (vault.pending, None), (market.shares, None),
+            (vault.sales, attrgetter("proceeds_remaining")), (vault.auctions, _bid_part),
+            *((ledger.balances, None) for ledger in state.fungible.values())]
+        self._totals = {id(d): sum(d.values() if part is None else map(part, d.values()))
+                        for d, part in summed}
+        self._parts = {id(d): part for d, part in summed if part is not None}
 
     def _observe(self, writes: list[JournalEntry] | tuple[()]) -> set[str] | frozenset[str]:
         """Note the step's writes, in one pass; the names of the checkers
@@ -375,7 +350,7 @@ class WriteSetChecks:
         self.full = _NO_NAMES
         if not writes:
             return _NO_NAMES
-        keyed, readers, totals = self._keyed, self._readers, self._totals
+        keyed, readers, totals, parts = self._keyed, self._readers, self._totals, self._parts
         due: set[str] = set()
         # id of each container written -> its dict of keys written, or None
         seen: dict[int, dict | None] = {}
@@ -393,30 +368,15 @@ class WriteSetChecks:
             if written is not None and key not in written:
                 written[key] = old  # the value before the step: its first write's old
                 if cid in totals:
-                    # the write set is complete, so the container holds the new value
-                    totals[cid] += container.get(key, 0) - (0 if old is ABSENT else old)  # type: ignore[union-attr]
+                    # the write set is complete, so the container holds the new
+                    # value; 0 stands for an absent entry
+                    new = container.get(key, 0)  # type: ignore[union-attr]
+                    old = 0 if old is ABSENT else old
+                    part = parts.get(cid)
+                    if part is not None:
+                        new, old = new and part(new), old and part(old)
+                    totals[cid] += new - old
         if id(self._timelock) in seen:
             # a timelock setting, such as the delay, bears on every proposal
             self.full = frozenset({"governance_soundness"})
         return due
-
-    def escrow_totals(self, vault: Vault) -> tuple[int, int]:
-        """Proceeds left in sales and active bids, as running totals kept
-        from the touched sales and auctions."""
-        if "vault_escrow" in self.full:
-            self._sale_parts = {t: s.proceeds_remaining for t, s in vault.sales.items()}
-            self._bid_parts = {t: _bid_part(a) for t, a in vault.auctions.items()}
-            self._sale_total = sum(self._sale_parts.values())
-            self._bid_total = sum(self._bid_parts.values())
-            return self._sale_total, self._bid_total
-        for token_id in self.sales:
-            sale = vault.sales.get(token_id)
-            part = sale.proceeds_remaining if sale is not None else 0
-            self._sale_total += part - self._sale_parts.get(token_id, 0)
-            self._sale_parts[token_id] = part
-        for token_id in self.auctions:
-            auction = vault.auctions.get(token_id)
-            part = _bid_part(auction) if auction is not None else 0
-            self._bid_total += part - self._bid_parts.get(token_id, 0)
-            self._bid_parts[token_id] = part
-        return self._sale_total, self._bid_total

@@ -160,6 +160,8 @@ def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainStat
     params = GenesisParams.from_data(genesis.get("parameters", {}))
     if mutations is None:
         name = scenario.get("mutant")
+        if name is not None and not isinstance(name, str):
+            raise ScenarioError(f"mutant must be a string, not {name!r}")
         if name and name not in MUTANTS:
             raise ScenarioError(f"unknown mutant {name!r}")
         mutations = MUTANTS[name] if name else HEALTHY

@@ -156,17 +156,23 @@ def test_write_set_verdict_equals_full_scan(mutant):
         plan = FuzzPlan(seed=seed, steps=2000, mutant=mutant)
         state, handle, actors = build_fuzz_world(plan)
         generator = ActionGenerator(plan, state, handle, actors)
-        vault = handle.vault_module(state)
+        vault, market = handle.vault_module(state), handle.market_module(state)
         checks = WriteSetChecks(state, handle)
         for step in range(plan.steps):
             result = run_action(state, generator.generate())
             writes = state.last_writes if result is not None else ()
             assert checks.first_violation(writes) == first_violation(state, handle), \
                 (seed, step)
-            # the running escrow sums (a repeated update is a no-op)
-            assert checks.escrow_totals(vault) == (
+            # every running total against a fresh sum
+            balances = [ledger.balances for ledger in state.fungible.values()]
+            summed = (state.native, market.shares, vault.pending, vault.sales,
+                      vault.auctions, *balances)
+            assert [checks.total(d) for d in summed] == [
+                sum(state.native.values()), sum(market.shares.values()),
+                sum(vault.pending.values()),
                 sum(s.proceeds_remaining for s in vault.sales.values()),
-                vault.active_bid_total()), (seed, step)
+                vault.active_bid_total(), *(sum(b.values()) for b in balances)], \
+                (seed, step)
 
 
 def _first_bid_auction(vault):
@@ -235,6 +241,7 @@ def _assert_seen(state, handle, name, corrupt, forked=False):
     detail = checks.first_violation(state.last_writes)
     assert detail is not None and detail.startswith(name + ":")
     assert detail == first_violation(state, handle, (name,))
+    return detail
 
 
 def _assert_corruption_seen(name, forked):
@@ -257,8 +264,16 @@ def test_copied_write_set_check_sees_corruption_of_the_copied_world(name):
     _assert_corruption_seen(name, forked=True)
 
 
+def _zero_two_owners(state, handle):
+    """NFTs 2 and 1 of the collection, the later-minted first, owned by the
+    zero address in one step."""
+    for token_id in (2, 1):
+        state.jset(state.nft[handle.collection].owners, token_id, ZERO_ADDRESS)
+
+
 # a journaled write to each object or dict the checkers read that no
-# CORRUPTIONS entry writes, and the invariant the write breaks
+# CORRUPTIONS entry writes, and the invariant the write breaks; the last
+# breaks two entities at once
 OBJECT_CORRUPTIONS = {
     "vault": ("vault_params", lambda state, handle: state.jsetattr(
         handle.vault_module(state), "royalty_percent", 101)),
@@ -275,6 +290,7 @@ OBJECT_CORRUPTIONS = {
     "fungible ledger": ("fungible_supply", lambda state, handle: state.jsetattr(
         state.fungible[handle.pair], "total_supply",
         state.fungible[handle.pair].total_supply + 1)),
+    "two nft owners": ("nft_single_owner", _zero_two_owners),
 }
 
 
@@ -288,6 +304,14 @@ def test_write_set_check_sees_corruption_of_each_read_object(proposal_world, tar
         state.advance_clock(172_800)
     name, corrupt = OBJECT_CORRUPTIONS[target]
     _assert_seen(state, handle, name, corrupt)
+
+
+def test_write_set_detail_names_the_first_broken_entity_of_the_scan(proposal_world):
+    # the write set names token 2 first; the detail follows the scan order
+    state, handle = proposal_world
+    detail = _assert_seen(state, handle, *OBJECT_CORRUPTIONS["two nft owners"])
+    assert detail == (f"nft_single_owner: {handle.collection}: "
+                      "token 1 owned by the zero address")
 
 
 def _counted_checker_calls(monkeypatch):

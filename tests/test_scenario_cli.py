@@ -175,8 +175,10 @@ def test_cli_run_parse_error(tmp_path):
      "genesis.parameters must be an object"),
     (lambda doc: doc.update(mutant="no-such-mutant"),
      "unknown mutant 'no-such-mutant'"),
+    (lambda doc: doc.update(mutant=["x"]), "mutant must be a string, not ['x']"),
+    (lambda doc: doc.update(mutant=0), "mutant must be a string, not 0"),
 ], ids=["unknown-parameter", "non-decimal-parameter", "mistyped-parameters",
-        "unknown-mutant"])
+        "unknown-mutant", "non-string-mutant", "numeric-mutant"])
 def test_cli_run_reports_bad_scenario_input(tmp_path, edit, message):
     document = json.loads(LIFECYCLE.read_text())
     edit(document)
@@ -211,15 +213,25 @@ def test_cli_run_reports_a_malformed_genesis_hook(tmp_path, hook, message):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-def test_cli_replay_reports_unknown_trace_mutant(tmp_path, lifecycle):
+def _replay_with_trace_mutant(tmp_path, lifecycle, mutant):
     path = tmp_path / "t.jsonl"
     write_trace(str(path), lifecycle, run_scenario(lifecycle).records)
     header, *records = path.read_text().splitlines()
-    header = json.dumps(dict(json.loads(header), mutant="no-such-mutant"))
+    header = json.dumps(dict(json.loads(header), mutant=mutant))
     path.write_text("\n".join([header, *records]) + "\n")
-    result = CliRunner().invoke(main, ["replay", str(path)])
+    return CliRunner().invoke(main, ["replay", str(path)])
+
+
+def test_cli_replay_reports_unknown_trace_mutant(tmp_path, lifecycle):
+    result = _replay_with_trace_mutant(tmp_path, lifecycle, "no-such-mutant")
     assert result.exit_code == 1
     assert "parse error: unknown mutant 'no-such-mutant'" in result.output
+
+
+def test_cli_replay_reports_a_non_string_trace_mutant(tmp_path, lifecycle):
+    result = _replay_with_trace_mutant(tmp_path, lifecycle, ["x"])
+    assert result.exit_code == 1
+    assert "parse error: mutant must be a string, not ['x']" in result.output
 
 
 @pytest.mark.parametrize("action", [
@@ -323,6 +335,20 @@ def test_cli_fuzz_zero_steps(tmp_path):
     assert result.exit_code == 0
     report = json.loads((tmp_path / "z.json").read_text())
     assert report["violations"] == []
+
+
+@pytest.mark.parametrize("args", [
+    ["fuzz", "--seed", "1", "--actors", "0"],
+    ["fuzz", "--seed", "1", "--actors", "-2"],
+    ["fuzz", "--seed", "1", "--steps", "-3"],
+    ["suite", "--steps", "-1"],
+], ids=["fuzz-zero-actors", "fuzz-negative-actors", "fuzz-negative-steps",
+        "suite-negative-steps"])
+def test_cli_rejects_a_count_out_of_range(tmp_path, args):
+    path = tmp_path / "r.json"
+    result = CliRunner().invoke(main, args + ["--report", str(path)])
+    assert result.exit_code == 2, result.output
+    assert not path.exists()
 
 
 def test_cli_suite_runs_and_prints_lines(tmp_path):
