@@ -3,8 +3,12 @@ replays, their run loop and their shrinking.
 
 ``run_checked`` drives a ``CheckedReplay`` (generate, check, record, stop
 at the first problem); the fuzzer and each property campaign supply the
-world, the generator and the step check.  ``ddmin`` shrinks a failing
-trace by delete-only ddmin (Zeller & Hildebrandt, TSE 2002).
+world, the generator and the step check.  ``CheckedReplay.call`` is also
+the revert-atomicity oracle: it takes an identity snapshot of the world
+before a call and, if the call reverts, asks the world whether its full
+digest is unchanged, which hashes only when the revert left a different
+object behind.  ``ddmin`` shrinks a failing trace by delete-only ddmin
+(Zeller & Hildebrandt, TSE 2002).
 
 A pass with chunk size ``chunk`` tests the candidates ``trace[:i] +
 trace[i + chunk:]`` for ``i = 0, chunk, 2·chunk, ...``; an accepted
@@ -72,15 +76,11 @@ class CheckedReplay(Replay):
         self.spec = spec
         self.state, self.handle, self.extras = world
         self.target = target
-        # the full digest a clean revert left, which the next call starts
-        # from unless a clock advance comes first
-        self.clean_digest: str | None = None
 
     def check(self, action: Any, index: int, last: bool) -> tuple[Any, str | None]:
         """Run the trace's ``index``-th action: its result and first problem."""
         if action.delta:
             self.state.advance_clock(action.delta)
-            self.clean_digest = None
         return self.spec.check(self, action, index, last)
 
     def step(self, action: Any, index: int, last: bool) -> bool:
@@ -91,23 +91,20 @@ class CheckedReplay(Replay):
     def call(self, action: Any, atomic: bool) -> tuple[Any, str | None]:
         """Run the call of ``action``, its clock advanced: the result (None
         for a clock-only step) and, if ``atomic``, the revert-atomicity
-        verdict, a problem when a reverted call changed the full digest."""
+        verdict, a problem when a reverted call changed the full digest.
+        The world's objects are listed before the call, and only a revert
+        that left a different object behind hashes the two worlds
+        (``ChainState.unchanged_since``)."""
         if not action.method:
             return None, None
         state = self.state
-        pre_digest = None
-        if atomic:
-            pre_digest = self.clean_digest or state.full_digest()
-            self.clean_digest = None
+        before = state.identity_snapshot() if atomic else None
         result = state.transact(action.sender, action.module, action.method,
                                 action.args, value=action.value)
-        if pre_digest is None or result.ok:
+        if before is None or result.ok or state.unchanged_since(before):
             return result, None
-        if state.full_digest() != pre_digest:
-            return result, (f"revert_atomicity: failed {action.module}."
-                            f"{action.method} ({result.error}) left residue in state")
-        self.clean_digest = pre_digest
-        return result, None
+        return result, (f"revert_atomicity: failed {action.module}."
+                        f"{action.method} ({result.error}) left residue in state")
 
 
 def run_checked(world: CheckedReplay, generate: Callable[[int], Any],

@@ -10,14 +10,18 @@ A guardian (the deployer by default) may cancel anything still scheduled.
 
 Proposals and timelock entries are frozen values: a write, a vote
 included, replaces the whole entry in ``Governance.proposals`` or
-``Timelock.entries`` through ``ChainState.jset``.
+``Timelock.entries`` through ``ChainState.jset``.  They are immutable in
+fact, down to a proposal's read-only ``voters`` mapping and the tuples of
+its action's arguments, so an entry that is the same object renders the
+same.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from . import errors
 from .ledger import Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS
@@ -36,6 +40,16 @@ VAULT_ACTION_KINDS = frozenset({
 })
 
 
+def _frozen(value: Any) -> Any:
+    """An action argument with its lists as tuples, which encode as the
+    same JSON lists, and its objects as read-only mappings."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    if isinstance(value, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    return value
+
+
 @dataclass(frozen=True)
 class GovernanceAction:
     kind: str
@@ -50,7 +64,8 @@ class GovernanceAction:
         args = data.get("args", {})
         if not isinstance(args, dict):
             raise errors.InvalidTarget("action args must be an object")
-        return cls(kind=data["kind"], args=tuple(sorted(args.items())))
+        return cls(kind=data["kind"],
+                   args=tuple((k, _frozen(v)) for k, v in sorted(args.items())))
 
     def as_data(self) -> dict:
         return {"kind": self.kind, "args": {k: v for k, v in self.args}}
@@ -73,6 +88,9 @@ class TimelockEntry:
                 "executed_at": self.executed_at}
 
 
+_NO_VOTERS: Mapping[Address, int] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class Proposal:
     proposal_id: int
@@ -86,12 +104,11 @@ class Proposal:
     votes_for: int = 0
     votes_against: int = 0
     total_votes_cast: int = 0
-    voters: dict[Address, int] = field(default_factory=dict)
+    # read-only: a vote replaces it with a mapping over a new dict
+    voters: Mapping[Address, int] = field(default_factory=lambda: _NO_VOTERS)
 
     def __deepcopy__(self, memo: dict) -> "Proposal":
-        # a write replaces the entry, and a vote replaces ``voters`` with a
-        # new dict, so forks of a world share it
-        return self
+        return self  # a write replaces the entry, so forks of a world share it
 
     def as_data(self) -> dict:
         return {
@@ -270,7 +287,8 @@ class Governance(Module):
             votes_for = proposal.votes_for + (weight if support else 0)
             votes_against = proposal.votes_against + (0 if support else weight)
             state.jset(self.proposals, proposal_id, replace(
-                proposal, voters={**proposal.voters, ctx.sender: weight},
+                proposal,
+                voters=MappingProxyType({**proposal.voters, ctx.sender: weight}),
                 votes_for=votes_for, votes_against=votes_against,
                 total_votes_cast=proposal.total_votes_cast + weight))
             state.emit(ctx, self.module_id, "VoteCast",

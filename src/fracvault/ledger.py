@@ -30,9 +30,18 @@ touches (a collection entry, such as a balance or an auction, or one
 module scalar), committed or rolled back, so a digest re-encodes only
 those and joins their ancestors from cached pieces.  ``full_digest()``
 recomputes the same bytes from the whole world with ``normalize`` and
-``json``; the revert-atomicity oracles use it because it does not rely on
-the journal, and ``digest()`` compares against it every
-``DIGEST_CHECK_INTERVAL`` calls.
+``json``, without relying on the journal; ``digest()`` compares against it
+every ``DIGEST_CHECK_INTERVAL`` calls.
+
+The revert-atomicity oracle asks ``unchanged_since(identity_snapshot())``:
+the snapshot lists the digest document's objects, a dict or list by its
+entries, and a later world that lists the very same objects (ints and strs
+equal in value and type) has the same full digest, since every entry is
+immutable in fact.  Only a world holding a different object hashes the
+document rebuilt from the snapshot against ``full_digest()``.  Both the
+snapshot and ``full_digest()`` come from one document recipe,
+``_sections``.  A deep copy of a world copies each dict and list
+of the ledgers and modules once, shallowly, and shares their entries.
 
 Determinism: no wall clock, no ambient randomness, insertion-ordered dicts
 only.  Identical genesis plus an identical transaction sequence produces an
@@ -45,9 +54,12 @@ import copy
 import hashlib
 import json
 from bisect import bisect_left
+from itertools import islice
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, NamedTuple, Sequence
+from operator import is_
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from . import errors
 
@@ -80,8 +92,9 @@ def normalize(value: Any) -> Any:
     """Render a value as portable JSON data: ints become decimal strings.
 
     A record with ``as_data`` renders as its data, a ``NamedTuple`` record
-    too; any other list or tuple renders as a list.  Exact types are tested
-    first, as they make up nearly all of a digest document.
+    too; any other list or tuple renders as a list, and a read-only mapping
+    as a dict.  Exact types are tested first, as they make up nearly all of
+    a digest document.
     """
     kind = type(value)
     if kind is str or kind is bool or value is None:
@@ -102,7 +115,7 @@ def normalize(value: Any) -> Any:
         return value
     if isinstance(value, (list, tuple)):
         return [normalize(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, (dict, MappingProxyType)):
         return {str(k): normalize(v) for k, v in value.items()}
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
@@ -155,20 +168,96 @@ def _pair_name(pair: tuple) -> str:
     return f"{owner}|{spender}"
 
 
-def _section_data(group: str, obj: Any, live: bool = False) -> Any:
-    """One section of the digest document: the native balances, a fungible
-    or NFT ledger, or a module's snapshot.  ``live`` keeps a ledger's
-    allowances as held, keyed by ``(owner, spender)``."""
+def _section_data(group: str, obj: Any) -> Any:
+    """One section of the digest document, holding the world's dicts and
+    lists live: the native balances, a fungible ledger (its allowances keyed
+    by ``(owner, spender)``), an NFT ledger, or a module's snapshot."""
     if group == "native":
         return obj
     if group == "fungible":
-        allowances = obj.allowances if live else {
-            _pair_name(pair): v for pair, v in obj.allowances.items()}
         return {"supply": obj.total_supply, "balances": obj.balances,
-                "allowances": allowances}
+                "allowances": obj.allowances}
     if group == "nft":
         return {"owners": obj.owners, "approvals": obj.approvals}
     return obj.snapshot_data()
+
+
+def _rendered(group: str, data: Any) -> Any:
+    """A section's data as the document holds it: a fungible ledger's
+    allowances named ``owner|spender``."""
+    if group != "fungible":
+        return data
+    return {**data, "allowances": {_pair_name(pair): v
+                                   for pair, v in data["allowances"].items()}}
+
+
+def _scalar_fields(clock: int, genesis_supply: int, event_count: int,
+                   event_hash: str) -> dict:
+    return {"clock": clock, "genesis_supply": genesis_supply,
+            "event_count": event_count, "event_hash": event_hash}
+
+
+class IdentitySnapshot(NamedTuple):
+    """The digest document's objects at one moment, in document order, and
+    the shape that puts them back into a document
+    (``ChainState.identity_snapshot``).
+
+    ``objects`` holds the clock, the genesis supply and the last event, the
+    native balances' keys and then their values, and for each other section
+    its group, its name, its keys and, per value, the value itself or a
+    dict's keys and then its values or a list's items.  ``shape`` holds the
+    event count, the number of native balances, and for each other section
+    its number of keys and, per value, None or the dict or list type and
+    its length.  The event log is append-only, so its count and last event
+    stand for it, as they do for ``ChainState.event_hash``.
+    """
+
+    shape: list
+    objects: list
+
+
+def _assembled(scalars: dict, native: dict, sections: Iterable[tuple]) -> dict:
+    """The digest document of its scalars, the native balances and the
+    other sections, ``(group, name, data)`` as ``ChainState._sections``
+    gives them."""
+    doc = {**scalars, "native": native, "fungible": {}, "nft": {}, "modules": {}}
+    for group, name, data in sections:
+        doc[group][name] = _rendered(group, data)
+    return doc
+
+
+def _document_of(snapshot: IdentitySnapshot, event_hash: str) -> dict:
+    """The digest document of ``snapshot``, the hash of its event log given."""
+    objects, shape = iter(snapshot.objects), iter(snapshot.shape)
+
+    def take(size: int) -> list:
+        return list(islice(objects, size))
+
+    def take_dict(size: int) -> dict:
+        return dict(zip(take(size), take(size)))
+
+    def sections() -> Iterator[tuple]:
+        for group in objects:
+            name, data = next(objects), {}
+            for key in take(next(shape)):
+                kind = next(shape)
+                data[key] = (next(objects) if kind is None else take_dict(next(shape))
+                             if kind is dict else take(next(shape)))
+            yield group, name, data
+
+    clock, genesis_supply, _ = take(3)
+    scalars = _scalar_fields(clock, genesis_supply, next(shape), event_hash)
+    return _assembled(scalars, take_dict(next(shape)), sections())
+
+
+def _same_objects(old: IdentitySnapshot, new: IdentitySnapshot) -> bool:
+    """Whether two snapshots hold the same objects in the same shape: the
+    very same object or, for ints and strs, an equal one of the same type."""
+    if old.shape != new.shape or len(old.objects) != len(new.objects):
+        return False
+    return all(map(is_, old.objects, new.objects)) or all(
+        a is b or (type(a) is type(b) and type(a) in (int, str) and a == b)
+        for a, b in zip(old.objects, new.objects))
 
 
 class _Object:
@@ -295,7 +384,8 @@ class DigestCache:
     def stale_section(self, state: "ChainState") -> str:
         """The first section whose cached fragment differs from a full render."""
         for key, section in self.sections.items():
-            full = canonical_json(normalize(_section_data(section.group, section.obj)))
+            data = _rendered(section.group, _section_data(section.group, section.obj))
+            full = canonical_json(normalize(data))
             if full.encode() != section.text:
                 return ".".join(key)
         return "document"
@@ -326,7 +416,7 @@ class DigestCache:
         obj = section.obj
         section.stale = False
         live = {id(c): c for c in _containers(obj)}
-        data = _section_data(section.group, obj, live=True)
+        data = _section_data(section.group, obj)
         if id(data) in live:  # the section is one collection
             data = {None: data}
         elif section.fields is None or data.keys() != section.values.keys():
@@ -474,17 +564,41 @@ class ReceiveHook:
     _fired_count: int = field(default=0, repr=False)
 
 
+def _copy_sharing_entries(obj: Any, memo: dict) -> Any:
+    """A deep copy of ``obj`` whose dicts and lists are one shallow copy
+    each: their entries are scalars or frozen values, which a write
+    replaces.  Each copy is registered in ``memo``, so that the journal and
+    the write-set checks of a copied world name the copies."""
+    copied = memo[id(obj)] = object.__new__(type(obj))
+    for name, value in vars(obj).items():
+        kind = type(value)
+        if kind is dict or kind is list:
+            if id(value) not in memo:
+                memo[id(value)] = value.copy()
+            value = memo[id(value)]
+        else:
+            value = copy.deepcopy(value, memo)
+        setattr(copied, name, value)
+    return copied
+
+
 @dataclass
 class FungibleLedger:
     balances: dict[Address, int] = field(default_factory=dict)
     allowances: dict[tuple[Address, Address], int] = field(default_factory=dict)
     total_supply: int = 0
 
+    def __deepcopy__(self, memo: dict) -> "FungibleLedger":
+        return _copy_sharing_entries(self, memo)
+
 
 @dataclass
 class NftLedger:
     owners: dict[int, Address] = field(default_factory=dict)
     approvals: dict[int, Address] = field(default_factory=dict)
+
+    def __deepcopy__(self, memo: dict) -> "NftLedger":
+        return _copy_sharing_entries(self, memo)
 
 
 class TxResult(NamedTuple):
@@ -519,7 +633,9 @@ class Module:
     """Base for installed protocol modules.
 
     ``exposed`` lists the methods reachable through ``transact``/``call``;
-    ``payable`` the subset that accepts attached native value.  A module's
+    ``payable`` the subset that accepts attached native value.  The entries
+    of a module's dicts and lists are scalars or frozen values, which a
+    write replaces through ``jset`` and never changes in place.  A module's
     address is its id, so module escrow is an ordinary native balance and
     currency conservation stays a single sum.
     """
@@ -530,6 +646,9 @@ class Module:
     def __init__(self, module_id: str):
         self.module_id = module_id
         self.address: Address = module_id
+
+    def __deepcopy__(self, memo: dict) -> "Module":
+        return _copy_sharing_entries(self, memo)
 
     def snapshot_data(self) -> dict:
         """The module's part of the state digest.
@@ -585,9 +704,11 @@ class ChainState:
         return state
 
     def __deepcopy__(self, memo: dict) -> "ChainState":
-        # a copy gets its own list of the same events, which never change;
-        # journal entries that name the list then name the copy's
+        # a copy gets its own list of the same events, which never change,
+        # and its own dict of the native balances; journal entries that name
+        # the originals then name the copies
         memo[id(self.events)] = list(self.events)
+        memo[id(self.native)] = dict(self.native)
         copied = memo[id(self)] = type(self).__new__(type(self))
         copied.__dict__.update(copy.deepcopy(self.__getstate__(), memo))
         return copied
@@ -1043,27 +1164,64 @@ class ChainState:
         restarts the chain.  Events nobody reads a digest after, such as
         those of reverted transactions, are never hashed.
         """
-        count, last, chained = self._event_chain
         events = self.events
-        if count > len(events) or (count and events[count - 1] is not last):
-            count, chained = 0, _EMPTY_HASH
-        for event in events[count:]:
-            link = chained + event.canonical()
-            chained = hashlib.sha256(link.encode()).hexdigest()
+        chained = self._chained(events)
         self._event_chain = (len(events), events[-1] if events else None, chained)
         return chained
 
+    def _chained(self, log: Sequence[Event]) -> str:
+        """The event hash of ``log``, continued from the latest
+        ``event_hash()`` read while its last event is still in place."""
+        count, last, chained = self._event_chain
+        if count > len(log) or (count and log[count - 1] is not last):
+            count, chained = 0, _EMPTY_HASH
+        for event in log[count:]:
+            link = chained + event.canonical()
+            chained = hashlib.sha256(link.encode()).hexdigest()
+        return chained
+
     def _scalars(self) -> dict:
-        return {"clock": self.clock, "genesis_supply": self.genesis_native_supply,
-                "event_count": len(self.events), "event_hash": self.event_hash()}
+        return _scalar_fields(self.clock, self.genesis_native_supply,
+                              len(self.events), self.event_hash())
+
+    def _sections(self) -> Iterator[tuple]:
+        """The digest document's sections after the native balances, in
+        document order, as ``(group, name, data)``; the data holds the
+        world's dicts and lists live."""
+        for group in ("fungible", "nft", "modules"):
+            for name, obj in getattr(self, group).items():
+                yield group, name, _section_data(group, obj)
 
     def _document(self) -> dict:
-        doc = self._scalars()
-        doc["native"] = self.native
-        for group in ("fungible", "nft", "modules"):
-            doc[group] = {name: _section_data(group, obj)
-                          for name, obj in getattr(self, group).items()}
-        return doc
+        return _assembled(self._scalars(), self.native, self._sections())
+
+    def identity_snapshot(self) -> IdentitySnapshot:
+        """The digest document's objects now and its shape, for
+        ``unchanged_since``.  A dict or list is listed by its entries, so
+        the snapshot keeps the objects it holds now."""
+        events, native = self.events, self.native
+        shape = [len(events), len(native)]
+        objects = [self.clock, self.genesis_native_supply,
+                   events[-1] if events else None, *native, *native.values()]
+        append, extend = objects.append, objects.extend
+        for group, name, data in self._sections():
+            append(group)
+            append(name)
+            extend(data)
+            shape.append(len(data))
+            for value in data.values():
+                kind = type(value)
+                if kind is dict:
+                    shape += (dict, len(value))
+                    extend(value)
+                    extend(value.values())
+                elif kind is list:
+                    shape += (list, len(value))
+                    extend(value)
+                else:
+                    shape.append(None)
+                    append(value)
+        return IdentitySnapshot(shape, objects)
 
     def digest(self) -> str:
         """Hash of the canonical committed-state document (see docs in README).
@@ -1088,3 +1246,18 @@ class ChainState:
         """The same hash as ``digest``, recomputed from the whole world
         without the cache, so it does not rely on writes being journaled."""
         return digest_of(self._document())
+
+    def snapshot_digest(self, snapshot: IdentitySnapshot) -> str:
+        """The full digest of the world ``snapshot`` was taken of."""
+        count, last = snapshot.shape[0], snapshot.objects[2]
+        log = [*self.events[:count - 1], last] if count else []
+        return digest_of(_document_of(snapshot, self._chained(log)))
+
+    def unchanged_since(self, snapshot: IdentitySnapshot) -> bool:
+        """Whether the full digest is that of the world ``snapshot`` was
+        taken of.  When the world holds the very same objects the digests
+        agree without hashing: every collection entry is a scalar or a
+        frozen value, so an object renders as it did.  Otherwise both
+        documents are hashed.  Neither way reads the journal."""
+        return (_same_objects(snapshot, self.identity_snapshot())
+                or self.snapshot_digest(snapshot) == self.full_digest())

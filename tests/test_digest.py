@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from importlib import resources
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from fracvault import errors, ledger, standard_world
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
                             run_action, run_fuzz, transact_action)
-from fracvault.governance import Proposal, TimelockEntry
+from fracvault.ddmin import CheckedReplay
+from fracvault.governance import (Governance, GovernanceAction, Proposal, Timelock,
+                                  TimelockEntry)
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
                               Event, ExecutionContext, Module, ReceiveHook,
                               canonical_json, normalize)
@@ -200,22 +203,80 @@ def _entries(state):
             yield from container.values() if isinstance(container, dict) else container
 
 
-def test_collection_entries_are_scalars_or_frozen_values():
-    # the digest cache sees only writes to collections, so an entry that
-    # could change in place would go stale without a mark
+def _entry_worlds():
+    """A seed-42 fuzz world after 3·10^3 steps, and the lifecycle's world,
+    which schedules a timelock entry."""
     plan = FuzzPlan(seed=42, steps=3_000)
     state, handle, actors = build_fuzz_world(plan)
     generator = ActionGenerator(plan, state, handle, actors)
     for _ in range(plan.steps):
         run_action(state, generator.generate())
-    lifecycle = run_scenario(parse_scenario(LIFECYCLE.read_text())).state
+    return state, run_scenario(parse_scenario(LIFECYCLE.read_text())).state
+
+
+def test_collection_entries_are_scalars_or_frozen_values():
+    # the digest cache sees only writes to collections, so an entry that
+    # could change in place would go stale without a mark
     seen = set()
-    for world in (state, lifecycle):  # the lifecycle schedules a timelock entry
+    for world in _entry_worlds():
         for entry in _entries(world):
             seen.add(type(entry))
             assert type(entry) in (int, str, bool, type(None)) or (
                 is_dataclass(entry) and type(entry).__dataclass_params__.frozen), entry
     assert {Auction, SaleRecord, Proposal, TimelockEntry} <= seen
+
+
+def _immutable(value) -> bool:
+    """Whether ``value`` can never change: a scalar, or a tuple, read-only
+    mapping or frozen dataclass of such values."""
+    kind = type(value)
+    if kind in (int, str, bool, type(None)):
+        return True
+    if kind is tuple:
+        return all(map(_immutable, value))
+    if kind is MappingProxyType:
+        return all(map(_immutable, [*value.keys(), *value.values()]))
+    return is_dataclass(value) and kind.__dataclass_params__.frozen and all(
+        _immutable(getattr(value, f.name)) for f in fields(value))
+
+
+def test_collection_entries_are_immutable_in_fact():
+    # the revert-atomicity oracle takes a world holding the very same
+    # objects for one that renders the same
+    seen = set()
+    for world in _entry_worlds():
+        modules = world.modules.values()
+        [vault] = [m for m in modules if isinstance(m, Vault)]
+        [timelock] = [m for m in modules if isinstance(m, Timelock)]
+        [governance] = [m for m in modules if isinstance(m, Governance)]
+        proposals = governance.proposals
+        for entry in [*vault.auctions.values(), *vault.sales.values(),
+                      *timelock.entries.values(), *proposals]:
+            seen.add(type(entry))
+            for f in fields(entry):
+                value = getattr(entry, f.name)
+                assert _immutable(value) and type(value) in (
+                    int, str, bool, type(None), tuple, MappingProxyType,
+                    GovernanceAction), (entry, f.name)
+        for proposal in proposals:
+            with pytest.raises(TypeError):
+                proposal.voters["x"] = 1
+        # a snapshot lists each section's dicts and lists by their entries,
+        # so none may hold a container
+        objects = world.identity_snapshot().objects
+        assert isinstance(objects[2], Event)
+        assert all(map(_immutable, objects[:2] + objects[3:]))
+    assert {Auction, SaleRecord, Proposal, TimelockEntry} <= seen
+    assert any(proposal.voters for proposal in proposals)  # the lifecycle votes
+
+
+def test_governance_action_arguments_are_frozen_and_encode_alike():
+    data = {"kind": "set_auction_duration",
+            "args": {"seconds": [1, [2, {"z": [3]}]], "by": {"q": 1}}}
+    action = GovernanceAction.from_data(data)
+    assert _immutable(action)
+    assert ledger._text(action) == canonical_json(normalize(data)) == \
+        canonical_json(normalize(action))
 
 
 # --------------------------------------------------------------------- #
@@ -476,6 +537,119 @@ def test_suite_revert_atomicity_sees_unjournaled_write(monkeypatch):
     assert result.detail.startswith("revert_atomicity: failed vault.place_bid (")
 
 
+@pytest.mark.parametrize("case", sorted(REVERTING))
+def test_rollback_residue_fails_the_identity_snapshot(case, monkeypatch):
+    state, failing = REVERTING[case]()
+    before = state.identity_snapshot()
+    assert not failing(state).ok
+    assert state.unchanged_since(before)  # a sound rollback leaves nothing
+    _plant_rollback_defect(monkeypatch)
+    digest = state.full_digest()
+    before = state.identity_snapshot()
+    assert not failing(state).ok
+    assert state.snapshot_digest(before) == digest != state.full_digest()
+    assert not state.unchanged_since(before)
+
+
+def _spy_on_the_oracle(monkeypatch) -> list:
+    """For every reverted call the oracle checks, (its verdict, whether the
+    full digest changed), the digest taken before and after the call."""
+    verdicts = []
+    call = CheckedReplay.call
+
+    def spied(self, action, atomic):
+        before = self.state.full_digest() if atomic and action.method else None
+        result, detail = call(self, action, atomic)
+        if before is not None and not result.ok:
+            verdicts.append((detail is not None, self.state.full_digest() != before))
+        return result, detail
+
+    monkeypatch.setattr(CheckedReplay, "call", spied)
+    return verdicts
+
+
+@pytest.mark.parametrize("mutant", [None, "unjournaled-write", *sorted(MUTANTS)])
+def test_identity_verdict_equals_the_digest_verdict(monkeypatch, mutant):
+    planted = mutant == "unjournaled-write"
+    if planted:
+        _plant_unjournaled_write_on_failed_bid(monkeypatch)
+    verdicts = _spy_on_the_oracle(monkeypatch)
+    if mutant is None or planted:
+        run_fuzz(FuzzPlan(seed=42, steps=2_000, check_revert_atomicity=True))
+    run_suite(seed=0, steps=400, mutant=None if planted else mutant,
+              names=("revert_atomicity",))
+    assert [digest for _, digest in verdicts] == [identity for identity, _ in verdicts]
+    assert len(verdicts) > 20 and any(identity for identity, _ in verdicts) == planted
+
+
+def test_a_clean_campaign_hashes_no_world(monkeypatch):
+    calls = []
+    digest_of = ledger.digest_of
+    monkeypatch.setattr(ledger, "digest_of", lambda data: calls.append(1) or digest_of(data))
+    [result] = run_suite(seed=0, steps=400, names=("revert_atomicity",)).results
+    assert result.passed and calls == []
+
+
+def _recreate_largest_fraction_balance(vault, state, ctx):
+    balances = state.fungible[vault.fractions].balances
+    holder = max(balances, key=balances.get)
+    balances[holder] = int(str(balances[holder]))
+
+
+# on a failed bid, a large int that the call does not write put back as a
+# new object equal to the old one
+RECREATED = {
+    "collection-entry": _recreate_largest_fraction_balance,
+    "module-scalar": lambda vault, state, ctx: setattr(
+        vault, "auction_duration", int(str(vault.auction_duration))),
+}
+
+
+def _count_snapshot_digests(monkeypatch) -> list:
+    hashed = []
+    snapshot_digest = ChainState.snapshot_digest
+    monkeypatch.setattr(ChainState, "snapshot_digest", lambda self, snapshot: hashed.append(
+        1) or snapshot_digest(self, snapshot))
+    return hashed
+
+
+@pytest.mark.parametrize("case", sorted(RECREATED))
+def test_an_equal_int_put_back_unjournaled_is_no_residue(monkeypatch, case):
+    # an int equal in value and type renders alike, so it needs no hashing
+    hashed = _count_snapshot_digests(monkeypatch)
+    original = Vault.place_bid
+
+    def place_bid(self, state, ctx, token_id):
+        try:
+            return original(self, state, ctx, token_id)
+        except errors.LedgerError:
+            RECREATED[case](self, state, ctx)  # a raw write, no journal entry
+            raise
+
+    monkeypatch.setattr(Vault, "place_bid", place_bid)
+    verdicts = _spy_on_the_oracle(monkeypatch)
+    plan = FuzzPlan(seed=42, steps=300, invariants=(), check_revert_atomicity=True)
+    assert run_fuzz(plan).ok
+    assert verdicts and not any(identity for identity, _ in verdicts)
+    assert hashed == []
+
+
+def test_a_key_put_back_last_is_no_residue(world, monkeypatch):
+    # a rollback re-inserts a deleted key at the end of its dict, so the
+    # dict holds the same objects in another order, which the hashes ignore
+    hashed = _count_snapshot_digests(monkeypatch)
+    state, handle = world
+    tx(state, "alice", handle.collection, "approve", token_id=1, spender="bob")
+    tx(state, "alice", handle.collection, "approve", token_id=2, spender="carol")
+    approvals = state.nft[handle.collection].approvals
+    assert list(approvals) == [1, 2]
+    replay = CheckedReplay(None, (state, handle, {}))
+    batch = transact_action("alice", handle.vault, "deposit_nfts", token_ids=[1, 1])
+    result, detail = replay.call(batch, True)
+    assert result.error and detail is None
+    assert list(approvals) == [2, 1] and hashed == [1]
+
+
 # --------------------------------------------------------------------- #
 # The lazy event hash chain
 # --------------------------------------------------------------------- #
@@ -580,6 +754,27 @@ def test_reverted_events_are_never_encoded(monkeypatch):
     assert encoded == []  # nothing read a digest yet
     lazy.digest()
     assert encoded == ["a", "b"]
+
+
+@pytest.mark.parametrize("rewrite, residue", [
+    (lambda events: events.__setitem__(-1, events[-1]._replace()), False),
+    (lambda events: events.__setitem__(-1, events[-1]._replace(tx_index=9)), True),
+    (lambda events: events.pop(0), True),
+], ids=["equal-last", "different-last", "earlier-dropped"])
+def test_a_rewritten_event_log_is_residue_if_it_encodes_differently(
+        monkeypatch, rewrite, residue):
+    state = _emitter_world(ChainState)
+    assert _ping(state, "kept", count=2).ok
+    ping = _Emitter.ping
+
+    def rewriting(self, state, ctx, tag, **flags):
+        rewrite(state.events)  # a raw write, no journal entry
+        return ping(self, state, ctx, tag, **flags)
+
+    monkeypatch.setattr(_Emitter, "ping", rewriting)
+    before = state.identity_snapshot()
+    assert not _ping(state, "gone", fail=True).ok
+    assert state.unchanged_since(before) is not residue
 
 
 def test_event_hash_of_a_copied_world_that_diverges():
