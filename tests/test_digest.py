@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
 from dataclasses import fields, is_dataclass, replace
 from importlib import resources
 from types import MappingProxyType
@@ -28,11 +29,13 @@ from fracvault.mutations import HEALTHY, MUTANTS
 from fracvault.properties import run_suite, sold_world
 from fracvault.scenario import build_world, execute_entry, parse_scenario, run_scenario
 from fracvault.tokens import FungibleToken
+from fracvault.trace import replay_trace, write_trace
 from fracvault.vault import Auction, SaleRecord, Vault
 
 from helpers import tx
 
 LIFECYCLE = resources.files("fracvault") / "scenarios" / "lifecycle.json"
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 # --------------------------------------------------------------------- #
@@ -90,6 +93,28 @@ def test_mutant_reports_pinned(mutant):
     fuzz_sha, suite_sha = MUTANT_REPORTS[mutant]
     assert _report_sha(run_fuzz(FuzzPlan(seed=42, steps=20_000, mutant=mutant))) == fuzz_sha
     assert _report_sha(run_suite(seed=0, steps=400, mutant=mutant)) == suite_sha
+
+
+# sha256 of the trace that ``run`` writes for the first two scenarios of the
+# trace-replay benchmark at seed 3: 1,500 calls each drawn by the fuzz
+# generator, with a digest after every step
+TRACE_PINS = {
+    12: "2a880b748aa4b08a987e7b83a43ed4334130bbc5ae5e97d44cba23862eb3fedf",
+    13: "ca6b339e550c0581bb240a678cb4af62314f3990dc59e1f8e772a056fb6332a5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRACE_PINS))
+def test_benchmark_scenario_traces_pinned(seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import scenario_gen
+
+    document = parse_scenario(scenario_gen.build_scenario(seed, 1_500))
+    path = str(tmp_path / "scenario.trace.jsonl")
+    write_trace(path, document, run_scenario(document).records)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == TRACE_PINS[seed]
+    assert replay_trace(path) == len(document["transactions"])
 
 
 # --------------------------------------------------------------------- #
