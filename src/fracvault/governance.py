@@ -13,7 +13,8 @@ included, replaces the whole entry in ``Governance.proposals`` or
 ``Timelock.entries`` through ``ChainState.jset``.  They are immutable in
 fact, down to a proposal's read-only ``voters`` mapping and the tuples of
 its action's arguments, so an entry that is the same object renders the
-same.
+same.  Each encodes its own digest fragment (``digest_json``), byte for
+byte the canonical JSON of its normalized ``as_data``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from . import errors
-from .ledger import Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS
+from .ledger import (Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS,
+                     canonical_text, record_encoder)
 from .mutations import HEALTHY, Mutations
 from .vault import Vault
 
@@ -70,6 +72,11 @@ class GovernanceAction:
     def as_data(self) -> dict:
         return {"kind": self.kind, "args": {k: v for k, v in self.args}}
 
+    def digest_json(self) -> str:
+        """``canonical_json(normalize(self))``, encoded by exact type."""
+        return '{"args":%s,"kind":%s}' % (canonical_text(dict(self.args)),
+                                          canonical_text(self.kind))
+
 
 @dataclass(frozen=True)
 class TimelockEntry:
@@ -86,6 +93,9 @@ class TimelockEntry:
         return {"proposal_id": self.proposal_id, "scheduled_at": self.scheduled_at,
                 "ready_at": self.ready_at, "state": self.state,
                 "executed_at": self.executed_at}
+
+    digest_json = record_encoder(
+        "proposal_id", "scheduled_at", "ready_at", "state", "executed_at")
 
 
 _NO_VOTERS: Mapping[Address, int] = MappingProxyType({})
@@ -125,6 +135,13 @@ class Proposal:
             "total_votes_cast": self.total_votes_cast,
             "voters": dict(self.voters),
         }
+
+    # the action and the voters encode as their data: ``canonical_text``
+    # reads the action's ``digest_json`` and the voters as a dict
+    digest_json = record_encoder(
+        "description", "target", "action", "voting_deadline", "supply_at_creation",
+        "proposer", "executed", "votes_for", "votes_against", "total_votes_cast",
+        "voters", id="proposal_id")
 
 
 class Timelock(Module):

@@ -28,10 +28,16 @@ The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
 canonical JSON fragments, and each write helper marks the one fragment it
 touches (a collection entry, such as a balance or an auction, or one
 module scalar), committed or rolled back, so a digest re-encodes only
-those and joins their ancestors from cached pieces.  ``full_digest()``
-recomputes the same bytes from the whole world with ``normalize`` and
-``json``, without relying on the journal; ``digest()`` compares against it
-every ``DIGEST_CHECK_INTERVAL`` calls.
+those and joins their ancestors from cached pieces.  When nothing was
+marked and the clock, genesis supply, event count and last event read as
+before, the previous digest is served without work; when the marked
+fragments encode to the bytes they had, as after a sound rollback, it is
+served without hashing.  Frozen collection entries encode themselves
+(``digest_json``, most of them built by ``record_encoder``) with the bytes
+of ``canonical_json(normalize(entry))``.  ``full_digest()`` recomputes the
+same bytes from the whole world with ``normalize`` and ``json``, without
+relying on the journal or the entry encoders; ``digest()`` compares
+against it every ``DIGEST_CHECK_INTERVAL`` calls, served digests included.
 
 The revert-atomicity oracle asks ``unchanged_since(identity_snapshot())``:
 the snapshot lists the digest document's objects, a dict or list by its
@@ -57,9 +63,9 @@ from bisect import bisect_left
 from itertools import islice
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import is_
+from operator import attrgetter, is_
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import errors
 
@@ -124,22 +130,43 @@ def digest_of(data: Any) -> str:
     return hashlib.sha256(canonical_json(normalize(data)).encode()).hexdigest()
 
 
-def _text(value: Any) -> str:
-    """``canonical_json(normalize(value))``, encoded by exact type; other
-    types go through ``normalize``."""
+def canonical_text(value: Any) -> str:
+    """``canonical_json(normalize(value))``, encoded by exact type: a record
+    with a ``digest_json`` method encodes itself; other types go through
+    ``normalize``."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
     if kind is int:
         return '"%d"' % value
-    if kind is dict:
+    if kind is dict or kind is MappingProxyType:
         named = {str(k): v for k, v in value.items()}  # keys that render alike keep the last
-        return "{" + ",".join([_json_str(k) + ":" + _text(named[k]) for k in sorted(named)]) + "}"
+        return "{" + ",".join([_json_str(k) + ":" + canonical_text(named[k])
+                               for k in sorted(named)]) + "}"
     if kind is list or kind is tuple:
-        return "[" + ",".join([_text(v) for v in value]) + "]"
+        return "[" + ",".join([canonical_text(v) for v in value]) + "]"
     if kind is bool or value is None:
         return "null" if value is None else "true" if value else "false"
+    encode = getattr(value, "digest_json", None)
+    if encode is not None:
+        return encode()
     return canonical_json(normalize(value))
+
+
+def record_encoder(*names: str, **renamed: str) -> Callable[[Any], str]:
+    """The ``digest_json`` method of a frozen record whose ``as_data`` holds
+    attributes as they are, each of ``names`` under its own name and each
+    of ``renamed`` under its keyword: ``canonical_json(normalize(record))``
+    from one template, without building the data."""
+    keys = {**{name: name for name in names}, **renamed}
+    ordered = sorted(keys)
+    template = "{" + ",".join(_json_str(key) + ":%s" for key in ordered) + "}"
+    values = attrgetter(*[keys[key] for key in ordered])
+
+    def digest_json(record: Any) -> str:
+        return template % tuple(map(canonical_text, values(record)))
+
+    return digest_json
 
 
 def _key(name: str) -> bytes:
@@ -277,6 +304,14 @@ class _Object:
     def set(self, name: str, fragment: bytes) -> None:
         self.parts[self.slots[name]] = fragment
 
+    def put(self, name: str, fragment: bytes) -> bool:
+        """Set a key's fragment; whether it differs from the one it had."""
+        slot = self.slots[name]
+        if self.parts[slot] == fragment:
+            return False
+        self.parts[slot] = fragment
+        return True
+
     def text(self) -> bytes:
         return b"".join(self.parts)
 
@@ -308,11 +343,17 @@ class _Section:
     whole: _Collection | None = None
     text: bytes = b""
     stale: bool = True  # its data may hold new values
+    written: set = field(default_factory=set)  # attributes of ``obj`` written since
+    live: bool = True  # still a member of its group
+
+
+_GROUPS = ("fungible", "nft", "modules")
 
 
 class DigestCache:
     """Canonical JSON of the digest document, kept as encoded fragments and
-    re-encoded only where written.
+    re-encoded only where written, and its hash, taken again only when the
+    text changed.
 
     A section is the native ledger, one fungible or NFT ledger, or one
     module.  A dict or list that a section's data holds live (not a copy),
@@ -323,63 +364,112 @@ class DigestCache:
     under its key, or the section's object and its other containers, where
     a write makes the section's data be read again and encoded where it
     holds new objects.  It keeps each container alive so that the id stays
-    unique.  The write helpers call ``mark`` whether the write later
-    commits or rolls back, so a rollback that fails to restore a value is
-    encoded as it is.  New fragments go into their parents' cached pieces,
-    and only dirty ancestors are joined again.  The scalars (clock,
-    supply, event count and hash) are read on every call.
+    unique.  Only a write that puts a dict or list on the object makes the
+    section register its containers again.  The write helpers call
+    ``mark`` whether the write later commits or rolls back, so a rollback
+    that fails to restore a value is encoded as it is.  New fragments go
+    into their parents' cached pieces, and only ancestors whose pieces
+    changed are joined again.
+
+    ``digest`` serves the previous hash with no work when no write marked
+    the cache since and the document's other inputs read as before: the
+    clock, the genesis supply, the event count and the last event (which
+    stands for the log, as in ``ChainState.event_hash``), and the members
+    of each group.  When the marked fragments encode to the bytes they
+    had, as after a sound rollback, it serves the previous hash without
+    hashing.
     """
 
     def __init__(self) -> None:
         self.sections: dict[tuple[str, ...], _Section] = {}
-        self.groups: dict[str, tuple[tuple[str, ...], _Object]] = {}
+        self.groups: dict[str, _Object] = {}
         # id -> (container, section, the collection it is or None)
         self.owners: dict[int, tuple[Any, _Section, _Collection | None]] = {}
         self.dirty: set[_Section] = set()
-        self.top: _Object | None = None
-        self.scalars: dict[str, Any] = {}  # as last encoded into ``top``
+        self.top = _Object([*_scalar_fields(0, 0, 0, ""), "native", *_GROUPS])
         self.served = 0
+        # what the latest digest read: the native balances, a copy of each
+        # group, the scalars and the last event; and the hash it gave
+        self.native = self.clock = self.supply = self.count = self.last = ABSENT
+        self.members: tuple[dict, ...] = ()
+        self.hex = ""
 
     def mark(self, container: Any, key: Any) -> None:
         owner = self.owners.get(id(container))
         if owner is not None:
             _, section, collection = owner
             self.dirty.add(section)
-            if collection is None:
-                section.stale = True
-            else:
+            if collection is not None:
                 collection.dirty.add(key)
+                return
+            section.stale = True
+            if container is section.obj:
+                section.written.add(key)
 
-    def document(self, state: "ChainState") -> bytes:
-        """The encoded canonical JSON of ``state``'s digest document."""
-        self._member(("native",), "native", state.native)
-        joined = set()  # groups to join again
-        for group in ("fungible", "nft", "modules"):
-            members = getattr(state, group)
-            if group not in self.groups or self.groups[group][0] != tuple(members):
-                self.groups[group] = (tuple(members), _Object(members))
-                joined.add(group)
-                for name, obj in members.items():
-                    self.dirty.add(self._member((group, name), group, obj))
-        scalars = state._scalars()
-        if self.top is None:
-            self.top = _Object([*scalars, "native", *self.groups])
+    def digest(self, state: "ChainState") -> str:
+        """The hex sha256 of ``state``'s digest document."""
+        events = state.events
+        count = len(events)
+        last = events[-1] if count else None
+        laid_out = state.native is self.native and self.members == (
+            state.fungible, state.nft, state.modules)
+        if not (laid_out and not self.dirty and count == self.count and last is self.last
+                and state.clock == self.clock
+                and state.genesis_native_supply == self.supply):
+            if self._encode(state, count, last, laid_out):
+                self.hex = hashlib.sha256(self.top.text()).hexdigest()
+        return self.hex
+
+    def _encode(self, state: "ChainState", count: int, last: Event | None,
+                laid_out: bool) -> bool:
+        """Encode what changed since the latest digest into ``top``;
+        whether its text changed."""
+        top = self.top
+        joined = set() if laid_out else self._lay_out(state)  # groups to join again
+        changed = bool(joined)
         dirty, self.dirty = self.dirty, set()
         for section in dirty:
-            self._render(section)
+            if not (section.live and self._render(section)):
+                continue
+            changed = True
             if section.group == "native":
-                self.top.set("native", section.text)
+                top.set("native", section.text)
             else:
-                self.groups[section.group][1].set(section.name, section.text)
+                self.groups[section.group].set(section.name, section.text)
                 joined.add(section.group)
         for group in joined:
-            self.top.set(group, self.groups[group][1].text())
-        for name, value in scalars.items():
-            old = self.scalars.get(name, ABSENT)
-            if type(value) is not type(old) or value != old:
-                self.top.set(name, _text(value).encode())
-        self.scalars = scalars
-        return self.top.text()
+            top.set(group, self.groups[group].text())
+        if state.clock != self.clock:
+            self.clock = state.clock
+            changed |= top.put("clock", canonical_text(self.clock).encode())
+        if state.genesis_native_supply != self.supply:
+            self.supply = state.genesis_native_supply
+            changed |= top.put("genesis_supply", canonical_text(self.supply).encode())
+        if count != self.count or last is not self.last:
+            self.count, self.last = count, last
+            changed |= top.put("event_count", b'"%d"' % count)
+            changed |= top.put("event_hash", _json_str(state.event_hash()).encode())
+        return changed
+
+    def _lay_out(self, state: "ChainState") -> set[str]:
+        """Make a section of the native balances and of each group member
+        that is new or another object; the groups whose members changed."""
+        members = (state.fungible, state.nft, state.modules)
+        if state.native is not self.native:
+            self.native = state.native
+            self._member(("native",), "native", state.native)
+        joined = set()
+        for group, live, seen in zip(_GROUPS, members, self.members or ({},) * len(_GROUPS)):
+            if live == seen and group in self.groups:
+                continue
+            joined.add(group)
+            for name in seen.keys() - live.keys():
+                self.sections.pop((group, name)).live = False
+            self.groups[group] = _Object(live)
+            for name, obj in live.items():
+                self.groups[group].set(name, self._member((group, name), group, obj).text)
+        self.members = tuple(dict(live) for live in members)
+        return joined
 
     def stale_section(self, state: "ChainState") -> str:
         """The first section whose cached fragment differs from a full render."""
@@ -393,28 +483,61 @@ class DigestCache:
     def _member(self, key: tuple[str, ...], group: str, obj: Any) -> _Section:
         section = self.sections.get(key)
         if section is None or section.obj is not obj:
+            if section is not None:
+                section.live = False
             section = self.sections[key] = _Section(group, key[-1], obj)
             self.dirty.add(section)
         return section
 
-    def _render(self, section: _Section) -> None:
-        if section.stale:
-            self._refresh(section)
-        if section.whole is not None:
-            self._update(section.whole, section.whole.dirty)
-            section.text = section.whole.text
-            return
-        for name, collection in section.collections.items():
-            if collection.dirty:
-                self._update(collection, collection.dirty)
-                section.fields.set(name, collection.text)
-        section.text = section.fields.text()
+    def _render(self, section: _Section) -> bool:
+        """Encode a marked section's written parts again; whether its text
+        changed."""
+        changed = section.stale and self._refresh(section)
+        whole = section.whole
+        if whole is not None:
+            if whole.dirty:
+                self._update(whole, whole.dirty)
+            text = whole.text
+        else:
+            for name, collection in section.collections.items():
+                if collection.dirty and self._update(collection, collection.dirty):
+                    section.fields.set(name, collection.text)
+                    changed = True
+            text = section.fields.text() if changed else section.text
+        if text == section.text:
+            return False
+        section.text = text
+        return True
 
-    def _refresh(self, section: _Section) -> None:
+    def _refresh(self, section: _Section) -> bool:
+        """Read a section's data again and encode the plain values that a
+        write replaced; whether a fragment changed.  A dict or list written
+        onto its object, a collection replaced, or data with other names
+        lays the section out again."""
+        obj, written = section.obj, section.written
+        section.stale, section.written = False, set()
+        if section.fields is None or any(
+                isinstance(getattr(obj, name, None), (dict, list)) for name in written):
+            return self._lay_out_section(section)
+        data = _section_data(section.group, obj)
+        values, collections = section.values, section.collections
+        if data.keys() != values.keys():
+            return self._lay_out_section(section)
+        changed = False
+        for name, value in data.items():
+            if value is values[name] and (type(value) in _IMMUTABLE or name in collections):
+                continue
+            if name in collections or isinstance(value, (dict, list)):
+                return self._lay_out_section(section)
+            values[name] = value
+            changed |= section.fields.put(name, canonical_text(value).encode())
+        return changed
+
+    def _lay_out_section(self, section: _Section) -> bool:
         """Read a section's data again and encode its new objects: plain
-        values that a write replaced, and collections that are new."""
+        values that a write replaced, and collections that are new; and
+        register the containers its object holds."""
         obj = section.obj
-        section.stale = False
         live = {id(c): c for c in _containers(obj)}
         data = _section_data(section.group, obj)
         if id(data) in live:  # the section is one collection
@@ -436,7 +559,7 @@ class DigestCache:
                 fragment = collection.text
             else:
                 collections.pop(name, None)
-                fragment = _text(value).encode()
+                fragment = canonical_text(value).encode()
             if name is None:
                 section.whole = collection
             else:
@@ -447,42 +570,56 @@ class DigestCache:
         for container in live.values():
             if id(container) not in held:
                 self.owners[id(container)] = (container, section, None)
+        return True
 
-    def _update(self, collection: _Collection, keys: Any, rebuild: bool = False) -> None:
+    def _update(self, collection: _Collection, keys: Any, rebuild: bool = False) -> bool:
         """Encode the entries under ``keys`` again, in their order, and join
-        the collection's text."""
+        the collection's text if a piece changed; whether one did."""
         container, pieces = collection.container, collection.pieces
+        changed = not collection.text
         if isinstance(container, list):
-            del pieces[len(container):]
+            if len(pieces) > len(container):
+                del pieces[len(container):]
+                changed = True
             for i in keys:
                 if i < len(pieces):
-                    pieces[i] = _text(container[i]).encode()
+                    piece = canonical_text(container[i]).encode()
+                    if piece != pieces[i]:
+                        pieces[i] = piece
+                        changed = True
             for i in range(len(pieces), len(container)):
-                pieces.append(_text(container[i]).encode())
-            collection.text = b"[" + b",".join(pieces) + b"]"
+                pieces.append(canonical_text(container[i]).encode())
+                changed = True
             collection.dirty.clear()
-            return
+            if changed:
+                collection.text = b"[" + b",".join(pieces) + b"]"
+            return changed
         order = collection.order
         for key in keys:
             name = collection.name(key)
             i = bisect_left(order, name)
             found = i < len(order) and order[i] == name
             if key in container:
-                piece = _key(name) + _text(container[key]).encode()
-                if found:
-                    pieces[i] = piece
-                else:
+                piece = _key(name) + canonical_text(container[key]).encode()
+                if not found:
                     order.insert(i, name)
                     pieces.insert(i, piece)
+                    changed = True
+                elif pieces[i] != piece:
+                    pieces[i] = piece
+                    changed = True
             elif found:
                 del order[i], pieces[i]
+                changed = True
         collection.dirty.clear()
         if len(pieces) != len(container) and not rebuild:
             # keys that render alike: encoded in the container's order, the
             # last one stays, as normalize keeps it
             del order[:], pieces[:]
             return self._update(collection, list(container), rebuild=True)
-        collection.text = b"{" + b",".join(pieces) + b"}"
+        if changed:
+            collection.text = b"{" + b",".join(pieces) + b"}"
+        return changed
 
 
 class ExecutionContext(NamedTuple):
@@ -511,7 +648,7 @@ class Event(NamedTuple):
         string names and payload keys, ``frame`` and ``tx`` as JSON numbers."""
         return '{"emitter":%s,"frame":%d,"name":%s,"payload":[%s],"tx":%d}' % (
             _json_str(self.emitter), self.frame, _json_str(self.name),
-            ",".join(["[%s,%s]" % (_json_str(k), _text(v)) for k, v in self.payload]),
+            ",".join(["[%s,%s]" % (_json_str(k), canonical_text(v)) for k, v in self.payload]),
             self.tx_index)
 
     def as_data(self) -> dict:
@@ -1227,14 +1364,15 @@ class ChainState:
         """Hash of the canonical committed-state document (see docs in README).
 
         Incremental: the first call builds a ``DigestCache`` and later calls
-        re-render only what was written since.  Every
-        ``DIGEST_CHECK_INTERVAL``-th call also recomputes in full and raises
+        re-render only what was written since, or serve the previous hash
+        when the document is unchanged.  Every ``DIGEST_CHECK_INTERVAL``-th
+        call, served or not, also recomputes in full and raises
         ``DigestCacheMismatch``, naming the stale section, on a difference.
         """
-        if self._digest_cache is None:
-            self._digest_cache = DigestCache()
         cache = self._digest_cache
-        digest = hashlib.sha256(cache.document(self)).hexdigest()
+        if cache is None:
+            cache = self._digest_cache = DigestCache()
+        digest = cache.digest(self)
         cache.served += 1
         if cache.served % DIGEST_CHECK_INTERVAL == 0 and self.full_digest() != digest:
             raise DigestCacheMismatch(

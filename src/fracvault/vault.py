@@ -9,7 +9,9 @@ by the recipient later; the vault never pushes native currency during
 settlement.  Redemption burns fractions before crediting the payout.
 
 Auctions and sale records are frozen values: a write replaces the whole
-entry in ``auctions`` or ``sales`` through ``ChainState.jset``.
+entry in ``auctions`` or ``sales`` through ``ChainState.jset``.  Each
+encodes its own digest fragment (``digest_json``), byte for byte the
+canonical JSON of its normalized ``as_data``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from . import errors
-from .ledger import Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS
+from .ledger import (Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS,
+                     record_encoder)
 from .mutations import HEALTHY, Mutations
 
 FRACTIONS_PER_NFT = 1000
@@ -59,6 +62,10 @@ class Auction:
             "active": self.active,
         }
 
+    digest_json = record_encoder(
+        "token_id", "started_by", "starting_price", "end_time", "extension_window",
+        "extension_delta", "highest_bid", "highest_bidder", "active")
+
 
 @dataclass(frozen=True)
 class SaleRecord:
@@ -79,6 +86,9 @@ class SaleRecord:
             "supply_snapshot": self.supply_snapshot,
             "original_owner": self.original_owner,
         }
+
+    digest_json = record_encoder(
+        "proceeds_total", "proceeds_remaining", "supply_snapshot", "original_owner")
 
 
 @dataclass

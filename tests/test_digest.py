@@ -12,7 +12,7 @@ from importlib import resources
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracvault import errors, ledger, standard_world
@@ -300,7 +300,7 @@ def test_governance_action_arguments_are_frozen_and_encode_alike():
             "args": {"seconds": [1, [2, {"z": [3]}]], "by": {"q": 1}}}
     action = GovernanceAction.from_data(data)
     assert _immutable(action)
-    assert ledger._text(action) == canonical_json(normalize(data)) == \
+    assert ledger.canonical_text(action) == canonical_json(normalize(data)) == \
         canonical_json(normalize(action))
 
 
@@ -333,13 +333,13 @@ _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_VALUES)
 def test_fragment_encoder_equals_normalize_and_json(value):
-    assert ledger._text(value) == canonical_json(normalize(value))
+    assert ledger.canonical_text(value) == canonical_json(normalize(value))
 
 
 def test_fragment_encoder_covers_keys_that_render_alike():
     value = {1: "int", "1": "str", True: "bool", "True": "text", (0, "a"): [1, -2]}
-    assert ledger._text(value) == canonical_json(normalize(value))
-    assert ledger._text({"é\x00\n": "\u2603\x1f"}) == canonical_json(
+    assert ledger.canonical_text(value) == canonical_json(normalize(value))
+    assert ledger.canonical_text({"é\x00\n": "\u2603\x1f"}) == canonical_json(
         normalize({"é\x00\n": "\u2603\x1f"}))
 
 
@@ -348,7 +348,7 @@ def test_fragment_encoder_rejects_what_normalize_rejects(value):
     with pytest.raises(TypeError):
         normalize(value)
     with pytest.raises(TypeError):
-        ledger._text(value)
+        ledger.canonical_text(value)
 
 
 def test_tuple_records_encode_as_their_data():
@@ -358,7 +358,7 @@ def test_tuple_records_encode_as_their_data():
     for record in records:
         assert isinstance(record, tuple)
         assert normalize(record) == normalize(record.as_data())
-        assert ledger._text(record) == canonical_json(normalize(record.as_data()))
+        assert ledger.canonical_text(record) == canonical_json(normalize(record.as_data()))
     assert normalize([records, (2, "x")]) == [
         [normalize(r.as_data()) for r in records], ["2", "x"]]
 
@@ -372,6 +372,69 @@ def test_every_fuzz_event_encodes_as_its_data():
     assert len(state.events) > 1_000
     for event in state.events:
         assert event.canonical() == canonical_json(event.as_data())
+
+
+# the fields of the frozen collection entries: ints beyond 64 bits and
+# below zero, strings with non-ASCII and control characters
+_INTS = st.one_of(st.integers(-2**70, 2**70), st.integers(2**64, 2**80))
+_STRS = st.one_of(st.text(), st.sampled_from(["é\x00\n", "\u2603\x1f", "a|b", ""]))
+_ARGS = st.recursive(st.one_of(st.none(), st.booleans(), _INTS, _STRS), lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(_STRS, inner, max_size=3)), max_leaves=8)
+_ACTIONS = st.builds(lambda kind, args: GovernanceAction.from_data({"kind": kind, "args": args}),
+                     _STRS, st.dictionaries(_STRS, _ARGS, max_size=4))
+
+
+def _encodes_as_its_data(entry) -> None:
+    assert entry.digest_json() == ledger.canonical_text(entry) == \
+        canonical_json(normalize(entry))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(Auction, _INTS, _STRS, _INTS, _INTS, _INTS, _INTS, _INTS, _STRS,
+                 st.booleans()))
+def test_auction_encoder_equals_normalize_and_json(auction):
+    _encodes_as_its_data(auction)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(SaleRecord, _INTS, _INTS, _INTS, _STRS))
+def test_sale_record_encoder_equals_normalize_and_json(record):
+    _encodes_as_its_data(record)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(TimelockEntry, _INTS, _INTS, _INTS, _STRS, st.one_of(st.none(), _INTS)))
+def test_timelock_entry_encoder_equals_normalize_and_json(entry):
+    _encodes_as_its_data(entry)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_ACTIONS)
+@example(GovernanceAction.from_data(
+    {"kind": "k", "args": {"t": [1, ["é", None]], "m": {"q": {"r": -2**65}}}}))
+def test_governance_action_encoder_equals_normalize_and_json(action):
+    # lists and objects among the arguments are frozen to tuples and
+    # read-only mappings
+    _encodes_as_its_data(action)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(Proposal, _INTS, _STRS, _STRS, _ACTIONS, _INTS, _INTS, _STRS, st.booleans(),
+                 _INTS, _INTS, _INTS, st.dictionaries(_STRS, _INTS).map(MappingProxyType)))
+def test_proposal_encoder_equals_normalize_and_json(proposal):
+    _encodes_as_its_data(proposal)
+
+
+def test_every_world_entry_encodes_as_its_data():
+    seen = set()
+    for world in _entry_worlds():
+        for entry in _entries(world):
+            if hasattr(entry, "digest_json"):
+                seen.add(type(entry))
+                _encodes_as_its_data(entry)
+                if isinstance(entry, Proposal):
+                    _encodes_as_its_data(entry.action)
+    assert seen == {Auction, SaleRecord, Proposal, TimelockEntry}
 
 
 # --------------------------------------------------------------------- #
@@ -406,7 +469,7 @@ FIELD_WRITES = {
 
 def _encodings(monkeypatch, state) -> int:
     """The fragments one ``digest()`` encodes: outermost encoder calls."""
-    calls, depth, encode = [0], [0], ledger._text
+    calls, depth, encode = [0], [0], ledger.canonical_text
 
     def counting(value):
         calls[0] += depth[0] == 0
@@ -417,7 +480,7 @@ def _encodings(monkeypatch, state) -> int:
             depth[0] -= 1
 
     with monkeypatch.context() as patch:
-        patch.setattr(ledger, "_text", counting)
+        patch.setattr(ledger, "canonical_text", counting)
         state.digest()
     return calls[0]
 
@@ -673,6 +736,84 @@ def test_a_key_put_back_last_is_no_residue(world, monkeypatch):
     result, detail = replay.call(batch, True)
     assert result.error and detail is None
     assert list(approvals) == [2, 1] and hashed == [1]
+
+
+# --------------------------------------------------------------------- #
+# An unchanged document is served without hashing
+# --------------------------------------------------------------------- #
+
+def _digest_hashing(monkeypatch, state) -> tuple[str, bool]:
+    """``state.digest()``, and whether it called sha256 on the document."""
+    documents, sha256 = [], hashlib.sha256
+
+    def spy(data=b"", **kwargs):
+        if bytes(data[:9]) == b'{"clock":':
+            documents.append(data)
+        return sha256(data, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashlib, "sha256", spy)
+        digest = state.digest()
+    return digest, bool(documents)
+
+
+def _assert_served_unhashed(monkeypatch, state, before) -> None:
+    served = state._digest_cache.served
+    assert _digest_hashing(monkeypatch, state) == (before, False)
+    assert state._digest_cache.served == served + 1  # counts toward the cross-check
+    assert state.full_digest() == before
+
+
+@pytest.mark.parametrize("case", sorted(REVERTING))
+def test_a_reverted_transaction_is_served_unhashed(case, monkeypatch):
+    state, failing = REVERTING[case]()
+    assert _digest_hashing(monkeypatch, state)[1]  # the first digest hashes
+    before = state.digest()
+    assert not failing(state).ok
+    assert state._digest_cache.dirty  # it wrote before it failed
+    _assert_served_unhashed(monkeypatch, state, before)
+
+
+def test_a_commit_that_writes_nothing_is_served_unhashed(world, monkeypatch):
+    state, handle = world
+    before = state.digest()
+    result = state.transact("alice", handle.vault, "pending_of", {"owner": "alice"})
+    assert result.ok and not result.events and not state.last_writes
+    _assert_served_unhashed(monkeypatch, state, before)
+
+
+def test_a_rollback_of_every_write_is_served_unhashed(proposal_world, monkeypatch):
+    state, handle = proposal_world
+    vault = handle.vault_module(state)
+    proposals = handle.governance_module(state).proposals
+    before = state.digest()
+    frame = state.snapshot()
+    state.jset(state.native, "alice", 0)
+    state.jdel(state.fungible[handle.fractions].balances, "alice")
+    state.jsetattr(vault, "retained_dust", 99)
+    state.jset(proposals, 0, replace(proposals[0], description="x"))
+    state.jappend(proposals, proposals[0])
+    assert state.full_digest() != before  # which leaves the cache as it is
+    state.rollback(frame)
+    assert len(state._digest_cache.dirty) == 4  # every section it wrote
+    _assert_served_unhashed(monkeypatch, state, before)
+
+
+NEW_DOCUMENT = {
+    "clock advance": lambda state: state.advance_clock(1),
+    "new event": lambda state: _ping(state, "new"),
+    "committed write": lambda state: state.jset(state.native, "alice", 7),
+}
+
+
+@pytest.mark.parametrize("change", sorted(NEW_DOCUMENT))
+def test_a_changed_document_is_hashed_again(change, monkeypatch):
+    state = _emitter_world(ChainState)
+    before = state.digest()
+    NEW_DOCUMENT[change](state)
+    digest, hashed = _digest_hashing(monkeypatch, state)
+    assert hashed and digest != before
+    assert digest == state.full_digest()
 
 
 # --------------------------------------------------------------------- #
