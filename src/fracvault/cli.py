@@ -76,7 +76,9 @@ def run_command(scenario_path: str, trace_path: str | None) -> None:
 @click.option("--actors", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--mutant", type=click.Choice(sorted(MUTANTS)), default=None)
 @click.option("--check-revert-atomicity", is_flag=True, default=False,
-              help="Digest-compare state around every failed transaction.")
+              help="Check that every failed transaction leaves the state as it "
+                   "was: compare the world's objects by identity before and "
+                   "after, and hash only if a revert left a different one.")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               default=None)
 def fuzz_command(seed: int, steps: int, actors: int, mutant: str | None,

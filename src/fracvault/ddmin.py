@@ -10,6 +10,14 @@ digest is unchanged, which hashes only when the revert left a different
 object behind.  ``ddmin`` shrinks a failing trace by delete-only ddmin
 (Zeller & Hildebrandt, TSE 2002).
 
+A run keeps only its last actions, as many as the caller asks for, so its
+memory does not grow with its length.  When a shrink needs the whole trace
+of a longer run, ``rerun`` runs it again from genesis and its seed,
+recording every action, and requires it to stop as the run did: at the
+same step, with the same problem, the same last actions and the same full
+digest.  A generator that draws differently the second time is reported
+as ``NondeterministicRun``, never shrunk.
+
 A pass with chunk size ``chunk`` tests the candidates ``trace[:i] +
 trace[i + chunk:]`` for ``i = 0, chunk, 2·chunk, ...``; an accepted
 candidate becomes the trace and keeps ``i``, a rejected one moves ``i`` on
@@ -25,6 +33,7 @@ shrunk trace, are those of replaying every candidate from genesis.
 from __future__ import annotations
 
 import copy
+from collections import deque
 from typing import Any, Callable, Sequence
 
 
@@ -108,39 +117,61 @@ class CheckedReplay(Replay):
 
 
 def run_checked(world: CheckedReplay, generate: Callable[[int], Any],
-                steps: int) -> tuple[list, str | None, int]:
+                steps: int, keep: int | None
+                ) -> tuple[deque, int, str | None, int]:
     """Generate, check and record up to ``steps`` actions on ``world``,
-    stopping at the first problem: the actions run, the problem or None,
-    and how many of the actions' calls reverted."""
-    actions: list = []
+    stopping at the first problem: the last ``keep`` actions run (all of
+    them if ``keep`` is None), how many ran, the problem or None, and how
+    many of the actions' calls reverted."""
+    tail: deque = deque(maxlen=keep)
     detail: str | None = None
     reverts = 0
+    step = -1
     for step in range(steps):
         action = generate(step)
-        actions.append(action)
+        tail.append(action)
         result, detail = world.check(action, step, step == steps - 1)
         if result is not None and not result.ok:
             reverts += 1
         if detail:
             break
-    return actions, detail, reverts
+    return tail, step + 1, detail, reverts
+
+
+class NondeterministicRun(RuntimeError):
+    """A re-run from the seed did not reproduce the run it rebuilds."""
+
+
+def rerun(world: CheckedReplay, generate: Callable[[int], Any], steps: int,
+          tail: Sequence[Any], executed: int, detail: str, digest: str) -> list:
+    """The whole trace of a run that kept only its ``tail``: ``executed``
+    actions, the last failing with ``detail`` in a world of full digest
+    ``digest``.  ``world`` and ``generate`` start the run again from genesis
+    and its seed, and every action is recorded.  NondeterministicRun unless
+    the re-run stops after as many actions, with the same problem, the
+    same last actions and the same world."""
+    recorded, count, again, _ = run_checked(world, generate, steps, None)
+    actions = list(recorded)
+    reached = world.state.full_digest()
+    if (count, again, reached) != (executed, detail, digest) or \
+            actions[count - len(tail):] != list(tail):
+        raise NondeterministicRun(
+            f"the re-run from the seed stopped after {count} steps with "
+            f"{again!r} in world {reached[:16]}, the run after {executed} "
+            f"with {detail!r} in world {digest[:16]}")
+    return actions
 
 
 def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
-          fails: Callable[[list, Replay | None], bool],
-          window: int | None = None) -> list:
+          fails: Callable[[list, Replay | None], bool]) -> list:
     """Shrink ``trace`` to a 1-minimal trace that still fails.
 
     ``start()`` gives a replay at genesis.  ``fails(candidate, prefix)``
     replays the rest of ``candidate`` on a fork of ``prefix``, a replay of
     its first ``prefix.length`` actions that has not failed, and says
-    whether it fails.  With ``window``, a longer trace is first cut to its
-    last ``window`` actions if those alone fail from genesis
-    (``fails(suffix, None)``).
+    whether it fails.
     """
     trace = list(trace)
-    if window is not None and len(trace) > window and fails(trace[-window:], None):
-        trace = trace[-window:]
     chunk = max(len(trace) // 2, 1)
     while chunk >= 1:
         prefix = start()

@@ -11,8 +11,11 @@ trace's steps with ``FuzzAction.as_data``; ``from_data`` reads them back.
 A run is a campaign on the runner in ``ddmin``: its generator is
 ``ActionGenerator`` and its step check ``FuzzPlan.check``, the write-set
 invariant checks plus, with ``check_revert_atomicity``, the shared
-revert-atomicity oracle.  On a violation the failing prefix is shrunk by
-``ddmin.ddmin`` to a 1-minimal trace that violates the same invariant.
+revert-atomicity oracle.  A run keeps only its last ``SHRINK_WINDOW``
+actions.  On a violation ``shrink`` cuts the failing prefix by
+``ddmin.ddmin`` to a 1-minimal trace that violates the same invariant,
+starting from those last actions if they alone still violate it, and else
+from the whole prefix, which ``ddmin.rerun`` rebuilds from the seed.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import random
 from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from .ddmin import CheckedReplay, ddmin, run_checked
+from .ddmin import CheckedReplay, ddmin, rerun, run_checked
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import HEALTHY, MUTANTS, Mutations
@@ -66,8 +69,8 @@ CLOCK_STEPS = (1, 30, 600, 900, 3_600, 86_400, 604_800)
 # spread this thin, their cost per step stays small as history grows
 FULL_SCAN_INTERVAL = 1_000
 
-# ``shrink`` cuts a longer failing trace to its last SHRINK_WINDOW actions
-# when those alone still fail
+# a run keeps its last SHRINK_WINDOW actions, and ``shrink`` starts from
+# them alone when they still fail; a longer trace is rebuilt from the seed
 SHRINK_WINDOW = 4_000
 
 
@@ -603,21 +606,27 @@ def _step_violation(replay: CheckedReplay, plan: FuzzPlan, action: FuzzAction,
     return result, checks.first_violation(writes)
 
 
-def run_fuzz(plan: FuzzPlan) -> FuzzReport:
+def _fresh_run(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[int], FuzzAction]]:
+    """A fuzz world at genesis and the generator of ``plan``'s actions on it."""
     world = fuzz_replay(plan)
     generator = ActionGenerator(plan, world.state, world.handle,
                                 world.extras["actors"])
-    actions, detail, reverts = run_checked(
-        world, lambda step: generator.generate(), plan.steps)
+    return world, lambda step: generator.generate()
+
+
+def run_fuzz(plan: FuzzPlan) -> FuzzReport:
+    world, generate = _fresh_run(plan)
+    tail, executed, detail, reverts = run_checked(world, generate, plan.steps,
+                                                  SHRINK_WINDOW)
     digest = world.state.full_digest()
+    del world, generate  # the run's world is not needed to shrink
     violations: list[Violation] = []
     if detail:
-        invariant = detail.split(":", 1)[0]
         violations.append(Violation(
-            invariant=invariant, step=len(actions) - 1, detail=detail,
-            digest=digest, trace=shrink(plan, actions, invariant)))
-    return FuzzReport(plan=plan, steps_executed=len(actions),
-                      commits=len(actions) - reverts, reverts=reverts,
+            invariant=detail.split(":", 1)[0], step=executed - 1, detail=detail,
+            digest=digest, trace=shrink(plan, tail, executed, detail, digest)))
+    return FuzzReport(plan=plan, steps_executed=executed,
+                      commits=executed - reverts, reverts=reverts,
                       final_digest=digest, violations=violations)
 
 
@@ -630,9 +639,18 @@ def replay_violates(plan: FuzzPlan, actions: list[FuzzAction], invariant: str,
     return replay.run(actions)
 
 
-def shrink(plan: FuzzPlan, actions: list[FuzzAction], invariant: str) -> list[FuzzAction]:
-    """Delete-only ddmin, after trying the last SHRINK_WINDOW actions alone."""
-    return ddmin(actions, lambda: fuzz_replay(plan, invariant),
+def shrink(plan: FuzzPlan, tail: Sequence[FuzzAction], executed: int,
+           detail: str, digest: str) -> list[FuzzAction]:
+    """Delete-only ddmin of the run of ``plan`` that failed with ``detail``
+    after ``executed`` actions, in a world of full digest ``digest``, and
+    kept the last ``tail``: the tail alone if it is the whole run or still
+    violates the same invariant from genesis, else the whole trace, rebuilt
+    by running the plan again."""
+    invariant = detail.split(":", 1)[0]
+    trace = list(tail)
+    if executed > len(trace) and not replay_violates(plan, trace, invariant):
+        trace = rerun(*_fresh_run(plan), plan.steps, tail, executed, detail,
+                      digest)
+    return ddmin(trace, lambda: fuzz_replay(plan, invariant),
                  lambda candidate, start: replay_violates(plan, candidate,
-                                                          invariant, start),
-                 SHRINK_WINDOW)
+                                                          invariant, start))

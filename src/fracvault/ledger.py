@@ -22,7 +22,11 @@ The records on the transaction path, ``ExecutionContext``, ``Event`` and
 ``TxResult``, are ``NamedTuple``s built positionally: a step makes several
 of them, and a tuple is the cheapest record to build.  None of them
 changes once built; a ``TxResult`` holds the committed events as one slice
-of the log.
+of the log.  An ``Event`` is ``(name, emitter, keys, values, frame,
+tx_index)``: its payload's keys and values as two tuples, the keys one
+tuple shared by every event with the same key set, since the log keeps
+every event of a run.  ``Event.payload`` gives the ``(key, value)`` pairs,
+and ``canonical()`` and ``as_data()`` encode them as pairs.
 
 The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
 canonical JSON fragments, and each write helper marks the one fragment it
@@ -632,33 +636,49 @@ class ExecutionContext(NamedTuple):
 
 class Event(NamedTuple):
     """One emitted event.  Events never change, so copies of a world share
-    them, and the event hash chain may read them long after ``emit``."""
+    them, and the event hash chain may read them long after ``emit``.
+
+    The payload is stored as two parallel tuples, its ``keys`` and its
+    ``values``; ``emit`` interns ``keys``, so every event of one call site
+    shares one tuple.  ``payload`` gives the ``(key, value)`` pairs."""
 
     name: str
     emitter: str
-    payload: tuple[tuple[str, Any], ...]
+    keys: tuple[str, ...]
+    values: tuple[Any, ...]
     frame: int
     tx_index: int
 
     def __deepcopy__(self, memo: dict) -> "Event":
         return self
 
+    @property
+    def payload(self) -> tuple[tuple[str, Any], ...]:
+        return tuple(zip(self.keys, self.values))
+
     def canonical(self) -> str:
         """``canonical_json(self.as_data())``, encoded without building it:
         string names and payload keys, ``frame`` and ``tx`` as JSON numbers."""
         return '{"emitter":%s,"frame":%d,"name":%s,"payload":[%s],"tx":%d}' % (
             _json_str(self.emitter), self.frame, _json_str(self.name),
-            ",".join(["[%s,%s]" % (_json_str(k), canonical_text(v)) for k, v in self.payload]),
+            ",".join(["[%s,%s]" % (_json_str(k), canonical_text(v))
+                      for k, v in zip(self.keys, self.values)]),
             self.tx_index)
 
     def as_data(self) -> dict:
         return {
             "name": self.name,
             "emitter": self.emitter,
-            "payload": [[k, normalize(v)] for k, v in self.payload],
+            "payload": [[k, normalize(v)] for k, v in zip(self.keys, self.values)],
             "frame": self.frame,
             "tx": self.tx_index,
         }
+
+
+# the interned ``keys`` of events, one tuple per payload key set; it holds
+# only immutable tuples, one per key set an ``emit`` call site uses, so
+# every world may share it and no result depends on it
+_EVENT_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -1289,8 +1309,10 @@ class ChainState:
     # ------------------------------------------------------------------ #
 
     def emit(self, ctx: ExecutionContext, emitter: str, name: str, payload: dict) -> None:
-        self.jappend(self.events, Event(name, emitter, tuple(payload.items()),
-                                        ctx.depth, self.tx_index))
+        keys = tuple(payload)
+        self.jappend(self.events, Event(
+            name, emitter, _EVENT_KEYS.setdefault(keys, keys),
+            tuple(payload.values()), ctx.depth, self.tx_index))
 
     def event_hash(self) -> str:
         """The hash chain over the event log: each link is the sha256 of the

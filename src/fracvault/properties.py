@@ -5,9 +5,10 @@ Campaign shape: a builder creates the world, a generator produces one
 transaction per step (inspecting live state, recording pure data), and the
 ``before`` and ``after`` hooks judge each step; ``before`` sees the world
 after the step's clock advance.  Campaigns run on the runner in ``ddmin``,
-as the fuzzer does.  On failure the recorded action prefix is shrunk
-delete-only until 1-minimal and attached to the result, so every red
-campaign ships a replayable reproducer.  An attack property runs one
+as the fuzzer does, and keep the last ``fuzz.SHRINK_WINDOW`` actions.  On
+failure the action prefix, rebuilt from the seed if it is longer, is
+shrunk delete-only until 1-minimal and attached to the result, so every
+red campaign ships a replayable reproducer.  An attack property runs one
 ``attackers`` strategy and judges its report: it counts as one step and
 carries no trace.
 
@@ -28,8 +29,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from . import attackers
-from .ddmin import CheckedReplay, ddmin, run_checked
+from . import attackers, fuzz
+from .ddmin import CheckedReplay, ddmin, rerun, run_checked
 from .fuzz import (FuzzAction, actor_world, clock_action, deposit_prefix,
                    fraction_transfers, market_funding, round_robin_mints,
                    run_setup, sold_setup, transact_action)
@@ -126,16 +127,29 @@ def _minimize(campaign: Campaign, mutations: Mutations,
                                                         candidate, start))
 
 
-def run_campaign(campaign: Campaign, seed: int, steps: int,
-                 mutations: Mutations = HEALTHY) -> PropertyResult:
+def _fresh_run(campaign: Campaign, seed: int, mutations: Mutations
+               ) -> tuple[CheckedReplay, Callable[[int], FuzzAction]]:
+    """A world of the campaign at genesis and its generator, drawing from
+    ``Random(f"{seed}:{name}")``."""
     world = campaign.replay(mutations)
     rng = random.Random(f"{seed}:{campaign.name}")
-    actions, detail, _ = run_checked(world, lambda step: campaign.generate(
-        rng, world.state, world.handle, world.extras, step), steps)
+    return world, lambda step: campaign.generate(
+        rng, world.state, world.handle, world.extras, step)
+
+
+def run_campaign(campaign: Campaign, seed: int, steps: int,
+                 mutations: Mutations = HEALTHY) -> PropertyResult:
+    world, generate = _fresh_run(campaign, seed, mutations)
+    tail, executed, detail, _ = run_checked(world, generate, steps,
+                                            fuzz.SHRINK_WINDOW)
     if not detail:
         return PropertyResult(name=campaign.name, passed=True, steps=steps)
-    return PropertyResult(name=campaign.name, passed=False, steps=len(actions),
-                          detail=detail, trace=_minimize(campaign, mutations, actions))
+    trace = list(tail)
+    if executed > len(trace):  # the run kept only its last actions
+        trace = rerun(*_fresh_run(campaign, seed, mutations), steps, tail,
+                      executed, detail, world.state.full_digest())
+    return PropertyResult(name=campaign.name, passed=False, steps=executed,
+                          detail=detail, trace=_minimize(campaign, mutations, trace))
 
 
 # --------------------------------------------------------------------- #

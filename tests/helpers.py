@@ -39,3 +39,17 @@ def genesis_ddmin(trace: list, fails) -> list:
                 i += chunk
         chunk //= 2
     return trace
+
+
+def counting_reruns(monkeypatch, module) -> list:
+    """The runs that ``module`` rebuilds from their seed with ``rerun``,
+    each by the count of actions it ran."""
+    reruns = []
+    original = module.rerun
+
+    def counting(world, generate, steps, tail, executed, detail, digest):
+        reruns.append(executed)
+        return original(world, generate, steps, tail, executed, detail, digest)
+
+    monkeypatch.setattr(module, "rerun", counting)
+    return reruns

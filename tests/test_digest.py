@@ -353,7 +353,7 @@ def test_fragment_encoder_rejects_what_normalize_rejects(value):
 
 def test_tuple_records_encode_as_their_data():
     # a NamedTuple is a tuple, but a record with ``as_data`` encodes as its data
-    records = [Event("Transfer", "fractions", (("from", "a0"), ("amount", 7)), 1, 3),
+    records = [Event("Transfer", "fractions", ("from", "amount"), ("a0", 7), 1, 3),
                transact_action("a1", "vault", "place_bid", value=55, token_id=3)]
     for record in records:
         assert isinstance(record, tuple)
@@ -957,6 +957,29 @@ def test_event_hash_of_a_copied_world_that_diverges():
     _assert_same_chain(lazy, eager)
     _assert_same_chain(lazy_twin, eager_twin)
     assert lazy.event_hash() != lazy_twin.event_hash()
+
+
+def test_events_share_their_payload_keys_and_read_as_pairs():
+    # an event holds its payload as a keys and a values tuple, one keys
+    # tuple per key set, and reads and encodes as (key, value) pairs
+    state = _emitter_world(ChainState)
+    assert _ping(state, "a", count=2).ok and _ping(state, "b").ok
+    first, second, third = state.events
+    assert first.keys is second.keys is third.keys == ("tag", "i")
+    assert [e.payload for e in state.events] == [
+        tuple({"tag": tag, "i": i}.items()) for tag, i in (("a", 0), ("a", 1), ("b", 0))]
+    for event in state.events:
+        assert event.as_data()["payload"] == [[k, normalize(v)] for k, v in event.payload]
+        assert event.canonical() == canonical_json(event.as_data())
+
+
+def test_fuzz_events_share_one_keys_tuple_per_key_set():
+    plan = FuzzPlan(seed=42, steps=2_000)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    for _ in range(plan.steps):
+        run_action(state, generator.generate())
+    assert len({id(e.keys) for e in state.events}) == len({e.keys for e in state.events})
 
 
 def _scalar(value) -> bool:

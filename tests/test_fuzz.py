@@ -14,10 +14,10 @@ from dataclasses import replace
 import pytest
 
 from fracvault import fuzz, invariants
-from fracvault.ddmin import Replay, ddmin, run_checked
-from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, build_fuzz_world,
-                            clock_action, replay_violates, run_action, run_fuzz,
-                            transact_action)
+from fracvault.ddmin import NondeterministicRun, Replay, ddmin, run_checked
+from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, FuzzReport,
+                            Violation, build_fuzz_world, clock_action,
+                            replay_violates, run_action, run_fuzz, transact_action)
 from fracvault.governance import SCHEDULED
 from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, canonical_json, normalize
@@ -25,7 +25,7 @@ from fracvault.mutations import HEALTHY, MUTANTS
 from fracvault.properties import nft_world, replay_property_trace, run_suite
 from fracvault.tokens import NftCollection
 
-from helpers import genesis_ddmin, tx
+from helpers import counting_reruns, genesis_ddmin, tx
 
 
 def test_healthy_run_is_clean_and_mixed():
@@ -426,7 +426,7 @@ def test_forks_share_frozen_entries_and_replace_them_on_their_own():
     origin = fuzz.fuzz_replay(plan)
     generator = ActionGenerator(plan, origin.state, origin.handle,
                                 origin.extras["actors"])
-    run_checked(origin, lambda step: generator.generate(), plan.steps)
+    run_checked(origin, lambda step: generator.generate(), plan.steps, 0)
     before, origin_digest = _entry_collections(origin), origin.state.full_digest()
     fork = origin.fork()
     _assert_same_entries(_entry_collections(fork), before)
@@ -515,9 +515,10 @@ def _fuzz_recording_shrink(monkeypatch, plan):
     calls = []
     original = fuzz.shrink
 
-    def recording(plan, actions, invariant):
-        calls.append((list(actions), invariant))
-        return original(plan, actions, invariant)
+    def recording(plan, tail, executed, detail, digest):
+        assert executed == len(tail)  # the run kept its whole trace
+        calls.append((list(tail), detail.split(":", 1)[0]))
+        return original(plan, tail, executed, detail, digest)
 
     monkeypatch.setattr(fuzz, "shrink", recording)
     return run_fuzz(plan), calls
@@ -568,3 +569,72 @@ def test_candidate_without_suffix_runs_its_last_step_as_last():
     assert shrunk == [7]
     assert shrunk == genesis_ddmin(
         trace, lambda candidate: _FailsAtLastAfterSeven().run(candidate))
+
+
+# --------------------------------------------------------------------- #
+# A run keeps its last SHRINK_WINDOW actions and rebuilds the rest
+# --------------------------------------------------------------------- #
+
+def test_a_run_keeps_only_its_last_window_of_actions(monkeypatch):
+    kept = []
+    original = fuzz.run_checked
+
+    def recording(world, generate, steps, keep):
+        tail, executed, detail, reverts = original(world, generate, steps, keep)
+        kept.append((tail.maxlen, len(tail), executed))
+        return tail, executed, detail, reverts
+
+    monkeypatch.setattr(fuzz, "run_checked", recording)
+    assert run_fuzz(FuzzPlan(seed=42, steps=10_000)).ok
+    assert kept == [(fuzz.SHRINK_WINDOW, fuzz.SHRINK_WINDOW, 10_000)]
+
+
+# seed 42 catches drop-burn-before-pay at step 1,604, on the 1,605th action:
+# its last 200 actions alone do not violate the invariant, its last 1,600 do
+BURN_PLAN = FuzzPlan(seed=42, steps=2_000, mutant="drop-burn-before-pay")
+
+
+@pytest.mark.parametrize("window, rebuilt", [(200, True), (1_600, False)])
+def test_a_run_longer_than_the_window_reports_as_if_fully_recorded(
+        monkeypatch, window, rebuilt):
+    plan = BURN_PLAN
+    world, generate = fuzz._fresh_run(plan)
+    recorded, executed, detail, reverts = run_checked(world, generate,
+                                                      plan.steps, None)
+    actions = list(recorded)
+    assert executed == len(actions) == 1_605
+    invariant = detail.split(":", 1)[0]
+    suffix = actions[-window:]
+    assert replay_violates(plan, suffix, invariant) is not rebuilt
+    reference = ddmin(actions if rebuilt else suffix,
+                      lambda: fuzz.fuzz_replay(plan, invariant),
+                      lambda candidate, start: replay_violates(
+                          plan, candidate, invariant, start))
+    digest = world.state.full_digest()
+    expected = FuzzReport(plan, executed, executed - reverts, reverts, digest, [
+        Violation(invariant, executed - 1, detail, digest, reference)])
+
+    monkeypatch.setattr(fuzz, "SHRINK_WINDOW", window)
+    reruns = counting_reruns(monkeypatch, fuzz)
+    report = run_fuzz(plan)
+    assert reruns == ([executed] if rebuilt else [])
+    assert report.as_data() == expected.as_data()
+
+
+def test_a_rebuild_that_draws_differently_is_reported(monkeypatch):
+    generators = []
+    init = ActionGenerator.__init__
+
+    def drifting(self, *args):
+        init(self, *args)
+        generators.append(self)
+        if len(generators) > 1:  # a draw the first run did not take
+            self.rng.random()
+
+    monkeypatch.setattr(ActionGenerator, "__init__", drifting)
+    monkeypatch.setattr(fuzz, "SHRINK_WINDOW", 200)
+    # the drifted re-run draws a different first action, and stops where
+    # the run did with the same last actions, but in another world
+    with pytest.raises(NondeterministicRun, match="the run after 1605 with 'sale_acc"):
+        run_fuzz(BURN_PLAN)
+    assert len(generators) == 2

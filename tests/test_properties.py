@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import pytest
 
-from fracvault import properties
+from fracvault import fuzz, properties
+from fracvault.ddmin import run_checked
 from fracvault.mutations import MUTANTS
 from fracvault.properties import (ALL_PROPERTIES, PINNED_PROPERTIES,
-                                  replay_property_trace, run_property,
-                                  run_suite)
+                                  PropertyResult, replay_property_trace,
+                                  run_property, run_suite)
 
-from helpers import genesis_ddmin
+from helpers import counting_reruns, genesis_ddmin
 
 EXPECTED_DETECTORS = {
     "drop-burn-before-pay": {"redemption_double_withdrawal",
@@ -91,3 +92,21 @@ def test_checkpointed_minimize_equals_genesis_ddmin(monkeypatch, mutant):
     for campaign, mutations, actions, trace in calls:
         assert trace == genesis_ddmin(actions, lambda candidate: properties._replay_fails(
             campaign, mutations, candidate)), campaign.name
+
+
+def test_campaign_failing_after_the_window_shrinks_its_rebuilt_trace(monkeypatch):
+    # seed 0 fails escrow_conservation under drop-burn-before-pay at its
+    # 68th step: a run that keeps 20 actions rebuilds the rest from the seed
+    name, mutations = "escrow_conservation", MUTANTS["drop-burn-before-pay"]
+    campaign = properties._CAMPAIGNS[name]()
+    recorded, executed, detail, _ = run_checked(
+        *properties._fresh_run(campaign, 0, mutations), 400, None)
+    assert executed == 68
+    reference = genesis_ddmin(list(recorded), lambda candidate: properties._replay_fails(
+        campaign, mutations, candidate))
+    monkeypatch.setattr(fuzz, "SHRINK_WINDOW", 20)
+    reruns = counting_reruns(monkeypatch, properties)
+    result = run_property(name, seed=0, steps=400, mutations=mutations)
+    assert reruns == [executed]
+    assert result.as_data() == PropertyResult(
+        name, False, executed, detail, reference).as_data()
