@@ -607,11 +607,20 @@ def _step_violation(replay: CheckedReplay, plan: FuzzPlan, action: FuzzAction,
 
 
 def _fresh_run(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[int], FuzzAction]]:
-    """A fuzz world at genesis and the generator of ``plan``'s actions on it."""
+    """A fuzz world at genesis and the generator of ``plan``'s actions on
+    it, which folds the world's committed events into its event hash every
+    FULL_SCAN_INTERVAL steps (``ChainState.fold_events``), so that the log
+    does not grow with the run."""
     world = fuzz_replay(plan)
-    generator = ActionGenerator(plan, world.state, world.handle,
-                                world.extras["actors"])
-    return world, lambda step: generator.generate()
+    state = world.state
+    generator = ActionGenerator(plan, state, world.handle, world.extras["actors"])
+
+    def generate(step: int) -> FuzzAction:
+        if step % FULL_SCAN_INTERVAL == 0:
+            state.fold_events()
+        return generator.generate()
+
+    return world, generate
 
 
 def run_fuzz(plan: FuzzPlan) -> FuzzReport:

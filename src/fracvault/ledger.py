@@ -4,6 +4,13 @@ One ``ChainState`` instance is the entire simulated world: native currency
 balances, any number of fungible and non-fungible token ledgers, a logical
 clock, installed protocol modules, and the committed event log.
 
+The digest reads the event log only through its count and its hash chain
+(``event_hash``), which links every committed event in order.  A long run
+that reads nothing else of the log calls ``fold_events`` between
+transactions: it continues the chain over the log and drops every event
+but the last, keeping the folded count and the chain value at the fold,
+so the log holds only the events since and every digest reads as before.
+
 Every mutation flows through the journaled write helpers (``jset``,
 ``jsetattr``, ``jappend``, ...), each of which records one
 ``(container, key, old)`` entry in the undo journal.  Collection entries
@@ -25,8 +32,9 @@ changes once built; a ``TxResult`` holds the committed events as one slice
 of the log.  An ``Event`` is ``(name, emitter, keys, values, frame,
 tx_index)``: its payload's keys and values as two tuples, the keys one
 tuple shared by every event with the same key set, since the log keeps
-every event of a run.  ``Event.payload`` gives the ``(key, value)`` pairs,
-and ``canonical()`` and ``as_data()`` encode them as pairs.
+every event of a run that does not fold it.  ``Event.payload`` gives the
+``(key, value)`` pairs, and ``canonical()`` and ``as_data()`` encode them
+as pairs.
 
 The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
 canonical JSON fragments, and each write helper marks the one fragment it
@@ -92,6 +100,14 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # the event hash of an empty event log
 _EMPTY_HASH = hashlib.sha256(b"").hexdigest()
+
+
+def _chain(chained: str, events: Iterable["Event"]) -> str:
+    """The event hash ``chained`` extended by one link per event: the
+    sha256 of the previous link followed by the event's canonical JSON."""
+    for event in events:
+        chained = hashlib.sha256((chained + event.canonical()).encode()).hexdigest()
+    return chained
 
 
 def canonical_json(data: Any) -> str:
@@ -413,8 +429,8 @@ class DigestCache:
     def digest(self, state: "ChainState") -> str:
         """The hex sha256 of ``state``'s digest document."""
         events = state.events
-        count = len(events)
-        last = events[-1] if count else None
+        count = state.event_count()
+        last = events[-1] if events else None
         laid_out = state.native is self.native and self.members == (
             state.fungible, state.nft, state.modules)
         if not (laid_out and not self.dirty and count == self.count and last is self.last
@@ -848,8 +864,12 @@ class ChainState:
         self._frames: list[tuple[int, int]] = []  # (token, journal mark)
         self._next_frame_token: int = 1
         self._locks: set[tuple[str, str]] = set()
-        # (event count, last event, hash) of the latest event_hash() read
+        # (length of the log, last event, hash) of the latest event_hash() read
         self._event_chain: tuple[int, Event | None, str] = (0, None, _EMPTY_HASH)
+        # events folded away by fold_events(): how many the log no longer
+        # holds, and the event hash over them
+        self._folded: int = 0
+        self._fold_hash: str = _EMPTY_HASH
         # built by the first digest(); from then on every write marks it
         self._digest_cache: DigestCache | None = None
         self.install_module(NativeTransfers("native"))
@@ -1314,34 +1334,54 @@ class ChainState:
             name, emitter, _EVENT_KEYS.setdefault(keys, keys),
             tuple(payload.values()), ctx.depth, self.tx_index))
 
+    def event_count(self) -> int:
+        """How many events the world committed, folded ones included."""
+        return self._folded + len(self.events)
+
     def event_hash(self) -> str:
-        """The hash chain over the event log: each link is the sha256 of the
-        previous link followed by the canonical JSON of one event.
+        """The hash chain over every committed event: each link is the
+        sha256 of the previous link followed by the canonical JSON of one
+        event.
 
         Computed when read, continuing from the previous read while its last
         event still sits at the same place in the log; a rollback past it
-        restarts the chain.  Events nobody reads a digest after, such as
-        those of reverted transactions, are never hashed.
+        restarts the chain at the latest fold, or at the empty hash before
+        the first.  Events nobody reads a digest after, such as those of
+        reverted transactions, are never hashed.
         """
         events = self.events
         chained = self._chained(events)
         self._event_chain = (len(events), events[-1] if events else None, chained)
         return chained
 
+    def fold_events(self) -> None:
+        """Fold the committed event log into the event hash: hash it and
+        drop every event but the last, which still stands for the log.
+        The event count, the event hash and every digest read as before;
+        only code that reads the log itself sees fewer events.  Between
+        transactions only."""
+        if self._frames:
+            raise RuntimeError("events are folded between transactions")
+        events = self.events
+        if len(events) < 2:
+            return
+        self._fold_hash = self._chained(events[:-1])
+        self._folded += len(events) - 1
+        self.events = events[-1:]
+        self._event_chain = (1, events[-1], _chain(self._fold_hash, self.events))
+
     def _chained(self, log: Sequence[Event]) -> str:
-        """The event hash of ``log``, continued from the latest
-        ``event_hash()`` read while its last event is still in place."""
+        """The event hash of the folded events followed by ``log``,
+        continued from the latest ``event_hash()`` read while its last
+        event is still in place."""
         count, last, chained = self._event_chain
         if count > len(log) or (count and log[count - 1] is not last):
-            count, chained = 0, _EMPTY_HASH
-        for event in log[count:]:
-            link = chained + event.canonical()
-            chained = hashlib.sha256(link.encode()).hexdigest()
-        return chained
+            count, chained = 0, self._fold_hash
+        return _chain(chained, log[count:])
 
     def _scalars(self) -> dict:
         return _scalar_fields(self.clock, self.genesis_native_supply,
-                              len(self.events), self.event_hash())
+                              self.event_count(), self.event_hash())
 
     def _sections(self) -> Iterator[tuple]:
         """The digest document's sections after the native balances, in
@@ -1359,7 +1399,7 @@ class ChainState:
         ``unchanged_since``.  A dict or list is listed by its entries, so
         the snapshot keeps the objects it holds now."""
         events, native = self.events, self.native
-        shape = [len(events), len(native)]
+        shape = [self.event_count(), len(native)]
         objects = [self.clock, self.genesis_native_supply,
                    events[-1] if events else None, *native, *native.values()]
         append, extend = objects.append, objects.extend
@@ -1409,7 +1449,7 @@ class ChainState:
 
     def snapshot_digest(self, snapshot: IdentitySnapshot) -> str:
         """The full digest of the world ``snapshot`` was taken of."""
-        count, last = snapshot.shape[0], snapshot.objects[2]
+        count, last = snapshot.shape[0] - self._folded, snapshot.objects[2]
         log = [*self.events[:count - 1], last] if count else []
         return digest_of(_document_of(snapshot, self._chained(log)))
 

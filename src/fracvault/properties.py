@@ -993,14 +993,12 @@ def _authorization_chain_campaign() -> Campaign:
                 return f"direct {action.method} by {action.sender} committed"
             if result.error not in {"NotGovernance", "NoAuction"}:
                 return f"direct write failed with {result.error}"
-        # event-log join, incrementally: every governed parameter change must
-        # share its transaction with a ProposalExecuted event
-        new_events = state.events[extras.setdefault("scanned", 0):]
-        extras["scanned"] = len(state.events)
-        executed_txs = {e.tx_index for e in new_events
-                        if e.name == "ProposalExecuted"}
-        for event in new_events:
-            if event.name in PARAM_EVENTS and event.tx_index not in executed_txs:
+        # event join per step: every governed parameter change must share
+        # its transaction with a ProposalExecuted event
+        events = result.events if result is not None else ()
+        executed = any(e.name == "ProposalExecuted" for e in events)
+        for event in events:
+            if event.name in PARAM_EVENTS and not executed:
                 return (f"{event.name} in transaction {event.tx_index} has no "
                         "matching executed proposal")
         return None

@@ -625,18 +625,44 @@ def test_suite_revert_atomicity_sees_unjournaled_write(monkeypatch):
     assert result.detail.startswith("revert_atomicity: failed vault.place_bid (")
 
 
-@pytest.mark.parametrize("case", sorted(REVERTING))
-def test_rollback_residue_fails_the_identity_snapshot(case, monkeypatch):
-    state, failing = REVERTING[case]()
+def _assert_residue_fails_the_identity_snapshot(state, failing, monkeypatch):
     before = state.identity_snapshot()
     assert not failing(state).ok
     assert state.unchanged_since(before)  # a sound rollback leaves nothing
+    assert state.snapshot_digest(before) == state.full_digest()
     _plant_rollback_defect(monkeypatch)
     digest = state.full_digest()
     before = state.identity_snapshot()
     assert not failing(state).ok
     assert state.snapshot_digest(before) == digest != state.full_digest()
     assert not state.unchanged_since(before)
+
+
+@pytest.mark.parametrize("case", sorted(REVERTING))
+def test_rollback_residue_fails_the_identity_snapshot(case, monkeypatch):
+    state, failing = REVERTING[case]()
+    _assert_residue_fails_the_identity_snapshot(state, failing, monkeypatch)
+
+
+def _folded(state):
+    """``state`` with three more events committed and every event but the
+    last folded into its event hash."""
+    state.install_module(_Emitter("emitter"))
+    assert _ping(state, "folded", count=3).ok
+    count, chained, digest = state.event_count(), state.event_hash(), state.full_digest()
+    state.fold_events()
+    assert len(state.events) == 1 < count == state.event_count()
+    assert state.event_hash() == chained and state.full_digest() == digest
+    return state
+
+
+@pytest.mark.parametrize("case", sorted(REVERTING))
+def test_rollback_residue_fails_the_identity_snapshot_of_a_folded_world(
+        case, monkeypatch):
+    # the fallback document counts the folded events, and its log restarts
+    # at the fold
+    state, failing = REVERTING[case]()
+    _assert_residue_fails_the_identity_snapshot(_folded(state), failing, monkeypatch)
 
 
 def _spy_on_the_oracle(monkeypatch) -> list:
@@ -888,6 +914,31 @@ def test_event_hash_after_a_read_in_a_rolled_back_frame(after):
         assert not _ping(state, "gone", count=2, read=True, fail=True).ok
         assert _ping(state, "next", count=after).ok
     _assert_same_chain(lazy, eager)
+
+
+@pytest.mark.parametrize("after", [1, 3])  # fewer or more events than the read saw
+def test_event_hash_restarts_at_the_fold_after_a_read_in_a_rolled_back_frame(after):
+    lazy, eager = _emitter_world(ChainState), _emitter_world(_EagerChainState)
+    for state in (lazy, eager):
+        assert _ping(state, "folded", count=3).ok
+    lazy.fold_events()
+    for state in (lazy, eager):
+        assert not _ping(state, "gone", count=2, read=True, fail=True).ok
+        assert _ping(state, "next", count=after).ok
+    assert len(lazy.events) == 1 + after and lazy.event_count() == len(eager.events)
+    assert lazy.event_hash() == _chain_of(eager.events) == eager.event_hash()
+    assert lazy.full_digest() == eager.full_digest() == lazy.digest()
+
+
+def test_events_fold_between_transactions_only():
+    state = _emitter_world(ChainState)
+    assert _ping(state, "a", count=2).ok
+    frame = state.snapshot()
+    with pytest.raises(RuntimeError, match="between transactions"):
+        state.fold_events()
+    state.rollback(frame)
+    state.fold_events()
+    assert state.event_count() == 2 and len(state.events) == 1
 
 
 def test_reverted_events_never_enter_the_event_hash(monkeypatch):

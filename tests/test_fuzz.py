@@ -638,3 +638,62 @@ def test_a_rebuild_that_draws_differently_is_reported(monkeypatch):
     with pytest.raises(NondeterministicRun, match="the run after 1605 with 'sale_acc"):
         run_fuzz(BURN_PLAN)
     assert len(generators) == 2
+
+
+# --------------------------------------------------------------------- #
+# A run folds its committed events into the event hash as it goes
+# --------------------------------------------------------------------- #
+
+def _unfolded_run(plan):
+    """``plan`` run on a world that never folds its events: how many
+    actions ran, the problem, and the full digest at the end."""
+    world = fuzz.fuzz_replay(plan)
+    generator = ActionGenerator(plan, world.state, world.handle, world.extras["actors"])
+    _, executed, detail, _ = run_checked(world, lambda step: generator.generate(),
+                                         plan.steps, 0)
+    assert world.state.event_count() == len(world.state.events)
+    return executed, detail, world.state.full_digest()
+
+
+FOLDED_PLANS = [FuzzPlan(seed=seed, steps=9_000) for seed in (0, 7, 42)] + [
+    FuzzPlan(seed=42, steps=9_000, check_revert_atomicity=True),
+    FuzzPlan(seed=42, steps=9_000, mutant="drop-burn-before-pay")]
+
+
+@pytest.mark.parametrize("plan", FOLDED_PLANS, ids=lambda plan: "-".join(
+    map(str, (plan.seed, plan.check_revert_atomicity, plan.mutant))))
+def test_a_folded_run_ends_in_the_digest_of_an_unfolded_one(plan):
+    report = run_fuzz(plan)
+    detail = report.violations[0].detail if report.violations else None
+    assert _unfolded_run(plan) == (report.steps_executed, detail, report.final_digest)
+
+
+def test_a_folded_world_digests_as_the_full_recompute():
+    plan = FuzzPlan(seed=3, steps=2_500)
+    world, generate = fuzz._fresh_run(plan)
+    state = world.state
+    assert state.digest() == state.full_digest()
+    for step in range(plan.steps):
+        world.check(generate(step), step, False)
+        if step % 100 == 0 or step % fuzz.FULL_SCAN_INTERVAL in (998, 999):
+            assert state.digest() == state.full_digest(), step
+    assert len(state.events) < state.event_count()
+    assert state.full_digest() == _unfolded_run(plan)[2]
+
+
+def test_a_run_holds_at_most_one_cadence_of_events(monkeypatch):
+    seen = []  # (events held, events committed) at each step, after its fold
+    generate = ActionGenerator.generate
+
+    def recording(self):
+        seen.append((len(self.state.events), self.state.event_count()))
+        return generate(self)
+
+    monkeypatch.setattr(ActionGenerator, "generate", recording)
+    assert run_fuzz(FuzzPlan(seed=42, steps=10_000)).ok
+    assert len(seen) == 10_000
+    interval = fuzz.FULL_SCAN_INTERVAL
+    for step, (held, count) in enumerate(seen):
+        # the last event kept at the fold, and the events of the steps since
+        assert held == 1 + count - seen[step - step % interval][1], step
+    assert max(held for held, _ in seen) * 5 < seen[-1][1]
