@@ -102,12 +102,14 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _EMPTY_HASH = hashlib.sha256(b"").hexdigest()
 
 
-def _chain(chained: str, events: Iterable["Event"]) -> str:
-    """The event hash ``chained`` extended by one link per event: the
-    sha256 of the previous link followed by the event's canonical JSON."""
+def _chain(before: str, chained: str, events: Iterable["Event"]) -> tuple[str, str]:
+    """The event hash ``chained`` extended by one link per event, the
+    sha256 of the previous link followed by the event's canonical JSON,
+    and the link before its last: ``before`` if there are no events."""
     for event in events:
-        chained = hashlib.sha256((chained + event.canonical()).encode()).hexdigest()
-    return chained
+        before, chained = chained, hashlib.sha256(
+            (chained + event.canonical()).encode()).hexdigest()
+    return before, chained
 
 
 def canonical_json(data: Any) -> str:
@@ -864,8 +866,10 @@ class ChainState:
         self._frames: list[tuple[int, int]] = []  # (token, journal mark)
         self._next_frame_token: int = 1
         self._locks: set[tuple[str, str]] = set()
-        # (length of the log, last event, hash) of the latest event_hash() read
-        self._event_chain: tuple[int, Event | None, str] = (0, None, _EMPTY_HASH)
+        # (length of the log, last event, hash before and after the last
+        # event) of the latest event_hash() read or fold
+        self._event_chain: tuple[int, Event | None, str, str] = (
+            0, None, _EMPTY_HASH, _EMPTY_HASH)
         # events folded away by fold_events(): how many the log no longer
         # holds, and the event hash over them
         self._folded: int = 0
@@ -1350,34 +1354,37 @@ class ChainState:
         reverted transactions, are never hashed.
         """
         events = self.events
-        chained = self._chained(events)
-        self._event_chain = (len(events), events[-1] if events else None, chained)
+        before, chained = self._chained(events)
+        self._event_chain = (len(events), events[-1] if events else None,
+                             before, chained)
         return chained
 
     def fold_events(self) -> None:
         """Fold the committed event log into the event hash: hash it and
         drop every event but the last, which still stands for the log.
         The event count, the event hash and every digest read as before;
-        only code that reads the log itself sees fewer events.  Between
+        only code that reads the log itself sees fewer events.  An event
+        already hashed by a read is not hashed again.  Between
         transactions only."""
         if self._frames:
             raise RuntimeError("events are folded between transactions")
         events = self.events
         if len(events) < 2:
             return
-        self._fold_hash = self._chained(events[:-1])
+        self._fold_hash, chained = self._chained(events)
         self._folded += len(events) - 1
         self.events = events[-1:]
-        self._event_chain = (1, events[-1], _chain(self._fold_hash, self.events))
+        self._event_chain = (1, events[-1], self._fold_hash, chained)
 
-    def _chained(self, log: Sequence[Event]) -> str:
-        """The event hash of the folded events followed by ``log``,
-        continued from the latest ``event_hash()`` read while its last
-        event is still in place."""
-        count, last, chained = self._event_chain
+    def _chained(self, log: Sequence[Event]) -> tuple[str, str]:
+        """The event hash of the folded events followed by ``log`` but its
+        last event, and followed by all of ``log``; continued from the
+        latest ``event_hash()`` read or fold while its last event is still
+        in place."""
+        count, last, before, chained = self._event_chain
         if count > len(log) or (count and log[count - 1] is not last):
-            count, chained = 0, self._fold_hash
-        return _chain(chained, log[count:])
+            count, before, chained = 0, self._fold_hash, self._fold_hash
+        return _chain(before, chained, log[count:])
 
     def _scalars(self) -> dict:
         return _scalar_fields(self.clock, self.genesis_native_supply,
@@ -1451,7 +1458,7 @@ class ChainState:
         """The full digest of the world ``snapshot`` was taken of."""
         count, last = snapshot.shape[0] - self._folded, snapshot.objects[2]
         log = [*self.events[:count - 1], last] if count else []
-        return digest_of(_document_of(snapshot, self._chained(log)))
+        return digest_of(_document_of(snapshot, self._chained(log)[1]))
 
     def unchanged_since(self, snapshot: IdentitySnapshot) -> bool:
         """Whether the full digest is that of the world ``snapshot`` was

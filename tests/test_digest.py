@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracvault import errors, ledger, standard_world
+from fracvault import trace as fv_trace
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
                             run_action, run_fuzz, transact_action)
 from fracvault.ddmin import CheckedReplay
@@ -928,6 +929,75 @@ def test_event_hash_restarts_at_the_fold_after_a_read_in_a_rolled_back_frame(aft
     assert len(lazy.events) == 1 + after and lazy.event_count() == len(eager.events)
     assert lazy.event_hash() == _chain_of(eager.events) == eager.event_hash()
     assert lazy.full_digest() == eager.full_digest() == lazy.digest()
+
+
+def _hashed_events(monkeypatch) -> list:
+    """Every event the event hash encodes from now on."""
+    hashed = []
+    canonical = Event.canonical
+    monkeypatch.setattr(Event, "canonical",
+                        lambda event: hashed.append(event) or canonical(event))
+    return hashed
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_a_fold_hashes_only_what_no_read_hashed(monkeypatch, read):
+    lazy, eager = _emitter_world(ChainState), _emitter_world(_EagerChainState)
+    for state in (lazy, eager):
+        assert _ping(state, "first", count=2).ok
+    lazy.event_hash()
+    for state in (lazy, eager):
+        assert _ping(state, "second", count=3).ok
+    if read:
+        lazy.event_hash()
+    hashed = _hashed_events(monkeypatch)
+    lazy.fold_events()
+    assert hashed == ([] if read else eager.events[2:])
+    assert lazy.event_hash() == eager.event_hash()
+    assert len(hashed) == (0 if read else 3)  # the read after the fold hashed nothing
+    assert lazy.full_digest() == eager.full_digest()
+
+
+def _replay_with_spies(run, document, tmp_path, monkeypatch) -> tuple:
+    """Replay the trace of ``run``: the replayed world, the length of its
+    event log after each record, and the events it hashed."""
+    path = str(tmp_path / "replayed.trace.jsonl")
+    write_trace(path, document, run.records)
+    worlds, lengths = [], []
+    build, execute = fv_trace.build_world, fv_trace.execute_entry
+
+    def building(header):
+        worlds.append(build(header))
+        return worlds[-1]
+
+    def executing(state, step, action):
+        record = execute(state, step, action)
+        lengths.append(len(state.events))
+        return record
+
+    monkeypatch.setattr(fv_trace, "build_world", building)
+    monkeypatch.setattr(fv_trace, "execute_entry", executing)
+    hashed = _hashed_events(monkeypatch)
+    assert replay_trace(path) == len(run.records)
+    return worlds[0], lengths, hashed
+
+
+def test_replay_folds_its_event_log_and_hashes_each_event_once(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import scenario_gen
+
+    document = parse_scenario(scenario_gen.build_scenario(7, 3_000))
+    run = run_scenario(document)  # a scenario run keeps every event
+    state, lengths, hashed = _replay_with_spies(run, document, tmp_path, monkeypatch)
+    assert max(lengths) <= DIGEST_CHECK_INTERVAL + 1 < len(run.state.events)
+    assert state.event_count() == len(run.state.events) == len(hashed)
+
+
+def test_lifecycle_replay_hashes_each_committed_event_once(tmp_path, monkeypatch):
+    document = parse_scenario(LIFECYCLE.read_text())
+    run = run_scenario(document)
+    state, _, hashed = _replay_with_spies(run, document, tmp_path, monkeypatch)
+    assert len(hashed) == state.event_count() == len(run.state.events)
 
 
 def test_events_fold_between_transactions_only():

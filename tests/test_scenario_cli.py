@@ -1,5 +1,6 @@
-"""Scenario execution, trace replay idempotence, tamper detection, the CLI
-exit-code contract, and reports that reproduce their findings from disk."""
+"""Scenario execution, trace replay idempotence, tamper and truncation
+detection, replay reading one record at a time, the CLI exit-code
+contract, and reports that reproduce their findings from disk."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from importlib import resources
 import pytest
 from click.testing import CliRunner
 
+from fracvault import trace as fv_trace
 from fracvault.cli import main
 from fracvault.fuzz import FuzzAction, FuzzPlan, replay_violates
 from fracvault.mutations import MUTANTS
@@ -142,6 +144,93 @@ def test_trace_tamper_detection(tmp_path, lifecycle):
     tampered.write_text("\n".join(lines) + "\n")
     with pytest.raises(DigestMismatch):
         replay_trace(str(tampered))
+
+
+# --------------------------------------------------------------------- #
+# Replay reads one record at a time
+# --------------------------------------------------------------------- #
+
+@pytest.fixture
+def lifecycle_trace(tmp_path, lifecycle):
+    """The lifecycle trace's path and its lines: the header, then one
+    record per line."""
+    path = tmp_path / "lifecycle.trace.jsonl"
+    write_trace(str(path), lifecycle, run_scenario(lifecycle).records)
+    return path, path.read_text().splitlines()
+
+
+def _spy_on_replay(monkeypatch) -> list[int]:
+    """For each record replay runs, how many records it had decoded."""
+    decoded, executed = [], []
+    decode, execute = fv_trace.decode_transaction, fv_trace.execute_entry
+
+    def decoding(entry, where):
+        decoded.append(where)
+        return decode(entry, where)
+
+    def executing(state, step, action):
+        executed.append(len(decoded))
+        return execute(state, step, action)
+
+    monkeypatch.setattr(fv_trace, "decode_transaction", decoding)
+    monkeypatch.setattr(fv_trace, "execute_entry", executing)
+    return executed
+
+
+def test_replay_decodes_no_record_ahead_of_the_one_it_runs(lifecycle_trace, monkeypatch):
+    path, lines = lifecycle_trace
+    executed = _spy_on_replay(monkeypatch)
+    assert replay_trace(str(path)) == len(lines) - 1
+    assert executed == list(range(1, len(lines)))  # record i runs after i + 1 decodes
+
+
+@pytest.mark.parametrize("k", [0, 1, 20, 35])
+def test_replay_runs_the_records_before_a_malformed_one(lifecycle_trace, monkeypatch, k):
+    path, lines = lifecycle_trace
+    lines[k + 1] = lines[k + 1].replace('"step":', "step:", 1)
+    path.write_text("\n".join(lines) + "\n")
+    executed = _spy_on_replay(monkeypatch)
+    with pytest.raises(ScenarioError, match=fr"^line {k + 2}: record {k}: "):
+        replay_trace(str(path))
+    assert len(executed) == k
+
+
+def test_a_diverged_replay_closes_its_trace(lifecycle_trace, monkeypatch):
+    path, lines = lifecycle_trace
+    record = json.loads(lines[6])
+    record["digest"] = "0" * 64
+    lines[6] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(fv_trace, "open", spy, raising=False)
+    with pytest.raises(DigestMismatch, match="trace step 5: digest diverged"):
+        try:
+            replay_trace(str(path))
+        finally:  # before pytest.raises drops the replay's frame
+            assert len(opened) == 1 and opened[0].closed
+
+
+def test_a_trace_cut_at_a_record_boundary_replays_as_the_shorter_run(lifecycle_trace):
+    # nothing but the step count shows the cut: the format has no trailer
+    path, lines = lifecycle_trace
+    path.write_text("\n".join(lines[:-3]) + "\n")
+    result = CliRunner().invoke(main, ["replay", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "ok: replayed 33 steps with matching digests\n"
+
+
+def test_a_trace_cut_inside_a_line_fails(lifecycle_trace):
+    path, lines = lifecycle_trace
+    cut = lines[-3][:len(lines[-3]) // 2]
+    path.write_text("\n".join([*lines[:-3], cut]))
+    result = CliRunner().invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1
+    assert "parse error: line 35: record 33: " in result.output
 
 
 # --------------------------------------------------------------------- #
