@@ -149,7 +149,26 @@ def normalize(value: Any) -> Any:
 
 
 def digest_of(data: Any) -> str:
-    return hashlib.sha256(canonical_json(normalize(data)).encode()).hexdigest()
+    """``sha256(canonical_json(normalize(data)))``, fed member by member
+    for a dict and for each dict it holds, such as a digest document and
+    its groups, so only one member is ever normalized at a time."""
+    sha = hashlib.sha256()
+    _feed(sha.update, data, 2)
+    return sha.hexdigest()
+
+
+def _feed(update: Callable[[bytes], Any], value: Any, depth: int) -> None:
+    """Feed the canonical JSON of ``value`` to ``update``, a dict's members
+    one by one down to ``depth`` levels."""
+    if not depth or type(value) is not dict:
+        update(canonical_json(normalize(value)).encode())
+        return
+    named = {str(k): v for k, v in value.items()}  # keys that render alike keep the last
+    update(b"{")
+    for i, key in enumerate(sorted(named)):
+        update(b"," + _key(key) if i else _key(key))
+        _feed(update, named[key], depth - 1)
+    update(b"}")
 
 
 def canonical_text(value: Any) -> str:
@@ -675,13 +694,18 @@ class Event(NamedTuple):
         return tuple(zip(self.keys, self.values))
 
     def canonical(self) -> str:
-        """``canonical_json(self.as_data())``, encoded without building it:
-        string names and payload keys, ``frame`` and ``tx`` as JSON numbers."""
-        return '{"emitter":%s,"frame":%d,"name":%s,"payload":[%s],"tx":%d}' % (
-            _json_str(self.emitter), self.frame, _json_str(self.name),
-            ",".join(["[%s,%s]" % (_json_str(k), canonical_text(v))
-                      for k, v in zip(self.keys, self.values)]),
-            self.tx_index)
+        """``canonical_json(self.as_data())``, encoded without building it
+        from one template per payload key set: string names and payload
+        keys, ``frame`` and ``tx`` as JSON numbers."""
+        template = _EVENT_TEMPLATES.get(self.keys)
+        if template is None:
+            template = _EVENT_TEMPLATES[self.keys] = (
+                '{"emitter":%s,"frame":%d,"name":%s,"payload":['
+                + ",".join(["[" + _json_str(k).replace("%", "%%") + ",%s]"
+                            for k in self.keys])
+                + '],"tx":%d}')
+        return template % (_json_str(self.emitter), self.frame, _json_str(self.name),
+                           *map(canonical_text, self.values), self.tx_index)
 
     def as_data(self) -> dict:
         return {
@@ -697,6 +721,9 @@ class Event(NamedTuple):
 # only immutable tuples, one per key set an ``emit`` call site uses, so
 # every world may share it and no result depends on it
 _EVENT_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
+# the ``Event.canonical`` template of each payload key set; like
+# ``_EVENT_KEYS`` it only grows by immutable strings, so no result depends on it
+_EVENT_TEMPLATES: dict[tuple[str, ...], str] = {}
 
 
 @dataclass(frozen=True)

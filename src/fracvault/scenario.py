@@ -8,8 +8,9 @@ entry names a ``sender`` and a ``call`` ("module.method"), may attach
 ``expect``: either ``"success"`` or ``{"error": "<ErrorName>"}``.  Each
 entry decodes to a ``system.FuzzAction``; ``execute_entry`` runs it and adds
 the outcome (result, return value, events, digest) as a ``TraceRecord``, for
-``run_scenario`` and ``trace.replay_trace`` alike.  A run aborts on the
-first expectation mismatch, naming the step.
+``run_scenario`` and ``trace.replay_trace`` alike; ``TraceRecord.line()``
+is its trace line.  A run aborts on the first expectation mismatch,
+naming the step.
 
 Each deployment entry is installed by ``system.deploy_module``.  The
 bundled ``scenarios/lifecycle.json`` deploys ``system.STANDARD_DEPLOYMENT``
@@ -21,9 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Any, Sequence
 
-from .ledger import ChainState, HookCall, ReceiveHook, normalize
+from .ledger import (ChainState, Event, HookCall, ReceiveHook, canonical_text,
+                     normalize)
 from .mutations import HEALTHY, MUTANTS, Mutations
 from .system import (FuzzAction, GenesisParams, ScenarioError, decode_value,
                      deploy_module, parse_amount, run_action)
@@ -39,22 +42,39 @@ class ExpectationMismatch(Exception):
         super().__init__(f"transactions[{step}]: expected {expected}, got {got}")
 
 
+# a trace line: ``canonical_json(TraceRecord.as_data())`` and a newline
+_LINE = ('{"advance_clock":"%d","args":%s,"call":%s,"digest":%s,"events":[%s],'
+         '"result":%s,"return":%s,"sender":%s,"step":%d,"value":"%d"}\n')
+
+
 @dataclass
 class TraceRecord:
-    """One executed step: its record and the outcome."""
+    """One executed step: its record and the outcome, the emitted events
+    as they are."""
     step: int
     action: FuzzAction
     result: str  # "success" or the error name
     returned: Any
-    events: list[dict]
+    events: Sequence[Event]
     digest: str
 
     def outcome(self) -> dict:
         return {"result": self.result, "return": normalize(self.returned),
-                "events": self.events, "digest": self.digest}
+                "events": [e.as_data() for e in self.events], "digest": self.digest}
 
     def as_data(self) -> dict:
         return {"step": self.step, **self.action.as_data(), **self.outcome()}
+
+    def line(self) -> str:
+        """The record's trace line, ``canonical_json(self.as_data())`` and a
+        newline, filled into one template without building the data."""
+        action = self.action
+        return _LINE % (
+            action.delta, canonical_text(action.args),
+            _json_str(f"{action.module}.{action.method}"), _json_str(self.digest),
+            ",".join([e.canonical() for e in self.events]), _json_str(self.result),
+            canonical_text(self.returned), _json_str(action.sender), self.step,
+            action.value)
 
 
 @dataclass
@@ -203,4 +223,4 @@ def execute_entry(state: ChainState, step: int, action: FuzzAction) -> TraceReco
         step=step, action=action,
         result="success" if result.ok else (result.error or "error"),
         returned=result.value if result.ok else None,
-        events=[e.as_data() for e in result.events], digest=state.digest())
+        events=result.events, digest=state.digest())

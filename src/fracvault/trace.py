@@ -3,12 +3,14 @@ state digest after every step so replay detects any divergence.
 
 A record's inputs are a ``system.FuzzAction`` in its ``as_data`` encoding
 (sender, call, args, value, advance_clock); its outcome adds result,
-return value, events and digest.  Replay rebuilds the world from the
-header's genesis and deployment, then reads, decodes and runs one record
-at a time through ``scenario.execute_entry`` and compares the outcome
-against the record, so it holds one record, not the trace.  Any
-difference raises ``DigestMismatch`` naming the step and field, so an
-edited field fails replay.  A malformed line, a line cut in the middle
+return value, events and digest, and ``step`` numbers it.  Each line is
+``TraceRecord.line()``, the canonical JSON of the record.  Replay
+rebuilds the world from the header's genesis and deployment, then reads,
+decodes and runs one record at a time through ``scenario.execute_entry``
+and compares its step number with its position and the outcome against
+the record, so it holds one record, not the trace.  Any difference
+raises ``DigestMismatch`` naming the step and field, so an edited field
+fails replay.  A malformed line, a line cut in the middle
 included, is a ``ScenarioError`` naming its line number and record,
 raised when replay reaches it, after the records before it replayed.  A
 trace cut at a record boundary replays clean as the shorter run: its step
@@ -47,7 +49,7 @@ def write_trace(path: str, scenario: dict, records: list[TraceRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(normalize(header)) + "\n")
         for record in records:
-            fh.write(canonical_json(record.as_data()) + "\n")
+            fh.write(record.line())
 
 
 def read_trace(path: str) -> tuple[dict, Iterator[tuple[FuzzAction, dict]]]:
@@ -95,6 +97,9 @@ def replay_trace(path: str) -> int:
         state = build_world(header)  # its genesis, deployment and mutant
         steps = 0
         for step, (action, recorded) in enumerate(records):
+            numbered = recorded.get("step")
+            if type(numbered) is not int or numbered != step:
+                raise DigestMismatch(step, "step", numbered, step)
             if step % DIGEST_CHECK_INTERVAL == 0:
                 state.fold_events()
             for field, produced in execute_entry(state, step, action).outcome().items():

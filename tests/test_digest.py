@@ -112,10 +112,59 @@ def test_benchmark_scenario_traces_pinned(seed, tmp_path, monkeypatch):
 
     document = parse_scenario(scenario_gen.build_scenario(seed, 1_500))
     path = str(tmp_path / "scenario.trace.jsonl")
-    write_trace(path, document, run_scenario(document).records)
+    records = run_scenario(document).records
+    for record in records:
+        assert record.line() == canonical_json(record.as_data()) + "\n"
+    write_trace(path, document, records)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == TRACE_PINS[seed]
     assert replay_trace(path) == len(document["transactions"])
+
+
+def test_lifecycle_trace_lines_encode_as_their_data():
+    records = run_scenario(parse_scenario(LIFECYCLE.read_text())).records
+    assert sum(len(record.events) for record in records) > 40
+    for record in records:
+        assert record.line() == canonical_json(record.as_data()) + "\n"
+
+
+def _fuzz_records(mutant):
+    """The trace records of a fuzz run's calls, its clock-only steps run
+    in between."""
+    plan = FuzzPlan(seed=3, steps=1_500, mutant=mutant)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    for step in range(plan.steps):
+        action = generator.generate()
+        if action.method:
+            yield execute_entry(state, step, action)
+        else:
+            run_action(state, action)
+
+
+@pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
+def test_fuzz_trace_lines_and_events_encode_as_their_data(mutant):
+    key_sets = set()
+    for record in _fuzz_records(mutant):
+        assert record.line() == canonical_json(record.as_data()) + "\n"
+        for event in record.events:
+            key_sets.add(event.keys)
+            assert event.canonical() == canonical_json(event.as_data())
+    assert len(key_sets) >= 10
+
+
+def test_hand_made_events_encode_as_their_data():
+    # keys that the template must escape or encode, values of every kind
+    keys = ("%s", "%d%%", 'q"uote\\', "\u00e9\u2603\n", "none", "flag", "pair", "map")
+    events = [
+        Event('100% "odd" \u00e9', "emitter%s", keys,
+              (5, -2**70, "x%s", "\u2603\x1f", None, True, (1, "a", None, False),
+               {"b": 2, 1: [False, None], "%": {"\u00e9": ()}}), 3, 9),
+        Event("Same keys", "e", keys, ("a", "b", "c", "d", "e", False, (), {}), 0, 1),
+        Event("Empty", "e", (), (), 0, 0),
+    ]
+    for event in events:
+        assert event.canonical() == canonical_json(event.as_data())
 
 
 # --------------------------------------------------------------------- #
@@ -129,6 +178,27 @@ def test_cached_digest_equals_full_recompute_on_lifecycle():
     for step, (action, _) in enumerate(scenario["transactions"]):
         record = execute_entry(state, step, action)
         assert record.digest == state.full_digest(), step
+
+
+def _one_shot_digest(data) -> str:
+    return hashlib.sha256(canonical_json(normalize(data)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
+def test_streamed_digest_equals_the_one_shot_hash(mutant):
+    plan = FuzzPlan(seed=5, steps=3_000, mutant=mutant)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    for step in range(1, plan.steps + 1):
+        run_action(state, generator.generate())
+        if step % 1_000 == 0:
+            document = state._document()
+            assert ledger.digest_of(document) == _one_shot_digest(document)
+            state.fold_events()
+            assert ledger.digest_of(state._document()) == _one_shot_digest(document)
+    for data in ({1: "int", "1": "str", "g": {}, "h": {2: 3, "x": [1, {4: 5}]}},
+                 {}, [1, {"a": 2}], "text", 7, None):
+        assert ledger.digest_of(data) == _one_shot_digest(data)
 
 
 @pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))

@@ -146,6 +146,19 @@ def test_trace_tamper_detection(tmp_path, lifecycle):
         replay_trace(str(tampered))
 
 
+@pytest.mark.parametrize("step", [999, 4, 6, "5", 5.0, None])
+def test_an_edited_step_fails_replay(lifecycle_trace, step):
+    path, lines = lifecycle_trace
+    record = json.loads(lines[6])
+    record["step"] = step
+    lines[6] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1
+    assert (f"replay diverged: trace step 5: step diverged; recorded {step!r}, "
+            "replay produced 5") in result.output
+
+
 # --------------------------------------------------------------------- #
 # Replay reads one record at a time
 # --------------------------------------------------------------------- #
