@@ -7,14 +7,14 @@ a constant-product market, all on one transactional ledger state machine.
 from . import errors
 from .ledger import (Address, ChainState, Event, ExecutionContext, HookCall,
                      Module, ReceiveHook, TxResult, ZERO_ADDRESS)
-from .mutations import HEALTHY, MUTANTS, Mutations
+from .mutations import MUTANTS
 from .system import GenesisParams, SystemHandle, deploy_standard_system, standard_world
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Address", "ChainState", "Event", "ExecutionContext", "GenesisParams",
-    "HEALTHY", "HookCall", "MUTANTS", "Module", "Mutations", "ReceiveHook",
+    "HookCall", "MUTANTS", "Module", "ReceiveHook",
     "SystemHandle", "TxResult", "ZERO_ADDRESS", "deploy_standard_system",
     "errors", "standard_world",
 ]

@@ -16,7 +16,7 @@ from .fuzz import (FuzzAction, actor_world, auction_start, clock_action,
                    deposit_prefix, fraction_transfers, run_action, run_setup,
                    sold_setup, transact_action)
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
-from .mutations import HEALTHY, Mutations
+from .mutations import install
 from .system import SystemHandle
 from .vault import EXTENSION_DELTA, Vault
 
@@ -83,14 +83,15 @@ class Strategy:
     judge: Callable[[dict], str | None] = lambda details: None
 
 
-def run_attack(strategy: str, mutations: Mutations = HEALTHY) -> AttackReport:
-    """Build the honest and the attacked twin from the same genesis, run
-    each its script, and net the attacker's position in the attacked twin
-    against the honest one."""
+def run_attack(strategy: str, mutant: str | None = None) -> AttackReport:
+    """Build the honest and the attacked twin from one genesis, ``mutant``
+    installed, run each its script, and net the attacker's position in the
+    attacked twin against the honest one."""
     attack = ATTACKS[strategy]
     twins = []
     for hostile in (False, True):
-        state, handle, _ = actor_world(4, mutations)
+        state, handle, _ = actor_world(4)
+        install(state, mutant)
         run_setup(state, attack.setup)
         hook = copy.deepcopy(attack.hook) if hostile else None
         if hook is not None:

@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 from .ddmin import CheckedReplay, ddmin, rerun, run_checked
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
-from .mutations import HEALTHY, MUTANTS, Mutations
+from .mutations import install
 from .system import FuzzAction, SystemHandle, must, run_action, standard_world
 
 ACTOR_FUND = 10**9
@@ -96,9 +96,6 @@ class FuzzPlan:
     def __deepcopy__(self, memo: dict) -> "FuzzPlan":
         return self  # never changes, so forks of a replay share it
 
-    def mutations(self) -> Mutations:
-        return MUTANTS[self.mutant] if self.mutant else HEALTHY
-
     def check(self, replay: CheckedReplay, action: FuzzAction, index: int,
               last: bool) -> tuple[TxResult | None, str | None]:
         # one module-level call per step, which the benchmark's tracer wraps
@@ -152,12 +149,10 @@ class FuzzReport:
 # World
 # --------------------------------------------------------------------- #
 
-def actor_world(actor_count: int, mutations: Mutations
-                ) -> tuple[ChainState, SystemHandle, list[str]]:
+def actor_world(actor_count: int) -> tuple[ChainState, SystemHandle, list[str]]:
     """The standard stack with actors a0, a1, ... funded ACTOR_FUND each."""
     actors = [f"a{i}" for i in range(actor_count)]
-    state, handle = standard_world({a: ACTOR_FUND for a in actors},
-                                   mutations=mutations)
+    state, handle = standard_world({a: ACTOR_FUND for a in actors})
     return state, handle, actors
 
 
@@ -228,7 +223,7 @@ def sold_setup(handle: SystemHandle, spread: tuple[tuple[str, int], ...]
 def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str]]:
     """Funded actors, pre-minted NFTs and pair tokens, market approvals, and
     one actor wired with a reentry hook so guards stay under pressure."""
-    state, handle, actors = actor_world(plan.actor_count, plan.mutations())
+    state, handle, actors = actor_world(plan.actor_count)
     run_setup(state, round_robin_mints(handle, actors)
               + market_funding(handle, actors))
     intruder = actors[-1]
@@ -238,6 +233,7 @@ def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str
             HookCall(module=handle.vault, method="redeem_fraction_value",
                      args=(("token_id", 1), ("fraction_amount", 50))),
         )))
+    install(state, plan.mutant)
     return state, handle, actors
 
 

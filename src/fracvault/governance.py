@@ -19,7 +19,6 @@ byte the canonical JSON of its normalized ``as_data``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -27,7 +26,6 @@ from typing import Any, Mapping
 from . import errors
 from .ledger import (Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS,
                      canonical_text, record_encoder)
-from .mutations import HEALTHY, Mutations
 from .vault import Vault
 
 DEFAULT_TIMELOCK_DELAY = 172_800  # two days
@@ -225,8 +223,7 @@ class Governance(Module):
 
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  fractions: str, vault: str, timelock: str, *,
-                 threshold_bps: int = DEFAULT_PROPOSAL_THRESHOLD_BPS,
-                 mutations: Mutations = HEALTHY):
+                 threshold_bps: int = DEFAULT_PROPOSAL_THRESHOLD_BPS):
         super().__init__(module_id)
         if threshold_bps < 0:
             raise ValueError("threshold must be non-negative")
@@ -237,12 +234,6 @@ class Governance(Module):
         self.timelock = timelock
         self.threshold_bps = threshold_bps
         self.proposals: list[Proposal] = []
-        self.mutations = mutations
-
-    def _guard(self, state: ChainState):
-        if self.mutations.drop_reentrancy_guard:
-            return nullcontext()
-        return state.reentrancy_lock(self.module_id)
 
     def _proposal(self, proposal_id: int) -> Proposal:
         if not 0 <= proposal_id < len(self.proposals):
@@ -326,7 +317,7 @@ class Governance(Module):
         entry = timelock.entries.get(proposal_id)
         if entry is None:
             quorum = proposal.supply_at_creation // 2
-            if not self.mutations.drop_quorum_check and proposal.total_votes_cast <= quorum:
+            if proposal.total_votes_cast <= quorum:
                 raise errors.QuorumNotMet(
                     f"{proposal.total_votes_cast} votes cast, quorum needs more than {quorum}")
             if proposal.votes_for <= proposal.votes_against:

@@ -852,6 +852,10 @@ class Module:
     def __deepcopy__(self, memo: dict) -> "Module":
         return _copy_sharing_entries(self, memo)
 
+    def _guard(self, state: "ChainState") -> _Lock:
+        """The module's reentrancy lock, entered with ``with``."""
+        return state.reentrancy_lock(self.module_id)
+
     def snapshot_data(self) -> dict:
         """The module's part of the state digest.
 
@@ -1294,11 +1298,6 @@ class ChainState:
         self.jset(ledger.balances, frm, have - amount)
         self.jsetattr(ledger, "total_supply", ledger.total_supply - amount)
         self.emit(ctx, ledger_id, "Burn", {"from": frm, "amount": amount})
-
-    def set_fungible_balance(self, ledger_id: str, addr: Address, amount: int) -> None:
-        """Raw journaled balance write. Does not touch total supply."""
-        ledger = self._fungible(ledger_id)
-        self.jset(ledger.balances, addr, amount)
 
     # ------------------------------------------------------------------ #
     # NFT ledgers

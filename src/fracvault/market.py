@@ -15,11 +15,9 @@ product and grow proportionally afterwards.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 
 from . import errors
 from .ledger import Address, ChainState, ExecutionContext, Module
-from .mutations import HEALTHY, Mutations
 
 FEE_DENOMINATOR = 10_000
 DEFAULT_FEE_MULTIPLIER = 9_975
@@ -44,8 +42,7 @@ class Market(Module):
 
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  token_a: str, token_b: str, *,
-                 fee_multiplier: int = DEFAULT_FEE_MULTIPLIER,
-                 mutations: Mutations = HEALTHY):
+                 fee_multiplier: int = DEFAULT_FEE_MULTIPLIER):
         super().__init__(module_id)
         if token_a == token_b:
             raise ValueError("pool needs two distinct tokens")
@@ -59,12 +56,6 @@ class Market(Module):
         self.reserve_b = 0
         self.shares: dict[Address, int] = {}
         self.total_shares = 0
-        self.mutations = mutations
-
-    def _guard(self, state: ChainState):
-        if self.mutations.drop_reentrancy_guard:
-            return nullcontext()
-        return state.reentrancy_lock(self.module_id)
 
     def _pull(self, state: ChainState, ctx: ExecutionContext, token: str,
               frm: Address, amount: int) -> None:
@@ -166,7 +157,7 @@ class Market(Module):
                 raise errors.ZeroAmount("trade input must be positive")
             amount_out = swap_output(amount_in, reserve_in, reserve_out,
                                      self.fee_multiplier)
-            if not self.mutations.drop_slippage_check and amount_out < min_amount_out:
+            if amount_out < min_amount_out:
                 raise errors.SlippageExceeded(
                     f"quote {amount_out} below minimum {min_amount_out}")
             self._pull(state, ctx, token_in, ctx.sender, amount_in)

@@ -37,12 +37,12 @@ from .fuzz import (FuzzAction, actor_world, clock_action, deposit_prefix,
 from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
-from .mutations import HEALTHY, MUTANTS, Mutations
+from .mutations import install
 from .system import SystemHandle
 
 ACTORS = ("a0", "a1", "a2", "a3")
 
-BuildFn = Callable[[Mutations], tuple[ChainState, SystemHandle, dict]]
+BuildFn = Callable[[], tuple[ChainState, SystemHandle, dict]]
 GenFn = Callable[[random.Random, ChainState, SystemHandle, dict, int], FuzzAction]
 BeforeFn = Callable[[ChainState, SystemHandle, dict, FuzzAction], Any]
 AfterFn = Callable[[ChainState, SystemHandle, dict, FuzzAction,
@@ -108,77 +108,79 @@ class Campaign:
             return result, detail
         return result, self.after(state, handle, extras, action, result, token)
 
-    def replay(self, mutations: Mutations) -> CheckedReplay:
-        """A fresh world of the campaign, checked by it."""
-        return CheckedReplay(self, self.build(mutations))
+    def replay(self, mutant: str | None) -> CheckedReplay:
+        """A fresh world of the campaign, ``mutant`` installed, checked by it."""
+        world = self.build()
+        install(world[0], mutant)
+        return CheckedReplay(self, world)
 
 
-def _replay_fails(campaign: Campaign, mutations: Mutations,
+def _replay_fails(campaign: Campaign, mutant: str | None,
                   actions: list[FuzzAction],
                   start: CheckedReplay | None = None) -> bool:
-    replay = campaign.replay(mutations) if start is None else start.fork()
+    replay = campaign.replay(mutant) if start is None else start.fork()
     return replay.run(actions)
 
 
-def _minimize(campaign: Campaign, mutations: Mutations,
+def _minimize(campaign: Campaign, mutant: str | None,
               actions: list[FuzzAction]) -> list[FuzzAction]:
-    return ddmin(actions, lambda: campaign.replay(mutations),
-                 lambda candidate, start: _replay_fails(campaign, mutations,
+    return ddmin(actions, lambda: campaign.replay(mutant),
+                 lambda candidate, start: _replay_fails(campaign, mutant,
                                                         candidate, start))
 
 
-def _fresh_run(campaign: Campaign, seed: int, mutations: Mutations
+def _fresh_run(campaign: Campaign, seed: int, mutant: str | None
                ) -> tuple[CheckedReplay, Callable[[int], FuzzAction]]:
     """A world of the campaign at genesis and its generator, drawing from
     ``Random(f"{seed}:{name}")``."""
-    world = campaign.replay(mutations)
+    world = campaign.replay(mutant)
     rng = random.Random(f"{seed}:{campaign.name}")
     return world, lambda step: campaign.generate(
         rng, world.state, world.handle, world.extras, step)
 
 
 def run_campaign(campaign: Campaign, seed: int, steps: int,
-                 mutations: Mutations = HEALTHY) -> PropertyResult:
-    world, generate = _fresh_run(campaign, seed, mutations)
+                 mutant: str | None = None) -> PropertyResult:
+    world, generate = _fresh_run(campaign, seed, mutant)
     tail, executed, detail, _ = run_checked(world, generate, steps,
                                             fuzz.SHRINK_WINDOW)
     if not detail:
         return PropertyResult(name=campaign.name, passed=True, steps=steps)
     trace = list(tail)
     if executed > len(trace):  # the run kept only its last actions
-        trace = rerun(*_fresh_run(campaign, seed, mutations), steps, tail,
+        trace = rerun(*_fresh_run(campaign, seed, mutant), steps, tail,
                       executed, detail, world.state.full_digest())
     return PropertyResult(name=campaign.name, passed=False, steps=executed,
-                          detail=detail, trace=_minimize(campaign, mutations, trace))
+                          detail=detail, trace=_minimize(campaign, mutant, trace))
 
 
 # --------------------------------------------------------------------- #
 # World builders
 # --------------------------------------------------------------------- #
 
-def token_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
+def token_world() -> tuple[ChainState, SystemHandle, dict]:
     """One deposited NFT: 1000 fractions spread a0 400 / a1 300 / a2 200 / a3 100."""
-    state, handle, _ = actor_world(len(ACTORS), mutations)
+    state, handle, _ = actor_world(len(ACTORS))
     run_setup(state, deposit_prefix(handle) + fraction_transfers(
         handle, (("a1", 300), ("a2", 200), ("a3", 100))))
     return state, handle, {"supply": 1000, "actors": list(ACTORS)}
 
 
-def nft_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
+def nft_world() -> tuple[ChainState, SystemHandle, dict]:
     """Eight NFTs spread round-robin, nothing deposited yet."""
-    state, handle, actors = actor_world(len(ACTORS), mutations)
+    state, handle, actors = actor_world(len(ACTORS))
     run_setup(state, round_robin_mints(handle, actors))
     return state, handle, {"actors": list(ACTORS)}
 
 
-def sold_world(mutations: Mutations, *, attacker_hook: str | None = None
+def sold_world(*, attacker_hook: str | None = None
                ) -> tuple[ChainState, SystemHandle, dict]:
     """Token 1 sold for 1,000,000; fractions a0 450 / a1 250 / a2 200 / a3 100.
 
     ``attacker_hook`` wires a1 with a payment hook: "reenter" retries
     withdraw and redeem, "probe" additionally records what it sees.
     """
-    state, handle, _ = actor_world(len(ACTORS), mutations)
+    state, handle, _ = actor_world(len(ACTORS))
     run_setup(state, sold_setup(handle, (("a1", 250), ("a2", 200), ("a3", 100))))
     extras: dict = {"actors": list(ACTORS), "attacker": None}
     if attacker_hook is not None:
@@ -199,9 +201,9 @@ def sold_world(mutations: Mutations, *, attacker_hook: str | None = None
     return state, handle, extras
 
 
-def market_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
+def market_world() -> tuple[ChainState, SystemHandle, dict]:
     """2000 fractions with a0, pair tokens everywhere, market approvals set."""
-    state, handle, actors = actor_world(len(ACTORS), mutations)
+    state, handle, actors = actor_world(len(ACTORS))
     run_setup(state, [
         transact_action("deployer", handle.collection, "mint", to="a0", token_id=1),
         transact_action("deployer", handle.collection, "mint", to="a0", token_id=2),
@@ -215,9 +217,9 @@ def market_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
     }
 
 
-def _probe_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
+def _probe_world() -> tuple[ChainState, SystemHandle, dict]:
     """The sold world with a1's probing hook, none of its record seen yet."""
-    state, handle, extras = sold_world(mutations, attacker_hook="probe")
+    state, handle, extras = sold_world(attacker_hook="probe")
     extras["seen"] = 0
     return state, handle, extras
 
@@ -351,8 +353,8 @@ def _duration_campaign() -> Campaign:
                     before)
 
 
-def _deposited_world(mutations: Mutations) -> tuple[ChainState, SystemHandle, dict]:
-    state, handle, extras = nft_world(mutations)
+def _deposited_world() -> tuple[ChainState, SystemHandle, dict]:
+    state, handle, extras = nft_world()
     run_setup(state, [transact_action(owner, handle.vault, "deposit_nft",
                                       nft_address=handle.collection,
                                       token_id=token_id)
@@ -464,8 +466,8 @@ def _original_owner_campaign() -> Campaign:
 
 
 def _voting_campaign() -> Campaign:
-    def build(mutations):
-        state, handle, extras = token_world(mutations)
+    def build():
+        state, handle, extras = token_world()
         run_setup(state, [transact_action(
             "a0", handle.governance, "create_proposal",
             description="standing proposal", target=handle.vault,
@@ -544,8 +546,8 @@ def _quorum_campaign() -> Campaign:
 
 def _create_proposal_campaign() -> Campaign:
     # a3 holds 5 fractions, below the 10-fraction threshold
-    def build(mutations):
-        state, handle, _ = actor_world(len(ACTORS), mutations)
+    def build():
+        state, handle, _ = actor_world(len(ACTORS))
         run_setup(state, deposit_prefix(handle) + fraction_transfers(
             handle, (("a1", 300), ("a2", 295), ("a3", 5))))
         return state, handle, {"actors": list(ACTORS), "expected_id": 0}
@@ -621,8 +623,8 @@ def _liquidity_campaign() -> Campaign:
 def _pool_world(amount_b: int) -> BuildFn:
     """The market world after a0 pools 1,000 fractions and ``amount_b``
     pair tokens."""
-    def build(mutations):
-        state, handle, extras = market_world(mutations)
+    def build():
+        state, handle, extras = market_world()
         run_setup(state, [transact_action("a0", handle.market, "add_liquidity",
                                           amount_a=1_000, amount_b=amount_b)])
         return state, handle, extras
@@ -768,8 +770,8 @@ def _escrow_campaign() -> Campaign:
 
 
 def _double_withdrawal_campaign() -> Campaign:
-    def build(mutations):
-        return sold_world(mutations, attacker_hook="reenter")
+    def build():
+        return sold_world(attacker_hook="reenter")
 
     def generate(rng, state, handle, extras, step):
         sender = "a1" if rng.random() < 0.5 else _actor(rng, extras)
@@ -878,8 +880,8 @@ def _anti_sniping_campaign() -> Campaign:
             return f"bid with {remaining}s left moved the deadline"
         return None
 
-    def build(mutations):
-        state, handle, extras = nft_world(mutations)
+    def build():
+        state, handle, extras = nft_world()
         run_setup(state, [transact_action("a0", handle.vault, "deposit_nft",
                                           nft_address=handle.collection,
                                           token_id=1)])
@@ -1060,11 +1062,11 @@ ALL_PROPERTIES = tuple(_CAMPAIGNS) + tuple(_ATTACK_PROPERTIES)
 
 
 def run_property(name: str, seed: int = 0, steps: int = 2_000,
-                 mutations: Mutations = HEALTHY) -> PropertyResult:
+                 mutant: str | None = None) -> PropertyResult:
     if name in _CAMPAIGNS:
-        return run_campaign(_CAMPAIGNS[name](), seed, steps, mutations)
+        return run_campaign(_CAMPAIGNS[name](), seed, steps, mutant)
     if name in _ATTACK_PROPERTIES:
-        report = attackers.run_attack(_ATTACK_PROPERTIES[name], mutations)
+        report = attackers.run_attack(_ATTACK_PROPERTIES[name], mutant)
         detail = attackers.ATTACKS[report.strategy].judge(report.details) or ""
         if not report.neutralized:
             detail = (f"attacker netted {report.net_native_gain} native and "
@@ -1075,16 +1077,15 @@ def run_property(name: str, seed: int = 0, steps: int = 2_000,
 
 def run_suite(seed: int = 0, steps: int = 2_000, mutant: str | None = None,
               names: tuple[str, ...] = ALL_PROPERTIES) -> SuiteReport:
-    mutations = MUTANTS[mutant] if mutant else HEALTHY
     report = SuiteReport(seed=seed, steps=steps, mutant=mutant)
     for name in names:
-        report.results.append(run_property(name, seed, steps, mutations))
+        report.results.append(run_property(name, seed, steps, mutant))
     return report
 
 
 def replay_property_trace(name: str, trace: list[FuzzAction],
-                          mutations: Mutations = HEALTHY) -> bool:
+                          mutant: str | None = None) -> bool:
     """Re-run a recorded campaign trace from genesis; True if it still fails."""
     if name not in _CAMPAIGNS:
         raise KeyError(f"{name!r} is not a campaign property")
-    return _replay_fails(_CAMPAIGNS[name](), mutations, trace)
+    return _replay_fails(_CAMPAIGNS[name](), mutant, trace)

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 from .ledger import (ChainState, Event, HookCall, ReceiveHook, canonical_text,
                      normalize)
-from .mutations import HEALTHY, MUTANTS, Mutations
+from .mutations import MUTANTS, install
 from .system import (FuzzAction, GenesisParams, ScenarioError, decode_value,
                      deploy_module, parse_amount, run_action)
 
@@ -175,16 +175,15 @@ def _parse_hook(owner: str, spec: Any) -> ReceiveHook:
                        else parse_amount(max_activations, f"{where}: max_activations"))
 
 
-def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainState:
+def build_world(scenario: dict) -> ChainState:
+    """The scenario's genesis and deployment, then its ``"mutant"``."""
     genesis = scenario["genesis"]
     params = GenesisParams.from_data(genesis.get("parameters", {}))
-    if mutations is None:
-        name = scenario.get("mutant")
-        if name is not None and not isinstance(name, str):
-            raise ScenarioError(f"mutant must be a string, not {name!r}")
-        if name and name not in MUTANTS:
-            raise ScenarioError(f"unknown mutant {name!r}")
-        mutations = MUTANTS[name] if name else HEALTHY
+    mutant = scenario.get("mutant")
+    if mutant is not None and not isinstance(mutant, str):
+        raise ScenarioError(f"mutant must be a string, not {mutant!r}")
+    if mutant and mutant not in MUTANTS:
+        raise ScenarioError(f"unknown mutant {mutant!r}")
     state = ChainState()
     hooks: list[tuple[str, ReceiveHook]] = []
     for account, spec in genesis["accounts"].items():
@@ -195,9 +194,10 @@ def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainStat
         else:
             state.fund(account, parse_amount(spec, account))
     for i, entry in enumerate(scenario["deployment"]):
-        deploy_module(state, entry, params, mutations, i)
+        deploy_module(state, entry, params, i)
     for account, hook in hooks:
         state.set_receive_hook(account, hook)
+    install(state, mutant)
     return state
 
 
@@ -205,8 +205,8 @@ def build_world(scenario: dict, mutations: Mutations | None = None) -> ChainStat
 # Execution
 # --------------------------------------------------------------------- #
 
-def run_scenario(scenario: dict, mutations: Mutations | None = None) -> ScenarioRun:
-    state = build_world(scenario, mutations)
+def run_scenario(scenario: dict) -> ScenarioRun:
+    state = build_world(scenario)
     run = ScenarioRun(state=state)
     for step, (action, expected) in enumerate(scenario["transactions"]):
         record = execute_entry(state, step, action)

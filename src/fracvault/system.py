@@ -28,7 +28,6 @@ from .governance import (DEFAULT_PROPOSAL_THRESHOLD_BPS, DEFAULT_TIMELOCK_DELAY,
                          Governance, Timelock)
 from .ledger import Address, ChainState, TxResult, normalize
 from .market import DEFAULT_FEE_MULTIPLIER, Market
-from .mutations import HEALTHY, Mutations
 from .tokens import FractionalToken, FungibleToken, NftCollection
 from .vault import DEFAULT_AUCTION_DURATION, Vault
 
@@ -192,7 +191,7 @@ def must(result: TxResult) -> TxResult:
 
 
 def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
-                  mutations: Mutations, index: int) -> None:
+                  index: int) -> None:
     """Install the module that deployment entry ``index`` describes: its
     ``kind`` picks the class, its ``args`` the constructor arguments, and
     ``params`` the tunable ones.  A governance entry also becomes its
@@ -203,8 +202,7 @@ def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
     try:
         if kind == "fractional_token":
             state.install_module(FractionalToken(
-                mid, state, deployer, args["token_name"], args["symbol"],
-                mutations=mutations))
+                mid, state, deployer, args["token_name"], args["symbol"]))
         elif kind == "fungible_token":
             state.install_module(FungibleToken(
                 mid, state, deployer, args["token_name"], args["symbol"]))
@@ -215,15 +213,14 @@ def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
             state.install_module(Vault(
                 mid, state, deployer, args["collection"], args["fractions"],
                 auction_duration=params.auction_duration,
-                royalty_percent=params.royalty_percent, mutations=mutations))
+                royalty_percent=params.royalty_percent))
         elif kind == "timelock":
             state.install_module(Timelock(mid, state, deployer,
                                           delay=params.timelock_delay))
         elif kind == "governance":
             state.install_module(Governance(
                 mid, state, deployer, args["fractions"], args["vault"],
-                args["timelock"], threshold_bps=params.proposal_threshold_bps,
-                mutations=mutations))
+                args["timelock"], threshold_bps=params.proposal_threshold_bps))
             timelock = state.modules[args["timelock"]]
             timelock.bind_controller(state, mid)  # type: ignore[attr-defined]
             registration = state.transact(
@@ -235,7 +232,7 @@ def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
         elif kind == "market":
             state.install_module(Market(
                 mid, state, deployer, args["token_a"], args["token_b"],
-                fee_multiplier=params.fee_multiplier, mutations=mutations))
+                fee_multiplier=params.fee_multiplier))
         else:
             raise ScenarioError(f"{where}: unknown kind {kind!r}")
     except KeyError as exc:
@@ -245,12 +242,10 @@ def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
 
 
 def deploy_standard_system(state: ChainState, deployer: Address,
-                           params: GenesisParams = GenesisParams(),
-                           mutations: Mutations = HEALTHY) -> SystemHandle:
+                           params: GenesisParams = GenesisParams()) -> SystemHandle:
     handle = SystemHandle(deployer=deployer, params=params)
     for index, entry in enumerate(STANDARD_DEPLOYMENT):
-        deploy_module(state, dict(entry, deployer=deployer), params, mutations,
-                      index)
+        deploy_module(state, dict(entry, deployer=deployer), params, index)
         if entry["kind"] == "vault":
             # the binding's event precedes the governance registration's in
             # every world's event hash
@@ -260,13 +255,12 @@ def deploy_standard_system(state: ChainState, deployer: Address,
 
 
 def standard_world(accounts: dict[Address, int], *, deployer: Address = "deployer",
-                   params: GenesisParams = GenesisParams(),
-                   mutations: Mutations = HEALTHY) -> tuple[ChainState, SystemHandle]:
+                   params: GenesisParams = GenesisParams()) -> tuple[ChainState, SystemHandle]:
     """Fresh chain with funded accounts and the standard stack deployed."""
     state = ChainState()
     if deployer not in accounts:
         state.fund(deployer, 0)
     for addr, balance in accounts.items():
         state.fund(addr, balance)
-    handle = deploy_standard_system(state, deployer, params, mutations)
+    handle = deploy_standard_system(state, deployer, params)
     return state, handle

@@ -80,11 +80,10 @@ class FractionalToken(FungibleToken):
     exposed = FungibleToken.exposed | frozenset({"update_nft_vault", "nft_vault"})
 
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
-                 token_name: str, symbol: str, mutations=None):
+                 token_name: str, symbol: str):
         super().__init__(module_id, state, deployer, token_name, symbol)
         self.nft_vault_addr: Address = ZERO_ADDRESS
         self.is_nft_vault_set: bool = False
-        self._mutations = mutations
 
     def update_nft_vault(self, state: ChainState, ctx: ExecutionContext, vault: Address) -> None:
         if ctx.sender != self.deployer:
@@ -101,8 +100,6 @@ class FractionalToken(FungibleToken):
         return self.nft_vault_addr
 
     def _check_supply_authority(self, ctx: ExecutionContext) -> None:
-        if self._mutations is not None and self._mutations.drop_only_vault:
-            return
         if not self.is_nft_vault_set or ctx.sender != self.nft_vault_addr:
             raise errors.NotVault(f"{ctx.sender} is not the bound vault")
 

@@ -16,13 +16,11 @@ canonical JSON of its normalized ``as_data``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from . import errors
 from .ledger import (Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS,
                      record_encoder)
-from .mutations import HEALTHY, Mutations
 
 FRACTIONS_PER_NFT = 1000
 DEFAULT_AUCTION_DURATION = 604_800  # seven days
@@ -126,8 +124,7 @@ class Vault(Module):
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  collection: str, fractions: str, *,
                  auction_duration: int = DEFAULT_AUCTION_DURATION,
-                 royalty_percent: int = 5,
-                 mutations: Mutations = HEALTHY):
+                 royalty_percent: int = 5):
         super().__init__(module_id)
         if auction_duration <= 0:
             raise ValueError("auction duration must be positive")
@@ -145,16 +142,10 @@ class Vault(Module):
         self.sales: dict[int, SaleRecord] = {}
         self.pending: dict[Address, int] = {}
         self.retained_dust = 0
-        self.mutations = mutations
 
     # ------------------------------------------------------------------ #
     # Guards and helpers
     # ------------------------------------------------------------------ #
-
-    def _guard(self, state: ChainState):
-        if self.mutations.drop_reentrancy_guard:
-            return nullcontext()
-        return state.reentrancy_lock(self.module_id)
 
     def _require_governance(self, ctx: ExecutionContext) -> None:
         if not self.governance_set or ctx.sender != self.governance_addr:
@@ -343,8 +334,6 @@ class Vault(Module):
         snapshotted at settlement; fractions burn before the payout is
         credited, so a second redemption of the same fractions cannot exist.
         """
-        if self.mutations.drop_burn_before_pay:
-            return self._redeem_legacy(state, ctx, token_id, fraction_amount)
         with self._guard(state):
             record = self.sales.get(token_id)
             if record is None or record.proceeds_remaining <= 0:
@@ -367,34 +356,6 @@ class Vault(Module):
                        {"token_id": token_id, "redeemer": ctx.sender,
                         "fractions": fraction_amount, "payout": payout})
             return payout
-
-    def _redeem_legacy(self, state: ChainState, ctx: ExecutionContext,
-                       token_id: int, fraction_amount: int) -> int:
-        # Mutant path: push payment before the burn, burn from a stale read,
-        # no guard. Kept only so the property suite can prove it detects the
-        # regression.
-        record = self.sales.get(token_id)
-        if record is None or record.proceeds_remaining <= 0:
-            raise errors.NoProceeds(f"token {token_id} has no redeemable proceeds")
-        if fraction_amount < 0:
-            raise errors.InvalidAmount("negative redemption")
-        held = state.fungible_balance(self.fractions, ctx.sender)
-        if fraction_amount > held:
-            raise errors.InsufficientFractions(
-                f"redeeming {fraction_amount}, caller holds {held}")
-        if fraction_amount == 0:
-            return 0
-        payout = fraction_amount * record.proceeds_total // record.supply_snapshot
-        state.jset(self.sales, token_id, replace(
-            record, proceeds_remaining=record.proceeds_remaining - payout))
-        state.transfer_native(ctx, self.address, ctx.sender, payout)
-        ledger = state.fungible[self.fractions]
-        state.set_fungible_balance(self.fractions, ctx.sender, held - fraction_amount)
-        state.jsetattr(ledger, "total_supply", ledger.total_supply - fraction_amount)
-        state.emit(ctx, self.module_id, "FractionsRedeemed",
-                   {"token_id": token_id, "redeemer": ctx.sender,
-                    "fractions": fraction_amount, "payout": payout})
-        return payout
 
     def withdraw_pending(self, state: ChainState, ctx: ExecutionContext) -> int:
         """Pull accumulated claims; the balance zeroes before the transfer."""
@@ -421,7 +382,7 @@ class Vault(Module):
             raise errors.NotDeployer(f"{ctx.sender} did not deploy the vault")
         if governance == ZERO_ADDRESS:
             raise errors.ZeroAddress("governance cannot be the zero address")
-        if self.governance_set and not self.mutations.drop_set_once_governance:
+        if self.governance_set:
             raise errors.AlreadySet("governance binding is write-once")
         state.jsetattr(self, "governance_addr", governance)
         state.jsetattr(self, "governance_set", True)

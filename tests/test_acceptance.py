@@ -257,8 +257,7 @@ def test_criterion_8_mutation_detection():
             traced = [f for f in failures if f.trace]
             assert traced, f"{mutant} produced no replayable trace"
             failure = traced[0]
-            assert replay_property_trace(failure.name, failure.trace,
-                                         MUTANTS[mutant]), \
+            assert replay_property_trace(failure.name, failure.trace, mutant), \
                 f"{mutant}: trace does not reproduce"
             assert not replay_property_trace(failure.name, failure.trace), \
                 f"{mutant}: trace also fails the hardened build"

@@ -9,7 +9,7 @@ import pytest
 
 from fracvault.attackers import ATTACKS, run_attack
 from fracvault.ledger import canonical_json, normalize
-from fracvault.mutations import HEALTHY, MUTANTS
+from fracvault.mutations import MUTANTS
 
 # the one (strategy, mutant) pair that nets anything: a redemption that pays
 # before it burns lets the reentrant hook redeem the same fractions twice
@@ -21,7 +21,7 @@ EXPLOITS = {("ReenterRedeem", "drop-burn-before-pay"): (475_000, 0)}
                  else f"{strategy}-{mutant}")
     for mutant in (None, *sorted(MUTANTS)) for strategy in sorted(ATTACKS)])
 def test_attacks_neutralized_on_hardened_system(strategy, mutant):
-    report = run_attack(strategy, MUTANTS[mutant] if mutant else HEALTHY)
+    report = run_attack(strategy, mutant)
     assert (report.net_native_gain, report.net_fraction_gain) == \
         EXPLOITS.get((strategy, mutant), (0, 0))
 
@@ -32,7 +32,7 @@ def test_attack_reports_pinned():
     digest = hashlib.sha256()
     for mutant in (None, *sorted(MUTANTS)):
         for strategy in sorted(ATTACKS):
-            report = run_attack(strategy, MUTANTS[mutant] if mutant else HEALTHY)
+            report = run_attack(strategy, mutant)
             digest.update(canonical_json(normalize(report.as_data())).encode())
     assert digest.hexdigest() == \
         "95455fa0ddb9c9b73ccf37b19deeece5c745b1314c5ba499630f8e1fce74f259"
@@ -72,5 +72,5 @@ def test_governance_spammer_changes_nothing():
 
 
 def test_reenter_redeem_profits_under_legacy_redeem_mutant():
-    report = run_attack("ReenterRedeem", MUTANTS["drop-burn-before-pay"])
+    report = run_attack("ReenterRedeem", "drop-burn-before-pay")
     assert report.net_native_gain > 0  # the regression is exploitable

@@ -26,7 +26,7 @@ from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMism
                               Event, ExecutionContext, Module, ReceiveHook,
                               canonical_json, normalize)
 from fracvault.market import Market
-from fracvault.mutations import HEALTHY, MUTANTS
+from fracvault.mutations import MUTANTS
 from fracvault.properties import run_suite, sold_world
 from fracvault.scenario import build_world, execute_entry, parse_scenario, run_scenario
 from fracvault.tokens import FungibleToken
@@ -528,7 +528,8 @@ def _crowded_world(n):
 # one write of each kind: a balance, an allowance, a bid (auction entry,
 # native balances and events) and a module scalar
 FIELD_WRITES = {
-    "balance": lambda state, h: state.set_fungible_balance(h.fractions, "alice", 7),
+    "balance": lambda state, h: state.jset(
+        state.fungible[h.fractions].balances, "alice", 7),
     "approve": lambda state, h: state.call(
         ExecutionContext("alice"), h.fractions, "approve", {"spender": "s1", "amount": 9}),
     "place_bid": lambda state, h: state.call(
@@ -623,7 +624,7 @@ def _liquidity_fails_on_second_pull():
 
 
 def _withdraw_to_rejecting_hook():
-    state, handle, _ = sold_world(HEALTHY)
+    state, handle, _ = sold_world()
     tx(state, "a1", handle.vault, "redeem_fraction_value",
        token_id=1, fraction_amount=250)
     state.set_receive_hook("a1", ReceiveHook(owner="a1", reject=True))

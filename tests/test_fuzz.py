@@ -18,10 +18,10 @@ from fracvault.ddmin import NondeterministicRun, Replay, ddmin, run_checked
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, FuzzReport,
                             Violation, build_fuzz_world, clock_action,
                             replay_violates, run_action, run_fuzz, transact_action)
-from fracvault.governance import SCHEDULED
+from fracvault.governance import SCHEDULED, Governance
 from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, canonical_json, normalize
-from fracvault.mutations import HEALTHY, MUTANTS
+from fracvault.mutations import MUTANTS, mutant_class
 from fracvault.properties import nft_world, replay_property_trace, run_suite
 from fracvault.tokens import NftCollection
 
@@ -67,7 +67,7 @@ ATOMICITY_PATHS = {
              lambda trace: replay_violates(
                  FuzzPlan(seed=1, steps=len(trace), check_revert_atomicity=True),
                  trace, "revert_atomicity")),
-    "suite": (lambda: nft_world(HEALTHY)[0],
+    "suite": (lambda: nft_world()[0],
               lambda trace: replay_property_trace("revert_atomicity", trace)),
 }
 
@@ -395,13 +395,14 @@ def test_draw_index_equals_the_scans(seed):
     assert 10**6 in generator.index.vaulted.keys(True)
 
 
-def test_forks_share_the_frozen_plan_mutations_and_hook_calls():
+def test_forks_keep_the_mutant_class_and_share_the_plan_and_hook_calls():
     plan = FuzzPlan(seed=1, steps=10, mutant="drop-quorum-check")
     replay = fuzz.fuzz_replay(plan, "native_conservation")
     fork = replay.fork()
     assert fork.spec is replay.spec is plan
-    vault = replay.state.modules[replay.handle.vault]
-    assert fork.state.modules[replay.handle.vault].mutations is vault.mutations
+    governance, copied = (r.handle.governance_module(r.state) for r in (replay, fork))
+    assert copied is not governance
+    assert type(copied) is type(governance) is mutant_class("drop-quorum-check", Governance)
     [hook] = [h for h in replay.state.hooks.values() if h.calls]
     twin = fork.state.hooks[hook.owner]
     assert twin is not hook and all(a is b for a, b in zip(twin.calls, hook.calls))

@@ -45,7 +45,7 @@ def test_each_mutant_flagged_with_replayable_trace(mutant):
     traced = [f for f in failures if f.trace]
     assert traced, f"{mutant} produced no replayable trace"
     failure = traced[0]
-    assert replay_property_trace(failure.name, failure.trace, MUTANTS[mutant])
+    assert replay_property_trace(failure.name, failure.trace, mutant)
     # the same trace must be harmless on the hardened build
     assert not replay_property_trace(failure.name, failure.trace)
 
@@ -55,12 +55,11 @@ def test_property_traces_are_minimal():
                        names=("quorum_not_met_rejected",))
     failure = report.failures()[0]
     trace = failure.trace
-    mutations = MUTANTS["drop-quorum-check"]
-    assert replay_property_trace(failure.name, trace, mutations)
+    assert replay_property_trace(failure.name, trace, "drop-quorum-check")
     for i in range(len(trace)):
         candidate = trace[:i] + trace[i + 1:]
         assert not candidate or not replay_property_trace(
-            failure.name, candidate, mutations)
+            failure.name, candidate, "drop-quorum-check")
 
 
 def test_suite_reports_deterministic():
@@ -81,32 +80,32 @@ def test_checkpointed_minimize_equals_genesis_ddmin(monkeypatch, mutant):
     calls = []
     original = properties._minimize
 
-    def recording(campaign, mutations, actions):
-        trace = original(campaign, mutations, actions)
-        calls.append((campaign, mutations, list(actions), trace))
+    def recording(campaign, mutant, actions):
+        trace = original(campaign, mutant, actions)
+        calls.append((campaign, mutant, list(actions), trace))
         return trace
 
     monkeypatch.setattr(properties, "_minimize", recording)
     run_suite(seed=0, steps=400, mutant=mutant)
     assert calls
-    for campaign, mutations, actions, trace in calls:
+    for campaign, mutant, actions, trace in calls:
         assert trace == genesis_ddmin(actions, lambda candidate: properties._replay_fails(
-            campaign, mutations, candidate)), campaign.name
+            campaign, mutant, candidate)), campaign.name
 
 
 def test_campaign_failing_after_the_window_shrinks_its_rebuilt_trace(monkeypatch):
     # seed 0 fails escrow_conservation under drop-burn-before-pay at its
     # 68th step: a run that keeps 20 actions rebuilds the rest from the seed
-    name, mutations = "escrow_conservation", MUTANTS["drop-burn-before-pay"]
+    name, mutant = "escrow_conservation", "drop-burn-before-pay"
     campaign = properties._CAMPAIGNS[name]()
     recorded, executed, detail, _ = run_checked(
-        *properties._fresh_run(campaign, 0, mutations), 400, None)
+        *properties._fresh_run(campaign, 0, mutant), 400, None)
     assert executed == 68
     reference = genesis_ddmin(list(recorded), lambda candidate: properties._replay_fails(
-        campaign, mutations, candidate))
+        campaign, mutant, candidate))
     monkeypatch.setattr(fuzz, "SHRINK_WINDOW", 20)
     reruns = counting_reruns(monkeypatch, properties)
-    result = run_property(name, seed=0, steps=400, mutations=mutations)
+    result = run_property(name, seed=0, steps=400, mutant=mutant)
     assert reruns == [executed]
     assert result.as_data() == PropertyResult(
         name, False, executed, detail, reference).as_data()

@@ -505,5 +505,5 @@ def test_written_suite_report_reproduces_its_failures(tmp_path, mutant):
     assert traced
     for failure in traced:
         trace = [FuzzAction.from_data(step) for step in failure["trace"]]
-        assert replay_property_trace(failure["name"], trace, MUTANTS[mutant]), \
+        assert replay_property_trace(failure["name"], trace, mutant), \
             failure["name"]
