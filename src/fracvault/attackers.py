@@ -8,15 +8,13 @@ exactly zero everywhere.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .fuzz import (FuzzAction, actor_world, auction_start, clock_action,
-                   deposit_prefix, fraction_transfers, run_action, run_setup,
-                   sold_setup, transact_action)
+from .fuzz import (IDS, FuzzAction, actor_world, auction_start, clock_action,
+                   deposit_prefix, fraction_transfers, run_action, sold_setup,
+                   transact_action)
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
-from .mutations import install
 from .system import SystemHandle
 from .vault import EXTENSION_DELTA, Vault
 
@@ -68,8 +66,9 @@ class Twin(NamedTuple):
 
 @dataclass(frozen=True)
 class Strategy:
-    """One attack.  The attacked twin runs ``hostile`` in place of
-    ``honest`` where it is set, and installs a copy of ``hook`` first.
+    """One attack.  Both twins start from ``setup``; the attacked twin
+    also installs a copy of ``hook`` on the attacker, and runs ``hostile``
+    in place of ``honest`` where it is set.
     ``details`` reads the attacked and the honest twin; ``judge`` names what
     a neutralized attack's details show went wrong, or returns None."""
 
@@ -90,15 +89,12 @@ def run_attack(strategy: str, mutant: str | None = None) -> AttackReport:
     attack = ATTACKS[strategy]
     twins = []
     for hostile in (False, True):
-        state, handle, _ = actor_world(4)
-        install(state, mutant)
-        run_setup(state, attack.setup)
-        hook = copy.deepcopy(attack.hook) if hostile else None
-        if hook is not None:
-            state.set_receive_hook(attack.attacker, hook)
+        hooks = ((attack.attacker, attack.hook),) if hostile and attack.hook else ()
+        state, handle, _ = actor_world(4, attack.setup, hooks, mutant)
         script = attack.hostile if hostile and attack.hostile else attack.honest
         twins.append(Twin(state, handle,
-                          [run_action(state, action) for action in script], hook))
+                          [run_action(state, action) for action in script],
+                          state.hooks.get(attack.attacker)))
     honest, attacked = twins
     native_h, frac_h = honest.position(attack.attacker)
     native_a, frac_a = attacked.position(attack.attacker)
@@ -108,19 +104,17 @@ def run_attack(strategy: str, mutant: str | None = None) -> AttackReport:
         details=attack.details(attacked, honest))
 
 
-# the module ids of the standard deployment every attack world starts from
-_IDS = SystemHandle(deployer="deployer")
-_REDEEM = transact_action("a1", _IDS.vault, "redeem_fraction_value",
+_REDEEM = transact_action("a1", IDS.vault, "redeem_fraction_value",
                           token_id=1, fraction_amount=250)
-_WITHDRAW = transact_action("a1", _IDS.vault, "withdraw_pending")
+_WITHDRAW = transact_action("a1", IDS.vault, "withdraw_pending")
 # the clock passes the end of one extension, and a3 settles
 _SNIPER_SETTLE = [clock_action(60 + EXTENSION_DELTA),
-                  transact_action("a3", _IDS.vault, "end_auction", token_id=1)]
-_GIFT = fraction_transfers(_IDS, (("a3", 5),))
+                  transact_action("a3", IDS.vault, "end_auction", token_id=1)]
+_GIFT = fraction_transfers(("a3", 5))
 # below the 10-fraction threshold until a3 holds a second gift
 _SPAM = transact_action(
-    "a3", _IDS.governance, "create_proposal", description="spam",
-    target=_IDS.vault,
+    "a3", IDS.governance, "create_proposal", description="spam",
+    target=IDS.vault,
     action={"kind": "set_royalty_percent", "args": {"percent": 0}},
     voting_period=600)
 
@@ -129,7 +123,7 @@ def _reentry_hook(method: str, *args: tuple[str, int]) -> ReceiveHook:
     """a1 calls ``method`` back on each of up to two payments and records
     the result."""
     return ReceiveHook(owner="a1", max_activations=2, calls=(
-        HookCall(module=_IDS.vault, method=method, args=args,
+        HookCall(module=IDS.vault, method=method, args=args,
                  record_result=True),))
 
 
@@ -171,17 +165,17 @@ def _spammer_details(attacked: Twin, honest: Twin) -> dict:
 
 ATTACKS = {attack.name: attack for attack in (
     # a1's hook re-enters withdraw_pending during its own payout
-    Strategy("ReenterWithdraw", "a1", sold_setup(_IDS, (("a1", 250),)),
+    Strategy("ReenterWithdraw", "a1", sold_setup(("a1", 250)),
              [_REDEEM, _WITHDRAW], hook=_reentry_hook("withdraw_pending"),
              details=_reentry_details),
     # a1's hook re-enters redeem_fraction_value during the withdraw payout
-    Strategy("ReenterRedeem", "a1", sold_setup(_IDS, (("a1", 500),)),
+    Strategy("ReenterRedeem", "a1", sold_setup(("a1", 500)),
              [_REDEEM, _WITHDRAW] * 2,
              hook=_reentry_hook("redeem_fraction_value", ("token_id", 1),
                                 ("fraction_amount", 250)),
              details=_reentry_details),
     # a plain second redemption of fractions that were already burned
-    Strategy("DoubleRedeem", "a1", sold_setup(_IDS, (("a1", 250),)),
+    Strategy("DoubleRedeem", "a1", sold_setup(("a1", 250)),
              [_REDEEM, _WITHDRAW],
              hostile=[_REDEEM, _REDEEM, _WITHDRAW, _WITHDRAW],
              details=lambda attacked, honest: {
@@ -193,21 +187,21 @@ ATTACKS = {attack.name: attack for attack in (
     # the original owner refuses payments during settlement; pull over push
     # means the auction still settles and the royalty stays claimable
     Strategy("RejectPayment", "a0",
-             deposit_prefix(_IDS) + auction_start(_IDS, "a3", 1_000_000),
+             deposit_prefix() + auction_start("a3", 1_000_000),
              [clock_action(10_000),
-              transact_action("a2", _IDS.vault, "end_auction", token_id=1),
-              transact_action("a0", _IDS.vault, "withdraw_pending")],
+              transact_action("a2", IDS.vault, "end_auction", token_id=1),
+              transact_action("a0", IDS.vault, "withdraw_pending")],
              hook=ReceiveHook(owner="a0", reject=True),
              details=_reject_payment_details, judge=_reject_payment_judge),
     # a last-minute bid triggers the extension; an honest rival retakes the
     # lead inside the extra window and the sniper gets a full refund
     Strategy("BidSniper", "a1",
-             deposit_prefix(_IDS) + auction_start(_IDS, "a2", 100)
+             deposit_prefix() + auction_start("a2", 100)
              + [clock_action(10_000 - 60)],
              _SNIPER_SETTLE,
-             hostile=[transact_action("a1", _IDS.vault, "place_bid", value=150,
+             hostile=[transact_action("a1", IDS.vault, "place_bid", value=150,
                                       token_id=1),
-                      transact_action("a2", _IDS.vault, "place_bid", value=200,
+                      transact_action("a2", IDS.vault, "place_bid", value=200,
                                       token_id=1)] + _SNIPER_SETTLE,
              details=_sniper_details,
              judge=lambda details: None
@@ -216,13 +210,13 @@ ATTACKS = {attack.name: attack for attack in (
                   f"not {EXTENSION_DELTA}"),
     # a dust holder floods proposal creation and votes alone on proposal 0;
     # nothing passes quorum and no governed parameter moves
-    Strategy("GovernanceSpammer", "a3", deposit_prefix(_IDS) + _GIFT, _GIFT,
+    Strategy("GovernanceSpammer", "a3", deposit_prefix() + _GIFT, _GIFT,
              hostile=[_SPAM] * 5 + _GIFT + [
                  _SPAM,
-                 transact_action("a3", _IDS.governance, "vote", proposal_id=0,
+                 transact_action("a3", IDS.governance, "vote", proposal_id=0,
                                  support=True),
                  clock_action(600),
-                 transact_action("a3", _IDS.governance, "execute_proposal",
+                 transact_action("a3", IDS.governance, "execute_proposal",
                                  proposal_id=0)],
              details=_spammer_details,
              judge=lambda details: None if details["params_unchanged"]

@@ -164,7 +164,9 @@ def rerun(world: CheckedReplay, generate: Callable[[int], Any], steps: int,
 
 def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
           fails: Callable[[list, Replay | None], bool]) -> list:
-    """Shrink ``trace`` to a 1-minimal trace that still fails.
+    """Shrink ``trace`` to a 1-minimal trace that still fails: the chunk-1
+    pass repeats until it deletes nothing, since a deletion late in a pass
+    can make an earlier step deletable.
 
     ``start()`` gives a replay at genesis.  ``fails(candidate, prefix)``
     replays the rest of ``candidate`` on a fork of ``prefix``, a replay of
@@ -173,7 +175,8 @@ def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
     """
     trace = list(trace)
     chunk = max(len(trace) // 2, 1)
-    while chunk >= 1:
+    while True:
+        length = len(trace)
         prefix = start()
         i = 0
         while i < len(trace):
@@ -182,5 +185,6 @@ def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
                 trace = candidate
             else:
                 i += chunk
-        chunk //= 2
-    return trace
+        if chunk == 1 and len(trace) == length:
+            return trace
+        chunk = max(chunk // 2, 1)

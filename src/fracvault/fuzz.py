@@ -20,6 +20,7 @@ from the whole prefix, which ``ddmin.rerun`` rebuilds from the seed.
 
 from __future__ import annotations
 
+import copy
 import random
 from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
@@ -149,92 +150,100 @@ class FuzzReport:
 # World
 # --------------------------------------------------------------------- #
 
-def actor_world(actor_count: int) -> tuple[ChainState, SystemHandle, list[str]]:
-    """The standard stack with actors a0, a1, ... funded ACTOR_FUND each."""
-    actors = [f"a{i}" for i in range(actor_count)]
+# the module ids of the standard deployment every world starts from
+IDS = SystemHandle(deployer="deployer")
+
+
+def actor_world(count: int, setup: Sequence[FuzzAction] = (),
+                hooks: Sequence[tuple[str, ReceiveHook]] = (),
+                mutant: str | None = None
+                ) -> tuple[ChainState, SystemHandle, list[str]]:
+    """The one world recipe: actors a0, a1, ... funded ACTOR_FUND each, the
+    standard stack deployed, the ``setup`` actions run in order
+    (RuntimeError on the first revert), a copy of each ``(account, hook)``
+    installed, and ``mutant`` installed last."""
+    actors = [f"a{i}" for i in range(count)]
     state, handle = standard_world({a: ACTOR_FUND for a in actors})
-    return state, handle, actors
-
-
-def run_setup(state: ChainState, actions: list[FuzzAction]) -> None:
-    """Run world-setup actions in order; RuntimeError on the first revert."""
-    for action in actions:
+    for action in setup:
         result = run_action(state, action)
         if result is not None:
             must(result)
+    for account, hook in hooks:
+        state.set_receive_hook(account, copy.deepcopy(hook))
+    install(state, mutant)
+    return state, handle, actors
 
 
-def round_robin_mints(handle: SystemHandle, actors: list[str]) -> list[FuzzAction]:
+def round_robin_mints(actors: Sequence[str]) -> list[FuzzAction]:
     """NFTs 1 to 2n minted to the n actors in turn."""
-    return [transact_action("deployer", handle.collection, "mint",
+    return [transact_action("deployer", IDS.collection, "mint",
                             to=actors[i % len(actors)], token_id=i + 1)
             for i in range(2 * len(actors))]
 
 
-def market_funding(handle: SystemHandle, actors: list[str]) -> list[FuzzAction]:
+def market_funding(actors: Sequence[str]) -> list[FuzzAction]:
     """PAIR_FUND pair tokens for every actor, and market approvals of both
     tokens."""
     actions = []
     for actor in actors:
-        actions.append(transact_action("deployer", handle.pair, "mint",
+        actions.append(transact_action("deployer", IDS.pair, "mint",
                                        to=actor, amount=PAIR_FUND))
         actions += [transact_action(actor, token, "approve",
-                                    spender=handle.market, amount=BIG_APPROVAL)
-                    for token in (handle.fractions, handle.pair)]
+                                    spender=IDS.market, amount=BIG_APPROVAL)
+                    for token in (IDS.fractions, IDS.pair)]
     return actions
 
 
-def deposit_prefix(handle: SystemHandle) -> list[FuzzAction]:
+def deposit_prefix() -> list[FuzzAction]:
     """NFT 1 minted to a0 and deposited, so a0 holds all 1000 fractions."""
-    return [transact_action("deployer", handle.collection, "mint",
+    return [transact_action("deployer", IDS.collection, "mint",
                             to="a0", token_id=1),
-            transact_action("a0", handle.vault, "deposit_nft",
-                            nft_address=handle.collection, token_id=1)]
+            transact_action("a0", IDS.vault, "deposit_nft",
+                            nft_address=IDS.collection, token_id=1)]
 
 
-def fraction_transfers(handle: SystemHandle,
-                       spread: tuple[tuple[str, int], ...]) -> list[FuzzAction]:
+def fraction_transfers(*spread: tuple[str, int]) -> list[FuzzAction]:
     """a0 sends each (recipient, amount) of ``spread`` its fractions."""
-    return [transact_action("a0", handle.fractions, "transfer", to=to,
+    return [transact_action("a0", IDS.fractions, "transfer", to=to,
                             amount=amount) for to, amount in spread]
 
 
-def auction_start(handle: SystemHandle, bidder: str, bid: int) -> list[FuzzAction]:
+def auction_start(bidder: str, bid: int) -> list[FuzzAction]:
     """a0 auctions NFT 1 for 10,000 s from a starting price of 1, and
     ``bidder`` bids ``bid``."""
-    return [transact_action("a0", handle.vault, "start_auction",
-                            asset_address=handle.collection, token_id=1,
+    return [transact_action("a0", IDS.vault, "start_auction",
+                            asset_address=IDS.collection, token_id=1,
                             starting_price=1, duration=10_000),
-            transact_action(bidder, handle.vault, "place_bid", value=bid,
+            transact_action(bidder, IDS.vault, "place_bid", value=bid,
                             token_id=1)]
 
 
-def sold_setup(handle: SystemHandle, spread: tuple[tuple[str, int], ...]
-               ) -> list[FuzzAction]:
+def sold_setup(*spread: tuple[str, int]) -> list[FuzzAction]:
     """For actors a0 to a3: a0 deposits NFT 1, sends ``spread`` its
     fractions, and auctions the NFT, which a3 buys for 1,000,000 and a2
     settles."""
-    return (deposit_prefix(handle) + fraction_transfers(handle, spread)
-            + auction_start(handle, "a3", 1_000_000)
+    return (deposit_prefix() + fraction_transfers(*spread)
+            + auction_start("a3", 1_000_000)
             + [clock_action(10_000),
-               transact_action("a2", handle.vault, "end_auction", token_id=1)])
+               transact_action("a2", IDS.vault, "end_auction", token_id=1)])
+
+
+# what the intruder's hook calls on each payment it receives
+INTRUDER_CALLS = (
+    HookCall(module=IDS.vault, method="withdraw_pending"),
+    HookCall(module=IDS.vault, method="redeem_fraction_value",
+             args=(("token_id", 1), ("fraction_amount", 50))))
 
 
 def build_fuzz_world(plan: FuzzPlan) -> tuple[ChainState, SystemHandle, list[str]]:
     """Funded actors, pre-minted NFTs and pair tokens, market approvals, and
-    one actor wired with a reentry hook so guards stay under pressure."""
-    state, handle, actors = actor_world(plan.actor_count)
-    run_setup(state, round_robin_mints(handle, actors)
-              + market_funding(handle, actors))
+    the last actor wired with a reentry hook so guards stay under pressure."""
+    actors = [f"a{i}" for i in range(plan.actor_count)]
     intruder = actors[-1]
-    state.set_receive_hook(intruder, ReceiveHook(
-        owner=intruder, max_activations=2, calls=(
-            HookCall(module=handle.vault, method="withdraw_pending"),
-            HookCall(module=handle.vault, method="redeem_fraction_value",
-                     args=(("token_id", 1), ("fraction_amount", 50))),
-        )))
-    install(state, plan.mutant)
-    return state, handle, actors
+    hook = ReceiveHook(owner=intruder, max_activations=2, calls=INTRUDER_CALLS)
+    return actor_world(plan.actor_count,
+                       round_robin_mints(actors) + market_funding(actors),
+                       ((intruder, hook),), plan.mutant)
 
 
 # --------------------------------------------------------------------- #

@@ -149,26 +149,34 @@ def normalize(value: Any) -> Any:
 
 
 def digest_of(data: Any) -> str:
-    """``sha256(canonical_json(normalize(data)))``, fed member by member
-    for a dict and for each dict it holds, such as a digest document and
-    its groups, so only one member is ever normalized at a time."""
+    """``sha256(canonical_json(normalize(data)))``, fed entry by entry: each
+    dict and list is descended into, so only one scalar or record is ever
+    normalized and encoded at a time."""
     sha = hashlib.sha256()
-    _feed(sha.update, data, 2)
+    _feed(sha.update, data)
     return sha.hexdigest()
 
 
-def _feed(update: Callable[[bytes], Any], value: Any, depth: int) -> None:
-    """Feed the canonical JSON of ``value`` to ``update``, a dict's members
-    one by one down to ``depth`` levels."""
-    if not depth or type(value) is not dict:
+def _feed(update: Callable[[bytes], Any], value: Any) -> None:
+    """Feed the canonical JSON of ``value`` to ``update``, the members of a
+    dict and the items of a list one by one."""
+    kind = type(value)
+    if kind is dict:
+        named = {str(k): v for k, v in value.items()}  # keys that render alike keep the last
+        update(b"{")
+        for i, key in enumerate(sorted(named)):
+            update(b"," + _key(key) if i else _key(key))
+            _feed(update, named[key])
+        update(b"}")
+    elif kind is list:
+        update(b"[")
+        for i, item in enumerate(value):
+            if i:
+                update(b",")
+            _feed(update, item)
+        update(b"]")
+    else:
         update(canonical_json(normalize(value)).encode())
-        return
-    named = {str(k): v for k, v in value.items()}  # keys that render alike keep the last
-    update(b"{")
-    for i, key in enumerate(sorted(named)):
-        update(b"," + _key(key) if i else _key(key))
-        _feed(update, named[key], depth - 1)
-    update(b"}")
 
 
 def canonical_text(value: Any) -> str:

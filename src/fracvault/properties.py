@@ -1,16 +1,20 @@
 """The property suite: randomized campaigns and fixed probes over fresh
 worlds, one per named property.
 
-Campaign shape: a builder creates the world, a generator produces one
-transaction per step (inspecting live state, recording pure data), and the
-``before`` and ``after`` hooks judge each step; ``before`` sees the world
-after the step's clock advance.  Campaigns run on the runner in ``ddmin``,
-as the fuzzer does, and keep the last ``fuzz.SHRINK_WINDOW`` actions.  On
-failure the action prefix, rebuilt from the seed if it is longer, is
-shrunk delete-only until 1-minimal and attached to the result, so every
-red campaign ships a replayable reproducer.  An attack property runs one
-``attackers`` strategy and judges its report: it counts as one step and
-carries no trace.
+A campaign is a row: its start world (the ``setup`` actions run on four
+funded actors, then a copy of each of its ``hooks`` installed, by the one
+world recipe ``fuzz.actor_world``), the ``extras`` each world starts with,
+a generator that produces one transaction per step (inspecting live
+state, recording pure data), an ``after`` hook that judges each step, and
+the names of the invariants scanned in full after each step that
+``after`` passes; a ``before`` hook sees the world after the step's clock
+advance.  Campaigns run on the runner in ``ddmin``, as the fuzzer does,
+and keep the last ``fuzz.SHRINK_WINDOW`` actions.  On failure the action
+prefix, rebuilt from the seed if it is longer, is shrunk delete-only until
+1-minimal and attached to the result, so every red campaign ships a
+replayable reproducer.  An attack property runs one ``attackers``
+strategy and judges its report: it counts as one step and carries no
+trace.
 
 The first fourteen names in ``PINNED_PROPERTIES`` are the externally pinned
 suite: minting/burning authorization, total-supply invariance, the
@@ -26,23 +30,21 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
 from . import attackers, fuzz
 from .ddmin import CheckedReplay, ddmin, rerun, run_checked
-from .fuzz import (FuzzAction, actor_world, clock_action, deposit_prefix,
-                   fraction_transfers, market_funding, round_robin_mints,
-                   run_setup, sold_setup, transact_action)
+from .fuzz import (IDS, INTRUDER_CALLS, PAIR_FUND, FuzzAction, actor_world,
+                   clock_action, deposit_prefix, fraction_transfers, market_funding,
+                   round_robin_mints, sold_setup, transact_action)
 from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
-from .mutations import install
 from .system import SystemHandle
 
 ACTORS = ("a0", "a1", "a2", "a3")
 
-BuildFn = Callable[[], tuple[ChainState, SystemHandle, dict]]
 GenFn = Callable[[random.Random, ChainState, SystemHandle, dict, int], FuzzAction]
 BeforeFn = Callable[[ChainState, SystemHandle, dict, FuzzAction], Any]
 AfterFn = Callable[[ChainState, SystemHandle, dict, FuzzAction,
@@ -87,11 +89,19 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class Campaign:
+    """One property as a row: its start world (``setup`` and ``hooks``),
+    the ``extras`` each world starts with, its generator, and its step
+    checks (``before``, ``after``, the ``invariants`` and, if set, the
+    revert-atomicity oracle)."""
+
     name: str
-    build: BuildFn
     generate: GenFn
+    setup: Sequence[FuzzAction] = ()
+    hooks: Sequence[tuple[str, ReceiveHook]] = ()
+    extras: dict = field(default_factory=dict)
     after: AfterFn | None = None
     before: BeforeFn | None = None
+    invariants: tuple[str, ...] = ()
     check_revert_atomicity: bool = False
 
     def __deepcopy__(self, memo: dict) -> "Campaign":
@@ -100,19 +110,21 @@ class Campaign:
     def check(self, replay: CheckedReplay, action: FuzzAction, index: int,
               last: bool) -> tuple[TxResult | None, str | None]:
         """The campaign step check: ``before`` sees the world after the
-        clock advance, the call runs, and ``after`` judges it."""
+        clock advance, the call runs, ``after`` judges it, and then the
+        full scan of ``invariants``."""
         state, handle, extras = replay.state, replay.handle, replay.extras
         token = self.before(state, handle, extras, action) if self.before else None
         result, detail = replay.call(action, self.check_revert_atomicity)
-        if detail or self.after is None:
-            return result, detail
-        return result, self.after(state, handle, extras, action, result, token)
+        if not detail and self.after is not None:
+            detail = self.after(state, handle, extras, action, result, token)
+        if not detail and self.invariants:
+            detail = first_violation(state, handle, self.invariants)
+        return result, detail
 
     def replay(self, mutant: str | None) -> CheckedReplay:
         """A fresh world of the campaign, ``mutant`` installed, checked by it."""
-        world = self.build()
-        install(world[0], mutant)
-        return CheckedReplay(self, world)
+        state, handle, _ = actor_world(len(ACTORS), self.setup, self.hooks, mutant)
+        return CheckedReplay(self, (state, handle, dict(self.extras)))
 
 
 def _replay_fails(campaign: Campaign, mutant: str | None,
@@ -155,81 +167,48 @@ def run_campaign(campaign: Campaign, seed: int, steps: int,
 
 
 # --------------------------------------------------------------------- #
-# World builders
+# Start worlds: setup actions run on the four actors, and hooks
 # --------------------------------------------------------------------- #
 
-def token_world() -> tuple[ChainState, SystemHandle, dict]:
-    """One deposited NFT: 1000 fractions spread a0 400 / a1 300 / a2 200 / a3 100."""
-    state, handle, _ = actor_world(len(ACTORS))
-    run_setup(state, deposit_prefix(handle) + fraction_transfers(
-        handle, (("a1", 300), ("a2", 200), ("a3", 100))))
-    return state, handle, {"supply": 1000, "actors": list(ACTORS)}
+def _deposit(owner: str, token_id: int) -> FuzzAction:
+    return transact_action(owner, IDS.vault, "deposit_nft",
+                           nft_address=IDS.collection, token_id=token_id)
 
 
-def nft_world() -> tuple[ChainState, SystemHandle, dict]:
-    """Eight NFTs spread round-robin, nothing deposited yet."""
-    state, handle, actors = actor_world(len(ACTORS))
-    run_setup(state, round_robin_mints(handle, actors))
-    return state, handle, {"actors": list(ACTORS)}
+def _pool(amount_b: int) -> list[FuzzAction]:
+    """a0 pools 1,000 fractions and ``amount_b`` pair tokens."""
+    return [transact_action("a0", IDS.market, "add_liquidity",
+                            amount_a=1_000, amount_b=amount_b)]
 
 
-def sold_world(*, attacker_hook: str | None = None
-               ) -> tuple[ChainState, SystemHandle, dict]:
-    """Token 1 sold for 1,000,000; fractions a0 450 / a1 250 / a2 200 / a3 100.
+# one deposited NFT: 1000 fractions spread a0 400 / a1 300 / a2 200 / a3 100
+TOKENS = deposit_prefix() + fraction_transfers(("a1", 300), ("a2", 200), ("a3", 100))
+# eight NFTs spread round-robin, nothing deposited yet
+NFTS = round_robin_mints(ACTORS)
+# token 1 sold for 1,000,000; fractions a0 450 / a1 250 / a2 200 / a3 100
+SOLD = sold_setup(("a1", 250), ("a2", 200), ("a3", 100))
+# 2000 fractions, a0 1100 / a1 500 / a2 400; pair tokens everywhere, market
+# approvals set
+MARKET = ([transact_action("deployer", IDS.collection, "mint", to="a0", token_id=token_id)
+           for token_id in (1, 2)]
+          + [transact_action("a0", IDS.vault, "deposit_nfts", token_ids=[1, 2])]
+          + fraction_transfers(("a1", 500), ("a2", 400)) + market_funding(ACTORS))
 
-    ``attacker_hook`` wires a1 with a payment hook: "reenter" retries
-    withdraw and redeem, "probe" additionally records what it sees.
-    """
-    state, handle, _ = actor_world(len(ACTORS))
-    run_setup(state, sold_setup(handle, (("a1", 250), ("a2", 200), ("a3", 100))))
-    extras: dict = {"actors": list(ACTORS), "attacker": None}
-    if attacker_hook is not None:
-        record = attacker_hook == "probe"
-        calls = []
-        if record:
-            calls.append(HookCall(module=handle.vault, method="pending_of",
-                                  args=(("owner", "a1"),), record_result=True))
-        calls.append(HookCall(module=handle.vault, method="withdraw_pending",
-                              record_result=record))
-        calls.append(HookCall(module=handle.vault, method="redeem_fraction_value",
-                              args=(("token_id", 1), ("fraction_amount", 50)),
-                              record_result=record))
-        hook = ReceiveHook(owner="a1", max_activations=2, calls=tuple(calls))
-        state.set_receive_hook("a1", hook)
-        extras["attacker"] = "a1"
-        extras["hook"] = hook
-    return state, handle, extras
-
-
-def market_world() -> tuple[ChainState, SystemHandle, dict]:
-    """2000 fractions with a0, pair tokens everywhere, market approvals set."""
-    state, handle, actors = actor_world(len(ACTORS))
-    run_setup(state, [
-        transact_action("deployer", handle.collection, "mint", to="a0", token_id=1),
-        transact_action("deployer", handle.collection, "mint", to="a0", token_id=2),
-        transact_action("a0", handle.vault, "deposit_nfts", token_ids=[1, 2]),
-    ] + fraction_transfers(handle, (("a1", 500), ("a2", 400)))
-        + market_funding(handle, actors))
-    return state, handle, {
-        "actors": list(ACTORS),
-        "fraction_supply": state.fungible_supply(handle.fractions),
-        "pair_supply": state.fungible_supply(handle.pair),
-    }
-
-
-def _probe_world() -> tuple[ChainState, SystemHandle, dict]:
-    """The sold world with a1's probing hook, none of its record seen yet."""
-    state, handle, extras = sold_world(attacker_hook="probe")
-    extras["seen"] = 0
-    return state, handle, extras
+# a1 retries withdraw and redeem inside each of up to two payments it receives
+REENTER = (("a1", ReceiveHook(owner="a1", max_activations=2, calls=INTRUDER_CALLS)),)
+# the same, recording what each call saw, after reading its own pending claim
+PROBE = (("a1", ReceiveHook(owner="a1", max_activations=2, calls=(
+    HookCall(module=IDS.vault, method="pending_of", args=(("owner", "a1"),),
+             record_result=True),
+    *(replace(call, record_result=True) for call in INTRUDER_CALLS)))),)
 
 
 # --------------------------------------------------------------------- #
 # Generator helpers
 # --------------------------------------------------------------------- #
 
-def _actor(rng: random.Random, extras: dict) -> str:
-    return rng.choice(extras["actors"])
+def _actor(rng: random.Random) -> str:
+    return rng.choice(ACTORS)
 
 
 def _proposal_count(state: ChainState, handle: SystemHandle) -> int:
@@ -246,11 +225,11 @@ def _supply_auth_campaign(verb: str, method: str, party: str, cap: int) -> Campa
     with NotVault, and the supply never move."""
     def generate(rng, state, handle, extras, step):
         if rng.random() < 0.25:
-            return transact_action(_actor(rng, extras), handle.fractions,
-                                   "transfer", to=_actor(rng, extras),
+            return transact_action(_actor(rng), handle.fractions,
+                                   "transfer", to=_actor(rng),
                                    amount=rng.randrange(0, 200))
-        sender = rng.choice(extras["actors"] + ["deployer"])
-        args = {party: _actor(rng, extras), "amount": rng.randrange(1, cap)}
+        sender = rng.choice(ACTORS + ("deployer",))
+        args = {party: _actor(rng), "amount": rng.randrange(1, cap)}
         return transact_action(sender, handle.fractions, method, **args)
 
     def after(state, handle, extras, action, result, token):
@@ -264,40 +243,43 @@ def _supply_auth_campaign(verb: str, method: str, party: str, cap: int) -> Campa
             return f"supply moved to {supply} without an authorized {verb}"
         return None
 
-    return Campaign(f"{verb}_authorization", token_world, generate, after)
+    return Campaign(f"{verb}_authorization", generate, TOKENS,
+                    extras={"supply": 1000}, after=after)
 
 
 def _total_supply_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         choice = rng.random()
         if choice < 0.5:
             held = state.fungible_balance(handle.fractions, sender)
             return transact_action(sender, handle.fractions, "transfer",
-                                   to=_actor(rng, extras),
+                                   to=_actor(rng),
                                    amount=rng.randrange(0, max(held, 1) + 10))
         if choice < 0.75:
             return transact_action(sender, handle.fractions, "approve",
-                                   spender=_actor(rng, extras),
+                                   spender=_actor(rng),
                                    amount=rng.randrange(0, 300))
         return transact_action(sender, handle.fractions, "transfer_from",
-                               frm=_actor(rng, extras), to=_actor(rng, extras),
+                               frm=_actor(rng), to=_actor(rng),
                                amount=rng.randrange(0, 300))
 
     def after(state, handle, extras, action, result, token):
         supply = state.fungible_supply(handle.fractions)
         if supply != extras["supply"]:
             return f"transfer activity changed the supply to {supply}"
-        return first_violation(state, handle, ("fungible_supply",))
+        return None
 
-    return Campaign("total_supply_constant", token_world, generate, after)
+    return Campaign("total_supply_constant", generate, TOKENS,
+                    extras={"supply": 1000}, after=after,
+                    invariants=("fungible_supply",))
 
 
 def _singleton_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = rng.choice(extras["actors"] + ["deployer"])
+        sender = rng.choice(ACTORS + ("deployer",))
         return transact_action(sender, handle.vault, "set_governance_contract",
-                               governance=_actor(rng, extras))
+                               governance=_actor(rng))
 
     def after(state, handle, extras, action, result, token):
         if result.ok:
@@ -309,7 +291,7 @@ def _singleton_campaign() -> Campaign:
             return "governance binding drifted"
         return None
 
-    return Campaign("governance_singleton", token_world, generate, after)
+    return Campaign("governance_singleton", generate, TOKENS, after=after)
 
 
 def _duration_campaign() -> Campaign:
@@ -323,7 +305,7 @@ def _duration_campaign() -> Campaign:
             return clock_action(rng.choice((60, 600, 3_600)))
         tokens = list(handle.vault_module(state).original_owner)
         token_id = rng.choice(tokens) if tokens else 1
-        return transact_action(_actor(rng, extras), handle.vault,
+        return transact_action(_actor(rng), handle.vault,
                                "start_auction",
                                asset_address=handle.collection,
                                token_id=token_id,
@@ -349,22 +331,14 @@ def _duration_campaign() -> Campaign:
                 return "auction created with a non-positive window"
         return None
 
-    return Campaign("positive_auction_duration", _deposited_world, generate, after,
-                    before)
-
-
-def _deposited_world() -> tuple[ChainState, SystemHandle, dict]:
-    state, handle, extras = nft_world()
-    run_setup(state, [transact_action(owner, handle.vault, "deposit_nft",
-                                      nft_address=handle.collection,
-                                      token_id=token_id)
-                      for token_id, owner in ((1, "a0"), (2, "a1"))])
-    return state, handle, extras
+    return Campaign("positive_auction_duration", generate,
+                    NFTS + [_deposit("a0", 1), _deposit("a1", 2)],
+                    after=after, before=before)
 
 
 def _royalty_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = handle.governance if rng.random() < 0.7 else _actor(rng, extras)
+        sender = handle.governance if rng.random() < 0.7 else _actor(rng)
         return transact_action(sender, handle.vault, "set_royalty_percent",
                                percent=rng.randrange(0, 150))
 
@@ -382,12 +356,12 @@ def _royalty_campaign() -> Campaign:
             return f"royalty set by non-governance {action.sender}"
         return None
 
-    return Campaign("royalty_percent_range", token_world, generate, after)
+    return Campaign("royalty_percent_range", generate, TOKENS, after=after)
 
 
 def _withdrawal_balance_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         choice = rng.random()
         if choice < 0.4:
             held = state.fungible_balance(handle.fractions, sender)
@@ -396,7 +370,7 @@ def _withdrawal_balance_campaign() -> Campaign:
                                    fraction_amount=rng.randrange(0, max(held, 1) + 5))
         if choice < 0.55:
             return transact_action(sender, handle.fractions, "transfer",
-                                   to=_actor(rng, extras),
+                                   to=_actor(rng),
                                    amount=rng.randrange(0, 120))
         return transact_action(sender, handle.vault, "withdraw_pending")
 
@@ -406,7 +380,7 @@ def _withdrawal_balance_campaign() -> Campaign:
                 state.native.get(action.sender, 0))
 
     def after(state, handle, extras, action, result, token):
-        if action.method != "withdraw_pending":
+        if action.method != "withdraw_pending":  # the payout itself is judged apart
             return first_violation(state, handle,
                                    ("vault_escrow", "native_conservation"))
         pre_pending, pre_native = token
@@ -422,12 +396,13 @@ def _withdrawal_balance_campaign() -> Campaign:
                 return f"claim of {pre_pending} refused as NothingPending"
         return None
 
-    return Campaign("withdrawal_balance_check", sold_world, generate, after, before)
+    return Campaign("withdrawal_balance_check", generate, SOLD, after=after,
+                    before=before)
 
 
 def _original_owner_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         owners = state.nft[handle.collection].owners
         owned = [t for t, o in owners.items() if o == sender]
         choice = rng.random()
@@ -444,9 +419,9 @@ def _original_owner_campaign() -> Campaign:
         if owned:
             return transact_action(sender, handle.collection, "transfer",
                                    token_id=rng.choice(owned),
-                                   to=_actor(rng, extras))
+                                   to=_actor(rng))
         return transact_action(sender, handle.fractions, "transfer",
-                               to=_actor(rng, extras), amount=rng.randrange(0, 50))
+                               to=_actor(rng), amount=rng.randrange(0, 50))
 
     def after(state, handle, extras, action, result, token):
         vault = handle.vault_module(state)
@@ -462,24 +437,15 @@ def _original_owner_campaign() -> Campaign:
                 return f"tracked token {token_id} is not held by the vault"
         return None
 
-    return Campaign("original_owner_recorded", nft_world, generate, after)
+    return Campaign("original_owner_recorded", generate, NFTS, after=after)
 
 
 def _voting_campaign() -> Campaign:
-    def build():
-        state, handle, extras = token_world()
-        run_setup(state, [transact_action(
-            "a0", handle.governance, "create_proposal",
-            description="standing proposal", target=handle.vault,
-            action={"kind": "set_royalty_percent", "args": {"percent": 7}},
-            voting_period=10**9)])
-        return state, handle, extras
-
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         if rng.random() < 0.3:
             return transact_action(sender, handle.fractions, "transfer",
-                                   to=_actor(rng, extras),
+                                   to=_actor(rng),
                                    amount=rng.randrange(0, 150))
         return transact_action(sender, handle.governance, "vote",
                                proposal_id=0, support=rng.random() < 0.6)
@@ -504,7 +470,13 @@ def _voting_campaign() -> Campaign:
             return "rejected vote changed the tally"
         return None
 
-    return Campaign("voting_increases_votes", build, generate, after, before)
+    standing = transact_action(
+        "a0", IDS.governance, "create_proposal",
+        description="standing proposal", target=IDS.vault,
+        action={"kind": "set_royalty_percent", "args": {"percent": 7}},
+        voting_period=10**9)
+    return Campaign("voting_increases_votes", generate, TOKENS + [standing],
+                    after=after, before=before)
 
 
 def _quorum_campaign() -> Campaign:
@@ -525,7 +497,7 @@ def _quorum_campaign() -> Campaign:
                                    support=True)
         if phase == 2:
             return clock_action(600)
-        return transact_action(_actor(rng, extras), handle.governance,
+        return transact_action(_actor(rng), handle.governance,
                                "execute_proposal",
                                proposal_id=rng.randrange(0, max(created, 1)))
 
@@ -541,19 +513,12 @@ def _quorum_campaign() -> Campaign:
             return "under-quorum proposal reached the timelock"
         return None
 
-    return Campaign("quorum_not_met_rejected", token_world, generate, after)
+    return Campaign("quorum_not_met_rejected", generate, TOKENS, after=after)
 
 
 def _create_proposal_campaign() -> Campaign:
-    # a3 holds 5 fractions, below the 10-fraction threshold
-    def build():
-        state, handle, _ = actor_world(len(ACTORS))
-        run_setup(state, deposit_prefix(handle) + fraction_transfers(
-            handle, (("a1", 300), ("a2", 295), ("a3", 5))))
-        return state, handle, {"actors": list(ACTORS), "expected_id": 0}
-
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         return transact_action(sender, handle.governance, "create_proposal",
                                description=f"proposal by {sender}",
                                target=handle.vault,
@@ -576,12 +541,15 @@ def _create_proposal_campaign() -> Campaign:
             return "proposal count diverged from accepted creations"
         return None
 
-    return Campaign("create_proposal_ids", build, generate, after)
+    # a3 holds 5 fractions, below the 10-fraction threshold
+    return Campaign("create_proposal_ids", generate, deposit_prefix()
+                    + fraction_transfers(("a1", 300), ("a2", 295), ("a3", 5)),
+                    extras={"expected_id": 0}, after=after)
 
 
 def _liquidity_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         market = handle.market_module(state)
         choice = rng.random()
         if market.total_shares == 0 or choice < 0.45:
@@ -597,16 +565,13 @@ def _liquidity_campaign() -> Campaign:
             return transact_action(sender, handle.market, "remove_liquidity",
                                    shares_burned=rng.randrange(0, max(held, 1) + 3))
         return transact_action(sender, handle.pair, "transfer",
-                               to=_actor(rng, extras), amount=rng.randrange(0, 500))
+                               to=_actor(rng), amount=rng.randrange(0, 500))
 
     def before(state, handle, extras, action):
         market = handle.market_module(state)
         return (market.reserve_a, market.reserve_b, market.total_shares)
 
     def after(state, handle, extras, action, result, token):
-        detail = first_violation(state, handle, ("market_books",))
-        if detail:
-            return detail
         if action.method == "remove_liquidity" and result.ok and result.value:
             reserve_a, reserve_b, total = token
             burned = action.args["shares_burned"]
@@ -617,24 +582,13 @@ def _liquidity_campaign() -> Campaign:
                             f"expected {expect}")
         return None
 
-    return Campaign("liquidity_maintenance", market_world, generate, after, before)
-
-
-def _pool_world(amount_b: int) -> BuildFn:
-    """The market world after a0 pools 1,000 fractions and ``amount_b``
-    pair tokens."""
-    def build():
-        state, handle, extras = market_world()
-        run_setup(state, [transact_action("a0", handle.market, "add_liquidity",
-                                          amount_a=1_000, amount_b=amount_b)])
-        return state, handle, extras
-
-    return build
+    return Campaign("liquidity_maintenance", generate, MARKET, after=after,
+                    before=before, invariants=("market_books",))
 
 
 def _trade_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         market = handle.market_module(state)
         token_in = rng.choice((market.token_a, market.token_b))
         reserve_in, reserve_out = (
@@ -679,14 +633,15 @@ def _trade_campaign() -> Campaign:
                 return f"viable trade rejected with {result.error}"
             if result.error != "SlippageExceeded":
                 return f"trade failed with {result.error}"
-        return first_violation(state, handle, ("market_books",))
+        return None
 
-    return Campaign("trade_execution", _pool_world(400_000), generate, after, before)
+    return Campaign("trade_execution", generate, MARKET + _pool(400_000),
+                    after=after, before=before, invariants=("market_books",))
 
 
 def _supply_management_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         market = handle.market_module(state)
         choice = rng.random()
         if choice < 0.35:
@@ -706,16 +661,16 @@ def _supply_management_campaign() -> Campaign:
                                min_amount_out=0)
 
     def after(state, handle, extras, action, result, token):
-        detail = first_violation(state, handle, ("market_books",))
-        if detail:
-            return detail
         if state.fungible_supply(handle.fractions) != extras["fraction_supply"]:
             return "market activity changed the fraction supply"
         if state.fungible_supply(handle.pair) != extras["pair_supply"]:
             return "market activity changed the pair supply"
         return None
 
-    return Campaign("supply_management", _pool_world(300_000), generate, after)
+    return Campaign("supply_management", generate, MARKET + _pool(300_000),
+                    extras={"fraction_supply": 2_000,
+                            "pair_supply": len(ACTORS) * PAIR_FUND},
+                    after=after, invariants=("market_books",))
 
 
 # --------------------------------------------------------------------- #
@@ -724,7 +679,7 @@ def _supply_management_campaign() -> Campaign:
 
 def _escrow_campaign() -> Campaign:
     def generate(rng, state, handle, extras, step):
-        sender = _actor(rng, extras)
+        sender = _actor(rng)
         vault = handle.vault_module(state)
         choice = rng.random()
         owners = state.nft[handle.collection].owners
@@ -762,19 +717,13 @@ def _escrow_campaign() -> Campaign:
                                    fraction_amount=rng.randrange(0, max(held, 1) + 2))
         return transact_action(sender, handle.vault, "withdraw_pending")
 
-    def after(state, handle, extras, action, result, token):
-        return first_violation(state, handle, ("vault_escrow", "native_conservation",
-                                               "sale_accounting"))
-
-    return Campaign("escrow_conservation", nft_world, generate, after)
+    return Campaign("escrow_conservation", generate, NFTS, invariants=(
+        "vault_escrow", "native_conservation", "sale_accounting"))
 
 
 def _double_withdrawal_campaign() -> Campaign:
-    def build():
-        return sold_world(attacker_hook="reenter")
-
     def generate(rng, state, handle, extras, step):
-        sender = "a1" if rng.random() < 0.5 else _actor(rng, extras)
+        sender = "a1" if rng.random() < 0.5 else _actor(rng)
         choice = rng.random()
         if choice < 0.55:
             held = state.fungible_balance(handle.fractions, sender)
@@ -784,13 +733,11 @@ def _double_withdrawal_campaign() -> Campaign:
         if choice < 0.85:
             return transact_action(sender, handle.vault, "withdraw_pending")
         return transact_action(sender, handle.fractions, "transfer",
-                               to=_actor(rng, extras), amount=rng.randrange(0, 100))
+                               to=_actor(rng), amount=rng.randrange(0, 100))
 
-    def after(state, handle, extras, action, result, token):
-        return first_violation(state, handle, ("sale_accounting", "fungible_supply",
-                                               "vault_escrow", "native_conservation"))
-
-    return Campaign("redemption_double_withdrawal", build, generate, after)
+    return Campaign("redemption_double_withdrawal", generate, SOLD, REENTER,
+                    invariants=("sale_accounting", "fungible_supply",
+                                "vault_escrow", "native_conservation"))
 
 
 def _probe_campaign(name: str, fraction_amount: int,
@@ -807,12 +754,12 @@ def _probe_campaign(name: str, fraction_amount: int,
     def after(state, handle, extras, action, result, token):
         if action.method != "withdraw_pending" or not result.ok:
             return None
-        observed = extras["hook"].observed
+        observed = state.hooks["a1"].observed
         new = observed[extras["seen"]:]
         extras["seen"] = len(observed)
         return judge(dict(new))
 
-    return Campaign(name, _probe_world, generate, after)
+    return Campaign(name, generate, SOLD, PROBE, extras={"seen": 0}, after=after)
 
 
 def _reentrancy_probe_campaign() -> Campaign:
@@ -880,18 +827,12 @@ def _anti_sniping_campaign() -> Campaign:
             return f"bid with {remaining}s left moved the deadline"
         return None
 
-    def build():
-        state, handle, extras = nft_world()
-        run_setup(state, [transact_action("a0", handle.vault, "deposit_nft",
-                                          nft_address=handle.collection,
-                                          token_id=1)])
-        return state, handle, extras
-
-    return Campaign("anti_sniping_extension", build, generate, after, before)
+    return Campaign("anti_sniping_extension", generate, NFTS + [_deposit("a0", 1)],
+                    after=after, before=before)
 
 
 def _revert_atomicity_campaign() -> Campaign:
-    return Campaign("revert_atomicity", nft_world, _escrow_campaign().generate,
+    return Campaign("revert_atomicity", _escrow_campaign().generate, NFTS,
                     check_revert_atomicity=True)
 
 
@@ -915,12 +856,12 @@ def _timelock_campaign() -> Campaign:
         if phase == 3:
             return clock_action(600)
         if phase == 4:
-            return transact_action(_actor(rng, extras), handle.governance,
+            return transact_action(_actor(rng), handle.governance,
                                    "execute_proposal", proposal_id=pid)
         if phase == 5:
             # sometimes before, sometimes exactly at, sometimes past readiness
             return clock_action(rng.choice((1_000, 172_800, 200_000)))
-        return transact_action(_actor(rng, extras), handle.governance,
+        return transact_action(_actor(rng), handle.governance,
                                "execute_proposal", proposal_id=pid)
 
     def after(state, handle, extras, action, result, token):
@@ -948,7 +889,7 @@ def _timelock_campaign() -> Campaign:
                 return f"proposal {pid} executed while defeated"
         return None
 
-    return Campaign("timelock_delay_enforced", token_world, generate, after)
+    return Campaign("timelock_delay_enforced", generate, TOKENS, after=after)
 
 
 def _authorization_chain_campaign() -> Campaign:
@@ -984,7 +925,7 @@ def _authorization_chain_campaign() -> Campaign:
         method = rng.choice(tuple(GOVERNED))
         args = {"seconds": 60} if method == "set_auction_duration" else \
             {"percent": 10} if method == "set_royalty_percent" else {"token_id": 1}
-        return transact_action(_actor(rng, extras), handle.vault, method, **args)
+        return transact_action(_actor(rng), handle.vault, method, **args)
 
     PARAM_EVENTS = {"AuctionDurationUpdated", "RoyaltyPercentUpdated",
                     "AuctionCancelled"}
@@ -1005,7 +946,7 @@ def _authorization_chain_campaign() -> Campaign:
                         "matching executed proposal")
         return None
 
-    return Campaign("authorization_chain", token_world, generate, after)
+    return Campaign("authorization_chain", generate, TOKENS, after=after)
 
 
 # --------------------------------------------------------------------- #

@@ -7,11 +7,10 @@ scenario file, and ``deploy_standard_system`` for every entry of
 ``STANDARD_DEPLOYMENT``, the canonical order (fraction token, NFT
 collection, vault, timelock, governance with its vault registration, pair
 token, market) that ``scenarios/lifecycle.json`` also lists.
-``standard_world`` funds the accounts and deploys that stack.  The fuzz
-world (``fuzz.build_fuzz_world``), the sold worlds (``fuzz.sold_setup``)
-and the other property and attack worlds start from it through
-``fuzz.actor_world``, and run their setup transactions as ``FuzzAction``
-lists through ``fuzz.run_setup``.
+``standard_world`` funds the accounts and deploys that stack.  The fuzz,
+campaign and attack worlds are all built from it by the one recipe
+``fuzz.actor_world``, which then runs their setup transactions, a
+``FuzzAction`` list, and installs their hooks and mutant.
 
 ``FuzzAction`` is the one transaction record (a fuzz or campaign action, a
 scenario transaction, a trace record's inputs) and ``run_action`` its one

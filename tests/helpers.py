@@ -26,10 +26,12 @@ def native_total(state: ChainState) -> int:
 
 def genesis_ddmin(trace: list, fails) -> list:
     """Delete-only ddmin that replays every candidate from genesis through
-    ``fails(candidate)``: the reference for the checkpointed ddmin."""
+    ``fails(candidate)``, its chunk-1 pass repeated until it deletes
+    nothing: the reference for the checkpointed ddmin."""
     trace = list(trace)
     chunk = max(len(trace) // 2, 1)
-    while chunk >= 1:
+    while True:
+        length = len(trace)
         i = 0
         while i < len(trace):
             candidate = trace[:i] + trace[i + chunk:]
@@ -37,8 +39,9 @@ def genesis_ddmin(trace: list, fails) -> list:
                 trace = candidate
             else:
                 i += chunk
-        chunk //= 2
-    return trace
+        if chunk == 1 and len(trace) == length:
+            return trace
+        chunk = max(chunk // 2, 1)
 
 
 def counting_reruns(monkeypatch, module) -> list:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from fracvault import errors, ledger, standard_world
 from fracvault import trace as fv_trace
-from fracvault.fuzz import (ActionGenerator, FuzzPlan, build_fuzz_world,
-                            run_action, run_fuzz, transact_action)
+from fracvault.fuzz import (ActionGenerator, FuzzPlan, actor_world,
+                            build_fuzz_world, run_action, run_fuzz,
+                            transact_action)
 from fracvault.ddmin import CheckedReplay
 from fracvault.governance import (Governance, GovernanceAction, Proposal, Timelock,
                                   TimelockEntry)
@@ -27,7 +28,7 @@ from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMism
                               canonical_json, normalize)
 from fracvault.market import Market
 from fracvault.mutations import MUTANTS
-from fracvault.properties import run_suite, sold_world
+from fracvault.properties import ACTORS, SOLD, run_suite
 from fracvault.scenario import build_world, execute_entry, parse_scenario, run_scenario
 from fracvault.tokens import FungibleToken
 from fracvault.trace import replay_trace, write_trace
@@ -199,6 +200,18 @@ def test_streamed_digest_equals_the_one_shot_hash(mutant):
     for data in ({1: "int", "1": "str", "g": {}, "h": {2: 3, "x": [1, {4: 5}]}},
                  {}, [1, {"a": 2}], "text", 7, None):
         assert ledger.digest_of(data) == _one_shot_digest(data)
+
+
+def test_streamed_digest_equals_the_one_shot_hash_on_a_long_world():
+    # every dict and list of the document is fed entry by entry
+    plan = FuzzPlan(seed=10, steps=20_000)
+    state, handle, actors = build_fuzz_world(plan)
+    generator = ActionGenerator(plan, state, handle, actors)
+    for _ in range(plan.steps):
+        run_action(state, generator.generate())
+    document = state._document()
+    assert ledger.digest_of(document) == _one_shot_digest(document)
+    assert state.full_digest() == state.digest()
 
 
 @pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
@@ -624,7 +637,7 @@ def _liquidity_fails_on_second_pull():
 
 
 def _withdraw_to_rejecting_hook():
-    state, handle, _ = sold_world()
+    state, handle, _ = actor_world(len(ACTORS), SOLD)
     tx(state, "a1", handle.vault, "redeem_fraction_value",
        token_id=1, fraction_amount=250)
     state.set_receive_hook("a1", ReceiveHook(owner="a1", reject=True))

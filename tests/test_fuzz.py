@@ -16,13 +16,13 @@ import pytest
 from fracvault import fuzz, invariants
 from fracvault.ddmin import NondeterministicRun, Replay, ddmin, run_checked
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, FuzzReport,
-                            Violation, build_fuzz_world, clock_action,
+                            Violation, actor_world, build_fuzz_world, clock_action,
                             replay_violates, run_action, run_fuzz, transact_action)
 from fracvault.governance import SCHEDULED, Governance
 from fracvault.invariants import WriteSetChecks, first_violation
-from fracvault.ledger import ZERO_ADDRESS, Module, canonical_json, normalize
+from fracvault.ledger import ZERO_ADDRESS, Module, ReceiveHook, canonical_json, normalize
 from fracvault.mutations import MUTANTS, mutant_class
-from fracvault.properties import nft_world, replay_property_trace, run_suite
+from fracvault.properties import ACTORS, NFTS, replay_property_trace, run_suite
 from fracvault.tokens import NftCollection
 
 from helpers import counting_reruns, genesis_ddmin, tx
@@ -67,7 +67,7 @@ ATOMICITY_PATHS = {
              lambda trace: replay_violates(
                  FuzzPlan(seed=1, steps=len(trace), check_revert_atomicity=True),
                  trace, "revert_atomicity")),
-    "suite": (lambda: nft_world()[0],
+    "suite": (lambda: actor_world(len(ACTORS), NFTS)[0],
               lambda trace: replay_property_trace("revert_atomicity", trace)),
 }
 
@@ -124,11 +124,39 @@ def test_mutant_caught_with_minimal_trace():
                                                     violation.invariant)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 11])
+def test_shrunk_trace_has_no_deletable_step(seed):
+    # a deletion late in a chunk-1 pass can make an earlier step deletable,
+    # so one chunk-1 pass alone left 1, 5 and 6 such steps at these seeds
+    plan = FuzzPlan(seed=seed, steps=20_000, mutant="drop-burn-before-pay")
+    [violation] = run_fuzz(plan).violations
+    trace, invariant = violation.trace, violation.invariant
+    assert replay_violates(plan, trace, invariant)
+    assert [i for i in range(len(trace)) if replay_violates(
+        plan, trace[:i] + trace[i + 1:], invariant)] == []
+
+
 def test_world_build_deterministic():
     plan = FuzzPlan(seed=3, steps=0)
     one, _, _ = build_fuzz_world(plan)
     two, _, _ = build_fuzz_world(plan)
     assert one.digest() == two.digest()
+
+
+def test_actor_world_runs_its_setup_before_the_mutant():
+    # the mutant would let the deployer rebind governance; the setup must
+    # still meet the healthy guard
+    rebind = transact_action("deployer", fuzz.IDS.vault, "set_governance_contract",
+                             governance="a0")
+    with pytest.raises(RuntimeError, match="AlreadySet"):
+        actor_world(1, [rebind], mutant="drop-set-once-governance")
+
+
+def test_actor_world_installs_a_copy_of_each_hook():
+    hook = ReceiveHook(owner="a0", reject=True)
+    state, _, actors = actor_world(2, hooks=[("a0", hook)])
+    assert actors == ["a0", "a1"]
+    assert state.hooks["a0"] == hook and state.hooks["a0"] is not hook
 
 
 def test_replay_of_recorded_actions_reaches_same_digest():

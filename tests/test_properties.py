@@ -109,3 +109,50 @@ def test_campaign_failing_after_the_window_shrinks_its_rebuilt_trace(monkeypatch
     assert reruns == [executed]
     assert result.as_data() == PropertyResult(
         name, False, executed, detail, reference).as_data()
+
+
+# the full digest and the hooked accounts of each campaign's start world
+_TOKEN = "7f3258c218f884f1b7f495e0bdfe668b3bed59ca59ebe18f5f61a7d6fcd80671"
+_NFT = "1d5bb4b915fcf22cc9a51f0a0dea18ef9abc918fb685a549d95400fd0ba5ff44"
+_SOLD = "1b988e964f938bc333419770772d17ec8666c27185882d693212c58e18b23063"
+START_WORLDS = {
+    "mint_authorization": (_TOKEN, []),
+    "burn_authorization": (_TOKEN, []),
+    "total_supply_constant": (_TOKEN, []),
+    "governance_singleton": (_TOKEN, []),
+    "positive_auction_duration": (
+        "a1b2d7a92bb54bf647d8f823165cb1dfc463dfbe120b96e1a2ad00d9b4b150cf", []),
+    "royalty_percent_range": (_TOKEN, []),
+    "withdrawal_balance_check": (_SOLD, []),
+    "original_owner_recorded": (_NFT, []),
+    "voting_increases_votes": (
+        "9c66080092913d7a161c665c6657f5e265e4a6bbd1245fe75e36207037058e13", []),
+    "quorum_not_met_rejected": (_TOKEN, []),
+    "create_proposal_ids": (
+        "6f51d17099592da7a957387a1c761cd30a11032e962830bfe7239079610c0d42", []),
+    "liquidity_maintenance": (
+        "c4678bccc52e2222659439778a4f3512a6a26a136c421c0e6f39551520d1c40d", []),
+    "trade_execution": (
+        "9aef8603b8c642032bee388488dc65e0a66d63621c08dc0174cdbdcaf4f1d413", []),
+    "supply_management": (
+        "1e2f703c97245427615ff131b48fd6378742b7b599075e5c8af6a89b589ef23f", []),
+    "escrow_conservation": (_NFT, []),
+    "redemption_double_withdrawal": (_SOLD, ["a1"]),
+    "reentrancy_guard_probe": (_SOLD, ["a1"]),
+    "checks_effects_observable": (_SOLD, ["a1"]),
+    "anti_sniping_extension": (
+        "5758803976fc25be938b91993cef98ac10e7a0efd428c5897876cf8fbad58327", []),
+    "revert_atomicity": (_NFT, []),
+    "timelock_delay_enforced": (_TOKEN, []),
+    "authorization_chain": (_TOKEN, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_WORLDS))
+def test_campaign_start_worlds_pinned(name):
+    state = properties._CAMPAIGNS[name]().replay(None).state
+    assert (state.full_digest(), sorted(state.hooks)) == START_WORLDS[name]
+
+
+def test_every_campaign_start_world_is_pinned():
+    assert sorted(START_WORLDS) == sorted(properties._CAMPAIGNS)
