@@ -13,8 +13,11 @@ included, replaces the whole entry in ``Governance.proposals`` or
 ``Timelock.entries`` through ``ChainState.jset``.  They are immutable in
 fact, down to a proposal's read-only ``voters`` mapping and the tuples of
 its action's arguments, so an entry that is the same object renders the
-same.  Each encodes its own digest fragment (``digest_json``), byte for
-byte the canonical JSON of its normalized ``as_data``.
+same.  Each is a ``ledger.collection_entry``: its ``as_data`` and its own
+digest fragment (``digest_json``), byte for byte the canonical JSON of its
+normalized ``as_data``, both come from its dataclass fields, a proposal's
+``proposal_id`` under the key ``id``.  ``as_data`` holds the fields as
+they are, the action and the read-only voters included.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Any, Mapping
 
 from . import errors
 from .ledger import (Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS,
-                     canonical_text, record_encoder)
+                     canonical_text, collection_entry)
 from .vault import Vault
 
 DEFAULT_TIMELOCK_DELAY = 172_800  # two days
@@ -76,6 +79,7 @@ class GovernanceAction:
                                           canonical_text(self.kind))
 
 
+@collection_entry()
 @dataclass(frozen=True)
 class TimelockEntry:
     proposal_id: int
@@ -84,21 +88,11 @@ class TimelockEntry:
     state: str = SCHEDULED
     executed_at: int | None = None
 
-    def __deepcopy__(self, memo: dict) -> "TimelockEntry":
-        return self  # a write replaces the entry, so forks of a world share it
-
-    def as_data(self) -> dict:
-        return {"proposal_id": self.proposal_id, "scheduled_at": self.scheduled_at,
-                "ready_at": self.ready_at, "state": self.state,
-                "executed_at": self.executed_at}
-
-    digest_json = record_encoder(
-        "proposal_id", "scheduled_at", "ready_at", "state", "executed_at")
-
 
 _NO_VOTERS: Mapping[Address, int] = MappingProxyType({})
 
 
+@collection_entry(id="proposal_id")
 @dataclass(frozen=True)
 class Proposal:
     proposal_id: int
@@ -114,32 +108,6 @@ class Proposal:
     total_votes_cast: int = 0
     # read-only: a vote replaces it with a mapping over a new dict
     voters: Mapping[Address, int] = field(default_factory=lambda: _NO_VOTERS)
-
-    def __deepcopy__(self, memo: dict) -> "Proposal":
-        return self  # a write replaces the entry, so forks of a world share it
-
-    def as_data(self) -> dict:
-        return {
-            "id": self.proposal_id,
-            "description": self.description,
-            "target": self.target,
-            "action": self.action.as_data(),
-            "voting_deadline": self.voting_deadline,
-            "supply_at_creation": self.supply_at_creation,
-            "proposer": self.proposer,
-            "executed": self.executed,
-            "votes_for": self.votes_for,
-            "votes_against": self.votes_against,
-            "total_votes_cast": self.total_votes_cast,
-            "voters": dict(self.voters),
-        }
-
-    # the action and the voters encode as their data: ``canonical_text``
-    # reads the action's ``digest_json`` and the voters as a dict
-    digest_json = record_encoder(
-        "description", "target", "action", "voting_deadline", "supply_at_creation",
-        "proposer", "executed", "votes_for", "votes_against", "total_votes_cast",
-        "voters", id="proposal_id")
 
 
 class Timelock(Module):

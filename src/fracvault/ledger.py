@@ -45,9 +45,10 @@ marked and the clock, genesis supply, event count and last event read as
 before, the previous digest is served without work; when the marked
 fragments encode to the bytes they had, as after a sound rollback, it is
 served without hashing.  Frozen collection entries encode themselves
-(``digest_json``, most of them built by ``record_encoder``) with the bytes
-of ``canonical_json(normalize(entry))``.  ``full_digest()`` recomputes the
-same bytes from the whole world with ``normalize`` and ``json``, without
+(``digest_json``) with the bytes of ``canonical_json(normalize(entry))``;
+``collection_entry`` derives that encoder and ``as_data`` from one list,
+the entry's dataclass fields.  ``full_digest()`` recomputes the same
+bytes from the whole world with ``normalize`` and ``json``, without
 relying on the journal or the entry encoders; ``digest()`` compares
 against it every ``DIGEST_CHECK_INTERVAL`` calls, served digests included.
 
@@ -73,7 +74,7 @@ import hashlib
 import json
 from bisect import bisect_left
 from itertools import islice
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, is_
 from types import MappingProxyType
@@ -202,20 +203,34 @@ def canonical_text(value: Any) -> str:
     return canonical_json(normalize(value))
 
 
-def record_encoder(*names: str, **renamed: str) -> Callable[[Any], str]:
-    """The ``digest_json`` method of a frozen record whose ``as_data`` holds
-    attributes as they are, each of ``names`` under its own name and each
-    of ``renamed`` under its keyword: ``canonical_json(normalize(record))``
-    from one template, without building the data."""
-    keys = {**{name: name for name in names}, **renamed}
-    ordered = sorted(keys)
-    template = "{" + ",".join(_json_str(key) + ":%s" for key in ordered) + "}"
-    values = attrgetter(*[keys[key] for key in ordered])
+def collection_entry(**renamed: str) -> Callable[[type], type]:
+    """Class decorator for a frozen dataclass that a collection holds as an
+    entry, deriving from its fields: ``as_data``, each field as it is in
+    field order, under its own name or under the keyword of ``renamed``
+    that names it (``id="proposal_id"``); ``digest_json``, its
+    ``canonical_json(normalize(entry))`` filled into one template without
+    building the data; and a deep copy that is the entry itself, since a
+    write replaces an entry and forks of a world share it."""
+    def decorate(cls: type) -> type:
+        key_of = {name: key for key, name in renamed.items()}
+        keys = {key_of.get(f.name, f.name): f.name for f in fields(cls)}
+        ordered = sorted(keys)
+        template = "{" + ",".join(_json_str(key) + ":%s" for key in ordered) + "}"
+        values = attrgetter(*[keys[key] for key in ordered])
 
-    def digest_json(record: Any) -> str:
-        return template % tuple(map(canonical_text, values(record)))
+        def as_data(entry: Any) -> dict:
+            return {key: getattr(entry, name) for key, name in keys.items()}
 
-    return digest_json
+        def digest_json(entry: Any) -> str:
+            return template % tuple(map(canonical_text, values(entry)))
+
+        def __deepcopy__(entry: Any, memo: dict) -> Any:
+            return entry
+
+        cls.as_data, cls.digest_json, cls.__deepcopy__ = as_data, digest_json, __deepcopy__
+        return cls
+
+    return decorate
 
 
 def _key(name: str) -> bytes:
@@ -392,7 +407,6 @@ class _Section:
     whole: _Collection | None = None
     text: bytes = b""
     stale: bool = True  # its data may hold new values
-    written: set = field(default_factory=set)  # attributes of ``obj`` written since
     live: bool = True  # still a member of its group
 
 
@@ -413,12 +427,12 @@ class DigestCache:
     under its key, or the section's object and its other containers, where
     a write makes the section's data be read again and encoded where it
     holds new objects.  It keeps each container alive so that the id stays
-    unique.  Only a write that puts a dict or list on the object makes the
-    section register its containers again.  The write helpers call
-    ``mark`` whether the write later commits or rolls back, so a rollback
-    that fails to restore a value is encoded as it is.  New fragments go
-    into their parents' cached pieces, and only ancestors whose pieces
-    changed are joined again.
+    unique.  Each reading of a section's data registers its containers
+    again, a dict or list written onto the object included.  The write
+    helpers call ``mark`` whether the write later commits or rolls back,
+    so a rollback that fails to restore a value is encoded as it is.  New
+    fragments go into their parents' cached pieces, and only ancestors
+    whose pieces changed are joined again.
 
     ``digest`` serves the previous hash with no work when no write marked
     the cache since and the document's other inputs read as before: the
@@ -450,10 +464,8 @@ class DigestCache:
             self.dirty.add(section)
             if collection is not None:
                 collection.dirty.add(key)
-                return
-            section.stale = True
-            if container is section.obj:
-                section.written.add(key)
+            else:
+                section.stale = True
 
     def digest(self, state: "ChainState") -> str:
         """The hex sha256 of ``state``'s digest document."""
@@ -541,7 +553,9 @@ class DigestCache:
     def _render(self, section: _Section) -> bool:
         """Encode a marked section's written parts again; whether its text
         changed."""
-        changed = section.stale and self._refresh(section)
+        changed = section.stale  # then its fields are joined again
+        if changed:
+            self._lay_out_section(section)
         whole = section.whole
         if whole is not None:
             if whole.dirty:
@@ -558,35 +572,13 @@ class DigestCache:
         section.text = text
         return True
 
-    def _refresh(self, section: _Section) -> bool:
-        """Read a section's data again and encode the plain values that a
-        write replaced; whether a fragment changed.  A dict or list written
-        onto its object, a collection replaced, or data with other names
-        lays the section out again."""
-        obj, written = section.obj, section.written
-        section.stale, section.written = False, set()
-        if section.fields is None or any(
-                isinstance(getattr(obj, name, None), (dict, list)) for name in written):
-            return self._lay_out_section(section)
-        data = _section_data(section.group, obj)
-        values, collections = section.values, section.collections
-        if data.keys() != values.keys():
-            return self._lay_out_section(section)
-        changed = False
-        for name, value in data.items():
-            if value is values[name] and (type(value) in _IMMUTABLE or name in collections):
-                continue
-            if name in collections or isinstance(value, (dict, list)):
-                return self._lay_out_section(section)
-            values[name] = value
-            changed |= section.fields.put(name, canonical_text(value).encode())
-        return changed
-
-    def _lay_out_section(self, section: _Section) -> bool:
+    def _lay_out_section(self, section: _Section) -> None:
         """Read a section's data again and encode its new objects: plain
         values that a write replaced, and collections that are new; and
-        register the containers its object holds."""
+        register the containers its object holds, a dict or list written
+        onto it included.  Data with other names lays out its fields anew."""
         obj = section.obj
+        section.stale = False
         live = {id(c): c for c in _containers(obj)}
         data = _section_data(section.group, obj)
         if id(data) in live:  # the section is one collection
@@ -619,7 +611,6 @@ class DigestCache:
         for container in live.values():
             if id(container) not in held:
                 self.owners[id(container)] = (container, section, None)
-        return True
 
     def _update(self, collection: _Collection, keys: Any, rebuild: bool = False) -> bool:
         """Encode the entries under ``keys`` again, in their order, and join

@@ -9,18 +9,19 @@ by the recipient later; the vault never pushes native currency during
 settlement.  Redemption burns fractions before crediting the payout.
 
 Auctions and sale records are frozen values: a write replaces the whole
-entry in ``auctions`` or ``sales`` through ``ChainState.jset``.  Each
-encodes its own digest fragment (``digest_json``), byte for byte the
-canonical JSON of its normalized ``as_data``.
+entry in ``auctions`` or ``sales`` through ``ChainState.jset``.  Each is a
+``ledger.collection_entry``: its ``as_data`` and its own digest fragment
+(``digest_json``), byte for byte the canonical JSON of its normalized
+``as_data``, both come from its dataclass fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import errors
 from .ledger import (Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS,
-                     record_encoder)
+                     collection_entry)
 
 FRACTIONS_PER_NFT = 1000
 DEFAULT_AUCTION_DURATION = 604_800  # seven days
@@ -32,6 +33,7 @@ STATUS_ON_AUCTION = "OnAuction"
 STATUS_SOLD = "Sold"
 
 
+@collection_entry()
 @dataclass(frozen=True)
 class Auction:
     token_id: int
@@ -44,27 +46,8 @@ class Auction:
     highest_bidder: Address = ZERO_ADDRESS
     active: bool = True
 
-    def __deepcopy__(self, memo: dict) -> "Auction":
-        return self  # a write replaces the entry, so forks of a world share it
 
-    def as_data(self) -> dict:
-        return {
-            "token_id": self.token_id,
-            "started_by": self.started_by,
-            "starting_price": self.starting_price,
-            "end_time": self.end_time,
-            "extension_window": self.extension_window,
-            "extension_delta": self.extension_delta,
-            "highest_bid": self.highest_bid,
-            "highest_bidder": self.highest_bidder,
-            "active": self.active,
-        }
-
-    digest_json = record_encoder(
-        "token_id", "started_by", "starting_price", "end_time", "extension_window",
-        "extension_delta", "highest_bid", "highest_bidder", "active")
-
-
+@collection_entry()
 @dataclass(frozen=True)
 class SaleRecord:
     """Per-sale redemption bucket, snapshotted at auction settlement."""
@@ -73,20 +56,6 @@ class SaleRecord:
     proceeds_remaining: int
     supply_snapshot: int
     original_owner: Address
-
-    def __deepcopy__(self, memo: dict) -> "SaleRecord":
-        return self  # a write replaces the entry, so forks of a world share it
-
-    def as_data(self) -> dict:
-        return {
-            "proceeds_total": self.proceeds_total,
-            "proceeds_remaining": self.proceeds_remaining,
-            "supply_snapshot": self.supply_snapshot,
-            "original_owner": self.original_owner,
-        }
-
-    digest_json = record_encoder(
-        "proceeds_total", "proceeds_remaining", "supply_snapshot", "original_owner")
 
 
 @dataclass
@@ -100,15 +69,7 @@ class AssetView:
     supply_snapshot: int | None = None
 
     def as_data(self) -> dict:
-        return {
-            "collection": self.collection,
-            "token_id": self.token_id,
-            "original_owner": self.original_owner,
-            "status": self.status,
-            "proceeds_total": self.proceeds_total,
-            "proceeds_remaining": self.proceeds_remaining,
-            "supply_snapshot": self.supply_snapshot,
-        }
+        return asdict(self)
 
 
 class Vault(Module):

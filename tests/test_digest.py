@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import os
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
 from types import MappingProxyType
 
@@ -119,6 +120,36 @@ def test_benchmark_scenario_traces_pinned(seed, tmp_path, monkeypatch):
     write_trace(path, document, records)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == TRACE_PINS[seed]
+    assert replay_trace(path) == len(document["transactions"])
+
+
+# each view call that returns a record's data, its arguments and the sha256
+# of its trace line, read on the world the lifecycle scenario leaves: token
+# 1 sold at auction, proposal 0 voted on and executed through the timelock
+VIEW_CALLS = {
+    "vault.auction_info": (
+        {"token_id": "1"}, "007bb50dc60d9ef8f6267a9aeede99ebad0f8132c79ef841458758c5b6b0d285"),
+    "vault.get_asset": (
+        {"token_id": "1"}, "6f830025457c17989d87b7adf17338140d5ceedf8c4288e548925bad8d638f1c"),
+    "governance.proposal_info": (
+        {"proposal_id": "0"}, "42de2027d9d8bb7a4f368901983cead3445b987bd2a0ad7939560c1562c277c4"),
+    "timelock.entry_of": (
+        {"proposal_id": "0"}, "3b795a0d647a61eecbcaea5793c864ea314be5ef0a0a366f309d369647b5bc1f"),
+}
+
+
+def test_view_call_trace_lines_pinned(tmp_path):
+    document = json.loads(LIFECYCLE.read_text())
+    document["transactions"] += [{"sender": "dave", "call": call, "args": args}
+                                 for call, (args, _) in VIEW_CALLS.items()]
+    document = parse_scenario(json.dumps(document))
+    records = run_scenario(document).records
+    for record, (call, (_, pin)) in zip(records[-len(VIEW_CALLS):], VIEW_CALLS.items()):
+        line = record.line()
+        assert line == canonical_json(record.as_data()) + "\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == pin, (call, line)
+    path = str(tmp_path / "views.trace.jsonl")
+    write_trace(path, document, records)
     assert replay_trace(path) == len(document["transactions"])
 
 
@@ -509,6 +540,23 @@ def test_proposal_encoder_equals_normalize_and_json(proposal):
     _encodes_as_its_data(proposal)
 
 
+@ledger.collection_entry(key="renamed")
+@dataclass(frozen=True)
+class _Entry:
+    zeta: int
+    renamed: str
+    alpha: bool = False
+
+
+def test_collection_entry_derives_data_encoder_and_copy_from_its_fields():
+    entry = _Entry(-2**70, "é\x00")
+    assert list(entry.as_data().items()) == [
+        ("zeta", -2**70), ("key", "é\x00"), ("alpha", False)]
+    assert entry.digest_json() == canonical_json(normalize(entry)) == \
+        '{"alpha":false,"key":"\\u00e9\\u0000","zeta":"-1180591620717411303424"}'
+    assert copy.deepcopy(entry) is entry
+
+
 def test_every_world_entry_encodes_as_its_data():
     seen = set()
     for world in _entry_worlds():
@@ -538,8 +586,16 @@ def _crowded_world(n):
     return state, handle
 
 
+def _new_dict_then_its_entry(state, handle):
+    vault = handle.vault_module(state)
+    state.jsetattr(vault, "pending", {})
+    assert state.digest() == state.full_digest()
+    state.jset(vault.pending, "carol", 4)
+
+
 # one write of each kind: a balance, an allowance, a bid (auction entry,
-# native balances and events) and a module scalar
+# native balances and events), a module scalar, and an entry written into
+# a dict that was just written onto a module (its section laid out again)
 FIELD_WRITES = {
     "balance": lambda state, h: state.jset(
         state.fungible[h.fractions].balances, "alice", 7),
@@ -549,6 +605,7 @@ FIELD_WRITES = {
         ExecutionContext("bob"), h.vault, "place_bid", {"token_id": 2}, value=5_000),
     "module scalar": lambda state, h: state.jsetattr(
         h.vault_module(state), "retained_dust", 3),
+    "new dict, then its entry": _new_dict_then_its_entry,
 }
 
 
