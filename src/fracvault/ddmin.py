@@ -28,11 +28,28 @@ The pass keeps one ``Replay`` of ``trace[:i - 1]``, advanced by a chunk
 each time a candidate is rejected, and each candidate replays the rest on a
 deep copy of it, action ``i - 1`` included.  The verdicts, and so the
 shrunk trace, are those of replaying every candidate from genesis.
+
+A trace of at least ``PEER_MIN_ACTIONS`` actions is shrunk on two CPUs
+when the process may use two (``os.sched_getaffinity``).  ``ddmin`` forks
+a peer for the call, and the two run the same passes in lockstep.  In each
+round this process tests candidate ``i`` and the peer speculates that it
+is rejected and tests candidate ``i + chunk`` on a fork of its own prefix,
+advanced by a chunk.  They swap one byte per verdict over a pipe and both
+apply the sequential rule: the peer's verdict counts only if ``i`` was
+rejected, and is dropped otherwise.  Every verdict applied is one the
+sequential passes reach, so the shrunk trace is the same, byte for byte,
+on one CPU or two.  Speculating on a rejection pays because the passes that
+cost the most are the ones that reject most candidates.  If the peer's
+test raises, this process goes on alone and tests that candidate itself,
+so it raises as the sequential passes would.  The peer is killed and
+reaped before ``ddmin`` returns or raises.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import signal
 from collections import deque
 from typing import Any, Callable, Sequence
 
@@ -162,6 +179,12 @@ def rerun(world: CheckedReplay, generate: Callable[[int], Any], steps: int,
     return actions
 
 
+# A trace at least this long is shrunk by two processes (see ``ddmin``).
+# The property suite's minimizations, at most 68 actions at 400 steps, stay
+# in one.
+PEER_MIN_ACTIONS = 256
+
+
 def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
           fails: Callable[[list, Replay | None], bool]) -> list:
     """Shrink ``trace`` to a 1-minimal trace that still fails: the chunk-1
@@ -172,19 +195,122 @@ def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
     replays the rest of ``candidate`` on a fork of ``prefix``, a replay of
     its first ``prefix.length`` actions that has not failed, and says
     whether it fails.
+
+    A trace of at least ``PEER_MIN_ACTIONS`` actions, on a process that may
+    run on two CPUs, is shrunk with a peer forked for this call, which
+    tests the next candidate of each round (see ``_Lockstep``); the peer is
+    killed and reaped before the call returns or raises.  The calling
+    process must not run other threads, since the peer is forked.
     """
     trace = list(trace)
+    if len(trace) < PEER_MIN_ACTIONS or len(os.sched_getaffinity(0)) < 2:
+        return _passes(trace, start, fails, _Lockstep())
+    down, up = os.pipe(), os.pipe()  # to the peer, from the peer
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(down[1])
+            os.close(up[0])
+            _passes(trace, start, fails, _Lockstep(down[0], up[1], peer=True))
+        except BaseException:
+            # the peer's test raised, or the shrinking process is gone; the
+            # peer never returns into its caller's code, so it reports and exits
+            try:
+                os.write(up[1], _RAISED)
+            except OSError:
+                pass
+        finally:
+            os._exit(0)
+    os.close(down[0])
+    os.close(up[1])
+    try:
+        return _passes(trace, start, fails, _Lockstep(up[0], down[1]))
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(up[0])
+        os.close(down[1])
+
+
+def _passes(trace: list, start: Callable[[], Replay],
+            fails: Callable[[list, Replay | None], bool],
+            link: _Lockstep) -> list:
+    """The passes of ``ddmin`` on ``trace``, each round's verdicts from
+    ``link``, applied in order until one deletes."""
     chunk = max(len(trace) // 2, 1)
     while True:
         length = len(trace)
         prefix = start()
         i = 0
         while i < len(trace):
-            candidate = trace[:i] + trace[i + chunk:]
-            if prefix.advance(trace, max(i - 1, 0)) or fails(candidate, prefix):
-                trace = candidate
-            else:
+            verdicts, prefix = link.round(trace, i, chunk, prefix, fails)
+            for deleted in verdicts:
+                if deleted:
+                    trace = trace[:i] + trace[i + chunk:]
+                    break
                 i += chunk
         if chunk == 1 and len(trace) == length:
             return trace
         chunk = max(chunk // 2, 1)
+
+
+def _deletes(trace: list, i: int, chunk: int, prefix: Replay,
+             fails: Callable[[list, Replay | None], bool]) -> bool:
+    """Whether ``trace[:i] + trace[i + chunk:]`` fails, ``prefix`` a replay
+    of at most ``trace[:i - 1]``, which this advances to it."""
+    return prefix.advance(trace, max(i - 1, 0)) or \
+        fails(trace[:i] + trace[i + chunk:], prefix)
+
+
+# the bytes of the verdicts the two processes swap
+_KEPT, _DELETED, _NONE, _RAISED = b"0", b"1", b"-", b"!"
+
+
+class _Lockstep:
+    """The verdicts of one round of a pass, for one of the two processes
+    of a shrink or for a shrink in one (no pipes).
+
+    In a round the shrinking process tests candidate ``i``, and the peer
+    tests candidate ``i + chunk`` of the same trace, the next one if ``i``
+    is kept.  Then each sends the other one byte, its verdict (the peer's
+    is ``_NONE`` past the end of the trace, or ``_RAISED``), and both apply
+    the two verdicts in order.  If ``i`` is deleted the peer's verdict is
+    dropped, so both run the sequential passes in lockstep and reach its
+    verdicts.  The peer tests its candidate on a fork of its prefix
+    advanced by a chunk, which becomes its prefix if ``i`` is kept.  If the
+    peer raises or is gone, the shrinking process goes on alone and tests
+    that candidate itself, so it raises what the sequential passes would.
+    The peer stops at the end of its pipe.
+    """
+
+    def __init__(self, receive: int | None = None, send: int | None = None,
+                 peer: bool = False):
+        self.receive, self.send, self.peer = receive, send, peer
+
+    def round(self, trace: list, i: int, chunk: int, prefix: Replay,
+              fails: Callable[[list, Replay | None], bool]
+              ) -> tuple[tuple[bool, ...], Replay]:
+        """The verdicts of candidate ``i`` and, if the peer tested it,
+        ``i + chunk``, and the prefix replay for the next round."""
+        if self.send is None:
+            return (_deletes(trace, i, chunk, prefix, fails),), prefix
+        if self.peer:
+            j = i + chunk
+            ahead = prefix.fork() if j < len(trace) else None
+            mine = ahead is not None and _deletes(trace, j, chunk, ahead, fails)
+            os.write(self.send, _NONE if ahead is None else
+                     _DELETED if mine else _KEPT)
+            theirs = os.read(self.receive, 1)
+            if not theirs:
+                raise EOFError("the shrinking process is gone")
+            if theirs == _DELETED or ahead is None:
+                return (theirs == _DELETED,), prefix
+            return (False, mine), ahead
+        mine = _deletes(trace, i, chunk, prefix, fails)
+        theirs = os.read(self.receive, 1)
+        if theirs not in (_KEPT, _DELETED, _NONE):
+            return (mine,), prefix  # the peer raised or is gone: go on alone
+        os.write(self.send, _DELETED if mine else _KEPT)
+        if theirs == _NONE:
+            return (mine,), prefix
+        return (mine, theirs == _DELETED), prefix

@@ -9,10 +9,13 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import os
+import signal
 from dataclasses import replace
 
 import pytest
 
+from fracvault import ddmin as ddmin_module
 from fracvault import fuzz, invariants
 from fracvault.ddmin import NondeterministicRun, Replay, ddmin, run_checked
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, FuzzReport,
@@ -498,9 +501,10 @@ def test_forks_share_frozen_entries_and_replace_them_on_their_own():
     assert before["proposals"][open_id].voters is voters and voters == {}
 
 
-def test_runs_leave_no_cyclic_garbage():
+def test_runs_leave_no_cyclic_garbage(two_cpus):
     # a cycle in a record or lock class would leave every run's world for
-    # the next collection, which then runs inside someone else's timing
+    # the next collection, which then runs inside someone else's timing;
+    # the hunt's shrink runs with a peer, whose pipes must leave none either
     gc.collect()
     gc.disable()
     try:
@@ -509,6 +513,7 @@ def test_runs_leave_no_cyclic_garbage():
         assert len(hunt.violations[0].trace) < hunt.steps_executed
         assert not run_suite(seed=0, steps=100, mutant="drop-only-vault").passed
         assert gc.collect() == 0
+        assert two_cpus == [os.getpid()]
     finally:
         gc.enable()
 
@@ -539,6 +544,34 @@ def test_unjournaled_write_caught_by_end_of_run_scan(monkeypatch):
 # Checkpointed shrink against ddmin replaying from genesis
 # --------------------------------------------------------------------- #
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The ``os.fork`` calls of a test that sees two usable CPUs, and which
+    fails if its processes wait on each other for two minutes."""
+    forks = []
+    original = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return original()
+
+    def expire(signum, frame):
+        raise TimeoutError("the processes of a shrink waited on each other")
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield forks
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _fuzz_recording_shrink(monkeypatch, plan):
     """``run_fuzz(plan)`` and the (actions, invariant) its shrink was given."""
     calls = []
@@ -553,8 +586,12 @@ def _fuzz_recording_shrink(monkeypatch, plan):
     return run_fuzz(plan), calls
 
 
-def _assert_shrink_is_genesis_ddmin(monkeypatch, plan):
+def _assert_shrink_is_genesis_ddmin(monkeypatch, forks, plan):
+    # every case's trace is long enough to be shrunk by two processes
     report, [(actions, invariant)] = _fuzz_recording_shrink(monkeypatch, plan)
+    assert len(actions) >= ddmin_module.PEER_MIN_ACTIONS
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
     reference = genesis_ddmin(
         actions, lambda candidate: replay_violates(plan, candidate, invariant))
     assert report.violations[0].trace == reference
@@ -566,15 +603,17 @@ CAUGHT_IN_3000 = [("drop-burn-before-pay", seed) for seed in (1, 2, 3, 7, 11)] \
 
 
 @pytest.mark.parametrize("mutant,seed", CAUGHT_IN_3000)
-def test_checkpointed_shrink_equals_genesis_ddmin(monkeypatch, mutant, seed):
+def test_checkpointed_shrink_equals_genesis_ddmin(monkeypatch, two_cpus, mutant,
+                                                  seed):
     _assert_shrink_is_genesis_ddmin(
-        monkeypatch, FuzzPlan(seed=seed, steps=3_000, mutant=mutant))
+        monkeypatch, two_cpus, FuzzPlan(seed=seed, steps=3_000, mutant=mutant))
 
 
-def test_checkpointed_shrink_equals_genesis_ddmin_on_unjournaled_write(monkeypatch):
+def test_checkpointed_shrink_equals_genesis_ddmin_on_unjournaled_write(
+        monkeypatch, two_cpus):
     # the violation shows only at the end-of-trace scan
     _plant_leaky_mint(monkeypatch)
-    _assert_shrink_is_genesis_ddmin(monkeypatch, FuzzPlan(seed=42, steps=300))
+    _assert_shrink_is_genesis_ddmin(monkeypatch, two_cpus, FuzzPlan(seed=42, steps=300))
 
 
 class _FailsAtLastAfterSeven(Replay):
@@ -598,6 +637,98 @@ def test_candidate_without_suffix_runs_its_last_step_as_last():
     assert shrunk == [7]
     assert shrunk == genesis_ddmin(
         trace, lambda candidate: _FailsAtLastAfterSeven().run(candidate))
+
+
+# --------------------------------------------------------------------- #
+# ddmin on two processes against ddmin on one
+# --------------------------------------------------------------------- #
+
+class _FailsWithAll(Replay):
+    """Fails once every one of ``wanted`` has run, or, if ``at_last``, on the
+    last action of a trace that contains them all."""
+
+    def __init__(self, wanted: frozenset, at_last: bool):
+        self.wanted, self.at_last, self.seen = wanted, at_last, frozenset()
+
+    def step(self, action, index, last):
+        self.seen = self.seen | ({action} & self.wanted)
+        return self.seen == self.wanted and (last or not self.at_last)
+
+
+TWO_PROCESS_CASES = [
+    (list(range(300)), frozenset({7}), True),
+    ([n % 97 for n in range(600)], frozenset({5, 50, 96}), False),
+    ([n % 41 for n in range(1_000)], frozenset({0, 13, 27, 40}), True),
+]
+
+
+@pytest.mark.parametrize("trace, wanted, at_last", TWO_PROCESS_CASES)
+def test_two_process_ddmin_equals_one_process_and_genesis(
+        monkeypatch, two_cpus, trace, wanted, at_last):
+    assert len(trace) >= ddmin_module.PEER_MIN_ACTIONS
+    start = lambda: _FailsWithAll(wanted, at_last)  # noqa: E731
+    fails = lambda candidate, prefix: prefix.fork().run(candidate)  # noqa: E731
+    two = ddmin(trace, start, fails)
+    assert two_cpus == [os.getpid()]
+    _assert_no_child_left()
+    monkeypatch.setattr(ddmin_module, "PEER_MIN_ACTIONS", len(trace) + 1)
+    one = ddmin(trace, start, fails)
+    assert two_cpus == [os.getpid()]
+    assert two == one == genesis_ddmin(trace, lambda c: start().run(c))
+    assert len(one) == len(wanted)
+
+
+def test_ddmin_reaps_its_peer_when_the_shrinking_process_raises(two_cpus):
+    shrinking = os.getpid()
+    calls = []
+
+    def fails(candidate, prefix):
+        if os.getpid() == shrinking:
+            calls.append(len(candidate))
+            if len(calls) == 3:
+                raise RuntimeError("a replay of the shrinking process failed")
+        return prefix.fork().run(candidate)
+
+    with pytest.raises(RuntimeError, match="shrinking process"):
+        ddmin(list(range(300)), _FailsAtLastAfterSeven, fails)
+    assert two_cpus == [shrinking]
+    _assert_no_child_left()
+
+
+class _RaisesOnLast149(_FailsAtLastAfterSeven):
+    """Raises on a candidate that ends on action 149, writing the id of the
+    process that raised to ``log``."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def step(self, action, index, last):
+        if last and action == 149:
+            with open(self.log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise ValueError("a replay raised on action 149")
+        return super().step(action, index, last)
+
+
+def test_ddmin_raises_what_one_process_raises_when_its_peer_raises(
+        monkeypatch, two_cpus, tmp_path):
+    # of the first pass (chunk 150), the shrinking process tests
+    # trace[150:], which is kept, and the peer trace[:150], which raises
+    trace = list(range(300))
+    log = tmp_path / "raised"
+    fails = lambda candidate, prefix: prefix.fork().run(candidate)  # noqa: E731
+    with pytest.raises(ValueError, match="action 149"):
+        ddmin(trace, lambda: _RaisesOnLast149(log), fails)
+    assert two_cpus == [os.getpid()]
+    _assert_no_child_left()
+    peer, shrinking = map(int, log.read_text().split())
+    assert peer != shrinking == os.getpid()
+    # on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ValueError, match="action 149"):
+        ddmin(trace, lambda: _RaisesOnLast149(log), fails)
+    assert two_cpus == [os.getpid()]
 
 
 # --------------------------------------------------------------------- #
