@@ -30,7 +30,7 @@ deep copy of it, action ``i - 1`` included.  The verdicts, and so the
 shrunk trace, are those of replaying every candidate from genesis.
 
 A trace of at least ``PEER_MIN_ACTIONS`` actions is shrunk on two CPUs
-when the process may use two (``os.sched_getaffinity``).  ``ddmin`` forks
+when the process may use two.  ``ddmin`` forks
 a peer for the call, and the two run the same passes in lockstep.  In each
 round this process tests candidate ``i`` and the peer speculates that it
 is rejected and tests candidate ``i + chunk`` on a fork of its own prefix,
@@ -43,11 +43,25 @@ cost the most are the ones that reject most candidates.  If the peer's
 test raises, this process goes on alone and tests that candidate itself,
 so it raises as the sequential passes would.  The peer is killed and
 reaped before ``ddmin`` returns or raises.
+
+``run_shared`` runs a list of independent runs, such as the property
+suite's properties, on two CPUs.  It writes every index into a pipe
+before it forks a peer, and each process claims one index at a time until
+the pipe is empty.  The peer sends back its results, and the caller's
+process places each at its index, so the list is the same on one CPU or
+two.  A run that raised, or that the peer never reported, the caller's
+process runs again once the peer is done, in index order, so the
+exception that escapes is the one a single process raises.
+
+Both use a second CPU only where the process may run on two
+(``os.sched_getaffinity``) and can fork; a platform without either
+function, such as macOS or Windows, runs everything in one process.
 """
 
 from __future__ import annotations
 
 import copy
+import marshal
 import os
 import signal
 from collections import deque
@@ -179,9 +193,18 @@ def rerun(world: CheckedReplay, generate: Callable[[int], Any], steps: int,
     return actions
 
 
+def _two_cpus() -> bool:
+    """Whether this process may fork a peer and run on two CPUs.  Read at
+    each call; a platform without ``os.fork`` (Windows) or
+    ``os.sched_getaffinity`` (macOS) runs on one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+
+
 # A trace at least this long is shrunk by two processes (see ``ddmin``).
-# The property suite's minimizations, at most 68 actions at 400 steps, stay
-# in one.
+# The property suite's minimizations at 400 steps mostly stay in one: at
+# most 68 actions at seed 0; at seed 3, escrow_conservation's 332 under
+# drop-burn-before-pay.
 PEER_MIN_ACTIONS = 256
 
 
@@ -203,7 +226,7 @@ def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
     process must not run other threads, since the peer is forked.
     """
     trace = list(trace)
-    if len(trace) < PEER_MIN_ACTIONS or len(os.sched_getaffinity(0)) < 2:
+    if len(trace) < PEER_MIN_ACTIONS or not _two_cpus():
         return _passes(trace, start, fails, _Lockstep())
     down, up = os.pipe(), os.pipe()  # to the peer, from the peer
     pid = os.fork()
@@ -314,3 +337,76 @@ class _Lockstep:
         if theirs == _NONE:
             return (mine,), prefix
         return (mine, theirs == _DELETED), prefix
+
+
+# Every index is claimed as two bytes.  All of them are written to the
+# claims pipe before the fork, in one write that must not block: at most
+# PIPE_BUF bytes (4096 on Linux), so at most 2048 indices.  More run in one
+# process.
+_CLAIM_BYTES = 2
+_CLAIMS_MAX = 4096 // _CLAIM_BYTES
+
+
+def run_shared(count: int, run: Callable[[int], Any], peer: bool) -> list:
+    """``[run(i) for i in range(count)]``, the indices shared between this
+    process and a peer forked for the call if ``peer`` and the process may
+    use two CPUs.  Each result must be of the built-in types that
+    ``marshal`` writes.
+
+    Every index is written to a pipe before the fork, and each process
+    claims one at a time from it until it is empty.  The peer sends back
+    what its runs returned, and this process places every result at its
+    index, so the list is the same on one CPU or two.  An index whose run
+    raised, in either process, or that the peer claimed and never reported,
+    this process runs again once the peer is done, in index order: the
+    exception that escapes is the lowest index's, as in one process.  The
+    peer is killed and reaped before the call returns or raises.  The
+    calling process must not run other threads, since the peer is forked.
+    """
+    if not peer or not 2 <= count <= _CLAIMS_MAX or not _two_cpus():
+        return [run(index) for index in range(count)]
+    claims, results = os.pipe(), os.pipe()
+    os.write(claims[1], b"".join(index.to_bytes(_CLAIM_BYTES, "big")
+                                 for index in range(count)))
+    os.close(claims[1])
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(results[0])
+            done = _run_claimed(claims[0], run)
+            with open(results[1], "wb") as to_parent:
+                marshal.dump(done, to_parent)
+            status = 0
+        finally:
+            # the peer never returns into its caller's code
+            os._exit(status)
+    os.close(results[1])
+    try:
+        with open(results[0], "rb") as from_peer:
+            done = _run_claimed(claims[0], run)
+            sent = from_peer.read()
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(claims[0])
+    if status == 0:  # the peer sent all it ran
+        done.update(marshal.loads(sent))
+    return [done[index] if index in done else run(index) for index in range(count)]
+
+
+def _run_claimed(claims: int, run: Callable[[int], Any]) -> dict:
+    """What ``run`` returns for each index this process claims from the
+    pipe ``claims``, one at a time until it is empty; an index whose run
+    raises is left out, for ``run_shared`` to run again."""
+    done = {}
+    while claim := os.read(claims, _CLAIM_BYTES):
+        index = int.from_bytes(claim, "big")
+        try:
+            done[index] = run(index)
+        except Exception:
+            pass  # run again by run_shared, in index order
+    return done

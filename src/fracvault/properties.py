@@ -16,6 +16,12 @@ replayable reproducer.  An attack property runs one ``attackers``
 strategy and judges its report: it counts as one step and carries no
 trace.
 
+Each property builds its own worlds and draws from its own seed, so the
+properties share nothing: ``run_suite`` runs them on two CPUs, shared with
+a forked peer by ``ddmin.run_shared``, when the process may use two and
+the suite's budget, steps times properties, is at least
+``PEER_MIN_STEPS``.  The report is the same bytes either way.
+
 The first fourteen names in ``PINNED_PROPERTIES`` are the externally pinned
 suite: minting/burning authorization, total-supply invariance, the
 governance singleton, positive auction durations, the royalty range, the
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from . import attackers, fuzz
-from .ddmin import CheckedReplay, ddmin, rerun, run_checked
+from .ddmin import CheckedReplay, ddmin, rerun, run_checked, run_shared
 from .fuzz import (IDS, INTRUDER_CALLS, PAIR_FUND, FuzzAction, actor_world,
                    clock_action, deposit_prefix, fraction_transfers, market_funding,
                    round_robin_mints, sold_setup, transact_action)
@@ -1016,12 +1022,41 @@ def run_property(name: str, seed: int = 0, steps: int = 2_000,
     raise KeyError(f"unknown property {name!r}")
 
 
+# A suite whose budget, steps times properties, is at least this runs on two
+# processes where it may use two CPUs.  Medians on a 2-CPU host, one process
+# against two: all 28 properties at 20 steps (budget 560) 16.3 against
+# 14.0 ms, at 40 (1,120) 27.1 against 19.6 ms; two healthy campaigns at 500
+# steps (1,000) 15.1 against 11.8 ms and 32.6 against 22.8 ms, but at 250
+# steps (500) 5.9 against 7.9 ms.  The fork, the peer's exit and the reaping
+# cost about 3 ms: a two-property 50-step suite took 1.1 against 4.6 ms.  A
+# suite whose work sits in one property gains nothing: a campaign and an
+# attack at 500 steps took 5.9 against 9.0 ms.
+PEER_MIN_STEPS = 1_000
+
+
 def run_suite(seed: int = 0, steps: int = 2_000, mutant: str | None = None,
               names: tuple[str, ...] = ALL_PROPERTIES) -> SuiteReport:
-    report = SuiteReport(seed=seed, steps=steps, mutant=mutant)
-    for name in names:
-        report.results.append(run_property(name, seed, steps, mutant))
-    return report
+    """Run ``names`` in order; a suite of at least ``PEER_MIN_STEPS`` steps
+    (``steps`` times the properties) shares them with a forked peer on two
+    CPUs (``ddmin.run_shared``), and reports the same."""
+    records = run_shared(
+        len(names), lambda index: _record(run_property(names[index], seed, steps, mutant)),
+        peer=steps * len(names) >= PEER_MIN_STEPS)
+    return SuiteReport(seed=seed, steps=steps, mutant=mutant,
+                       results=[_result(record) for record in records])
+
+
+def _record(result: PropertyResult) -> tuple:
+    """``result`` in the built-in types that ``run_shared`` carries from
+    one process to another; ``_result`` rebuilds it."""
+    trace = None if result.trace is None else [tuple(action) for action in result.trace]
+    return result.name, result.passed, result.steps, result.detail, trace
+
+
+def _result(record: tuple) -> PropertyResult:
+    name, passed, steps, detail, trace = record
+    return PropertyResult(name, passed, steps, detail, None if trace is None
+                          else [FuzzAction(*action) for action in trace])
 
 
 def replay_property_trace(name: str, trace: list[FuzzAction],

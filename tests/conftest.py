@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from fracvault import standard_world
@@ -40,3 +43,31 @@ def proposal_world(world):
        action={"kind": "set_auction_duration", "args": {"seconds": 86_400}},
        voting_period=86_400)
     return state, handle
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The ``os.fork`` calls of a test that sees two usable CPUs, and which
+    fails if its processes wait on each other for two minutes."""
+    forks = []
+    original = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return original()
+
+    def expire(signum, frame):
+        raise TimeoutError("the processes of a shrink or a suite waited on each other")
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield forks
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

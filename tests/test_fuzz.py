@@ -10,7 +10,6 @@ import copy
 import gc
 import json
 import os
-import signal
 from dataclasses import replace
 
 import pytest
@@ -28,6 +27,7 @@ from fracvault.mutations import MUTANTS, mutant_class
 from fracvault.properties import ACTORS, NFTS, replay_property_trace, run_suite
 from fracvault.tokens import NftCollection
 
+from conftest import assert_no_child_left
 from helpers import counting_reruns, genesis_ddmin, tx
 
 
@@ -504,7 +504,8 @@ def test_forks_share_frozen_entries_and_replace_them_on_their_own():
 def test_runs_leave_no_cyclic_garbage(two_cpus):
     # a cycle in a record or lock class would leave every run's world for
     # the next collection, which then runs inside someone else's timing;
-    # the hunt's shrink runs with a peer, whose pipes must leave none either
+    # the hunt's shrink and the suite each run with a peer, whose pipes must
+    # leave none either
     gc.collect()
     gc.disable()
     try:
@@ -513,7 +514,7 @@ def test_runs_leave_no_cyclic_garbage(two_cpus):
         assert len(hunt.violations[0].trace) < hunt.steps_executed
         assert not run_suite(seed=0, steps=100, mutant="drop-only-vault").passed
         assert gc.collect() == 0
-        assert two_cpus == [os.getpid()]
+        assert two_cpus == [os.getpid()] * 2
     finally:
         gc.enable()
 
@@ -544,34 +545,6 @@ def test_unjournaled_write_caught_by_end_of_run_scan(monkeypatch):
 # Checkpointed shrink against ddmin replaying from genesis
 # --------------------------------------------------------------------- #
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The ``os.fork`` calls of a test that sees two usable CPUs, and which
-    fails if its processes wait on each other for two minutes."""
-    forks = []
-    original = os.fork
-
-    def counting():
-        forks.append(os.getpid())
-        return original()
-
-    def expire(signum, frame):
-        raise TimeoutError("the processes of a shrink waited on each other")
-
-    monkeypatch.setattr(os, "fork", counting)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    yield forks
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _fuzz_recording_shrink(monkeypatch, plan):
     """``run_fuzz(plan)`` and the (actions, invariant) its shrink was given."""
     calls = []
@@ -591,7 +564,7 @@ def _assert_shrink_is_genesis_ddmin(monkeypatch, forks, plan):
     report, [(actions, invariant)] = _fuzz_recording_shrink(monkeypatch, plan)
     assert len(actions) >= ddmin_module.PEER_MIN_ACTIONS
     assert forks == [os.getpid()]
-    _assert_no_child_left()
+    assert_no_child_left()
     reference = genesis_ddmin(
         actions, lambda candidate: replay_violates(plan, candidate, invariant))
     assert report.violations[0].trace == reference
@@ -670,7 +643,7 @@ def test_two_process_ddmin_equals_one_process_and_genesis(
     fails = lambda candidate, prefix: prefix.fork().run(candidate)  # noqa: E731
     two = ddmin(trace, start, fails)
     assert two_cpus == [os.getpid()]
-    _assert_no_child_left()
+    assert_no_child_left()
     monkeypatch.setattr(ddmin_module, "PEER_MIN_ACTIONS", len(trace) + 1)
     one = ddmin(trace, start, fails)
     assert two_cpus == [os.getpid()]
@@ -692,7 +665,7 @@ def test_ddmin_reaps_its_peer_when_the_shrinking_process_raises(two_cpus):
     with pytest.raises(RuntimeError, match="shrinking process"):
         ddmin(list(range(300)), _FailsAtLastAfterSeven, fails)
     assert two_cpus == [shrinking]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 class _RaisesOnLast149(_FailsAtLastAfterSeven):
@@ -721,7 +694,7 @@ def test_ddmin_raises_what_one_process_raises_when_its_peer_raises(
     with pytest.raises(ValueError, match="action 149"):
         ddmin(trace, lambda: _RaisesOnLast149(log), fails)
     assert two_cpus == [os.getpid()]
-    _assert_no_child_left()
+    assert_no_child_left()
     peer, shrinking = map(int, log.read_text().split())
     assert peer != shrinking == os.getpid()
     # on one CPU
@@ -729,6 +702,29 @@ def test_ddmin_raises_what_one_process_raises_when_its_peer_raises(
     with pytest.raises(ValueError, match="action 149"):
         ddmin(trace, lambda: _RaisesOnLast149(log), fails)
     assert two_cpus == [os.getpid()]
+
+
+def _long_shrink_and_large_suite(monkeypatch) -> tuple[str, str]:
+    """The report bytes of a shrink of 300 actions and of the full suite at
+    400 steps."""
+    with monkeypatch.context() as patched:
+        _plant_leaky_mint(patched)
+        hunt = run_fuzz(FuzzPlan(seed=42, steps=300))
+    suite = run_suite(seed=0, steps=400, mutant="drop-only-vault")
+    return tuple(canonical_json(normalize(report.as_data())) for report in (hunt, suite))
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_a_platform_without_fork_or_affinity_runs_on_one_cpu(monkeypatch, two_cpus,
+                                                             missing):
+    # Windows has no os.fork and macOS no os.sched_getaffinity: there the
+    # shrink and the suite run in one process, to the same bytes
+    two = _long_shrink_and_large_suite(monkeypatch)
+    assert two_cpus == [os.getpid()] * 2
+    assert_no_child_left()
+    monkeypatch.delattr(os, missing)
+    assert _long_shrink_and_large_suite(monkeypatch) == two
+    assert two_cpus == [os.getpid()] * 2
 
 
 # --------------------------------------------------------------------- #

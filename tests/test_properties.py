@@ -4,15 +4,20 @@ trace of ddmin replaying from genesis."""
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from fracvault import fuzz, properties
 from fracvault.ddmin import run_checked
+from fracvault.ledger import canonical_json, normalize
 from fracvault.mutations import MUTANTS
 from fracvault.properties import (ALL_PROPERTIES, PINNED_PROPERTIES,
                                   PropertyResult, replay_property_trace,
                                   run_property, run_suite)
 
+from conftest import assert_no_child_left
 from helpers import counting_reruns, genesis_ddmin
 
 EXPECTED_DETECTORS = {
@@ -63,11 +68,114 @@ def test_property_traces_are_minimal():
 
 
 def test_suite_reports_deterministic():
-    from fracvault.ledger import canonical_json, normalize
     one = run_suite(seed=9, steps=200)
     two = run_suite(seed=9, steps=200)
-    assert canonical_json(normalize(one.as_data())) == \
-        canonical_json(normalize(two.as_data()))
+    assert _report_bytes(one) == _report_bytes(two)
+
+
+def _report_bytes(report) -> str:
+    return canonical_json(normalize(report.as_data()))
+
+
+# --------------------------------------------------------------------- #
+# The suite on two processes against the suite on one
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("mutant", [None, *sorted(MUTANTS)])
+def test_two_process_suite_reports_what_one_process_reports(monkeypatch, two_cpus,
+                                                            mutant, seed):
+    assert 400 * len(ALL_PROPERTIES) >= properties.PEER_MIN_STEPS
+    two = _report_bytes(run_suite(seed=seed, steps=400, mutant=mutant))
+    # the suite's fork, and the shrink's if this process drew a minimization
+    # of at least PEER_MIN_ACTIONS actions (at seed 3 under
+    # drop-burn-before-pay, escrow_conservation's 332)
+    forks = list(two_cpus)
+    assert forks in ([os.getpid()], [os.getpid()] * 2)
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _report_bytes(run_suite(seed=seed, steps=400, mutant=mutant)) == two
+    assert two_cpus == forks
+
+
+def test_a_suite_under_the_threshold_or_of_one_property_makes_no_fork(two_cpus):
+    names = ("mint_authorization", "attack_reenter_withdraw")
+    assert 50 * len(names) < properties.PEER_MIN_STEPS
+    assert not run_suite(seed=0, steps=50, mutant="drop-only-vault", names=names).passed
+    assert run_suite(seed=0, steps=properties.PEER_MIN_STEPS,
+                     names=("total_supply_constant",)).passed
+    assert two_cpus == []
+
+
+def _log_runs(monkeypatch, forks, log, raising=(), peer_exits=False):
+    """Patch ``run_property`` to append each run's process and property to
+    ``log`` and then raise ValueError for the names in ``raising`` or, in a
+    forked peer if ``peer_exits``, end the peer.  Once the suite has forked,
+    its own process waits until the peer has logged a run, so each process
+    runs at least one property."""
+    original = properties.run_property
+    suite = os.getpid()
+
+    def run(name, seed, steps, mutant):
+        while forks and os.getpid() == suite and not log.exists():
+            time.sleep(0.001)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {name}\n")
+        if name in raising:
+            raise ValueError(f"{name} raised")
+        if peer_exits and os.getpid() != suite:
+            os._exit(3)
+        return original(name, seed, steps, mutant)
+
+    monkeypatch.setattr(properties, "run_property", run)
+
+
+def _logged(log) -> list[tuple[int, str]]:
+    runs = [line.split() for line in log.read_text().splitlines()]
+    log.unlink()
+    return [(int(pid), name) for pid, name in runs]
+
+
+@pytest.mark.parametrize("names", [("burn_authorization", "mint_authorization"),
+                                   ("mint_authorization", "burn_authorization")])
+def test_a_raising_property_raises_what_one_process_raises(monkeypatch, two_cpus,
+                                                           tmp_path, names):
+    # both properties raise, one first in each process; the lowest index's
+    # exception escapes, raised again by the suite's process
+    log = tmp_path / "runs"
+    _log_runs(monkeypatch, two_cpus, log, raising=names)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ValueError) as one:
+        run_suite(seed=0, steps=1_000, names=names)
+    assert two_cpus == [] and _logged(log) == [(os.getpid(), names[0])]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ValueError) as two:
+        run_suite(seed=0, steps=1_000, names=names)
+    assert str(two.value) == str(one.value) == f"{names[0]} raised"
+    assert two_cpus == [os.getpid()]
+    assert_no_child_left()
+    *claimed, again = _logged(log)
+    assert len({pid for pid, _ in claimed}) == 2 and (os.getpid(), names[0]) == again
+    assert sorted(name for _, name in claimed) == sorted(names)
+
+
+def test_properties_a_peer_never_reports_are_run_by_the_suite(monkeypatch, two_cpus,
+                                                              tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    expected = _report_bytes(run_suite(seed=3, steps=400, mutant="drop-only-vault"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    log = tmp_path / "runs"
+    _log_runs(monkeypatch, two_cpus, log, peer_exits=True)
+    report = run_suite(seed=3, steps=400, mutant="drop-only-vault")
+    assert _report_bytes(report) == expected
+    assert two_cpus == [os.getpid()]
+    assert_no_child_left()
+    runs = _logged(log)
+    # the peer ended in its first run, and the suite's process ran every
+    # property once, the lost one included
+    assert len([pid for pid, _ in runs if pid != os.getpid()]) == 1
+    assert sorted(name for pid, name in runs if pid == os.getpid()) == \
+        sorted(ALL_PROPERTIES)
 
 
 def test_single_property_runner():
@@ -86,6 +194,8 @@ def test_checkpointed_minimize_equals_genesis_ddmin(monkeypatch, mutant):
         return trace
 
     monkeypatch.setattr(properties, "_minimize", recording)
+    # in one process, or a forked peer's minimizations would miss the spy
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_suite(seed=0, steps=400, mutant=mutant)
     assert calls
     for campaign, mutant, actions, trace in calls:
