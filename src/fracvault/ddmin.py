@@ -30,32 +30,27 @@ deep copy of it, action ``i - 1`` included.  The verdicts, and so the
 shrunk trace, are those of replaying every candidate from genesis.
 
 A trace of at least ``PEER_MIN_ACTIONS`` actions is shrunk on two CPUs
-when the process may use two.  ``ddmin`` forks
-a peer for the call, and the two run the same passes in lockstep.  In each
-round this process tests candidate ``i`` and the peer speculates that it
-is rejected and tests candidate ``i + chunk`` on a fork of its own prefix,
-advanced by a chunk.  They swap one byte per verdict over a pipe and both
-apply the sequential rule: the peer's verdict counts only if ``i`` was
-rejected, and is dropped otherwise.  Every verdict applied is one the
-sequential passes reach, so the shrunk trace is the same, byte for byte,
-on one CPU or two.  Speculating on a rejection pays because the passes that
-cost the most are the ones that reject most candidates.  If the peer's
-test raises, this process goes on alone and tests that candidate itself,
-so it raises as the sequential passes would.  The peer is killed and
-reaped before ``ddmin`` returns or raises.
+when the process may use two.  ``ddmin`` forks a peer for the call, and
+the two run the same passes in lockstep.  In each round this process tests
+candidate ``i`` and the peer speculates that it is rejected and tests
+candidate ``i + chunk`` on a fork of its own prefix, advanced by a chunk.
+They swap one byte per verdict over a pipe and both apply the sequential
+rule: the peer's verdict counts only if ``i`` was rejected, and is dropped
+otherwise.  Every verdict applied is one the sequential passes reach, so
+the shrunk trace is the same, byte for byte, on one CPU or two.
+Speculating on a rejection pays because the passes that cost the most are
+the ones that reject most candidates.  A peer whose test raises exits, and
+a gone peer is the end of its pipe: this process then goes on alone and
+tests that candidate itself, so it raises as the sequential passes would.
 
 ``run_shared`` runs a list of independent runs, such as the property
-suite's properties, on two CPUs.  It writes every index into a pipe
-before it forks a peer, and each process claims one index at a time until
-the pipe is empty.  The peer sends back its results, and the caller's
-process places each at its index, so the list is the same on one CPU or
-two.  A run that raised, or that the peer never reported, the caller's
-process runs again once the peer is done, in index order, so the
-exception that escapes is the one a single process raises.
-
-Both use a second CPU only where the process may run on two
-(``os.sched_getaffinity``) and can fork; a platform without either
-function, such as macOS or Windows, runs everything in one process.
+suite's properties, on two CPUs: each process claims the next index from
+a pipe until it is empty, and the list, and the exception that escapes,
+are those of one process.  Both fork, kill and reap their peer by one
+path, ``_with_peer``.  Both use a second CPU only where the process may
+run on two (``os.sched_getaffinity``), can fork, and has no peer and is
+none, so three processes never share two CPUs; a platform without either
+function, such as macOS or Windows, runs in one process.
 """
 
 from __future__ import annotations
@@ -193,18 +188,64 @@ def rerun(world: CheckedReplay, generate: Callable[[int], Any], steps: int,
     return actions
 
 
+_paired = False  # whether this process has a peer or is one (``_with_peer``)
+
+
 def _two_cpus() -> bool:
-    """Whether this process may fork a peer and run on two CPUs.  Read at
-    each call; a platform without ``os.fork`` (Windows) or
-    ``os.sched_getaffinity`` (macOS) runs on one."""
+    """Whether this process may fork a peer and run on two CPUs: not while
+    it has a peer or is one.  Read at each call; a platform without
+    ``os.fork`` (Windows) or ``os.sched_getaffinity`` (macOS) runs on one."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+    return not _paired and hasattr(os, "fork") and affinity is not None \
+        and len(affinity(0)) >= 2
 
 
-# A trace at least this long is shrunk by two processes (see ``ddmin``).
-# The property suite's minimizations at 400 steps mostly stay in one: at
-# most 68 actions at seed 0; at seed 3, escrow_conservation's 332 under
-# drop-burn-before-pay.
+def _with_peer(peer: Callable[[], Any], body: Callable[[Callable[[], bool]], Any],
+               theirs: tuple[int, ...], mine: tuple[int, ...],
+               shared: tuple[int, ...] = ()) -> Any:
+    """``body(reap)`` here while a peer forked for the call runs ``peer()``;
+    the peer never returns into its caller's code, but leaves by ``os._exit``
+    with status 0 only if ``peer()`` returned.  After the fork each process
+    closes the other's pipe ends, ``theirs`` the peer's and ``mine`` this
+    process's, so it reads EOF once the other is gone.  ``reap()`` waits for
+    the peer: whether its status is 0.  Unless ``body`` reaped it, the peer
+    is killed and reaped; ``mine`` and ``shared`` are closed.  The caller
+    must run no other thread."""
+    global _paired
+    pid = os.fork()
+    _paired = True
+    if pid == 0:
+        code = 1
+        try:
+            for end in mine:
+                os.close(end)
+            peer()
+            code = 0
+        finally:
+            os._exit(code)
+    status: list[int] = []  # the peer's, once reaped
+
+    def reap() -> bool:
+        status.append(os.waitpid(pid, 0)[1])
+        return status == [0]
+
+    try:
+        for end in theirs:
+            os.close(end)
+        return body(reap)
+    finally:
+        _paired = False
+        if not status:
+            os.kill(pid, signal.SIGKILL)
+            reap()
+        for end in mine + shared:
+            os.close(end)
+
+
+# A trace at least this long is shrunk by two processes (see ``ddmin``),
+# unless this process has a peer: a suite shared by ``run_shared`` shrinks in
+# one, whether at 400 steps it hands ``ddmin`` at most 68 actions (seed 0) or
+# escrow_conservation's 332 under drop-burn-before-pay (seed 3).
 PEER_MIN_ACTIONS = 256
 
 
@@ -220,39 +261,17 @@ def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
     whether it fails.
 
     A trace of at least ``PEER_MIN_ACTIONS`` actions, on a process that may
-    run on two CPUs, is shrunk with a peer forked for this call, which
-    tests the next candidate of each round (see ``_Lockstep``); the peer is
-    killed and reaped before the call returns or raises.  The calling
-    process must not run other threads, since the peer is forked.
+    run on two CPUs, is shrunk with a peer that tests the next candidate of
+    each round (``_with_peer``, ``_Lockstep``).
     """
     trace = list(trace)
     if len(trace) < PEER_MIN_ACTIONS or not _two_cpus():
         return _passes(trace, start, fails, _Lockstep())
     down, up = os.pipe(), os.pipe()  # to the peer, from the peer
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(down[1])
-            os.close(up[0])
-            _passes(trace, start, fails, _Lockstep(down[0], up[1], peer=True))
-        except BaseException:
-            # the peer's test raised, or the shrinking process is gone; the
-            # peer never returns into its caller's code, so it reports and exits
-            try:
-                os.write(up[1], _RAISED)
-            except OSError:
-                pass
-        finally:
-            os._exit(0)
-    os.close(down[0])
-    os.close(up[1])
-    try:
-        return _passes(trace, start, fails, _Lockstep(up[0], down[1]))
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        os.close(up[0])
-        os.close(down[1])
+    return _with_peer(
+        lambda: _passes(trace, start, fails, _Lockstep(down[0], up[1], peer=True)),
+        lambda reap: _passes(trace, start, fails, _Lockstep(up[0], down[1])),
+        theirs=(down[0], up[1]), mine=(up[0], down[1]))
 
 
 def _passes(trace: list, start: Callable[[], Replay],
@@ -286,24 +305,16 @@ def _deletes(trace: list, i: int, chunk: int, prefix: Replay,
 
 
 # the bytes of the verdicts the two processes swap
-_KEPT, _DELETED, _NONE, _RAISED = b"0", b"1", b"-", b"!"
+_KEPT, _DELETED, _NONE = b"0", b"1", b"-"
 
 
 class _Lockstep:
-    """The verdicts of one round of a pass, for one of the two processes
-    of a shrink or for a shrink in one (no pipes).
-
-    In a round the shrinking process tests candidate ``i``, and the peer
-    tests candidate ``i + chunk`` of the same trace, the next one if ``i``
-    is kept.  Then each sends the other one byte, its verdict (the peer's
-    is ``_NONE`` past the end of the trace, or ``_RAISED``), and both apply
-    the two verdicts in order.  If ``i`` is deleted the peer's verdict is
-    dropped, so both run the sequential passes in lockstep and reach its
-    verdicts.  The peer tests its candidate on a fork of its prefix
-    advanced by a chunk, which becomes its prefix if ``i`` is kept.  If the
-    peer raises or is gone, the shrinking process goes on alone and tests
-    that candidate itself, so it raises what the sequential passes would.
-    The peer stops at the end of its pipe.
+    """The verdicts of one round of a pass (see the module docstring), for
+    one of the two processes of a shrink or for a shrink in one (no pipes).
+    The peer's byte is ``_NONE`` past the end of the trace, and the fork it
+    tested on becomes its prefix if ``i`` is kept.  Either process reads the
+    end of its pipe once the other is gone: the peer then stops, and the
+    shrinking process goes on alone.
     """
 
     def __init__(self, receive: int | None = None, send: int | None = None,
@@ -331,8 +342,8 @@ class _Lockstep:
             return (False, mine), ahead
         mine = _deletes(trace, i, chunk, prefix, fails)
         theirs = os.read(self.receive, 1)
-        if theirs not in (_KEPT, _DELETED, _NONE):
-            return (mine,), prefix  # the peer raised or is gone: go on alone
+        if not theirs:
+            return (mine,), prefix  # the peer is gone: go on alone
         os.write(self.send, _DELETED if mine else _KEPT)
         if theirs == _NONE:
             return (mine,), prefix
@@ -349,8 +360,8 @@ _CLAIMS_MAX = 4096 // _CLAIM_BYTES
 
 def run_shared(count: int, run: Callable[[int], Any], peer: bool) -> list:
     """``[run(i) for i in range(count)]``, the indices shared between this
-    process and a peer forked for the call if ``peer`` and the process may
-    use two CPUs.  Each result must be of the built-in types that
+    process and a peer (``_with_peer``) if ``peer`` and the process may use
+    two CPUs.  Each result must be of the built-in types that
     ``marshal`` writes.
 
     Every index is written to a pipe before the fork, and each process
@@ -359,9 +370,7 @@ def run_shared(count: int, run: Callable[[int], Any], peer: bool) -> list:
     index, so the list is the same on one CPU or two.  An index whose run
     raised, in either process, or that the peer claimed and never reported,
     this process runs again once the peer is done, in index order: the
-    exception that escapes is the lowest index's, as in one process.  The
-    peer is killed and reaped before the call returns or raises.  The
-    calling process must not run other threads, since the peer is forked.
+    exception that escapes is the lowest index's, as in one process.
     """
     if not peer or not 2 <= count <= _CLAIMS_MAX or not _two_cpus():
         return [run(index) for index in range(count)]
@@ -369,32 +378,21 @@ def run_shared(count: int, run: Callable[[int], Any], peer: bool) -> list:
     os.write(claims[1], b"".join(index.to_bytes(_CLAIM_BYTES, "big")
                                  for index in range(count)))
     os.close(claims[1])
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(results[0])
-            done = _run_claimed(claims[0], run)
-            with open(results[1], "wb") as to_parent:
-                marshal.dump(done, to_parent)
-            status = 0
-        finally:
-            # the peer never returns into its caller's code
-            os._exit(status)
-    os.close(results[1])
-    try:
-        with open(results[0], "rb") as from_peer:
-            done = _run_claimed(claims[0], run)
+
+    def send() -> None:
+        with open(results[1], "wb") as to_parent:
+            marshal.dump(_run_claimed(claims[0], run), to_parent)
+
+    def collect(reap: Callable[[], bool]) -> dict:
+        done = _run_claimed(claims[0], run)
+        with open(results[0], "rb", closefd=False) as from_peer:
             sent = from_peer.read()
-        _, status = os.waitpid(pid, 0)
-        pid = 0
-    finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(claims[0])
-    if status == 0:  # the peer sent all it ran
-        done.update(marshal.loads(sent))
+        if reap():  # the peer sent all it ran
+            done.update(marshal.loads(sent))
+        return done
+
+    done = _with_peer(send, collect, theirs=(results[1],), mine=(results[0],),
+                      shared=(claims[0],))
     return [done[index] if index in done else run(index) for index in range(count)]
 
 

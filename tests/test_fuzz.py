@@ -668,6 +668,32 @@ def test_ddmin_reaps_its_peer_when_the_shrinking_process_raises(two_cpus):
     assert_no_child_left()
 
 
+def test_ddmin_goes_on_alone_when_its_peer_exits_mid_pass(monkeypatch, two_cpus,
+                                                          tmp_path):
+    # the peer leaves on its third test without raising or writing a byte:
+    # the end of its pipe is all the shrinking process sees
+    shrinking = os.getpid()
+    trace = list(range(300))
+    exited = tmp_path / "exited"
+    tests = []
+
+    def fails(candidate, prefix):
+        if os.getpid() != shrinking:
+            tests.append(len(candidate))
+            if len(tests) == 3:
+                exited.write_text(f"{os.getpid()}\n")
+                os._exit(0)
+        return prefix.fork().run(candidate)
+
+    two = ddmin(trace, _FailsAtLastAfterSeven, fails)
+    assert two_cpus == [shrinking]
+    assert_no_child_left()
+    assert int(exited.read_text()) != shrinking
+    monkeypatch.setattr(ddmin_module, "PEER_MIN_ACTIONS", len(trace) + 1)
+    assert two == ddmin(trace, _FailsAtLastAfterSeven, fails) == [7]
+    assert two_cpus == [shrinking]
+
+
 class _RaisesOnLast149(_FailsAtLastAfterSeven):
     """Raises on a candidate that ends on action 149, writing the id of the
     process that raised to ``log``."""
