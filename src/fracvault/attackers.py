@@ -18,10 +18,6 @@ from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .system import SystemHandle
 from .vault import EXTENSION_DELTA, Vault
 
-STRATEGIES = ("ReenterWithdraw", "ReenterRedeem", "RejectPayment",
-              "DoubleRedeem", "BidSniper", "GovernanceSpammer")
-
-
 @dataclass
 class AttackReport:
     strategy: str

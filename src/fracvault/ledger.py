@@ -37,14 +37,17 @@ every event of a run that does not fold it.  ``Event.payload`` gives the
 as pairs.
 
 The state digest is incremental: ``digest()`` keeps a ``DigestCache`` of
-canonical JSON fragments, and each write helper marks the one fragment it
-touches (a collection entry, such as a balance or an auction, or one
-module scalar), committed or rolled back, so a digest re-encodes only
-those and joins their ancestors from cached pieces.  When nothing was
-marked and the clock, genesis supply, event count and last event read as
-before, the previous digest is served without work; when the marked
-fragments encode to the bytes they had, as after a sound rollback, it is
-served without hashing.  Frozen collection entries encode themselves
+canonical JSON fragments, laid out once when it is built, the native
+balances as one collection of the top object.  A world gains members only
+through ``_add_member``, which drops the cache.  Each write helper marks
+the one fragment it touches (a collection entry, such as a balance or an
+auction, or one module scalar), committed or rolled back, so a digest
+re-encodes only those and joins their ancestors from cached pieces.  When
+nothing was marked and the clock, genesis supply, event count and last
+event read as before, the previous digest is served without work; when
+the marked fragments encode to the bytes they had, as after a sound
+rollback, it is served without hashing.  Frozen collection entries encode
+themselves
 (``digest_json``) with the bytes of ``canonical_json(normalize(entry))``;
 ``collection_entry`` derives that encoder and ``as_data`` from one list,
 the entry's dataclass fields.  ``full_digest()`` recomputes the same
@@ -247,10 +250,7 @@ _IMMUTABLE = (int, str, bool, type(None))
 
 
 def _containers(obj: Any) -> tuple:
-    """An object and the dicts and lists it holds directly, or a bare dict
-    or list."""
-    if isinstance(obj, (dict, list)):
-        return (obj,)
+    """An object and the dicts and lists it holds directly."""
     return (obj, *(v for v in vars(obj).values() if isinstance(v, (dict, list))))
 
 
@@ -259,12 +259,10 @@ def _pair_name(pair: tuple) -> str:
     return f"{owner}|{spender}"
 
 
-def _section_data(group: str, obj: Any) -> Any:
+def _section_data(group: str, obj: Any) -> dict:
     """One section of the digest document, holding the world's dicts and
-    lists live: the native balances, a fungible ledger (its allowances keyed
-    by ``(owner, spender)``), an NFT ledger, or a module's snapshot."""
-    if group == "native":
-        return obj
+    lists live: a fungible ledger (its allowances keyed by ``(owner,
+    spender)``), an NFT ledger, or a module's snapshot."""
     if group == "fungible":
         return {"supply": obj.total_supply, "balances": obj.balances,
                 "allowances": obj.allowances}
@@ -382,8 +380,9 @@ class _Object:
 
 @dataclass(eq=False)
 class _Collection:
-    """A dict or list that a section holds live, as the pieces its text is
-    joined from: '"name":fragment' in name order, or fragments."""
+    """A dict or list that the document holds live, the native balances or
+    one of a section's, as the pieces its text is joined from:
+    '"name":fragment' in name order, or fragments."""
 
     container: dict | list
     name: Any  # renders an entry's key as its JSON name
@@ -396,7 +395,7 @@ class _Collection:
 @dataclass(eq=False)
 class _Section:
     """One section: its data's values as last encoded into ``fields``, with
-    the collections among them, or the one collection that it is."""
+    the collections among them."""
 
     group: str
     name: str  # its key in its group
@@ -404,24 +403,28 @@ class _Section:
     values: dict[str, Any] = field(default_factory=dict)
     collections: dict[str, _Collection] = field(default_factory=dict)
     fields: _Object | None = None
-    whole: _Collection | None = None
     text: bytes = b""
     stale: bool = True  # its data may hold new values
-    live: bool = True  # still a member of its group
 
 
 _GROUPS = ("fungible", "nft", "modules")
 
 
 class DigestCache:
-    """Canonical JSON of the digest document, kept as encoded fragments and
-    re-encoded only where written, and its hash, taken again only when the
-    text changed.
+    """Canonical JSON of one world's digest document, kept as encoded
+    fragments and re-encoded only where written, and its hash, taken again
+    only when the text changed.
 
-    A section is the native ledger, one fungible or NFT ledger, or one
-    module.  A dict or list that a section's data holds live (not a copy),
-    such as the vault's auctions or a ledger's allowances, is a collection
-    whose entries are fragments of their own; its other values are plain
+    ``DigestCache(state)`` lays the document out once: the native balances
+    are a collection slotted into the top object, and each fungible or NFT
+    ledger and each module is a section of its group.  A world gains
+    members only through ``ChainState._add_member``, which drops the cache,
+    so the layout never changes.  The cache holds the world's containers
+    and members, never the ``ChainState``: a world stays free of cycles.
+
+    A dict or list that a section's data holds live (not a copy), such as
+    the vault's auctions or a ledger's allowances, is a collection whose
+    entries are fragments of their own; its other values are plain
     fragments.  Entries are never changed in place, so ``owners`` maps
     only containers, by id: a collection, where a write dirties the entry
     under its key, or the section's object and its other containers, where
@@ -437,65 +440,71 @@ class DigestCache:
     ``digest`` serves the previous hash with no work when no write marked
     the cache since and the document's other inputs read as before: the
     clock, the genesis supply, the event count and the last event (which
-    stands for the log, as in ``ChainState.event_hash``), and the members
-    of each group.  When the marked fragments encode to the bytes they
-    had, as after a sound rollback, it serves the previous hash without
-    hashing.
+    stands for the log, as in ``ChainState.event_hash``).  When the marked
+    fragments encode to the bytes they had, as after a sound rollback, it
+    serves the previous hash without hashing.
     """
 
-    def __init__(self) -> None:
-        self.sections: dict[tuple[str, ...], _Section] = {}
+    def __init__(self, state: "ChainState") -> None:
+        self.sections: dict[tuple[str, str], _Section] = {}
         self.groups: dict[str, _Object] = {}
-        # id -> (container, section, the collection it is or None)
-        self.owners: dict[int, tuple[Any, _Section, _Collection | None]] = {}
+        # id -> (container, its section or None for the native balances,
+        # the collection it is or None)
+        self.owners: dict[int, tuple[Any, _Section | None, _Collection | None]] = {}
         self.dirty: set[_Section] = set()
-        self.top = _Object([*_scalar_fields(0, 0, 0, ""), "native", *_GROUPS])
+        self.top = top = _Object([*_scalar_fields(0, 0, 0, ""), "native", *_GROUPS])
+        self.native = _Collection(state.native, str)
+        self.owners[id(state.native)] = (state.native, None, self.native)
+        self._update(self.native, state.native)
+        top.set("native", self.native.text)
+        for group in _GROUPS:
+            members = getattr(state, group)
+            fields = self.groups[group] = _Object(members)
+            for name, obj in members.items():
+                section = self.sections[group, name] = _Section(group, name, obj)
+                self._render(section)
+                fields.set(name, section.text)
+            top.set(group, fields.text())
         self.served = 0
-        # what the latest digest read: the native balances, a copy of each
-        # group, the scalars and the last event; and the hash it gave
-        self.native = self.clock = self.supply = self.count = self.last = ABSENT
-        self.members: tuple[dict, ...] = ()
+        # what the latest digest read: the scalars and the last event; and
+        # the hash it gave
+        self.clock = self.supply = self.count = self.last = ABSENT
         self.hex = ""
 
     def mark(self, container: Any, key: Any) -> None:
         owner = self.owners.get(id(container))
         if owner is not None:
             _, section, collection = owner
-            self.dirty.add(section)
             if collection is not None:
                 collection.dirty.add(key)
             else:
                 section.stale = True
+            if section is not None:
+                self.dirty.add(section)
 
     def digest(self, state: "ChainState") -> str:
         """The hex sha256 of ``state``'s digest document."""
         events = state.events
         count = state.event_count()
         last = events[-1] if events else None
-        laid_out = state.native is self.native and self.members == (
-            state.fungible, state.nft, state.modules)
-        if not (laid_out and not self.dirty and count == self.count and last is self.last
-                and state.clock == self.clock
-                and state.genesis_native_supply == self.supply):
-            if self._encode(state, count, last, laid_out):
+        if (self.dirty or self.native.dirty or count != self.count or last is not self.last
+                or state.clock != self.clock or state.genesis_native_supply != self.supply):
+            if self._encode(state, count, last):
                 self.hex = hashlib.sha256(self.top.text()).hexdigest()
         return self.hex
 
-    def _encode(self, state: "ChainState", count: int, last: Event | None,
-                laid_out: bool) -> bool:
+    def _encode(self, state: "ChainState", count: int, last: Event | None) -> bool:
         """Encode what changed since the latest digest into ``top``;
         whether its text changed."""
-        top = self.top
-        joined = set() if laid_out else self._lay_out(state)  # groups to join again
-        changed = bool(joined)
+        top, native = self.top, self.native
+        changed = bool(native.dirty) and self._update(native, native.dirty)
+        if changed:
+            top.set("native", native.text)
+        joined = set()  # groups to join again
         dirty, self.dirty = self.dirty, set()
         for section in dirty:
-            if not (section.live and self._render(section)):
-                continue
-            changed = True
-            if section.group == "native":
-                top.set("native", section.text)
-            else:
+            if self._render(section):
+                changed = True
                 self.groups[section.group].set(section.name, section.text)
                 joined.add(section.group)
         for group in joined:
@@ -512,28 +521,11 @@ class DigestCache:
             changed |= top.put("event_hash", _json_str(state.event_hash()).encode())
         return changed
 
-    def _lay_out(self, state: "ChainState") -> set[str]:
-        """Make a section of the native balances and of each group member
-        that is new or another object; the groups whose members changed."""
-        members = (state.fungible, state.nft, state.modules)
-        if state.native is not self.native:
-            self.native = state.native
-            self._member(("native",), "native", state.native)
-        joined = set()
-        for group, live, seen in zip(_GROUPS, members, self.members or ({},) * len(_GROUPS)):
-            if live == seen and group in self.groups:
-                continue
-            joined.add(group)
-            for name in seen.keys() - live.keys():
-                self.sections.pop((group, name)).live = False
-            self.groups[group] = _Object(live)
-            for name, obj in live.items():
-                self.groups[group].set(name, self._member((group, name), group, obj).text)
-        self.members = tuple(dict(live) for live in members)
-        return joined
-
-    def stale_section(self, state: "ChainState") -> str:
-        """The first section whose cached fragment differs from a full render."""
+    def stale_section(self) -> str:
+        """The first section whose cached fragment differs from a full
+        render, the native balances first."""
+        if canonical_json(normalize(self.native.container)).encode() != self.native.text:
+            return "native"
         for key, section in self.sections.items():
             data = _rendered(section.group, _section_data(section.group, section.obj))
             full = canonical_json(normalize(data))
@@ -541,32 +533,17 @@ class DigestCache:
                 return ".".join(key)
         return "document"
 
-    def _member(self, key: tuple[str, ...], group: str, obj: Any) -> _Section:
-        section = self.sections.get(key)
-        if section is None or section.obj is not obj:
-            if section is not None:
-                section.live = False
-            section = self.sections[key] = _Section(group, key[-1], obj)
-            self.dirty.add(section)
-        return section
-
     def _render(self, section: _Section) -> bool:
         """Encode a marked section's written parts again; whether its text
         changed."""
         changed = section.stale  # then its fields are joined again
         if changed:
             self._lay_out_section(section)
-        whole = section.whole
-        if whole is not None:
-            if whole.dirty:
-                self._update(whole, whole.dirty)
-            text = whole.text
-        else:
-            for name, collection in section.collections.items():
-                if collection.dirty and self._update(collection, collection.dirty):
-                    section.fields.set(name, collection.text)
-                    changed = True
-            text = section.fields.text() if changed else section.text
+        for name, collection in section.collections.items():
+            if collection.dirty and self._update(collection, collection.dirty):
+                section.fields.set(name, collection.text)
+                changed = True
+        text = section.fields.text() if changed else section.text
         if text == section.text:
             return False
         section.text = text
@@ -581,9 +558,7 @@ class DigestCache:
         section.stale = False
         live = {id(c): c for c in _containers(obj)}
         data = _section_data(section.group, obj)
-        if id(data) in live:  # the section is one collection
-            data = {None: data}
-        elif section.fields is None or data.keys() != section.values.keys():
+        if section.fields is None or data.keys() != section.values.keys():
             data = {str(k): v for k, v in data.items()}
             section.fields, section.values, section.collections = _Object(data), {}, {}
         values, collections = section.values, section.collections
@@ -601,10 +576,7 @@ class DigestCache:
             else:
                 collections.pop(name, None)
                 fragment = canonical_text(value).encode()
-            if name is None:
-                section.whole = collection
-            else:
-                section.fields.set(name, fragment)
+            section.fields.set(name, fragment)
         # a write to the object, or to a container it holds that is not a
         # collection, makes the section read its data again
         held = {id(collection.container) for collection in collections.values()}
@@ -937,15 +909,24 @@ class ChainState:
         self.jset(self.native, addr, self.native.get(addr, 0) + amount)
         self.genesis_native_supply += amount
 
-    def install_module(self, module: Module) -> Module:
+    def _add_member(self, group: str, key: str, member: Any) -> Any:
+        """Add ``member``, a fungible or NFT ledger or a module, to
+        ``group`` under ``key``, between transactions.  The one way a world
+        gains members: it drops the digest cache, so that the next digest
+        lays the world out anew."""
         if self._frames:
-            raise RuntimeError("cannot install a module inside a transaction")
-        if module.module_id in self.modules:
-            raise ValueError(f"module id {module.module_id!r} already installed")
+            raise RuntimeError(f"cannot add to {group} inside a transaction")
+        members = getattr(self, group)
+        if key in members:
+            raise ValueError(f"{group} member {key!r} exists")
+        members[key] = member
+        self._digest_cache = None
+        return member
+
+    def install_module(self, module: Module) -> Module:
         if module.address in self.native or module.address == ZERO_ADDRESS:
             raise ValueError(f"module address {module.address!r} already in use")
-        self.modules[module.module_id] = module
-        return module
+        return self._add_member("modules", module.module_id, module)
 
     def is_module_address(self, addr: Address) -> bool:
         return addr in self.modules
@@ -959,22 +940,10 @@ class ChainState:
             self.hooks[addr] = hook
 
     def create_fungible(self, ledger_id: str) -> FungibleLedger:
-        if self._frames:
-            raise RuntimeError("ledgers are created at deployment time")
-        if ledger_id in self.fungible:
-            raise ValueError(f"fungible ledger {ledger_id!r} exists")
-        ledger = FungibleLedger()
-        self.fungible[ledger_id] = ledger
-        return ledger
+        return self._add_member("fungible", ledger_id, FungibleLedger())
 
     def create_nft_ledger(self, ledger_id: str) -> NftLedger:
-        if self._frames:
-            raise RuntimeError("ledgers are created at deployment time")
-        if ledger_id in self.nft:
-            raise ValueError(f"nft ledger {ledger_id!r} exists")
-        ledger = NftLedger()
-        self.nft[ledger_id] = ledger
-        return ledger
+        return self._add_member("nft", ledger_id, NftLedger())
 
     # ------------------------------------------------------------------ #
     # Logical clock
@@ -1419,7 +1388,7 @@ class ChainState:
         """The digest document's sections after the native balances, in
         document order, as ``(group, name, data)``; the data holds the
         world's dicts and lists live."""
-        for group in ("fungible", "nft", "modules"):
+        for group in _GROUPS:
             for name, obj in getattr(self, group).items():
                 yield group, name, _section_data(group, obj)
 
@@ -1465,12 +1434,12 @@ class ChainState:
         """
         cache = self._digest_cache
         if cache is None:
-            cache = self._digest_cache = DigestCache()
+            cache = self._digest_cache = DigestCache(self)
         digest = cache.digest(self)
         cache.served += 1
         if cache.served % DIGEST_CHECK_INTERVAL == 0 and self.full_digest() != digest:
             raise DigestCacheMismatch(
-                f"cached digest section {cache.stale_section(self)} differs from "
+                f"cached digest section {cache.stale_section()} differs from "
                 f"the full recompute: a write bypassed the journaled helpers")
         return digest
 

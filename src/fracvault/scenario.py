@@ -145,6 +145,15 @@ def load_scenario(path: str) -> dict:
 # World construction
 # --------------------------------------------------------------------- #
 
+def _flag(spec: dict, key: str, where: str) -> bool:
+    """A hook flag of a scenario file: JSON ``true`` or ``false``, false
+    when absent; ``where`` names the hook or its call."""
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: {key!r} must be true or false, not {value!r}")
+    return value
+
+
 def _parse_hook(owner: str, spec: Any) -> ReceiveHook:
     where = f"hook of {owner}"
     if not isinstance(spec, dict):
@@ -166,11 +175,11 @@ def _parse_hook(owner: str, spec: Any) -> ReceiveHook:
             module=entry["module"], method=entry["method"],
             args=tuple(sorted(decode_value(entry.get("args", {})).items())),
             value=parse_amount(entry.get("value", 0), call),
-            require_success=bool(entry.get("require_success", False)),
-            record_result=bool(entry.get("record_result", False))))
+            require_success=_flag(entry, "require_success", call),
+            record_result=_flag(entry, "record_result", call)))
     max_activations = spec.get("max_activations")
     return ReceiveHook(owner=owner, calls=tuple(calls),
-                       reject=bool(spec.get("reject", False)),
+                       reject=_flag(spec, "reject", where),
                        max_activations=None if max_activations is None
                        else parse_amount(max_activations, f"{where}: max_activations"))
 

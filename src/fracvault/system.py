@@ -145,11 +145,7 @@ class GenesisParams:
         for name, value in data.items():
             if name not in known:
                 raise ScenarioError(f"genesis.parameters: unknown parameter {name!r}")
-            try:
-                values[name] = int(value)
-            except (TypeError, ValueError):
-                raise ScenarioError(f"genesis.parameters.{name}: {value!r} is "
-                                    "not a decimal amount") from None
+            values[name] = parse_amount(value, f"genesis.parameters.{name}")
         return cls(**values)
 
     def as_data(self) -> dict:

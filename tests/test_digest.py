@@ -290,6 +290,30 @@ def test_digest_built_inside_a_frame_sees_its_rollback(chain):
     assert chain.digest() == chain.full_digest() != inside
 
 
+# the three ways a world gains a member, under a given key
+ADD_MEMBER = {
+    "install_module": lambda state, key: state.install_module(_Emitter(key)),
+    "create_fungible": lambda state, key: state.create_fungible(key),
+    "create_nft_ledger": lambda state, key: state.create_nft_ledger(key),
+}
+
+
+@pytest.mark.parametrize("add", sorted(ADD_MEMBER))
+def test_a_member_added_after_a_digest_is_digested(world, add):
+    state, _ = world
+    before = state.digest()  # builds the cache
+    ADD_MEMBER[add](state, "extra")
+    after = state.digest()
+    assert after != before and after == state.full_digest()
+    frame = state.snapshot()
+    with pytest.raises(RuntimeError, match="inside a transaction"):
+        ADD_MEMBER[add](state, "inside")
+    state.rollback(frame)
+    with pytest.raises(ValueError, match="'extra' exists"):
+        ADD_MEMBER[add](state, "extra")
+    assert state.digest() == after == state.full_digest()
+
+
 # raw writes that bypass the journaled helpers, and the section they stale
 RAW_WRITES = {
     "native": lambda state, handle: state.native.__setitem__(
@@ -336,9 +360,10 @@ def test_list_item_write_and_append_roll_back(proposal_world, append_first):
 def _entries(state):
     """Every entry of every collection the digest cache holds live."""
     state.digest()
-    for section in state._digest_cache.sections.values():
-        whole = [section.whole] if section.whole is not None else []
-        for collection in [*section.collections.values(), *whole]:
+    cache = state._digest_cache
+    yield from cache.native.container.values()
+    for section in cache.sections.values():
+        for collection in section.collections.values():
             container = collection.container
             yield from container.values() if isinstance(container, dict) else container
 
@@ -938,7 +963,8 @@ def test_a_reverted_transaction_is_served_unhashed(case, monkeypatch):
     assert _digest_hashing(monkeypatch, state)[1]  # the first digest hashes
     before = state.digest()
     assert not failing(state).ok
-    assert state._digest_cache.dirty  # it wrote before it failed
+    cache = state._digest_cache
+    assert cache.dirty or cache.native.dirty  # it wrote before it failed
     _assert_served_unhashed(monkeypatch, state, before)
 
 
@@ -963,7 +989,8 @@ def test_a_rollback_of_every_write_is_served_unhashed(proposal_world, monkeypatc
     state.jappend(proposals, proposals[0])
     assert state.full_digest() != before  # which leaves the cache as it is
     state.rollback(frame)
-    assert len(state._digest_cache.dirty) == 4  # every section it wrote
+    # every section it wrote, and the native balances
+    assert len(state._digest_cache.dirty) == 3 and state._digest_cache.native.dirty
     _assert_served_unhashed(monkeypatch, state, before)
 
 

@@ -273,14 +273,19 @@ def test_cli_run_parse_error(tmp_path):
      "genesis.parameters: unknown parameter 'bogus'"),
     (lambda doc: doc["genesis"]["parameters"].update(royalty_percent="five"),
      "genesis.parameters.royalty_percent: 'five' is not a decimal amount"),
+    (lambda doc: doc["genesis"]["parameters"].update(auction_duration=1.9),
+     "genesis.parameters.auction_duration: amounts are decimal strings"),
+    (lambda doc: doc["genesis"]["parameters"].update(royalty_percent=True),
+     "genesis.parameters.royalty_percent: amounts are decimal strings"),
     (lambda doc: doc["genesis"].update(parameters=["604800"]),
      "genesis.parameters must be an object"),
     (lambda doc: doc.update(mutant="no-such-mutant"),
      "unknown mutant 'no-such-mutant'"),
     (lambda doc: doc.update(mutant=["x"]), "mutant must be a string, not ['x']"),
     (lambda doc: doc.update(mutant=0), "mutant must be a string, not 0"),
-], ids=["unknown-parameter", "non-decimal-parameter", "mistyped-parameters",
-        "unknown-mutant", "non-string-mutant", "numeric-mutant"])
+], ids=["unknown-parameter", "non-decimal-parameter", "float-parameter",
+        "boolean-parameter", "mistyped-parameters", "unknown-mutant",
+        "non-string-mutant", "numeric-mutant"])
 def test_cli_run_reports_bad_scenario_input(tmp_path, edit, message):
     document = json.loads(LIFECYCLE.read_text())
     edit(document)
@@ -302,8 +307,16 @@ def test_cli_run_reports_bad_scenario_input(tmp_path, edit, message):
      "hook of mallory: 'calls' must be a list"),
     ({"calls": ["vault.withdraw_pending"]},
      "hook of mallory: calls[0] must be a JSON object"),
+    ({"reject": "false"}, "hook of mallory: 'reject' must be true or false, not 'false'"),
+    ({"calls": [{"module": "vault", "method": "withdraw_pending",
+                 "require_success": "false"}]},
+     "hook of mallory: calls[0]: 'require_success' must be true or false, not 'false'"),
+    ({"calls": [{"module": "vault", "method": "withdraw_pending",
+                 "record_result": "false"}]},
+     "hook of mallory: calls[0]: 'record_result' must be true or false, not 'false'"),
 ], ids=["non-decimal-activations", "negative-activations", "call-without-module",
-        "call-without-method", "calls-not-a-list", "call-not-an-object"])
+        "call-without-method", "calls-not-a-list", "call-not-an-object",
+        "string-reject", "string-require-success", "string-record-result"])
 def test_cli_run_reports_a_malformed_genesis_hook(tmp_path, hook, message):
     document = json.loads(LIFECYCLE.read_text())
     document["genesis"]["accounts"]["mallory"] = {"balance": "0", "hook": hook}
