@@ -11,11 +11,17 @@ trace's steps with ``FuzzAction.as_data``; ``from_data`` reads them back.
 A run is a campaign on the runner in ``ddmin``: its generator is
 ``ActionGenerator`` and its step check ``FuzzPlan.check``, the write-set
 invariant checks plus, with ``check_revert_atomicity``, the shared
-revert-atomicity oracle.  A run keeps only its last ``SHRINK_WINDOW``
-actions.  On a violation ``shrink`` cuts the failing prefix by
-``ddmin.ddmin`` to a 1-minimal trace that violates the same invariant,
-starting from those last actions if they alone still violate it, and else
-from the whole prefix, which ``ddmin.rerun`` rebuilds from the seed.
+revert-atomicity oracle.  A run of at least ``ddmin.PEER_MIN_STEPS``
+steps, where the process may use two CPUs, draws its actions in a forked
+peer (``ddmin.run_drawn``): the peer draws and runs each action unchecked
+on its copy of the genesis world, and this process checks every step as
+one process does.  The checks keep their state in ``extras``, which the
+generator never reads, so the report is the same bytes on one CPU or two.
+A run keeps only its last ``SHRINK_WINDOW`` actions.  On a violation
+``shrink`` cuts the failing prefix by ``ddmin.ddmin`` to a 1-minimal trace
+that violates the same invariant, starting from those last actions if
+they alone still violate it, and else from the whole prefix, which
+``ddmin.rerun`` rebuilds from the seed.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ import copy
 import random
 from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Sequence
 
-from .ddmin import CheckedReplay, ddmin, rerun, run_checked
+from .ddmin import CheckedReplay, ddmin, drawing, rerun, run_checked, run_drawn
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import install
@@ -611,29 +618,50 @@ def _step_violation(replay: CheckedReplay, plan: FuzzPlan, action: FuzzAction,
     return result, checks.first_violation(writes)
 
 
-def _fresh_run(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[int], FuzzAction]]:
-    """A fuzz world at genesis and the generator of ``plan``'s actions on
-    it, which folds the world's committed events into its event hash every
-    FULL_SCAN_INTERVAL steps (``ChainState.fold_events``), so that the log
-    does not grow with the run."""
+def _genesis(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[], FuzzAction],
+                                       Callable[[int], None]]:
+    """A fuzz world at genesis, the draw of ``plan``'s next action on it,
+    and the fold a run makes before each step's action: every
+    FULL_SCAN_INTERVAL steps the world's committed events are folded into
+    its event hash (``ChainState.fold_events``), so that the log does not
+    grow with the run."""
     world = fuzz_replay(plan)
     state = world.state
     generator = ActionGenerator(plan, state, world.handle, world.extras["actors"])
 
-    def generate(step: int) -> FuzzAction:
+    def fold(step: int) -> None:
         if step % FULL_SCAN_INTERVAL == 0:
             state.fold_events()
-        return generator.generate()
 
-    return world, generate
+    return world, generator.generate, fold
+
+
+def _fresh_run(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[int], FuzzAction]]:
+    """A fuzz world at genesis and the generator of ``plan``'s actions on
+    it, which folds the world's events as a run does (``_genesis``)."""
+    world, draw, fold = _genesis(plan)
+    return world, drawing(fold, draw)
+
+
+def _checked_run(plan: FuzzPlan) -> tuple[CheckedReplay, tuple]:
+    """The world of ``plan``'s run and what ``run_checked`` gives for it,
+    with the actions drawn by a forked peer where ``ddmin.run_drawn`` may
+    fork one.  A peer's stream that ends before the run stops, because
+    the peer raised or was killed, is run again alone from genesis."""
+    world, draw, fold = _genesis(plan)
+    run = run_drawn(plan.steps, draw, fold, partial(run_action, world.state),
+                    FuzzAction._make, lambda generate: run_checked(
+                        world, generate, plan.steps, SHRINK_WINDOW))
+    if run is None:
+        world, generate = _fresh_run(plan)
+        run = run_checked(world, generate, plan.steps, SHRINK_WINDOW)
+    return world, run
 
 
 def run_fuzz(plan: FuzzPlan) -> FuzzReport:
-    world, generate = _fresh_run(plan)
-    tail, executed, detail, reverts = run_checked(world, generate, plan.steps,
-                                                  SHRINK_WINDOW)
+    world, (tail, executed, detail, reverts) = _checked_run(plan)
     digest = world.state.full_digest()
-    del world, generate  # the run's world is not needed to shrink
+    del world  # the run's world is not needed to shrink
     violations: list[Violation] = []
     if detail:
         violations.append(Violation(

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from . import attackers, fuzz
-from .ddmin import CheckedReplay, ddmin, rerun, run_checked, run_shared
+from .ddmin import PEER_MIN_STEPS, CheckedReplay, ddmin, rerun, run_checked, run_shared
 from .fuzz import (IDS, INTRUDER_CALLS, PAIR_FUND, FuzzAction, actor_world,
                    clock_action, deposit_prefix, fraction_transfers, market_funding,
                    round_robin_mints, sold_setup, transact_action)
@@ -1020,18 +1020,6 @@ def run_property(name: str, seed: int = 0, steps: int = 2_000,
                       f"{report.net_fraction_gain} fractions")
         return PropertyResult(name=name, passed=not detail, steps=1, detail=detail)
     raise KeyError(f"unknown property {name!r}")
-
-
-# A suite whose budget, steps times properties, is at least this runs on two
-# processes where it may use two CPUs.  Medians on a 2-CPU host, one process
-# against two: all 28 properties at 20 steps (budget 560) 16.3 against
-# 14.0 ms, at 40 (1,120) 27.1 against 19.6 ms; two healthy campaigns at 500
-# steps (1,000) 15.1 against 11.8 ms and 32.6 against 22.8 ms, but at 250
-# steps (500) 5.9 against 7.9 ms.  The fork, the peer's exit and the reaping
-# cost about 3 ms: a two-property 50-step suite took 1.1 against 4.6 ms.  A
-# suite whose work sits in one property gains nothing: a campaign and an
-# attack at 500 steps took 5.9 against 9.0 ms.
-PEER_MIN_STEPS = 1_000
 
 
 def run_suite(seed: int = 0, steps: int = 2_000, mutant: str | None = None,

@@ -57,7 +57,8 @@ def two_cpus(monkeypatch):
         return original()
 
     def expire(signum, frame):
-        raise TimeoutError("the processes of a shrink or a suite waited on each other")
+        raise TimeoutError("the processes of a run, a shrink or a suite waited on "
+                           "each other")
 
     monkeypatch.setattr(os, "fork", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

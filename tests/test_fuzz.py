@@ -26,6 +26,7 @@ from fracvault.ledger import ZERO_ADDRESS, Module, ReceiveHook, canonical_json, 
 from fracvault.mutations import MUTANTS, mutant_class
 from fracvault.properties import ACTORS, NFTS, replay_property_trace, run_suite
 from fracvault.tokens import NftCollection
+from fracvault.vault import Vault
 
 from conftest import assert_no_child_left
 from helpers import counting_reruns, genesis_ddmin, tx
@@ -504,8 +505,8 @@ def test_forks_share_frozen_entries_and_replace_them_on_their_own():
 def test_runs_leave_no_cyclic_garbage(two_cpus):
     # a cycle in a record or lock class would leave every run's world for
     # the next collection, which then runs inside someone else's timing;
-    # the hunt's shrink and the suite each run with a peer, whose pipes must
-    # leave none either
+    # both runs draw in a peer, and the hunt's shrink and the suite each run
+    # with one too, whose pipes and closures must leave none either
     gc.collect()
     gc.disable()
     try:
@@ -514,7 +515,7 @@ def test_runs_leave_no_cyclic_garbage(two_cpus):
         assert len(hunt.violations[0].trace) < hunt.steps_executed
         assert not run_suite(seed=0, steps=100, mutant="drop-only-vault").passed
         assert gc.collect() == 0
-        assert two_cpus == [os.getpid()] * 2
+        assert two_cpus == [os.getpid()] * 4
     finally:
         gc.enable()
 
@@ -559,11 +560,12 @@ def _fuzz_recording_shrink(monkeypatch, plan):
     return run_fuzz(plan), calls
 
 
-def _assert_shrink_is_genesis_ddmin(monkeypatch, forks, plan):
-    # every case's trace is long enough to be shrunk by two processes
+def _assert_shrink_is_genesis_ddmin(monkeypatch, forks, plan, fork_count):
+    # every case's trace is long enough to be shrunk by two processes; a
+    # run of PEER_MIN_STEPS steps or more forks a drawing peer first
     report, [(actions, invariant)] = _fuzz_recording_shrink(monkeypatch, plan)
     assert len(actions) >= ddmin_module.PEER_MIN_ACTIONS
-    assert forks == [os.getpid()]
+    assert forks == [os.getpid()] * fork_count
     assert_no_child_left()
     reference = genesis_ddmin(
         actions, lambda candidate: replay_violates(plan, candidate, invariant))
@@ -579,14 +581,15 @@ CAUGHT_IN_3000 = [("drop-burn-before-pay", seed) for seed in (1, 2, 3, 7, 11)] \
 def test_checkpointed_shrink_equals_genesis_ddmin(monkeypatch, two_cpus, mutant,
                                                   seed):
     _assert_shrink_is_genesis_ddmin(
-        monkeypatch, two_cpus, FuzzPlan(seed=seed, steps=3_000, mutant=mutant))
+        monkeypatch, two_cpus, FuzzPlan(seed=seed, steps=3_000, mutant=mutant), 2)
 
 
 def test_checkpointed_shrink_equals_genesis_ddmin_on_unjournaled_write(
         monkeypatch, two_cpus):
     # the violation shows only at the end-of-trace scan
     _plant_leaky_mint(monkeypatch)
-    _assert_shrink_is_genesis_ddmin(monkeypatch, two_cpus, FuzzPlan(seed=42, steps=300))
+    _assert_shrink_is_genesis_ddmin(monkeypatch, two_cpus, FuzzPlan(seed=42, steps=300),
+                                    1)
 
 
 class _FailsAtLastAfterSeven(Replay):
@@ -864,14 +867,16 @@ def test_a_folded_world_digests_as_the_full_recompute():
 
 
 def test_a_run_holds_at_most_one_cadence_of_events(monkeypatch):
-    seen = []  # (events held, events committed) at each step, after its fold
-    generate = ActionGenerator.generate
+    # (events held, events committed) in the checked world at each step,
+    # after its fold
+    seen = []
+    check = fuzz._step_violation
 
-    def recording(self):
-        seen.append((len(self.state.events), self.state.event_count()))
-        return generate(self)
+    def recording(replay, *args):
+        seen.append((len(replay.state.events), replay.state.event_count()))
+        return check(replay, *args)
 
-    monkeypatch.setattr(ActionGenerator, "generate", recording)
+    monkeypatch.setattr(fuzz, "_step_violation", recording)
     assert run_fuzz(FuzzPlan(seed=42, steps=10_000)).ok
     assert len(seen) == 10_000
     interval = fuzz.FULL_SCAN_INTERVAL
@@ -879,3 +884,116 @@ def test_a_run_holds_at_most_one_cadence_of_events(monkeypatch):
         # the last event kept at the fold, and the events of the steps since
         assert held == 1 + count - seen[step - step % interval][1], step
     assert max(held for held, _ in seen) * 5 < seen[-1][1]
+
+
+# --------------------------------------------------------------------- #
+# A run of PEER_MIN_STEPS steps or more draws its actions in a forked peer
+# --------------------------------------------------------------------- #
+
+def _one_cpu_run(monkeypatch, plan):
+    """``run_fuzz(plan)`` on a process that may use one CPU."""
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return run_fuzz(plan)
+
+
+# each plan with the forks of its run on two CPUs: the drawing peer, and a
+# peer for a shrink of at least PEER_MIN_ACTIONS actions
+DRAWN_PLANS = [(FuzzPlan(seed=seed, steps=3_000), 1) for seed in (0, 7, 42)] + [
+    (FuzzPlan(seed=42, steps=3_000, check_revert_atomicity=True), 1),
+    (FuzzPlan(seed=42, steps=ddmin_module.PEER_MIN_STEPS - 1), 0)] + [
+    (FuzzPlan(seed=seed, steps=3_000, mutant=mutant), 2)
+    for mutant, seed in CAUGHT_IN_3000]
+
+
+@pytest.mark.parametrize("plan, fork_count", DRAWN_PLANS, ids=lambda case: "-".join(
+    map(str, (case.seed, case.steps, case.check_revert_atomicity, case.mutant)))
+    if isinstance(case, FuzzPlan) else f"{case}forks")
+def test_a_run_drawn_by_a_peer_reports_as_one_process(monkeypatch, two_cpus, plan,
+                                                     fork_count):
+    # a stream that ends early is run again alone, which would hide a lost
+    # action; no run here falls back, and none rebuilds its trace to shrink
+    fresh_runs = []
+    fresh_run = fuzz._fresh_run
+    monkeypatch.setattr(fuzz, "_fresh_run",
+                        lambda plan: fresh_runs.append(plan) or fresh_run(plan))
+    two = run_fuzz(plan).as_data()
+    assert two_cpus == [os.getpid()] * fork_count
+    assert_no_child_left()
+    assert fresh_runs == []
+    assert _one_cpu_run(monkeypatch, plan).as_data() == two
+    assert two_cpus == [os.getpid()] * fork_count
+    assert two["passed"] is (plan.mutant is None)
+
+
+HEALTHY_DRAWN = FuzzPlan(seed=42, steps=2_000)
+
+
+def test_a_module_fault_escapes_as_in_one_process(monkeypatch, two_cpus):
+    # the peer raises on the same action and flushes it before it exits,
+    # so this process runs that action and raises too
+    place_bid = Vault.place_bid
+    calls = []
+
+    def faulty(self, state, ctx, token_id):
+        calls.append(token_id)
+        if len(calls) == 100:
+            raise ValueError(f"a planted fault at transaction {state.tx_index}")
+        return place_bid(self, state, ctx, token_id)
+
+    monkeypatch.setattr(Vault, "place_bid", faulty)
+    with pytest.raises(ValueError, match="planted fault") as two:
+        run_fuzz(HEALTHY_DRAWN)
+    assert two_cpus == [os.getpid()]
+    assert_no_child_left()
+    calls.clear()
+    with pytest.raises(ValueError, match="planted fault") as one:
+        _one_cpu_run(monkeypatch, HEALTHY_DRAWN)
+    assert str(two.value) == str(one.value)
+
+
+def test_a_draw_that_raises_escapes_through_the_rerun(monkeypatch, two_cpus):
+    # the peer raises at its 700th draw: this process reads the 512 actions
+    # flushed before it, finds the end of the stream, and runs the plan
+    # again alone, which raises at the same draw
+    generate = ActionGenerator.generate
+    draws = []
+
+    def failing(self):
+        draws.append(os.getpid())
+        if len(draws) == 700:
+            raise ValueError(f"a draw failed at step {len(draws) - 1}")
+        return generate(self)
+
+    monkeypatch.setattr(ActionGenerator, "generate", failing)
+    with pytest.raises(ValueError, match="at step 699") as two:
+        run_fuzz(HEALTHY_DRAWN)
+    assert two_cpus == [os.getpid()]
+    assert_no_child_left()
+    assert draws == [os.getpid()] * 700  # the rerun's draws, in this process
+    draws.clear()
+    with pytest.raises(ValueError) as one:
+        _one_cpu_run(monkeypatch, HEALTHY_DRAWN)
+    assert str(two.value) == str(one.value)
+
+
+def test_a_peer_that_exits_mid_run_gives_the_one_process_report(monkeypatch,
+                                                                  two_cpus):
+    # the peer leaves at its 600th draw without raising or flushing: the end
+    # of its stream is all this process sees
+    generate = ActionGenerator.generate
+    checking = os.getpid()
+    draws = []
+
+    def exiting(self):
+        draws.append(None)
+        if os.getpid() != checking and len(draws) == 600:
+            os._exit(0)
+        return generate(self)
+
+    monkeypatch.setattr(ActionGenerator, "generate", exiting)
+    two = run_fuzz(HEALTHY_DRAWN).as_data()
+    assert two_cpus == [checking]
+    assert_no_child_left()
+    assert len(draws) == HEALTHY_DRAWN.steps  # the rerun drew them all here
+    assert _one_cpu_run(monkeypatch, HEALTHY_DRAWN).as_data() == two

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from fracvault import fuzz, properties
-from fracvault.ddmin import run_checked
+from fracvault.ddmin import PEER_MIN_STEPS, run_checked
 from fracvault.ledger import canonical_json, normalize
 from fracvault.mutations import MUTANTS
 from fracvault.properties import (ALL_PROPERTIES, PINNED_PROPERTIES,
@@ -85,7 +85,7 @@ def _report_bytes(report) -> str:
 @pytest.mark.parametrize("mutant", [None, *sorted(MUTANTS)])
 def test_two_process_suite_reports_what_one_process_reports(monkeypatch, two_cpus,
                                                             mutant, seed):
-    assert 400 * len(ALL_PROPERTIES) >= properties.PEER_MIN_STEPS
+    assert 400 * len(ALL_PROPERTIES) >= PEER_MIN_STEPS
     two = _report_bytes(run_suite(seed=seed, steps=400, mutant=mutant))
     # the suite's fork alone: a minimization of at least PEER_MIN_ACTIONS
     # actions (at seed 3 under drop-burn-before-pay, escrow_conservation's
@@ -99,9 +99,9 @@ def test_two_process_suite_reports_what_one_process_reports(monkeypatch, two_cpu
 
 def test_a_suite_under_the_threshold_or_of_one_property_makes_no_fork(two_cpus):
     names = ("mint_authorization", "attack_reenter_withdraw")
-    assert 50 * len(names) < properties.PEER_MIN_STEPS
+    assert 50 * len(names) < PEER_MIN_STEPS
     assert not run_suite(seed=0, steps=50, mutant="drop-only-vault", names=names).passed
-    assert run_suite(seed=0, steps=properties.PEER_MIN_STEPS,
+    assert run_suite(seed=0, steps=PEER_MIN_STEPS,
                      names=("total_supply_constant",)).passed
     assert two_cpus == []
 
