@@ -1,5 +1,6 @@
 """The campaign runner of the fuzzer and the property suite: checked
-replays, their run loop and their shrinking.
+replays, their run loop and their shrinking; and the forked-peer runners
+that put them, and a trace's replay, on two CPUs.
 
 ``run_checked`` drives a ``CheckedReplay`` (generate, check, record, stop
 at the first problem); the fuzzer and each property campaign supply the
@@ -56,8 +57,16 @@ writes nothing the draw reads, so the peer's world stays the checked one
 and the run is the same, byte for byte; a stream that ends before the
 run stops is run again alone by the caller.
 
-All three fork, kill and reap their peer by one path, ``_with_peer``.
-All three use a second CPU only where the process may run on two
+``run_split`` checks one long run, such as a trace's replay, in two
+parts: this process checks the steps before a split and a peer, which
+runs them unchecked to reach the split, checks the rest.  Running a
+step without its check leaves the world as checking it does, so the
+peer's world at the split is the checked one.  The peer's count is
+taken only if it exits 0; otherwise this process checks the rest itself,
+from the split, and so raises or counts as one process does.
+
+All four fork, kill and reap their peer by one path, ``_with_peer``.
+All four use a second CPU only where the process may run on two
 (``os.sched_getaffinity``), can fork, and has no peer and is none, so
 three processes never share two CPUs; a platform without either
 function, such as macOS or Windows, runs in one process.
@@ -524,3 +533,53 @@ def _received(from_peer: Any, record: Callable[[tuple], Any]) -> Any:
         if len(body) < size:
             return
         yield from map(record, marshal.loads(body))
+
+
+# The share of a split run's steps that this process checks itself
+# (``run_split``); the peer runs them unchecked and checks the rest.  A
+# replay's step run unchecked costs about 60% of a checked one, and later
+# steps cost more as the world grows, so the share sits above the naive
+# 1/(2 - 0.4).  Replaying the benchmark's four 1,531-record traces on a
+# 2-CPU host with Python 3.11.7, one process took 0.315, 0.326 and 0.322 s
+# (medians of 10, 10 and 15 rounds, three seeds), and two, by share:
+# 0.60 -16.9/-17.0%; 0.62 -22.0/-20.0%; 0.64 -19.7/-20.1%; 0.66
+# -21.9/-21.2/-17.2%; 0.68 -26.6/-22.5/-20.5%; 0.70 -26.3/-24.1/-22.2%;
+# 0.72 -25.0/-21.0/-21.6%; 0.74 -21.4/-20.0%.
+SPLIT_SHARE = 0.70
+
+
+def run_split(steps: Callable[[], int], check: Callable[[int | None], int],
+              peer: Callable[[int], int]) -> int:
+    """``check(None)``, the step count of a run that this process checks to
+    its end; with its last steps checked by a forked peer (``_with_peer``)
+    where the process may use two CPUs and ``steps()``, the most steps the
+    run can hold, is at least ``PEER_MIN_STEPS``.
+
+    ``check(stop)`` checks the run's next steps, up to step ``stop`` or its
+    end, and returns how many it has checked.  The run is split at
+    ``split``, ``SPLIT_SHARE`` of ``steps()``: this process checks the
+    steps before it, and the peer runs ``peer(split)``, which brings its
+    copy of the run to ``split`` unchecked, checks the rest and returns the
+    count.  A run that ends before ``split`` counts its own steps.  The
+    peer's count is taken only if the peer sent it and exited 0; otherwise
+    this process checks the rest itself, from ``split``, so it raises or
+    counts as one process does.
+    """
+    if not _two_cpus() or (total := steps()) < PEER_MIN_STEPS:
+        return check(None)
+    split = int(total * SPLIT_SHARE)
+    counted = os.pipe()
+
+    def send() -> None:
+        os.write(counted[1], peer(split).to_bytes(8, "big"))
+
+    def take(reap: Callable[[], bool]) -> int:
+        checked = check(split)
+        if checked < split:
+            return checked  # the run ended before the split
+        sent = os.read(counted[0], 8)
+        if reap() and len(sent) == 8:
+            return int.from_bytes(sent, "big")
+        return check(None)
+
+    return _with_peer(send, take, theirs=(counted[1],), mine=(counted[0],))

@@ -1443,6 +1443,15 @@ class ChainState:
                 f"the full recompute: a write bypassed the journaled helpers")
         return digest
 
+    def resume_digests(self, served: int) -> None:
+        """Build the digest cache now, as if ``served`` digests had been
+        taken since the world was built: a world brought to a step without
+        the digests of the steps before it, such as a split replay's peer,
+        then cross-checks on the same ``digest`` calls as one that took
+        them."""
+        self._digest_cache = DigestCache(self)
+        self._digest_cache.served = served
+
     def full_digest(self) -> str:
         """The same hash as ``digest``, recomputed from the whole world
         without the cache, so it does not rely on writes being journaled."""

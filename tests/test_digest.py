@@ -21,7 +21,7 @@ from fracvault import trace as fv_trace
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, actor_world,
                             build_fuzz_world, run_action, run_fuzz,
                             transact_action)
-from fracvault.ddmin import CheckedReplay
+from fracvault.ddmin import SPLIT_SHARE, CheckedReplay
 from fracvault.governance import (Governance, GovernanceAction, Proposal, Timelock,
                                   TimelockEntry)
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
@@ -35,6 +35,7 @@ from fracvault.tokens import FungibleToken
 from fracvault.trace import replay_trace, write_trace
 from fracvault.vault import Auction, SaleRecord, Vault
 
+from conftest import assert_no_child_left
 from helpers import tx
 
 LIFECYCLE = resources.files("fracvault") / "scenarios" / "lifecycle.json"
@@ -1150,15 +1151,36 @@ def _replay_with_spies(run, document, tmp_path, monkeypatch) -> tuple:
     return worlds[0], lengths, hashed
 
 
-def test_replay_folds_its_event_log_and_hashes_each_event_once(tmp_path, monkeypatch):
+def _long_scenario(monkeypatch) -> tuple:
+    """A generated 3,000-transaction scenario and its run, which keeps
+    every event."""
     monkeypatch.syspath_prepend(BENCH)
     import scenario_gen
 
     document = parse_scenario(scenario_gen.build_scenario(7, 3_000))
-    run = run_scenario(document)  # a scenario run keeps every event
+    return document, run_scenario(document)
+
+
+def test_replay_folds_its_event_log_and_hashes_each_event_once(tmp_path, monkeypatch):
+    # on one CPU, so that this process replays every record
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    document, run = _long_scenario(monkeypatch)
     state, lengths, hashed = _replay_with_spies(run, document, tmp_path, monkeypatch)
     assert max(lengths) <= DIGEST_CHECK_INTERVAL + 1 < len(run.state.events)
     assert state.event_count() == len(run.state.events) == len(hashed)
+
+
+def test_a_split_replay_folds_and_hashes_its_share_once(tmp_path, monkeypatch,
+                                                        two_cpus):
+    # this process replays the records before the split, a forked peer the
+    # rest
+    document, run = _long_scenario(monkeypatch)
+    state, lengths, hashed = _replay_with_spies(run, document, tmp_path, monkeypatch)
+    assert two_cpus == [os.getpid()]
+    assert_no_child_left()
+    assert len(lengths) == int(len(run.records) * SPLIT_SHARE) > DIGEST_CHECK_INTERVAL
+    assert max(lengths) <= DIGEST_CHECK_INTERVAL + 1
+    assert state.event_count() == len(hashed) < len(run.state.events)
 
 
 def test_lifecycle_replay_hashes_each_committed_event_once(tmp_path, monkeypatch):
