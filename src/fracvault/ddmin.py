@@ -65,7 +65,8 @@ peer's world at the split is the checked one.  The peer's count is
 taken only if it exits 0; otherwise this process checks the rest itself,
 from the split, and so raises or counts as one process does.
 
-All four fork, kill and reap their peer by one path, ``_with_peer``.
+All four fork, kill and reap their peer by one path, ``_with_peer``,
+which runs the caller's one-process path instead when the fork fails.
 All four use a second CPU only where the process may run on two
 (``os.sched_getaffinity``), can fork, and has no peer and is none, so
 three processes never share two CPUs; a platform without either
@@ -79,6 +80,7 @@ import marshal
 import os
 import signal
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Sequence
 
 
@@ -220,18 +222,25 @@ def _two_cpus() -> bool:
 
 
 def _with_peer(peer: Callable[[], Any], body: Callable[[Callable[[], bool]], Any],
-               theirs: tuple[int, ...], mine: tuple[int, ...],
-               shared: tuple[int, ...] = ()) -> Any:
+               alone: Callable[[], Any], theirs: tuple[int, ...],
+               mine: tuple[int, ...], shared: tuple[int, ...] = ()) -> Any:
     """``body(reap)`` here while a peer forked for the call runs ``peer()``;
     the peer never returns into its caller's code, but leaves by ``os._exit``
     with status 0 only if ``peer()`` returned.  After the fork each process
     closes the other's pipe ends, ``theirs`` the peer's and ``mine`` this
     process's, so it reads EOF once the other is gone.  ``reap()`` waits for
     the peer: whether its status is 0.  Unless ``body`` reaped it, the peer
-    is killed and reaped; ``mine`` and ``shared`` are closed.  The caller
-    must run no other thread."""
+    is killed and reaped; ``mine`` and ``shared`` are closed.  A fork that
+    fails (``OSError``, such as EAGAIN or ENOMEM) closes every pipe end and
+    runs ``alone()``, the caller's one-process path.  The caller must run no
+    other thread."""
     global _paired
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        for end in theirs + mine + shared:
+            os.close(end)
+        return alone()
     _paired = True
     if pid == 0:
         code = 1
@@ -299,13 +308,14 @@ def ddmin(trace: Sequence[Any], start: Callable[[], Replay],
     each round (``_with_peer``, ``_Lockstep``).
     """
     trace = list(trace)
+    alone = partial(_passes, trace, start, fails, _Lockstep())
     if len(trace) < PEER_MIN_ACTIONS or not _two_cpus():
-        return _passes(trace, start, fails, _Lockstep())
+        return alone()
     down, up = os.pipe(), os.pipe()  # to the peer, from the peer
     return _with_peer(
         lambda: _passes(trace, start, fails, _Lockstep(down[0], up[1], peer=True)),
         lambda reap: _passes(trace, start, fails, _Lockstep(up[0], down[1])),
-        theirs=(down[0], up[1]), mine=(up[0], down[1]))
+        alone, theirs=(down[0], up[1]), mine=(up[0], down[1]))
 
 
 def _passes(trace: list, start: Callable[[], Replay],
@@ -425,8 +435,9 @@ def run_shared(count: int, run: Callable[[int], Any], peer: bool) -> list:
             done.update(marshal.loads(sent))
         return done
 
-    done = _with_peer(send, collect, theirs=(results[1],), mine=(results[0],),
-                      shared=(claims[0],))
+    # a failed fork has run no index: this process runs them all
+    done = _with_peer(send, collect, dict, theirs=(results[1],),
+                      mine=(results[0],), shared=(claims[0],))
     return [done[index] if index in done else run(index) for index in range(count)]
 
 
@@ -452,43 +463,34 @@ class _StreamEnded(Exception):
     """A drawing peer's stream ended before the run it fed stopped."""
 
 
-def drawing(before: Callable[[int], Any], draw: Callable[[], Any]
-            ) -> Callable[[int], Any]:
-    """The ``generate`` of a run: ``before(step)``, then the action ``draw()``."""
-    def generate(step: int) -> Any:
-        before(step)
-        return draw()
-    return generate
-
-
-def run_drawn(steps: int, draw: Callable[[], Any], before: Callable[[int], Any],
-              apply: Callable[[Any], Any], record: Callable[[tuple], Any],
+def run_drawn(steps: int, draw: Callable[[], Any], apply: Callable[[Any], Any],
+              record: Callable[[tuple], Any],
               run: Callable[[Callable[[int], Any]], Any]) -> Any:
-    """``run(drawing(before, draw))``, where ``run`` checks each action of
-    a run of at most ``steps`` steps; with the actions drawn by a forked
-    peer (``_with_peer``) when ``steps`` is at least ``PEER_MIN_STEPS`` and
-    the process may use two CPUs.  None if the peer's stream ended before
-    ``run`` returned: the caller then runs again alone, from genesis.
+    """``run(generate)``, where ``generate(step)`` is ``draw()`` and ``run``
+    checks each action of a run of at most ``steps`` steps; with the
+    actions drawn by a forked peer (``_with_peer``) when ``steps`` is at
+    least ``PEER_MIN_STEPS`` and the process may use two CPUs.  None if the
+    peer's stream ended before ``run`` returned: the caller then runs again
+    alone, from genesis.
 
-    For each step the peer runs ``before(step)`` on its copy of the world,
-    draws the action, sends it and runs ``apply(action)``, unchecked.  An
-    action is a tuple of the built-in types that ``marshal`` writes; it
-    crosses the pipe in a length-prefixed batch of ``DRAW_BATCH`` and
-    ``record`` rebuilds it.  Here ``run``'s ``generate(step)`` runs
-    ``before(step)`` and takes the next action sent.  A peer that raises
-    sends what it drew before it exits, and is killed as soon as ``run``
-    returns or raises.
+    For each step the peer draws the action on its copy of the world,
+    sends it and runs ``apply(action)``, unchecked.  An action is a tuple
+    of the built-in types that ``marshal`` writes; it crosses the pipe in a
+    length-prefixed batch of ``DRAW_BATCH`` and ``record`` rebuilds it.
+    Here ``run``'s ``generate(step)`` takes the next action sent.  A peer
+    that raises sends what it drew before it exits, and is killed as soon
+    as ``run`` returns or raises.
     """
+    alone = partial(run, lambda step: draw())
     if steps < PEER_MIN_STEPS or not _two_cpus():
-        return run(drawing(before, draw))
+        return alone()
     stream = os.pipe()
 
     def send() -> None:
         batch: list[tuple] = []
         with open(stream[1], "wb") as to_parent:
             try:
-                for step in range(steps):
-                    before(step)
+                for _ in range(steps):
                     action = draw()
                     batch.append(tuple(action))
                     if len(batch) == DRAW_BATCH:
@@ -502,18 +504,18 @@ def run_drawn(steps: int, draw: Callable[[], Any], before: Callable[[int], Any],
         with open(stream[0], "rb", closefd=False) as from_peer:
             actions = _received(from_peer, record)
 
-            def take() -> Any:
+            def take(step: int) -> Any:
                 action = next(actions, None)
                 if action is None:
                     raise _StreamEnded
                 return action
 
             try:
-                return run(drawing(before, take))
+                return run(take)
             except _StreamEnded:
                 return None
 
-    return _with_peer(send, check, theirs=(stream[1],), mine=(stream[0],))
+    return _with_peer(send, check, alone, theirs=(stream[1],), mine=(stream[0],))
 
 
 def _send(to_parent: Any, batch: list[tuple]) -> None:
@@ -565,8 +567,9 @@ def run_split(steps: Callable[[], int], check: Callable[[int | None], int],
     this process checks the rest itself, from ``split``, so it raises or
     counts as one process does.
     """
+    alone = partial(check, None)
     if not _two_cpus() or (total := steps()) < PEER_MIN_STEPS:
-        return check(None)
+        return alone()
     split = int(total * SPLIT_SHARE)
     counted = os.pipe()
 
@@ -582,4 +585,4 @@ def run_split(steps: Callable[[], int], check: Callable[[int | None], int],
             return int.from_bytes(sent, "big")
         return check(None)
 
-    return _with_peer(send, take, theirs=(counted[1],), mine=(counted[0],))
+    return _with_peer(send, take, alone, theirs=(counted[1],), mine=(counted[0],))

@@ -17,7 +17,8 @@ peer (``ddmin.run_drawn``): the peer draws and runs each action unchecked
 on its copy of the genesis world, and this process checks every step as
 one process does.  The checks keep their state in ``extras``, which the
 generator never reads, so the report is the same bytes on one CPU or two.
-A run keeps only its last ``SHRINK_WINDOW`` actions.  On a violation
+A run keeps only its last ``SHRINK_WINDOW`` actions, and its world folds
+its own event log (``ledger.FOLD_EVENTS``).  On a violation
 ``shrink`` cuts the failing prefix by ``ddmin.ddmin`` to a 1-minimal trace
 that violates the same invariant, starting from those last actions if
 they alone still violate it, and else from the whole prefix, which
@@ -34,7 +35,7 @@ from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Sequence
 
-from .ddmin import CheckedReplay, ddmin, drawing, rerun, run_checked, run_drawn
+from .ddmin import CheckedReplay, ddmin, rerun, run_checked, run_drawn
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import install
@@ -618,29 +619,17 @@ def _step_violation(replay: CheckedReplay, plan: FuzzPlan, action: FuzzAction,
     return result, checks.first_violation(writes)
 
 
-def _genesis(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[], FuzzAction],
-                                       Callable[[int], None]]:
-    """A fuzz world at genesis, the draw of ``plan``'s next action on it,
-    and the fold a run makes before each step's action: every
-    FULL_SCAN_INTERVAL steps the world's committed events are folded into
-    its event hash (``ChainState.fold_events``), so that the log does not
-    grow with the run."""
+def _genesis(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[], FuzzAction]]:
+    """A fuzz world at genesis and the draw of ``plan``'s next action on it."""
     world = fuzz_replay(plan)
-    state = world.state
-    generator = ActionGenerator(plan, state, world.handle, world.extras["actors"])
-
-    def fold(step: int) -> None:
-        if step % FULL_SCAN_INTERVAL == 0:
-            state.fold_events()
-
-    return world, generator.generate, fold
+    generator = ActionGenerator(plan, world.state, world.handle, world.extras["actors"])
+    return world, generator.generate
 
 
 def _fresh_run(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[int], FuzzAction]]:
-    """A fuzz world at genesis and the generator of ``plan``'s actions on
-    it, which folds the world's events as a run does (``_genesis``)."""
-    world, draw, fold = _genesis(plan)
-    return world, drawing(fold, draw)
+    """A fuzz world at genesis and the generator of ``plan``'s actions on it."""
+    world, draw = _genesis(plan)
+    return world, lambda step: draw()
 
 
 def _checked_run(plan: FuzzPlan) -> tuple[CheckedReplay, tuple]:
@@ -648,8 +637,8 @@ def _checked_run(plan: FuzzPlan) -> tuple[CheckedReplay, tuple]:
     with the actions drawn by a forked peer where ``ddmin.run_drawn`` may
     fork one.  A peer's stream that ends before the run stops, because
     the peer raised or was killed, is run again alone from genesis."""
-    world, draw, fold = _genesis(plan)
-    run = run_drawn(plan.steps, draw, fold, partial(run_action, world.state),
+    world, draw = _genesis(plan)
+    run = run_drawn(plan.steps, draw, partial(run_action, world.state),
                     FuzzAction._make, lambda generate: run_checked(
                         world, generate, plan.steps, SHRINK_WINDOW))
     if run is None:

@@ -5,11 +5,12 @@ balances, any number of fungible and non-fungible token ledgers, a logical
 clock, installed protocol modules, and the committed event log.
 
 The digest reads the event log only through its count and its hash chain
-(``event_hash``), which links every committed event in order.  A long run
-that reads nothing else of the log calls ``fold_events`` between
-transactions: it continues the chain over the log and drops every event
-but the last, keeping the folded count and the chain value at the fold,
-so the log holds only the events since and every digest reads as before.
+(``event_hash``), which links every committed event in order.  A world
+folds its own log: ``transact`` starts with ``fold_events`` once the log
+holds ``FOLD_EVENTS`` events, which continues the chain over the log and
+drops every event but the last, keeping the folded count and the chain
+value at the fold.  So the log holds only the events since, every digest
+reads as before, and no caller decides when to fold.
 
 Every mutation flows through the journaled write helpers (``jset``,
 ``jsetattr``, ``jappend``, ...), each of which records one
@@ -31,8 +32,8 @@ of them, and a tuple is the cheapest record to build.  None of them
 changes once built; a ``TxResult`` holds the committed events as one slice
 of the log.  An ``Event`` is ``(name, emitter, keys, values, frame,
 tx_index)``: its payload's keys and values as two tuples, the keys one
-tuple shared by every event with the same key set, since the log keeps
-every event of a run that does not fold it.  ``Event.payload`` gives the
+tuple shared by every event with the same key set, since the log and a
+run's trace records hold many.  ``Event.payload`` gives the
 ``(key, value)`` pairs, and ``canonical()`` and ``as_data()`` encode them
 as pairs.
 
@@ -99,6 +100,9 @@ JournalEntry = tuple[Any, Any, Any]
 
 # cached digests between two full recomputes that cross-check the cache
 DIGEST_CHECK_INTERVAL = 1_000
+
+# the events a log holds before the next transaction folds it
+FOLD_EVENTS = 1_000
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -1050,6 +1054,8 @@ class ChainState:
                  args: dict | None = None, value: int = 0) -> TxResult:
         """Execute one top-level transaction; commit on success, revert on any LedgerError.
 
+        A log of ``FOLD_EVENTS`` events or more is folded first, before the
+        frame opens, so a reverted transaction leaves the log as folded.
         Any other exception is a fault in a module: the frame is rolled back
         so the world is left as it was, and the exception propagates.
         """
@@ -1057,6 +1063,8 @@ class ChainState:
             raise RuntimeError("transactions do not nest; use call()")
         if value < 0:
             raise ValueError("attached value must be non-negative")
+        if len(self.events) >= FOLD_EVENTS:
+            self.fold_events()
         token = self.snapshot()
         events_mark = len(self.events)
         ctx = ExecutionContext(sender, value, 0)
@@ -1359,7 +1367,7 @@ class ChainState:
         The event count, the event hash and every digest read as before;
         only code that reads the log itself sees fewer events.  An event
         already hashed by a read is not hashed again.  Between
-        transactions only."""
+        transactions only; ``transact`` calls it."""
         if self._frames:
             raise RuntimeError("events are folded between transactions")
         events = self.events

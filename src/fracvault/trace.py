@@ -14,10 +14,8 @@ fails replay.  A malformed line, a line cut in the middle
 included, is a ``ScenarioError`` naming its line number and record,
 raised when replay reaches it, after the records before it replayed.  A
 trace cut at a record boundary replays clean as the shorter run: its step
-count is the only sign of the cut.  Every ``DIGEST_CHECK_INTERVAL``
-records replay folds the world's event log into its event hash
-(``ChainState.fold_events``), so the replayed world keeps its state but
-not its log.
+count is the only sign of the cut.  The replayed world folds its own
+event log (``ledger.FOLD_EVENTS``), so it keeps its state but not its log.
 
 Where the process may use two CPUs and the trace has at least
 ``ddmin.PEER_MIN_STEPS`` record lines, counted in chunks once the file
@@ -25,8 +23,8 @@ is large enough to hold that many, replay is split (``ddmin.run_split``).
 This process builds the world, forks a peer and checks the records
 before the split, ``ddmin.SPLIT_SHARE`` of the lines, as above.  The
 peer reads the trace again and runs those records unchecked (decode,
-fold, ``system.run_action``); a digest and a comparison leave the world
-as it was, so its world at the split is the checked one.  It then counts
+``system.run_action``); a digest and a comparison leave the world as it
+was, so its world at the split is the checked one.  It then counts
 their digests as taken (``ChainState.resume_digests``), so the cache's
 cross-checks fall on the same calls as in one process, and checks the
 rest.  The peer's count is taken only if it exits 0; otherwise this
@@ -43,7 +41,7 @@ from itertools import islice
 from typing import Iterator
 
 from .ddmin import PEER_MIN_STEPS, run_split
-from .ledger import DIGEST_CHECK_INTERVAL, ChainState, canonical_json, normalize
+from .ledger import ChainState, canonical_json, normalize
 from .scenario import (FuzzAction, ScenarioError, TraceRecord, build_world,
                        check_world, decode_transaction, execute_entry)
 from .system import run_action
@@ -138,8 +136,6 @@ class _Replay:
             numbered = recorded.get("step")
             if type(numbered) is not int or numbered != step:
                 raise DigestMismatch(step, "step", numbered, step)
-            if step % DIGEST_CHECK_INTERVAL == 0:
-                state.fold_events()
             for field, produced in execute_entry(state, step, action).outcome().items():
                 if produced != recorded.get(field):
                     raise DigestMismatch(step, field, recorded.get(field), produced)
@@ -147,16 +143,12 @@ class _Replay:
         return self.step
 
     def run(self, stop: int) -> None:
-        """Run the records up to index ``stop`` unchecked, folding the
-        world's events as ``check`` does, and count the digests of their
-        outcomes as taken."""
-        state = self.state
+        """Run the records up to index ``stop`` unchecked, and count the
+        digests of their outcomes as taken."""
         for action, _ in islice(self.records, stop - self.step):
-            if self.step % DIGEST_CHECK_INTERVAL == 0:
-                state.fold_events()
-            run_action(state, action)
+            run_action(self.state, action)
             self.step += 1
-        state.resume_digests(self.step)
+        self.state.resume_digests(self.step)
 
 
 def _replay_from(path: str, state: ChainState, split: int) -> int:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from fracvault.ledger import ChainState
+from fracvault import ledger
+from fracvault.ledger import ChainState, Event
 
 
 def tx(state: ChainState, sender: str, module: str, method: str, value: int = 0, **args):
@@ -56,3 +57,40 @@ def counting_reruns(monkeypatch, module) -> list:
 
     monkeypatch.setattr(module, "rerun", counting)
     return reruns
+
+
+def held_events(monkeypatch) -> list:
+    """For every transaction run in this process from now on, the events
+    its world's log held before it, the events it committed, and the events
+    held after it."""
+    seen = []
+    transact = ChainState.transact
+
+    def spied(self, *args, **kwargs):
+        held = len(self.events)
+        result = transact(self, *args, **kwargs)
+        seen.append((held, len(result.events), len(self.events)))
+        return result
+
+    monkeypatch.setattr(ChainState, "transact", spied)
+    return seen
+
+
+def assert_folds_by_the_rule(seen: list) -> int:
+    """Each transaction of ``seen`` (``held_events``) folded the log it
+    found, to its last event, exactly when it held ``FOLD_EVENTS`` events or
+    more; so a log holds fewer than ``FOLD_EVENTS`` events plus one
+    transaction's.  How many transactions folded."""
+    for held, committed, after in seen:
+        assert after == (1 if held >= ledger.FOLD_EVENTS else held) + committed
+        assert after < ledger.FOLD_EVENTS + committed
+    return sum(held >= ledger.FOLD_EVENTS for held, _, _ in seen)
+
+
+def hashed_events(monkeypatch) -> list:
+    """Every event the event hash encodes from now on."""
+    hashed = []
+    canonical = Event.canonical
+    monkeypatch.setattr(Event, "canonical",
+                        lambda event: hashed.append(event) or canonical(event))
+    return hashed

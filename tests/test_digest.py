@@ -8,6 +8,7 @@ import copy
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
 from types import MappingProxyType
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from fracvault import errors, ledger, standard_world
 from fracvault import trace as fv_trace
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, actor_world,
-                            build_fuzz_world, run_action, run_fuzz,
+                            build_fuzz_world, fuzz_replay, run_action, run_fuzz,
                             transact_action)
 from fracvault.ddmin import SPLIT_SHARE, CheckedReplay
 from fracvault.governance import (Governance, GovernanceAction, Proposal, Timelock,
@@ -36,7 +37,7 @@ from fracvault.trace import replay_trace, write_trace
 from fracvault.vault import Auction, SaleRecord, Vault
 
 from conftest import assert_no_child_left
-from helpers import tx
+from helpers import hashed_events, tx
 
 LIFECYCLE = resources.files("fracvault") / "scenarios" / "lifecycle.json"
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -122,6 +123,25 @@ def test_benchmark_scenario_traces_pinned(seed, tmp_path, monkeypatch):
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == TRACE_PINS[seed]
     assert replay_trace(path) == len(document["transactions"])
+
+
+def test_a_long_scenario_run_folds_its_log_and_writes_the_pinned_trace(tmp_path,
+                                                                      monkeypatch):
+    # sha256 of the trace of the seed-3 1,500-transaction scenario, whose
+    # world folds its log once
+    monkeypatch.syspath_prepend(BENCH)
+    import scenario_gen
+
+    document = parse_scenario(scenario_gen.build_scenario(3, 1_500))
+    run = run_scenario(document)
+    path = str(tmp_path / "scenario.trace.jsonl")
+    write_trace(path, document, run.records)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == \
+            "2a59396fcb0eed7485edee51e345897f9dc7f3fd55a3316d66321246c73f98b3"
+    held = len(run.state.events)
+    assert held < ledger.FOLD_EVENTS + len(run.records[-1].events)
+    assert held < ledger.FOLD_EVENTS < run.state.event_count()
 
 
 # each view call that returns a record's data, its arguments and the sha256
@@ -504,14 +524,22 @@ def test_tuple_records_encode_as_their_data():
         [normalize(r.as_data()) for r in records], ["2", "x"]]
 
 
-def test_every_fuzz_event_encodes_as_its_data():
-    plan = FuzzPlan(seed=7, steps=3_000)
+def _fuzz_events(plan: FuzzPlan) -> list:
+    """Every event that ``plan``'s actions commit on a fuzz world, from
+    each step's ``TxResult``, however the world folds its log."""
     state, handle, actors = build_fuzz_world(plan)
     generator = ActionGenerator(plan, state, handle, actors)
+    events = []
     for _ in range(plan.steps):
-        run_action(state, generator.generate())
-    assert len(state.events) > 1_000
-    for event in state.events:
+        result = run_action(state, generator.generate())
+        if result is not None:
+            events += result.events
+    assert len(events) > ledger.FOLD_EVENTS
+    return events
+
+
+def test_every_fuzz_event_encodes_as_its_data():
+    for event in _fuzz_events(FuzzPlan(seed=7, steps=3_000)):
         assert event.canonical() == canonical_json(event.as_data())
 
 
@@ -864,6 +892,47 @@ def test_identity_verdict_equals_the_digest_verdict(monkeypatch, mutant):
     assert len(verdicts) > 20 and any(identity for identity, _ in verdicts) == planted
 
 
+def _failed_bid(world, index):
+    """The result and verdict of a bid on a token that is not on auction,
+    the ``index``-th action of the checked fuzz ``world``."""
+    bid = transact_action(world.extras["actors"][0], world.handle.vault,
+                          "place_bid", token_id=10**6)
+    return world.check(bid, index, False)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_revert_atomicity_holds_across_a_fold(monkeypatch, planted):
+    # the transaction that folds the log reverts: the oracle judges it as
+    # on a world that never folds
+    plan = FuzzPlan(seed=42, steps=2_000, check_revert_atomicity=True)
+    folded = fuzz_replay(plan)
+    state = folded.state
+    generator = ActionGenerator(plan, state, folded.handle, folded.extras["actors"])
+    actions = []
+    while len(state.events) < ledger.FOLD_EVENTS:  # the next transaction folds
+        actions.append(generator.generate())
+        assert not folded.step(actions[-1], len(actions) - 1, False)
+        assert len(actions) < plan.steps
+    with monkeypatch.context() as patched:
+        patched.setattr(ledger, "FOLD_EVENTS", sys.maxsize)
+        unfolded = fuzz_replay(plan)
+        assert not unfolded.advance(actions, len(actions))
+    if planted:
+        _plant_unjournaled_write_on_failed_bid(monkeypatch)
+    before, digest, count = state.identity_snapshot(), state.full_digest(), state.event_count()
+    result, detail = _failed_bid(folded, len(actions))
+    assert not result.ok and len(state.events) == 1 and state.event_count() == count
+    assert state.snapshot_digest(before) == digest
+    assert ledger._same_objects(before, state.identity_snapshot()) is not planted
+    assert state.unchanged_since(before) is not planted
+    with monkeypatch.context() as patched:
+        patched.setattr(ledger, "FOLD_EVENTS", sys.maxsize)
+        assert _failed_bid(unfolded, len(actions)) == (result, detail)
+        assert len(unfolded.state.events) == count
+    assert detail == ("revert_atomicity: failed vault.place_bid (NoAuction) left "
+                      "residue in state" if planted else None)
+
+
 def test_a_clean_campaign_hashes_no_world(monkeypatch):
     calls = []
     digest_of = ledger.digest_of
@@ -1100,15 +1169,6 @@ def test_event_hash_restarts_at_the_fold_after_a_read_in_a_rolled_back_frame(aft
     assert lazy.full_digest() == eager.full_digest() == lazy.digest()
 
 
-def _hashed_events(monkeypatch) -> list:
-    """Every event the event hash encodes from now on."""
-    hashed = []
-    canonical = Event.canonical
-    monkeypatch.setattr(Event, "canonical",
-                        lambda event: hashed.append(event) or canonical(event))
-    return hashed
-
-
 @pytest.mark.parametrize("read", [False, True])
 def test_a_fold_hashes_only_what_no_read_hashed(monkeypatch, read):
     lazy, eager = _emitter_world(ChainState), _emitter_world(_EagerChainState)
@@ -1119,7 +1179,7 @@ def test_a_fold_hashes_only_what_no_read_hashed(monkeypatch, read):
         assert _ping(state, "second", count=3).ok
     if read:
         lazy.event_hash()
-    hashed = _hashed_events(monkeypatch)
+    hashed = hashed_events(monkeypatch)
     lazy.fold_events()
     assert hashed == ([] if read else eager.events[2:])
     assert lazy.event_hash() == eager.event_hash()
@@ -1146,14 +1206,13 @@ def _replay_with_spies(run, document, tmp_path, monkeypatch) -> tuple:
 
     monkeypatch.setattr(fv_trace, "build_world", building)
     monkeypatch.setattr(fv_trace, "execute_entry", executing)
-    hashed = _hashed_events(monkeypatch)
+    hashed = hashed_events(monkeypatch)
     assert replay_trace(path) == len(run.records)
     return worlds[0], lengths, hashed
 
 
 def _long_scenario(monkeypatch) -> tuple:
-    """A generated 3,000-transaction scenario and its run, which keeps
-    every event."""
+    """A generated 3,000-transaction scenario and its run."""
     monkeypatch.syspath_prepend(BENCH)
     import scenario_gen
 
@@ -1161,13 +1220,21 @@ def _long_scenario(monkeypatch) -> tuple:
     return document, run_scenario(document)
 
 
+def _held_below_the_fold(lengths: list, run) -> bool:
+    """Whether the log held, after each record, fewer than ``FOLD_EVENTS``
+    events plus the record's own."""
+    return all(length < ledger.FOLD_EVENTS + len(record.events)
+               for length, record in zip(lengths, run.records))
+
+
 def test_replay_folds_its_event_log_and_hashes_each_event_once(tmp_path, monkeypatch):
     # on one CPU, so that this process replays every record
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     document, run = _long_scenario(monkeypatch)
     state, lengths, hashed = _replay_with_spies(run, document, tmp_path, monkeypatch)
-    assert max(lengths) <= DIGEST_CHECK_INTERVAL + 1 < len(run.state.events)
-    assert state.event_count() == len(run.state.events) == len(hashed)
+    assert len(lengths) == len(run.records) and _held_below_the_fold(lengths, run)
+    assert len(state.events) < ledger.FOLD_EVENTS < run.state.event_count()
+    assert state.event_count() == run.state.event_count() == len(hashed)
 
 
 def test_a_split_replay_folds_and_hashes_its_share_once(tmp_path, monkeypatch,
@@ -1178,9 +1245,10 @@ def test_a_split_replay_folds_and_hashes_its_share_once(tmp_path, monkeypatch,
     state, lengths, hashed = _replay_with_spies(run, document, tmp_path, monkeypatch)
     assert two_cpus == [os.getpid()]
     assert_no_child_left()
-    assert len(lengths) == int(len(run.records) * SPLIT_SHARE) > DIGEST_CHECK_INTERVAL
-    assert max(lengths) <= DIGEST_CHECK_INTERVAL + 1
-    assert state.event_count() == len(hashed) < len(run.state.events)
+    assert len(lengths) == int(len(run.records) * SPLIT_SHARE)
+    assert _held_below_the_fold(lengths, run)
+    assert len(state.events) < ledger.FOLD_EVENTS < state.event_count()
+    assert state.event_count() == len(hashed) < run.state.event_count()
 
 
 def test_lifecycle_replay_hashes_each_committed_event_once(tmp_path, monkeypatch):
@@ -1285,12 +1353,8 @@ def test_events_share_their_payload_keys_and_read_as_pairs():
 
 
 def test_fuzz_events_share_one_keys_tuple_per_key_set():
-    plan = FuzzPlan(seed=42, steps=2_000)
-    state, handle, actors = build_fuzz_world(plan)
-    generator = ActionGenerator(plan, state, handle, actors)
-    for _ in range(plan.steps):
-        run_action(state, generator.generate())
-    assert len({id(e.keys) for e in state.events}) == len({e.keys for e in state.events})
+    events = _fuzz_events(FuzzPlan(seed=42, steps=2_000))
+    assert len({id(e.keys) for e in events}) == len({e.keys for e in events})
 
 
 def _scalar(value) -> bool:
@@ -1309,10 +1373,4 @@ def test_event_payloads_hold_only_scalars():
     for step, (action, _) in enumerate(scenario["transactions"]):
         execute_entry(state, step, action)
     assert _mutable_payload_values(state.events) == []
-    plan = FuzzPlan(seed=42, steps=2_000)
-    state, handle, actors = build_fuzz_world(plan)
-    generator = ActionGenerator(plan, state, handle, actors)
-    for _ in range(plan.steps):
-        run_action(state, generator.generate())
-    assert len(state.events) > 1_000
-    assert _mutable_payload_values(state.events) == []
+    assert _mutable_payload_values(_fuzz_events(FuzzPlan(seed=42, steps=2_000))) == []

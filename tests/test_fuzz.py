@@ -7,15 +7,17 @@ indexes that agree with scans of the world."""
 from __future__ import annotations
 
 import copy
+import errno
 import gc
 import json
 import os
+import sys
 from dataclasses import replace
 
 import pytest
 
 from fracvault import ddmin as ddmin_module
-from fracvault import fuzz, invariants
+from fracvault import fuzz, invariants, ledger
 from fracvault.ddmin import NondeterministicRun, Replay, ddmin, run_checked
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, FuzzReport,
                             Violation, actor_world, build_fuzz_world, clock_action,
@@ -25,11 +27,16 @@ from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, ReceiveHook, canonical_json, normalize
 from fracvault.mutations import MUTANTS, mutant_class
 from fracvault.properties import ACTORS, NFTS, replay_property_trace, run_suite
+from fracvault.scenario import parse_scenario, run_scenario
+from fracvault.trace import replay_trace, write_trace
 from fracvault.tokens import NftCollection
 from fracvault.vault import Vault
 
 from conftest import assert_no_child_left
-from helpers import counting_reruns, genesis_ddmin, tx
+from helpers import (assert_folds_by_the_rule, counting_reruns, genesis_ddmin,
+                     hashed_events, held_events, tx)
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def test_healthy_run_is_clean_and_mixed():
@@ -756,6 +763,51 @@ def test_a_platform_without_fork_or_affinity_runs_on_one_cpu(monkeypatch, two_cp
     assert two_cpus == [os.getpid()] * 2
 
 
+def _long_replay(tmp_path, monkeypatch):
+    """The replay of a 1,500-transaction generated trace: its step count."""
+    monkeypatch.syspath_prepend(BENCH)
+    import scenario_gen
+
+    document = parse_scenario(scenario_gen.build_scenario(3, 1_500))
+    path = str(tmp_path / "long.trace.jsonl")
+    write_trace(path, document, run_scenario(document).records)
+    return lambda: replay_trace(path)
+
+
+# each runner that forks a peer, as a call of at least its peer's minimum
+FORKING_RUNS = {
+    "run_drawn": lambda tmp_path, monkeypatch: lambda: run_fuzz(
+        FuzzPlan(seed=42, steps=1_000)).as_data(),
+    "run_shared": lambda tmp_path, monkeypatch: lambda: run_suite(
+        seed=0, steps=50).as_data(),
+    "ddmin": lambda tmp_path, monkeypatch: lambda: ddmin(
+        list(range(300)), _FailsAtLastAfterSeven,
+        lambda candidate, prefix: prefix.fork().run(candidate)),
+    "run_split": _long_replay,
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists no open files")
+@pytest.mark.parametrize("runner", sorted(FORKING_RUNS))
+def test_a_failed_fork_runs_in_one_process_and_closes_its_pipes(
+        monkeypatch, two_cpus, tmp_path, runner):
+    run = FORKING_RUNS[runner](tmp_path, monkeypatch)
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = run()
+    attempts = []
+
+    def failing():
+        attempts.append(os.getpid())
+        raise OSError(errno.EAGAIN, "no process can be started")
+
+    monkeypatch.setattr(os, "fork", failing)
+    open_files = len(os.listdir("/proc/self/fd"))
+    assert run() == one
+    assert len(os.listdir("/proc/self/fd")) == open_files
+    assert attempts == [os.getpid()]
+
+
 # --------------------------------------------------------------------- #
 # A run keeps its last SHRINK_WINDOW actions and rebuilds the rest
 # --------------------------------------------------------------------- #
@@ -829,14 +881,17 @@ def test_a_rebuild_that_draws_differently_is_reported(monkeypatch):
 # A run folds its committed events into the event hash as it goes
 # --------------------------------------------------------------------- #
 
-def _unfolded_run(plan):
-    """``plan`` run on a world that never folds its events: how many
-    actions ran, the problem, and the full digest at the end."""
-    world = fuzz.fuzz_replay(plan)
-    generator = ActionGenerator(plan, world.state, world.handle, world.extras["actors"])
-    _, executed, detail, _ = run_checked(world, lambda step: generator.generate(),
-                                         plan.steps, 0)
-    assert world.state.event_count() == len(world.state.events)
+def _unfolded_run(monkeypatch, plan):
+    """``plan`` run on a world that never folds its events, since
+    ``ledger.FOLD_EVENTS`` lies above them: how many actions ran, the
+    problem, and the full digest at the end."""
+    folds_at = ledger.FOLD_EVENTS
+    with monkeypatch.context() as patched:
+        patched.setattr(ledger, "FOLD_EVENTS", sys.maxsize)
+        world, generate = fuzz._fresh_run(plan)
+        _, executed, detail, _ = run_checked(world, generate, plan.steps, 0)
+    # so many that the run it is compared with folded
+    assert world.state.event_count() == len(world.state.events) > folds_at
     return executed, detail, world.state.full_digest()
 
 
@@ -847,43 +902,41 @@ FOLDED_PLANS = [FuzzPlan(seed=seed, steps=9_000) for seed in (0, 7, 42)] + [
 
 @pytest.mark.parametrize("plan", FOLDED_PLANS, ids=lambda plan: "-".join(
     map(str, (plan.seed, plan.check_revert_atomicity, plan.mutant))))
-def test_a_folded_run_ends_in_the_digest_of_an_unfolded_one(plan):
+def test_a_folded_run_ends_in_the_digest_of_an_unfolded_one(monkeypatch, plan):
     report = run_fuzz(plan)
     detail = report.violations[0].detail if report.violations else None
-    assert _unfolded_run(plan) == (report.steps_executed, detail, report.final_digest)
+    assert _unfolded_run(monkeypatch, plan) == (
+        report.steps_executed, detail, report.final_digest)
 
 
-def test_a_folded_world_digests_as_the_full_recompute():
+def test_a_folded_world_digests_as_the_full_recompute(monkeypatch):
     plan = FuzzPlan(seed=3, steps=2_500)
     world, generate = fuzz._fresh_run(plan)
     state = world.state
     assert state.digest() == state.full_digest()
+    folds = 0
     for step in range(plan.steps):
+        held = len(state.events)
         world.check(generate(step), step, False)
-        if step % 100 == 0 or step % fuzz.FULL_SCAN_INTERVAL in (998, 999):
+        folded = len(state.events) < held
+        folds += folded
+        # every hundredth step, the steps that bring the log near a fold,
+        # and the step that folds
+        if step % 100 == 0 or folded or len(state.events) >= ledger.FOLD_EVENTS - 10:
             assert state.digest() == state.full_digest(), step
-    assert len(state.events) < state.event_count()
-    assert state.full_digest() == _unfolded_run(plan)[2]
+    assert folds >= 2 and len(state.events) < state.event_count()
+    assert state.full_digest() == _unfolded_run(monkeypatch, plan)[2]
 
 
 def test_a_run_holds_at_most_one_cadence_of_events(monkeypatch):
-    # (events held, events committed) in the checked world at each step,
-    # after its fold
-    seen = []
-    check = fuzz._step_violation
-
-    def recording(replay, *args):
-        seen.append((len(replay.state.events), replay.state.event_count()))
-        return check(replay, *args)
-
-    monkeypatch.setattr(fuzz, "_step_violation", recording)
+    # every transaction of the checked world folds the log it finds once it
+    # holds FOLD_EVENTS events, and every event is hashed once
+    seen = held_events(monkeypatch)
+    hashed = hashed_events(monkeypatch)
     assert run_fuzz(FuzzPlan(seed=42, steps=10_000)).ok
-    assert len(seen) == 10_000
-    interval = fuzz.FULL_SCAN_INTERVAL
-    for step, (held, count) in enumerate(seen):
-        # the last event kept at the fold, and the events of the steps since
-        assert held == 1 + count - seen[step - step % interval][1], step
-    assert max(held for held, _ in seen) * 5 < seen[-1][1]
+    assert assert_folds_by_the_rule(seen) >= 5
+    committed = sum(events for _, events, _ in seen)
+    assert max(held for _, _, held in seen) * 5 < committed == len(hashed)
 
 
 # --------------------------------------------------------------------- #

@@ -5,11 +5,12 @@ trace of ddmin replaying from genesis."""
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import pytest
 
-from fracvault import fuzz, properties
+from fracvault import fuzz, ledger, properties
 from fracvault.ddmin import PEER_MIN_STEPS, run_checked
 from fracvault.ledger import canonical_json, normalize
 from fracvault.mutations import MUTANTS
@@ -18,7 +19,7 @@ from fracvault.properties import (ALL_PROPERTIES, PINNED_PROPERTIES,
                                   run_property, run_suite)
 
 from conftest import assert_no_child_left
-from helpers import counting_reruns, genesis_ddmin
+from helpers import assert_folds_by_the_rule, counting_reruns, genesis_ddmin, held_events
 
 EXPECTED_DETECTORS = {
     "drop-burn-before-pay": {"redemption_double_withdrawal",
@@ -265,3 +266,29 @@ def test_campaign_start_worlds_pinned(name):
 
 def test_every_campaign_start_world_is_pinned():
     assert sorted(START_WORLDS) == sorted(properties._CAMPAIGNS)
+
+
+def _long_campaign(monkeypatch) -> tuple:
+    """``supply_management`` at 2,000 steps, which commits more than three
+    thousand events: its result, and the full digest of its world at the
+    end."""
+    worlds = []
+    fresh_run = properties._fresh_run
+    with monkeypatch.context() as patched:
+        patched.setattr(properties, "_fresh_run",
+                        lambda *args: worlds.append(fresh_run(*args)) or worlds[-1])
+        result = run_property("supply_management", seed=0, steps=2_000)
+    [(world, _)] = worlds
+    return result.as_data(), world.state.full_digest()
+
+
+def test_a_long_campaign_folds_its_log_and_runs_as_unfolded(monkeypatch):
+    seen = held_events(monkeypatch)
+    with monkeypatch.context() as patched:
+        patched.setattr(ledger, "FOLD_EVENTS", sys.maxsize)
+        unfolded = _long_campaign(monkeypatch)
+        assert assert_folds_by_the_rule(seen) == 0
+    assert sum(events for _, events, _ in seen) > 3 * ledger.FOLD_EVENTS
+    seen.clear()
+    assert _long_campaign(monkeypatch) == unfolded
+    assert assert_folds_by_the_rule(seen) >= 3

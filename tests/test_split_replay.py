@@ -215,8 +215,8 @@ def test_an_unjournaled_write_in_the_peers_share_fails_the_same_cross_check(
     assert "section native" in str(one.value)
 
 
-def test_the_peer_folds_its_events_at_the_replay_cadence(tmp_path, monkeypatch,
-                                                          two_cpus, generated):
+def test_each_process_folds_at_the_transactions_one_process_folds_at(
+        tmp_path, monkeypatch, two_cpus, generated):
     # each process logs the transactions at which it folds to a file
     lines = generated[3_000]
     path = _write(tmp_path / "trace.jsonl", lines)
@@ -241,8 +241,11 @@ def test_the_peer_folds_its_events_at_the_replay_cadence(tmp_path, monkeypatch,
     mine = folds.pop(str(os.getpid()))
     [theirs] = folds.values()
     assert [line.split()[1] for line in one] == theirs
-    # this process folds before the records it checks, 0, 1000 and 2000
-    assert mine == theirs[:3] and len(theirs) == 4 and 2_000 < _split(lines)
+    # this process folds at those before the split, each record one
+    # transaction after those that deploy the world
+    split = fv_trace.build_world(json.loads(lines[0])).tx_index + _split(lines)
+    assert mine == [at for at in theirs if int(at) < split]
+    assert 0 < len(mine) < len(theirs)
 
 
 def test_a_split_replay_closes_the_files_it_opens(tmp_path, monkeypatch, two_cpus,
