@@ -11,9 +11,9 @@ trace's steps with ``FuzzAction.as_data``; ``from_data`` reads them back.
 A run is a campaign on the runner in ``ddmin``: its generator is
 ``ActionGenerator`` and its step check ``FuzzPlan.check``, the write-set
 invariant checks plus, with ``check_revert_atomicity``, the shared
-revert-atomicity oracle.  A run of at least ``ddmin.PEER_MIN_STEPS``
+revert-atomicity oracle.  A run of at least ``peer.DRAW_MIN_STEPS``
 steps, where the process may use two CPUs, draws its actions in a forked
-peer (``ddmin.run_drawn``): the peer draws and runs each action unchecked
+peer (``peer.run_drawn``): the peer draws and runs each action unchecked
 on its copy of the genesis world, and this process checks every step as
 one process does.  The checks keep their state in ``extras``, which the
 generator never reads, so the report is the same bytes on one CPU or two.
@@ -35,10 +35,11 @@ from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Sequence
 
-from .ddmin import CheckedReplay, ddmin, rerun, run_checked, run_drawn
+from .ddmin import CheckedReplay, ddmin, rerun, run_checked
 from .invariants import ALL_INVARIANTS, WriteSetChecks
 from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import install
+from .peer import run_drawn
 from .system import FuzzAction, SystemHandle, must, run_action, standard_world
 
 ACTOR_FUND = 10**9
@@ -634,7 +635,7 @@ def _fresh_run(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[int], FuzzActio
 
 def _checked_run(plan: FuzzPlan) -> tuple[CheckedReplay, tuple]:
     """The world of ``plan``'s run and what ``run_checked`` gives for it,
-    with the actions drawn by a forked peer where ``ddmin.run_drawn`` may
+    with the actions drawn by a forked peer where ``peer.run_drawn`` may
     fork one.  A peer's stream that ends before the run stops, because
     the peer raised or was killed, is run again alone from genesis."""
     world, draw = _genesis(plan)

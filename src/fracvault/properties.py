@@ -18,9 +18,9 @@ trace.
 
 Each property builds its own worlds and draws from its own seed, so the
 properties share nothing: ``run_suite`` runs them on two CPUs, shared with
-a forked peer by ``ddmin.run_shared``, when the process may use two and
+a forked peer by ``peer.run_shared``, when the process may use two and
 the suite's budget, steps times properties, is at least
-``PEER_MIN_STEPS``.  The report is the same bytes either way.
+``peer.PEER_MIN_STEPS``.  The report is the same bytes either way.
 
 The first fourteen names in ``PINNED_PROPERTIES`` are the externally pinned
 suite: minting/burning authorization, total-supply invariance, the
@@ -40,13 +40,14 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from . import attackers, fuzz
-from .ddmin import PEER_MIN_STEPS, CheckedReplay, ddmin, rerun, run_checked, run_shared
+from .ddmin import CheckedReplay, ddmin, rerun, run_checked
 from .fuzz import (IDS, INTRUDER_CALLS, PAIR_FUND, FuzzAction, actor_world,
                    clock_action, deposit_prefix, fraction_transfers, market_funding,
                    round_robin_mints, sold_setup, transact_action)
 from .invariants import first_violation
 from .ledger import ChainState, HookCall, ReceiveHook, TxResult
 from .market import swap_output
+from .peer import run_shared
 from .system import SystemHandle
 
 ACTORS = ("a0", "a1", "a2", "a3")
@@ -1024,12 +1025,12 @@ def run_property(name: str, seed: int = 0, steps: int = 2_000,
 
 def run_suite(seed: int = 0, steps: int = 2_000, mutant: str | None = None,
               names: tuple[str, ...] = ALL_PROPERTIES) -> SuiteReport:
-    """Run ``names`` in order; a suite of at least ``PEER_MIN_STEPS`` steps
-    (``steps`` times the properties) shares them with a forked peer on two
-    CPUs (``ddmin.run_shared``), and reports the same."""
+    """Run ``names`` in order; a suite of at least ``peer.PEER_MIN_STEPS``
+    steps (``steps`` times the properties) shares them with a forked peer on
+    two CPUs (``peer.run_shared``), and reports the same."""
     records = run_shared(
         len(names), lambda index: _record(run_property(names[index], seed, steps, mutant)),
-        peer=steps * len(names) >= PEER_MIN_STEPS)
+        steps * len(names))
     return SuiteReport(seed=seed, steps=steps, mutant=mutant,
                        results=[_result(record) for record in records])
 

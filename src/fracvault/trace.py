@@ -18,17 +18,16 @@ count is the only sign of the cut.  The replayed world folds its own
 event log (``ledger.FOLD_EVENTS``), so it keeps its state but not its log.
 
 Where the process may use two CPUs and the trace has at least
-``ddmin.PEER_MIN_STEPS`` record lines, counted in chunks once the file
-is large enough to hold that many, replay is split (``ddmin.run_split``).
+``peer.PEER_MIN_STEPS`` record lines, counted in chunks once the file
+is large enough to hold that many, replay is split (``peer.run_split``).
 This process builds the world, forks a peer and checks the records
-before the split, ``ddmin.SPLIT_SHARE`` of the lines, as above.  The
+before the split, ``peer.SPLIT_SHARE`` of the lines, as above.  The
 peer reads the trace again and runs those records unchecked (decode,
 ``system.run_action``); a digest and a comparison leave the world as it
 was, so its world at the split is the checked one.  It then counts
 their digests as taken (``ChainState.resume_digests``), so the cache's
 cross-checks fall on the same calls as in one process, and checks the
-rest.  The peer's count is taken only if it exits 0; otherwise this
-process checks the rest itself and raises what one process raises.
+rest; if it is gone first, this process checks the rest itself.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from functools import partial
 from itertools import islice
 from typing import Iterator
 
-from .ddmin import PEER_MIN_STEPS, run_split
+from . import peer
 from .ledger import ChainState, canonical_json, normalize
 from .scenario import (FuzzAction, ScenarioError, TraceRecord, build_world,
                        check_world, decode_transaction, execute_entry)
@@ -108,13 +107,13 @@ def _header_then_records(path: str) -> Iterator:
 def replay_trace(path: str) -> int:
     """Re-execute a trace and verify every record as it is read; returns
     the step count.  A long trace is split between this process and a
-    forked peer where the process may use two CPUs (``ddmin.run_split``)."""
+    forked peer where the process may use two CPUs (``peer.run_split``)."""
     header, records = read_trace(path)
     with closing(records):
         state = build_world(header)  # its genesis, deployment and mutant
-        return run_split(partial(_record_lines, path),
-                         _Replay(state, records).check,
-                         partial(_replay_from, path, state))
+        return peer.run_split(partial(_record_lines, path),
+                              _Replay(state, records).check,
+                              partial(_replay_from, path, state))
 
 
 class _Replay:
@@ -173,7 +172,7 @@ def _record_lines(path: str) -> int:
     """The lines of the trace at ``path`` after its header, counted in
     chunks: its records and blank lines.  0, unread, for a file too small
     to hold ``PEER_MIN_STEPS`` records."""
-    if os.stat(path).st_size < PEER_MIN_STEPS * _LINE_BYTES_MIN:
+    if os.stat(path).st_size < peer.PEER_MIN_STEPS * _LINE_BYTES_MIN:
         return 0
     newlines, last = 0, b""
     with open(path, "rb") as fh:

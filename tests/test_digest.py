@@ -22,7 +22,7 @@ from fracvault import trace as fv_trace
 from fracvault.fuzz import (ActionGenerator, FuzzPlan, actor_world,
                             build_fuzz_world, fuzz_replay, run_action, run_fuzz,
                             transact_action)
-from fracvault.ddmin import SPLIT_SHARE, CheckedReplay
+from fracvault.ddmin import CheckedReplay
 from fracvault.governance import (Governance, GovernanceAction, Proposal, Timelock,
                                   TimelockEntry)
 from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMismatch,
@@ -30,6 +30,7 @@ from fracvault.ledger import (DIGEST_CHECK_INTERVAL, ChainState, DigestCacheMism
                               canonical_json, normalize)
 from fracvault.market import Market
 from fracvault.mutations import MUTANTS
+from fracvault.peer import SPLIT_SHARE
 from fracvault.properties import ACTORS, SOLD, run_suite
 from fracvault.scenario import build_world, execute_entry, parse_scenario, run_scenario
 from fracvault.tokens import FungibleToken

@@ -16,8 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from fracvault import ddmin as ddmin_module
-from fracvault import fuzz, invariants, ledger
+from fracvault import fuzz, invariants, ledger, peer
 from fracvault.ddmin import NondeterministicRun, Replay, ddmin, run_checked
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, FuzzReport,
                             Violation, actor_world, build_fuzz_world, clock_action,
@@ -26,7 +25,7 @@ from fracvault.governance import SCHEDULED, Governance
 from fracvault.invariants import WriteSetChecks, first_violation
 from fracvault.ledger import ZERO_ADDRESS, Module, ReceiveHook, canonical_json, normalize
 from fracvault.mutations import MUTANTS, mutant_class
-from fracvault.properties import ACTORS, NFTS, replay_property_trace, run_suite
+from fracvault.properties import ACTORS, ALL_PROPERTIES, NFTS, replay_property_trace, run_suite
 from fracvault.scenario import parse_scenario, run_scenario
 from fracvault.trace import replay_trace, write_trace
 from fracvault.tokens import NftCollection
@@ -518,7 +517,8 @@ def test_runs_leave_no_cyclic_garbage(two_cpus):
     gc.disable()
     try:
         assert run_fuzz(FuzzPlan(seed=42, steps=3_000)).ok
-        hunt = run_fuzz(FuzzPlan(seed=42, steps=2_000, mutant="drop-quorum-check"))
+        hunt = run_fuzz(FuzzPlan(seed=42, steps=peer.DRAW_MIN_STEPS,
+                                 mutant="drop-quorum-check"))
         assert len(hunt.violations[0].trace) < hunt.steps_executed
         assert not run_suite(seed=0, steps=100, mutant="drop-only-vault").passed
         assert gc.collect() == 0
@@ -569,9 +569,9 @@ def _fuzz_recording_shrink(monkeypatch, plan):
 
 def _assert_shrink_is_genesis_ddmin(monkeypatch, forks, plan, fork_count):
     # every case's trace is long enough to be shrunk by two processes; a
-    # run of PEER_MIN_STEPS steps or more forks a drawing peer first
+    # run of DRAW_MIN_STEPS steps or more forks a drawing peer first
     report, [(actions, invariant)] = _fuzz_recording_shrink(monkeypatch, plan)
-    assert len(actions) >= ddmin_module.PEER_MIN_ACTIONS
+    assert len(actions) >= peer.PEER_MIN_ACTIONS
     assert forks == [os.getpid()] * fork_count
     assert_no_child_left()
     reference = genesis_ddmin(
@@ -648,13 +648,13 @@ TWO_PROCESS_CASES = [
 @pytest.mark.parametrize("trace, wanted, at_last", TWO_PROCESS_CASES)
 def test_two_process_ddmin_equals_one_process_and_genesis(
         monkeypatch, two_cpus, trace, wanted, at_last):
-    assert len(trace) >= ddmin_module.PEER_MIN_ACTIONS
+    assert len(trace) >= peer.PEER_MIN_ACTIONS
     start = lambda: _FailsWithAll(wanted, at_last)  # noqa: E731
     fails = lambda candidate, prefix: prefix.fork().run(candidate)  # noqa: E731
     two = ddmin(trace, start, fails)
     assert two_cpus == [os.getpid()]
     assert_no_child_left()
-    monkeypatch.setattr(ddmin_module, "PEER_MIN_ACTIONS", len(trace) + 1)
+    monkeypatch.setattr(peer, "PEER_MIN_ACTIONS", len(trace) + 1)
     one = ddmin(trace, start, fails)
     assert two_cpus == [os.getpid()]
     assert two == one == genesis_ddmin(trace, lambda c: start().run(c))
@@ -676,32 +676,6 @@ def test_ddmin_reaps_its_peer_when_the_shrinking_process_raises(two_cpus):
         ddmin(list(range(300)), _FailsAtLastAfterSeven, fails)
     assert two_cpus == [shrinking]
     assert_no_child_left()
-
-
-def test_ddmin_goes_on_alone_when_its_peer_exits_mid_pass(monkeypatch, two_cpus,
-                                                          tmp_path):
-    # the peer leaves on its third test without raising or writing a byte:
-    # the end of its pipe is all the shrinking process sees
-    shrinking = os.getpid()
-    trace = list(range(300))
-    exited = tmp_path / "exited"
-    tests = []
-
-    def fails(candidate, prefix):
-        if os.getpid() != shrinking:
-            tests.append(len(candidate))
-            if len(tests) == 3:
-                exited.write_text(f"{os.getpid()}\n")
-                os._exit(0)
-        return prefix.fork().run(candidate)
-
-    two = ddmin(trace, _FailsAtLastAfterSeven, fails)
-    assert two_cpus == [shrinking]
-    assert_no_child_left()
-    assert int(exited.read_text()) != shrinking
-    monkeypatch.setattr(ddmin_module, "PEER_MIN_ACTIONS", len(trace) + 1)
-    assert two == ddmin(trace, _FailsAtLastAfterSeven, fails) == [7]
-    assert two_cpus == [shrinking]
 
 
 class _RaisesOnLast149(_FailsAtLastAfterSeven):
@@ -777,14 +751,21 @@ def _long_replay(tmp_path, monkeypatch):
 # each runner that forks a peer, as a call of at least its peer's minimum
 FORKING_RUNS = {
     "run_drawn": lambda tmp_path, monkeypatch: lambda: run_fuzz(
-        FuzzPlan(seed=42, steps=1_000)).as_data(),
+        FuzzPlan(seed=42, steps=peer.DRAW_MIN_STEPS)).as_data(),
     "run_shared": lambda tmp_path, monkeypatch: lambda: run_suite(
-        seed=0, steps=50).as_data(),
+        seed=0, steps=-(-peer.PEER_MIN_STEPS // len(ALL_PROPERTIES))).as_data(),
     "ddmin": lambda tmp_path, monkeypatch: lambda: ddmin(
-        list(range(300)), _FailsAtLastAfterSeven,
+        list(range(peer.PEER_MIN_ACTIONS)), _FailsAtLastAfterSeven,
         lambda candidate, prefix: prefix.fork().run(candidate)),
     "run_split": _long_replay,
 }
+
+
+def _on_one_cpu(monkeypatch, run):
+    """``run()`` on a process that may use one CPU."""
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return run()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists no open files")
@@ -792,9 +773,7 @@ FORKING_RUNS = {
 def test_a_failed_fork_runs_in_one_process_and_closes_its_pipes(
         monkeypatch, two_cpus, tmp_path, runner):
     run = FORKING_RUNS[runner](tmp_path, monkeypatch)
-    with monkeypatch.context() as patched:
-        patched.setattr(os, "sched_getaffinity", lambda pid: {0})
-        one = run()
+    one = _on_one_cpu(monkeypatch, run)
     attempts = []
 
     def failing():
@@ -806,6 +785,40 @@ def test_a_failed_fork_runs_in_one_process_and_closes_its_pipes(
     assert run() == one
     assert len(os.listdir("/proc/self/fd")) == open_files
     assert attempts == [os.getpid()]
+
+
+@pytest.mark.parametrize("runner", sorted(FORKING_RUNS))
+def test_a_peer_that_exits_after_any_frame_gives_the_one_process_result(
+        monkeypatch, two_cpus, tmp_path, runner):
+    # the peer of the k-th call exits without raising once it has sent k
+    # frames, for k = 0, 1, ... until a peer sends all of its frames: the
+    # end of its pipe is all the calling process sees
+    run = FORKING_RUNS[runner](tmp_path, monkeypatch)
+    one = _on_one_cpu(monkeypatch, run)
+    calling = os.getpid()
+    exited = tmp_path / "exited"
+    send = peer.Channel.send
+    sent = []  # the frames the peer has sent, in its own copy
+    frames = 0
+
+    def exiting(channel, obj):
+        if os.getpid() != calling:
+            if len(sent) == frames:
+                exited.write_text(f"{frames}\n")
+                os._exit(0)
+            sent.append(obj)
+        send(channel, obj)
+
+    monkeypatch.setattr(peer.Channel, "send", exiting)
+    while True:
+        assert run() == one, frames
+        assert_no_child_left()
+        if not exited.exists():
+            break
+        assert int(exited.read_text()) == frames
+        exited.unlink()
+        frames += 1
+    assert frames >= 1 and two_cpus == [calling] * (frames + 1)
 
 
 # --------------------------------------------------------------------- #
@@ -940,21 +953,14 @@ def test_a_run_holds_at_most_one_cadence_of_events(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# A run of PEER_MIN_STEPS steps or more draws its actions in a forked peer
+# A run of DRAW_MIN_STEPS steps or more draws its actions in a forked peer
 # --------------------------------------------------------------------- #
-
-def _one_cpu_run(monkeypatch, plan):
-    """``run_fuzz(plan)`` on a process that may use one CPU."""
-    with monkeypatch.context() as patched:
-        patched.setattr(os, "sched_getaffinity", lambda pid: {0})
-        return run_fuzz(plan)
-
 
 # each plan with the forks of its run on two CPUs: the drawing peer, and a
 # peer for a shrink of at least PEER_MIN_ACTIONS actions
 DRAWN_PLANS = [(FuzzPlan(seed=seed, steps=3_000), 1) for seed in (0, 7, 42)] + [
     (FuzzPlan(seed=42, steps=3_000, check_revert_atomicity=True), 1),
-    (FuzzPlan(seed=42, steps=ddmin_module.PEER_MIN_STEPS - 1), 0)] + [
+    (FuzzPlan(seed=42, steps=peer.DRAW_MIN_STEPS - 1), 0)] + [
     (FuzzPlan(seed=seed, steps=3_000, mutant=mutant), 2)
     for mutant, seed in CAUGHT_IN_3000]
 
@@ -974,12 +980,12 @@ def test_a_run_drawn_by_a_peer_reports_as_one_process(monkeypatch, two_cpus, pla
     assert two_cpus == [os.getpid()] * fork_count
     assert_no_child_left()
     assert fresh_runs == []
-    assert _one_cpu_run(monkeypatch, plan).as_data() == two
+    assert _on_one_cpu(monkeypatch, lambda: run_fuzz(plan)).as_data() == two
     assert two_cpus == [os.getpid()] * fork_count
     assert two["passed"] is (plan.mutant is None)
 
 
-HEALTHY_DRAWN = FuzzPlan(seed=42, steps=2_000)
+HEALTHY_DRAWN = FuzzPlan(seed=42, steps=peer.DRAW_MIN_STEPS)
 
 
 def test_a_module_fault_escapes_as_in_one_process(monkeypatch, two_cpus):
@@ -1001,7 +1007,7 @@ def test_a_module_fault_escapes_as_in_one_process(monkeypatch, two_cpus):
     assert_no_child_left()
     calls.clear()
     with pytest.raises(ValueError, match="planted fault") as one:
-        _one_cpu_run(monkeypatch, HEALTHY_DRAWN)
+        _on_one_cpu(monkeypatch, lambda: run_fuzz(HEALTHY_DRAWN))
     assert str(two.value) == str(one.value)
 
 
@@ -1026,27 +1032,5 @@ def test_a_draw_that_raises_escapes_through_the_rerun(monkeypatch, two_cpus):
     assert draws == [os.getpid()] * 700  # the rerun's draws, in this process
     draws.clear()
     with pytest.raises(ValueError) as one:
-        _one_cpu_run(monkeypatch, HEALTHY_DRAWN)
+        _on_one_cpu(monkeypatch, lambda: run_fuzz(HEALTHY_DRAWN))
     assert str(two.value) == str(one.value)
-
-
-def test_a_peer_that_exits_mid_run_gives_the_one_process_report(monkeypatch,
-                                                                  two_cpus):
-    # the peer leaves at its 600th draw without raising or flushing: the end
-    # of its stream is all this process sees
-    generate = ActionGenerator.generate
-    checking = os.getpid()
-    draws = []
-
-    def exiting(self):
-        draws.append(None)
-        if os.getpid() != checking and len(draws) == 600:
-            os._exit(0)
-        return generate(self)
-
-    monkeypatch.setattr(ActionGenerator, "generate", exiting)
-    two = run_fuzz(HEALTHY_DRAWN).as_data()
-    assert two_cpus == [checking]
-    assert_no_child_left()
-    assert len(draws) == HEALTHY_DRAWN.steps  # the rerun drew them all here
-    assert _one_cpu_run(monkeypatch, HEALTHY_DRAWN).as_data() == two

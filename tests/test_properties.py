@@ -11,9 +11,10 @@ import time
 import pytest
 
 from fracvault import fuzz, ledger, properties
-from fracvault.ddmin import PEER_MIN_STEPS, run_checked
+from fracvault.ddmin import run_checked
 from fracvault.ledger import canonical_json, normalize
 from fracvault.mutations import MUTANTS
+from fracvault.peer import PEER_MIN_STEPS
 from fracvault.properties import (ALL_PROPERTIES, PINNED_PROPERTIES,
                                   PropertyResult, replay_property_trace,
                                   run_property, run_suite)
@@ -146,11 +147,11 @@ def test_a_raising_property_raises_what_one_process_raises(monkeypatch, two_cpus
     _log_runs(monkeypatch, two_cpus, log, raising=names)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with pytest.raises(ValueError) as one:
-        run_suite(seed=0, steps=1_000, names=names)
+        run_suite(seed=0, steps=PEER_MIN_STEPS, names=names)
     assert two_cpus == [] and _logged(log) == [(os.getpid(), names[0])]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ValueError) as two:
-        run_suite(seed=0, steps=1_000, names=names)
+        run_suite(seed=0, steps=PEER_MIN_STEPS, names=names)
     assert str(two.value) == str(one.value) == f"{names[0]} raised"
     assert two_cpus == [os.getpid()]
     assert_no_child_left()

@@ -1,5 +1,5 @@
 """A long trace replayed on two CPUs: this process checks the records before
-the split and a forked peer the rest (``ddmin.run_split``).  Every verdict,
+the split and a forked peer the rest (``peer.run_split``).  Every verdict,
 a count or an exception, is the one a replay in one process gives."""
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import sys
 import pytest
 
 from fracvault import trace as fv_trace
-from fracvault.ddmin import PEER_MIN_STEPS, SPLIT_SHARE
 from fracvault.ledger import ChainState, DigestCacheMismatch
+from fracvault.peer import PEER_MIN_STEPS, SPLIT_SHARE
 from fracvault.scenario import parse_scenario, run_scenario
 from fracvault.trace import replay_trace, write_trace
 from fracvault.vault import Vault
@@ -171,20 +171,6 @@ def test_a_module_fault_in_the_peers_share_escapes_as_in_one_process(
     with pytest.raises(ValueError) as one:
         _one_cpu(monkeypatch, lambda: replay_trace(path))
     assert str(two.value) == str(one.value)
-
-
-def test_a_peer_that_exits_mid_share_gives_the_one_process_count(
-        tmp_path, monkeypatch, two_cpus, generated):
-    # the peer leaves with status 0 and sends no count
-    lines = generated[1_500]
-    path = _write(tmp_path / "trace.jsonl", lines)
-    checking = os.getpid()
-    _plant(monkeypatch, _split(lines) + 20,
-           lambda state: os.getpid() != checking and os._exit(0))
-    assert replay_trace(path) == len(lines) - 1
-    assert two_cpus == [checking]
-    assert_no_child_left()
-    assert _one_cpu(monkeypatch, lambda: replay_trace(path)) == len(lines) - 1
 
 
 def test_an_unjournaled_write_in_the_peers_share_fails_the_same_cross_check(
