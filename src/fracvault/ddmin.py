@@ -3,12 +3,12 @@ replays, their run loop and their shrinking.
 
 ``run_checked`` drives a ``CheckedReplay`` (generate, check, record, stop
 at the first problem); the fuzzer and each property campaign supply the
-world, the generator and the step check.  ``CheckedReplay.call`` is also
-the revert-atomicity oracle: it takes an identity snapshot of the world
-before a call and, if the call reverts, asks the world whether its full
-digest is unchanged, which hashes only when the revert left a different
-object behind.  ``ddmin`` shrinks a failing trace by delete-only ddmin
-(Zeller & Hildebrandt, TSE 2002).
+world, the generator and the spec that ``CheckedReplay.check``, the one
+step rule, reads.  ``CheckedReplay.call`` is its revert-atomicity oracle:
+it takes an identity snapshot of the world before a call and, if the call
+reverts, asks the world whether its full digest is unchanged, which hashes
+only when the revert left a different object behind.  ``ddmin`` shrinks a
+failing trace by delete-only ddmin (Zeller & Hildebrandt, TSE 2002).
 
 A run keeps only its last actions, as many as the caller asks for, so its
 memory does not grow with its length.  When a shrink needs the whole trace
@@ -39,10 +39,15 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Sequence
 
 from . import peer
+from .invariants import WriteSetChecks
+
+# steps between full scans, which catch writes that bypass the journal;
+# spread this thin, their cost per step stays small as history grows
+FULL_SCAN_INTERVAL = 1_000
 
 
 class Replay:
@@ -81,12 +86,13 @@ class Replay:
 
 
 class CheckedReplay(Replay):
-    """A world ``(state, handle, extras)`` checking each action it runs,
-    with ``spec.check(replay, action, index, last)`` after the clock
-    advance: the call's result and first problem, ``name: detail`` or None.
-    ``spec`` never changes, so forks share it.  An action fails a replay
-    when its problem is named ``target``, or with any problem if that is
-    None."""
+    """A world ``(state, handle, extras)`` checked by the one step rule,
+    ``check``, from what ``spec`` supplies: the hooks ``before(state,
+    handle, extras, action)``, whose token ``after(state, handle, extras,
+    action, result, token)`` reads (either may be None), the
+    ``invariants`` and ``check_revert_atomicity``.  ``spec`` never changes,
+    so forks share it.  An action fails a replay when its problem is named
+    ``target``, or with any problem if that is None."""
 
     def __init__(self, spec: Any, world: tuple[Any, Any, Any],
                  target: str | None = None):
@@ -94,11 +100,34 @@ class CheckedReplay(Replay):
         self.state, self.handle, self.extras = world
         self.target = target
 
+    @cached_property
+    def checks(self) -> WriteSetChecks:
+        """The write-set checks of ``spec.invariants``, built at the first
+        step, so that ``call`` alone needs no spec; a fork copies them."""
+        return WriteSetChecks(self.state, self.handle, self.spec.invariants)
+
     def check(self, action: Any, index: int, last: bool) -> tuple[Any, str | None]:
-        """Run the trace's ``index``-th action: its result and first problem."""
+        """Run the trace's ``index``-th action, its final one if ``last``:
+        the call's result (None for a clock-only step) and first problem,
+        ``name: detail`` or None.  The clock advance, ``before``, the call,
+        ``after``, then the write-set checks, whose full scans fall on the
+        first step, every ``FULL_SCAN_INTERVAL`` steps, the last, and the
+        step after a problem found before its write set was checked."""
+        spec, state, checks = self.spec, self.state, self.checks
         if action.delta:
-            self.state.advance_clock(action.delta)
-        return self.spec.check(self, action, index, last)
+            state.advance_clock(action.delta)
+        if (index + 1) % FULL_SCAN_INTERVAL == 0 or last:
+            checks.rescan()
+        token = spec.before(state, self.handle, self.extras, action) \
+            if spec.before is not None else None
+        result, detail = self.call(action, spec.check_revert_atomicity)
+        if not detail and spec.after is not None:
+            detail = spec.after(state, self.handle, self.extras, action, result, token)
+        if detail:
+            checks.rescan()  # the step's writes escape the write set
+            return result, detail
+        return result, checks.first_violation(state.last_writes if result is not None
+                                              else ())
 
     def step(self, action: Any, index: int, last: bool) -> bool:
         detail = self.check(action, index, last)[1]

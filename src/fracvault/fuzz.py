@@ -9,13 +9,13 @@ any prefix can be replayed from genesis.  Reports (``-v2``) encode a shrunk
 trace's steps with ``FuzzAction.as_data``; ``from_data`` reads them back.
 
 A run is a campaign on the runner in ``ddmin``: its generator is
-``ActionGenerator`` and its step check ``FuzzPlan.check``, the write-set
-invariant checks plus, with ``check_revert_atomicity``, the shared
+``ActionGenerator`` and its spec the ``FuzzPlan``: no hooks, the plan's
+invariants and, with ``check_revert_atomicity``, the shared
 revert-atomicity oracle.  A run of at least ``peer.DRAW_MIN_STEPS``
 steps, where the process may use two CPUs, draws its actions in a forked
 peer (``peer.run_drawn``): the peer draws and runs each action unchecked
 on its copy of the genesis world, and this process checks every step as
-one process does.  The checks keep their state in ``extras``, which the
+one process does.  The checks keep their state in the replay, which the
 generator never reads, so the report is the same bytes on one CPU or two.
 A run keeps only its last ``SHRINK_WINDOW`` actions, and its world folds
 its own event log (``ledger.FOLD_EVENTS``).  On a violation
@@ -36,7 +36,7 @@ from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 from .ddmin import CheckedReplay, ddmin, rerun, run_checked
-from .invariants import ALL_INVARIANTS, WriteSetChecks
+from .invariants import ALL_INVARIANTS
 from .ledger import ABSENT, ChainState, HookCall, ReceiveHook, TxResult, ZERO_ADDRESS
 from .mutations import install
 from .peer import run_drawn
@@ -75,10 +75,6 @@ DEFAULT_WEIGHTS: dict[str, int] = {
 
 CLOCK_STEPS = (1, 30, 600, 900, 3_600, 86_400, 604_800)
 
-# steps between full scans, which catch writes that bypass the journal;
-# spread this thin, their cost per step stays small as history grows
-FULL_SCAN_INTERVAL = 1_000
-
 # a run keeps its last SHRINK_WINDOW actions, and ``shrink`` starts from
 # them alone when they still fail; a longer trace is rebuilt from the seed
 SHRINK_WINDOW = 4_000
@@ -103,13 +99,11 @@ class FuzzPlan:
     check_revert_atomicity: bool = False
     mutant: str | None = None
 
+    # a fuzz step has no hooks: the call and the invariants judge it
+    before = after = None
+
     def __deepcopy__(self, memo: dict) -> "FuzzPlan":
         return self  # never changes, so forks of a replay share it
-
-    def check(self, replay: CheckedReplay, action: FuzzAction, index: int,
-              last: bool) -> tuple[TxResult | None, str | None]:
-        # one module-level call per step, which the benchmark's tracer wraps
-        return _step_violation(replay, self, action, index, last)
 
     def as_data(self) -> dict:
         return {"seed": self.seed, "steps": self.steps,
@@ -595,29 +589,21 @@ def _action_args(action: FuzzAction) -> dict:
     return action.args
 
 
+class _FuzzReplay(CheckedReplay):
+    def check(self, action: FuzzAction, index: int, last: bool
+              ) -> tuple[TxResult | None, str | None]:
+        # one module-level call per step, which the benchmark's tracer wraps
+        return _step_violation(self, action, index, last)
+
+
+_step_violation = CheckedReplay.check
+
+
 def fuzz_replay(plan: FuzzPlan, invariant: str | None = None) -> CheckedReplay:
     """A fresh fuzz world, checked by ``plan``; a replay fails at a step
-    that violates ``invariant``.  A fork copies the write-set checks along
-    with the world."""
+    that violates ``invariant``."""
     state, handle, actors = build_fuzz_world(plan)
-    return CheckedReplay(plan, (state, handle, {
-        "actors": actors,
-        "checks": WriteSetChecks(state, handle, plan.invariants)}), invariant)
-
-
-def _step_violation(replay: CheckedReplay, plan: FuzzPlan, action: FuzzAction,
-                    index: int, last: bool) -> tuple[TxResult | None, str | None]:
-    """The fuzz step check: the write-set invariant checks, with a full
-    scan every FULL_SCAN_INTERVAL steps and after the last one."""
-    checks = replay.extras["checks"]
-    if (index + 1) % FULL_SCAN_INTERVAL == 0 or last:
-        checks.rescan()
-    result, detail = replay.call(action, plan.check_revert_atomicity)
-    if detail:
-        checks.rescan()  # the unjournaled writes escape the write set
-        return result, detail
-    writes = replay.state.last_writes if result is not None else ()
-    return result, checks.first_violation(writes)
+    return _FuzzReplay(plan, (state, handle, {"actors": actors}), invariant)
 
 
 def _genesis(plan: FuzzPlan) -> tuple[CheckedReplay, Callable[[], FuzzAction]]:

@@ -277,6 +277,8 @@ class WriteSetChecks:
 
     def first_violation(self, writes: list[JournalEntry] | tuple[()]) -> str | None:
         """Check the world after a step that made ``writes``; ``name: detail``."""
+        if not self.names:  # nothing to check, so no write set to follow
+            return None
         if self._rescan_next:
             self._reset()
             due = self.full

@@ -790,16 +790,16 @@ class TxResult(NamedTuple):
 
 
 class _Lock:
-    """A held-or-free reentrancy lock, entered with ``with``."""
+    """A module's held-or-free reentrancy lock, entered with ``with``."""
 
     __slots__ = ("locks", "key")
 
-    def __init__(self, locks: set[tuple[str, str]], key: tuple[str, str]) -> None:
+    def __init__(self, locks: set[str], key: str) -> None:
         self.locks, self.key = locks, key
 
     def __enter__(self) -> None:
         if self.key in self.locks:
-            raise errors.Reentered("%s.%s already held" % self.key)
+            raise errors.Reentered(f"{self.key}.nonreentrant already held")
         self.locks.add(self.key)
 
     def __exit__(self, *exc: Any) -> None:
@@ -871,7 +871,7 @@ class ChainState:
         self.last_writes: list[JournalEntry] | tuple[()] = ()
         self._frames: list[tuple[int, int]] = []  # (token, journal mark)
         self._next_frame_token: int = 1
-        self._locks: set[tuple[str, str]] = set()
+        self._locks: set[str] = set()  # the modules whose lock is held
         # (length of the log, last event, hash before and after the last
         # event) of the latest event_hash() read or fold
         self._event_chain: tuple[int, Event | None, str, str] = (
@@ -1031,10 +1031,10 @@ class ChainState:
             raise errors.UnknownFrame(f"frame {token} is not on top")
         self._frames.pop()
 
-    def reentrancy_lock(self, module_id: str, name: str = "nonreentrant") -> "_Lock":
-        """A context manager holding ``module_id``'s lock ``name``; entering
-        it while held raises ``Reentered``."""
-        return _Lock(self._locks, (module_id, name))
+    def reentrancy_lock(self, module_id: str) -> "_Lock":
+        """A context manager holding ``module_id``'s lock; entering it while
+        held raises ``Reentered``."""
+        return _Lock(self._locks, module_id)
 
     # ------------------------------------------------------------------ #
     # Transactions and nested calls

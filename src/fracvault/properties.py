@@ -6,15 +6,15 @@ funded actors, then a copy of each of its ``hooks`` installed, by the one
 world recipe ``fuzz.actor_world``), the ``extras`` each world starts with,
 a generator that produces one transaction per step (inspecting live
 state, recording pure data), an ``after`` hook that judges each step, and
-the names of the invariants scanned in full after each step that
+the names of the invariants checked from the write set of each step that
 ``after`` passes; a ``before`` hook sees the world after the step's clock
-advance.  Campaigns run on the runner in ``ddmin``, as the fuzzer does,
-and keep the last ``fuzz.SHRINK_WINDOW`` actions.  On failure the action
-prefix, rebuilt from the seed if it is longer, is shrunk delete-only until
-1-minimal and attached to the result, so every red campaign ships a
-replayable reproducer.  An attack property runs one ``attackers``
-strategy and judges its report: it counts as one step and carries no
-trace.
+advance.  Campaigns run on the runner in ``ddmin`` and its one step rule,
+as the fuzzer does, and keep the last ``fuzz.SHRINK_WINDOW`` actions.  On
+failure the action prefix, rebuilt from the seed if it is longer, is
+shrunk delete-only until 1-minimal and attached to the result, so every
+red campaign ships a replayable reproducer.  An attack property runs one
+``attackers`` strategy and judges its report: it counts as one step and
+carries no trace.
 
 Each property builds its own worlds and draws from its own seed, so the
 properties share nothing: ``run_suite`` runs them on two CPUs, shared with
@@ -97,9 +97,10 @@ class SuiteReport:
 @dataclass(frozen=True)
 class Campaign:
     """One property as a row: its start world (``setup`` and ``hooks``),
-    the ``extras`` each world starts with, its generator, and its step
-    checks (``before``, ``after``, the ``invariants`` and, if set, the
-    revert-atomicity oracle)."""
+    the ``extras`` each world starts with, its generator, and the spec
+    that the one step rule, ``CheckedReplay.check``, reads (``before``,
+    ``after``, the ``invariants`` and, if set, the revert-atomicity
+    oracle)."""
 
     name: str
     generate: GenFn
@@ -113,20 +114,6 @@ class Campaign:
 
     def __deepcopy__(self, memo: dict) -> "Campaign":
         return self  # never changes, so forks of a replay share it
-
-    def check(self, replay: CheckedReplay, action: FuzzAction, index: int,
-              last: bool) -> tuple[TxResult | None, str | None]:
-        """The campaign step check: ``before`` sees the world after the
-        clock advance, the call runs, ``after`` judges it, and then the
-        full scan of ``invariants``."""
-        state, handle, extras = replay.state, replay.handle, replay.extras
-        token = self.before(state, handle, extras, action) if self.before else None
-        result, detail = replay.call(action, self.check_revert_atomicity)
-        if not detail and self.after is not None:
-            detail = self.after(state, handle, extras, action, result, token)
-        if not detail and self.invariants:
-            detail = first_violation(state, handle, self.invariants)
-        return result, detail
 
     def replay(self, mutant: str | None) -> CheckedReplay:
         """A fresh world of the campaign, ``mutant`` installed, checked by it."""
@@ -977,30 +964,31 @@ PINNED_PROPERTIES = (
     "supply_management",
 )
 
-_CAMPAIGNS: dict[str, Callable[[], Campaign]] = {
-    "mint_authorization": lambda: _supply_auth_campaign("mint", "mint", "to", 1000),
-    "burn_authorization": lambda: _supply_auth_campaign("burn", "burn_from", "frm", 500),
-    "total_supply_constant": _total_supply_campaign,
-    "governance_singleton": _singleton_campaign,
-    "positive_auction_duration": _duration_campaign,
-    "royalty_percent_range": _royalty_campaign,
-    "withdrawal_balance_check": _withdrawal_balance_campaign,
-    "original_owner_recorded": _original_owner_campaign,
-    "voting_increases_votes": _voting_campaign,
-    "quorum_not_met_rejected": _quorum_campaign,
-    "create_proposal_ids": _create_proposal_campaign,
-    "liquidity_maintenance": _liquidity_campaign,
-    "trade_execution": _trade_campaign,
-    "supply_management": _supply_management_campaign,
-    "escrow_conservation": _escrow_campaign,
-    "redemption_double_withdrawal": _double_withdrawal_campaign,
-    "reentrancy_guard_probe": _reentrancy_probe_campaign,
-    "checks_effects_observable": _cei_observable_campaign,
-    "anti_sniping_extension": _anti_sniping_campaign,
-    "revert_atomicity": _revert_atomicity_campaign,
-    "timelock_delay_enforced": _timelock_campaign,
-    "authorization_chain": _authorization_chain_campaign,
-}
+# the campaign rows, by name, in the suite's order
+_CAMPAIGNS: dict[str, Campaign] = {campaign.name: campaign for campaign in (
+    _supply_auth_campaign("mint", "mint", "to", 1000),
+    _supply_auth_campaign("burn", "burn_from", "frm", 500),
+    _total_supply_campaign(),
+    _singleton_campaign(),
+    _duration_campaign(),
+    _royalty_campaign(),
+    _withdrawal_balance_campaign(),
+    _original_owner_campaign(),
+    _voting_campaign(),
+    _quorum_campaign(),
+    _create_proposal_campaign(),
+    _liquidity_campaign(),
+    _trade_campaign(),
+    _supply_management_campaign(),
+    _escrow_campaign(),
+    _double_withdrawal_campaign(),
+    _reentrancy_probe_campaign(),
+    _cei_observable_campaign(),
+    _anti_sniping_campaign(),
+    _revert_atomicity_campaign(),
+    _timelock_campaign(),
+    _authorization_chain_campaign(),
+)}
 
 # attack_reenter_withdraw for ReenterWithdraw, and so on
 _ATTACK_PROPERTIES = {"attack" + re.sub("([A-Z])", r"_\1", strategy).lower(): strategy
@@ -1012,7 +1000,7 @@ ALL_PROPERTIES = tuple(_CAMPAIGNS) + tuple(_ATTACK_PROPERTIES)
 def run_property(name: str, seed: int = 0, steps: int = 2_000,
                  mutant: str | None = None) -> PropertyResult:
     if name in _CAMPAIGNS:
-        return run_campaign(_CAMPAIGNS[name](), seed, steps, mutant)
+        return run_campaign(_CAMPAIGNS[name], seed, steps, mutant)
     if name in _ATTACK_PROPERTIES:
         report = attackers.run_attack(_ATTACK_PROPERTIES[name], mutant)
         detail = attackers.ATTACKS[report.strategy].judge(report.details) or ""
@@ -1053,4 +1041,4 @@ def replay_property_trace(name: str, trace: list[FuzzAction],
     """Re-run a recorded campaign trace from genesis; True if it still fails."""
     if name not in _CAMPAIGNS:
         raise KeyError(f"{name!r} is not a campaign property")
-    return _replay_fails(_CAMPAIGNS[name](), mutant, trace)
+    return _replay_fails(_CAMPAIGNS[name], mutant, trace)

@@ -169,11 +169,12 @@ def _parse_hook(owner: str, spec: Any) -> ReceiveHook:
         for key in ("module", "method"):
             if not isinstance(entry.get(key), str):
                 raise ScenarioError(f"{call}: missing {key!r}")
-        if not isinstance(entry.get("args", {}), dict):
+        args = entry.get("args", {})
+        if not isinstance(args, dict):
             raise ScenarioError(f"{call}: 'args' must be an object")
         calls.append(HookCall(
             module=entry["module"], method=entry["method"],
-            args=tuple(sorted(decode_value(entry.get("args", {})).items())),
+            args=tuple(sorted(decode_value(args, f"{call}.args").items())),
             value=parse_amount(entry.get("value", 0), call),
             require_success=_flag(entry, "require_success", call),
             record_result=_flag(entry, "record_result", call)))

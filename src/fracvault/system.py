@@ -20,7 +20,7 @@ record, decoded as scenario files are.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, NamedTuple
 
 from .governance import (DEFAULT_PROPOSAL_THRESHOLD_BPS, DEFAULT_TIMELOCK_DELAY,
@@ -52,26 +52,34 @@ class ScenarioError(Exception):
 
 
 def parse_amount(value: Any, where: str) -> int:
-    """A non-negative decimal amount of a scenario file; ``where`` names it."""
+    """A non-negative decimal amount of a scenario file, ASCII digits or a
+    JSON integer; ``where`` names it."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ScenarioError(f"{where}: amounts are decimal strings")
-    try:
-        number = int(value)
-    except ValueError:
-        raise ScenarioError(f"{where}: {value!r} is not a decimal amount") from None
-    if number < 0:
+    if isinstance(value, str):
+        digits = value.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ScenarioError(f"{where}: {value!r} is not a decimal amount")
+        value = int(value)
+    if value < 0:
         raise ScenarioError(f"{where}: negative amount")
-    return number
+    return value
 
 
-def decode_value(value: Any) -> Any:
-    """File-to-runtime value mapping: digit strings become integers."""
+def decode_value(value: Any, where: str) -> Any:
+    """File-to-runtime value mapping: ASCII digit strings become integers.
+    A float, or a digit string in another script, is a ScenarioError;
+    ``where`` names the value."""
     if isinstance(value, str) and value.isdigit():
+        if not value.isascii():
+            raise ScenarioError(f"{where}: {value!r} is not an ASCII decimal")
         return int(value)
+    if isinstance(value, float):
+        raise ScenarioError(f"{where}: {value!r} is not an integer")
     if isinstance(value, list):
-        return [decode_value(v) for v in value]
+        return [decode_value(v, where) for v in value]
     if isinstance(value, dict):
-        return {k: decode_value(v) for k, v in value.items()}
+        return {k: decode_value(v, where) for k, v in value.items()}
     return value
 
 
@@ -113,7 +121,7 @@ class FuzzAction(NamedTuple):
             raise ScenarioError(f"{where}: 'call' must be 'module.method'")
         if not isinstance(args, dict):
             raise ScenarioError(f"{where}: 'args' must be a JSON object")
-        return cls(data["sender"], module, method, decode_value(args),
+        return cls(data["sender"], module, method, decode_value(args, f"{where}.args"),
                    parse_amount(data.get("value", 0), f"{where}.value"), delta)
 
 
@@ -162,7 +170,6 @@ class SystemHandle:
     governance: str = "governance"
     pair: str = "pair"
     market: str = "market"
-    params: GenesisParams = field(default_factory=GenesisParams)
 
     def vault_module(self, state: ChainState) -> Vault:
         return state.modules[self.vault]  # type: ignore[return-value]
@@ -194,6 +201,8 @@ def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
     kind, mid, deployer = entry["kind"], entry["id"], entry["deployer"]
     args = entry.get("args", {})
     where = f"deployment[{index}]"
+    if not isinstance(args, dict):
+        raise ScenarioError(f"{where}: 'args' must be a JSON object")
     try:
         if kind == "fractional_token":
             state.install_module(FractionalToken(
@@ -238,7 +247,7 @@ def deploy_module(state: ChainState, entry: dict, params: GenesisParams,
 
 def deploy_standard_system(state: ChainState, deployer: Address,
                            params: GenesisParams = GenesisParams()) -> SystemHandle:
-    handle = SystemHandle(deployer=deployer, params=params)
+    handle = SystemHandle(deployer=deployer)
     for index, entry in enumerate(STANDARD_DEPLOYMENT):
         deploy_module(state, dict(entry, deployer=deployer), params, index)
         if entry["kind"] == "vault":

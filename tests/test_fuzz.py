@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from fracvault import fuzz, invariants, ledger, peer
+from fracvault import fuzz, invariants, ledger, peer, properties
 from fracvault.ddmin import NondeterministicRun, Replay, ddmin, run_checked
 from fracvault.fuzz import (ActionGenerator, FuzzAction, FuzzPlan, FuzzReport,
                             Violation, actor_world, build_fuzz_world, clock_action,
@@ -186,6 +186,29 @@ def test_replay_of_recorded_actions_reaches_same_digest():
     assert twin.digest() == state.digest()
 
 
+def _assert_write_set_verdicts(state, handle, draw, steps, names, where):
+    """Run ``steps`` actions of ``draw`` on ``state``; after each, the
+    write-set verdict on ``names`` and every running total must equal a
+    full scan and a fresh sum."""
+    vault, market = handle.vault_module(state), handle.market_module(state)
+    checks = WriteSetChecks(state, handle, names)
+    for step in range(steps):
+        result = run_action(state, draw(step))
+        writes = state.last_writes if result is not None else ()
+        assert checks.first_violation(writes) == first_violation(state, handle, names), \
+            (where, step)
+        # every running total against a fresh sum
+        balances = [ledger.balances for ledger in state.fungible.values()]
+        summed = (state.native, market.shares, vault.pending, vault.sales,
+                  vault.auctions, *balances)
+        assert [checks.total(d) for d in summed] == [
+            sum(state.native.values()), sum(market.shares.values()),
+            sum(vault.pending.values()),
+            sum(s.proceeds_remaining for s in vault.sales.values()),
+            vault.active_bid_total(), *(sum(b.values()) for b in balances)], \
+            (where, step)
+
+
 @pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
 def test_write_set_verdict_equals_full_scan(mutant):
     # Oracle: the full scan after every step, including the steps after a
@@ -194,23 +217,15 @@ def test_write_set_verdict_equals_full_scan(mutant):
         plan = FuzzPlan(seed=seed, steps=2000, mutant=mutant)
         state, handle, actors = build_fuzz_world(plan)
         generator = ActionGenerator(plan, state, handle, actors)
-        vault, market = handle.vault_module(state), handle.market_module(state)
-        checks = WriteSetChecks(state, handle)
-        for step in range(plan.steps):
-            result = run_action(state, generator.generate())
-            writes = state.last_writes if result is not None else ()
-            assert checks.first_violation(writes) == first_violation(state, handle), \
-                (seed, step)
-            # every running total against a fresh sum
-            balances = [ledger.balances for ledger in state.fungible.values()]
-            summed = (state.native, market.shares, vault.pending, vault.sales,
-                      vault.auctions, *balances)
-            assert [checks.total(d) for d in summed] == [
-                sum(state.native.values()), sum(market.shares.values()),
-                sum(vault.pending.values()),
-                sum(s.proceeds_remaining for s in vault.sales.values()),
-                vault.active_bid_total(), *(sum(b.values()) for b in balances)], \
-                (seed, step)
+        _assert_write_set_verdicts(state, handle, lambda step: generator.generate(),
+                                   plan.steps, plan.invariants, seed)
+    # the campaigns that name invariants, which the step rule checks the same way
+    campaigns = [c for c in properties._CAMPAIGNS.values() if c.invariants]
+    assert len(campaigns) == 6
+    for campaign in campaigns:
+        world, generate = properties._fresh_run(campaign, 0, mutant)
+        _assert_write_set_verdicts(world.state, world.handle, generate, 400,
+                                   campaign.invariants, campaign.name)
 
 
 def _first_bid_auction(vault):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -208,7 +209,7 @@ def test_campaign_failing_after_the_window_shrinks_its_rebuilt_trace(monkeypatch
     # seed 0 fails escrow_conservation under drop-burn-before-pay at its
     # 68th step: a run that keeps 20 actions rebuilds the rest from the seed
     name, mutant = "escrow_conservation", "drop-burn-before-pay"
-    campaign = properties._CAMPAIGNS[name]()
+    campaign = properties._CAMPAIGNS[name]
     recorded, executed, detail, _ = run_checked(
         *properties._fresh_run(campaign, 0, mutant), 400, None)
     assert executed == 68
@@ -221,6 +222,32 @@ def test_campaign_failing_after_the_window_shrinks_its_rebuilt_trace(monkeypatch
     assert result.as_data() == PropertyResult(
         name, False, executed, detail, reference).as_data()
 
+
+
+def test_an_unjournaled_write_in_a_campaign_is_reported_by_the_end(monkeypatch, two_cpus):
+    # the campaign's after hook credits each depositor a wei behind the
+    # journal's back, which no write set shows: a full scan reports it, at
+    # the latest at the last step, and a replay's last step scans in full
+    name = "escrow_conservation"
+
+    def after(state, handle, extras, action, result, token):
+        if action.method == "deposit_nft" and result.ok:
+            state.native[action.sender] += 1
+        return None
+
+    monkeypatch.setitem(properties._CAMPAIGNS, name,
+                        replace(properties._CAMPAIGNS[name], after=after))
+    two = run_property(name, seed=0, steps=400)
+    # the 400-action trace is shrunk in lockstep with a forked peer
+    assert two_cpus == [os.getpid()]
+    assert_no_child_left()
+    assert (two.passed, two.steps) == (False, 400)
+    assert two.detail.startswith("native_conservation: native total")
+    assert [action.method for action in two.trace] == ["deposit_nft"]
+    assert replay_property_trace(name, two.trace)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_property(name, seed=0, steps=400).as_data() == two.as_data()
+    assert two_cpus == [os.getpid()]
 
 # the full digest and the hooked accounts of each campaign's start world
 _TOKEN = "7f3258c218f884f1b7f495e0bdfe668b3bed59ca59ebe18f5f61a7d6fcd80671"
@@ -261,7 +288,7 @@ START_WORLDS = {
 
 @pytest.mark.parametrize("name", sorted(START_WORLDS))
 def test_campaign_start_worlds_pinned(name):
-    state = properties._CAMPAIGNS[name]().replay(None).state
+    state = properties._CAMPAIGNS[name].replay(None).state
     assert (state.full_digest(), sorted(state.hooks)) == START_WORLDS[name]
 
 

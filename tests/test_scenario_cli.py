@@ -62,6 +62,9 @@ def test_bundled_deployment_order(lifecycle):
          "args": {"fractions": "fractions", "vault": "vault",
                   "timelock": "timelock"}},
      r"deployment\[4\]: vault registration failed: NotDeployer"),
+    (0, {"id": "fractions", "kind": "fractional_token", "deployer": "deployer",
+         "args": ["Fraction Token", "FTK"]},
+     r"deployment\[0\]: 'args' must be a JSON object"),
 ])
 def test_deployment_errors_name_the_entry(lifecycle, index, entry, message):
     lifecycle["deployment"][index] = entry
@@ -379,6 +382,23 @@ MALFORMED_TRANSACTIONS = {
                         "advance_clock": "-5"}, ".advance_clock: negative amount"),
     "no-method": ({"sender": "bob", "call": "vault."},
                   ": 'call' must be 'module.method'"),
+    # only a JSON integer or a string of ASCII digits is an integer
+    "float-arg": ({"sender": "deployer", "call": "collection.mint",
+                   "args": {"to": "alice", "token_id": 1.5}},
+                  ".args: 1.5 is not an integer"),
+    "superscript-arg": ({"sender": "deployer", "call": "collection.mint",
+                         "args": {"to": "alice", "token_id": "\u00b2"}},
+                        ".args: '\u00b2' is not an ASCII decimal"),
+    "arabic-indic-arg": ({"sender": "deployer", "call": "collection.mint",
+                          "args": {"to": "alice", "token_ids": ["7", "\u0661\u0662"]}},
+                         ".args: '\u0661\u0662' is not an ASCII decimal"),
+    "signed-value": ({"sender": "bob", "call": "vault.withdraw_pending",
+                      "value": "+12"}, ".value: '+12' is not a decimal amount"),
+    "spaced-value": ({"sender": "bob", "call": "vault.withdraw_pending",
+                      "value": " 12"}, ".value: ' 12' is not a decimal amount"),
+    "underscored-clock": ({"sender": "bob", "call": "vault.withdraw_pending",
+                           "advance_clock": "1_000"},
+                          ".advance_clock: '1_000' is not a decimal amount"),
 }
 
 
