@@ -72,7 +72,8 @@ class UnknownFrame(LedgerError):
 
 
 class UnknownOperation(LedgerError):
-    """Call names a module or method that is not exposed."""
+    """Call names no module, or a method outside the module's interface, or
+    arguments that are not exactly the method's names, each of its kind."""
 
 
 class Reentered(LedgerError):

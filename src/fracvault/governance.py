@@ -113,8 +113,6 @@ class Proposal:
 class Timelock(Module):
     """Mandatory delay between approval and execution of governance actions."""
 
-    exposed = frozenset({"schedule", "cancel", "mark_executed", "entry_of"})
-
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  delay: int = DEFAULT_TIMELOCK_DELAY):
         super().__init__(module_id)
@@ -184,11 +182,6 @@ class Timelock(Module):
 
 
 class Governance(Module):
-    exposed = frozenset({
-        "create_proposal", "vote", "execute_proposal", "cancel_scheduled",
-        "proposal_count", "proposal_info", "proposal_threshold",
-    })
-
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  fractions: str, vault: str, timelock: str, *,
                  threshold_bps: int = DEFAULT_PROPOSAL_THRESHOLD_BPS):

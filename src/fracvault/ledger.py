@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 from bisect import bisect_left
 from itertools import islice
@@ -806,19 +807,43 @@ class _Lock:
         self.locks.discard(self.key)
 
 
+# an interface argument's kind by its annotation, a string (every module
+# postpones its annotations); others leave the check to the method
+_KINDS = {"int": int, "bool": bool, "str": str, "Address": str, "list[int]": list}
+
+# each module class's interface: per method, each argument's name and kind or None
+INTERFACES: dict[type, dict[str, tuple[tuple[str, type | None], ...]]] = {}
+
+
 class Module:
     """Base for installed protocol modules.
 
-    ``exposed`` lists the methods reachable through ``transact``/``call``;
-    ``payable`` the subset that accepts attached native value.  The entries
-    of a module's dicts and lists are scalars or frozen values, which a
-    write replaces through ``jset`` and never changes in place.  A module's
-    address is its id, so module escrow is an ordinary native balance and
-    currency conservation stays a single sum.
+    ``transact`` and ``call`` reach a module's interface, whose rows
+    ``INTERFACES`` holds: its public methods whose parameters start with
+    ``(state, ctx)``.  ``payable`` lists those that accept attached native
+    value.  The entries of a module's dicts and lists are scalars or frozen
+    values, which a write replaces through ``jset`` and never changes in
+    place.  A module's address is its id, so module escrow is an ordinary
+    native balance and currency conservation stays a single sum.
     """
 
-    exposed: frozenset[str] = frozenset()
     payable: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # a call names every argument of an interface method, so none has a default
+        super().__init_subclass__(**kwargs)
+        rows = {}
+        for name, method in inspect.getmembers(cls, inspect.isfunction):
+            if name.startswith("_"):
+                continue
+            params = list(inspect.signature(method).parameters.values())[1:]
+            if [param.name for param in params[:2]] != ["state", "ctx"]:
+                continue
+            if any(param.kind is not param.POSITIONAL_OR_KEYWORD
+                   or param.default is not param.empty for param in params[2:]):
+                raise TypeError(f"{cls.__name__}.{name}: interface arguments are required")
+            rows[name] = tuple((param.name, _KINDS.get(param.annotation)) for param in params[2:])
+        INTERFACES[cls] = rows
 
     def __init__(self, module_id: str):
         self.module_id = module_id
@@ -843,8 +868,6 @@ class Module:
 
 class NativeTransfers(Module):
     """Built-in pseudo module so plain currency sends are transactions too."""
-
-    exposed = frozenset({"transfer", "balance_of"})
 
     def transfer(self, state: "ChainState", ctx: ExecutionContext, to: Address, amount: int) -> bool:
         state.transfer_native(ctx, ctx.sender, to, amount)
@@ -931,9 +954,6 @@ class ChainState:
         if module.address in self.native or module.address == ZERO_ADDRESS:
             raise ValueError(f"module address {module.address!r} already in use")
         return self._add_member("modules", module.module_id, module)
-
-    def is_module_address(self, addr: Address) -> bool:
-        return addr in self.modules
 
     def set_receive_hook(self, addr: Address, hook: ReceiveHook | None) -> None:
         if self._frames:
@@ -1040,15 +1060,16 @@ class ChainState:
     # Transactions and nested calls
     # ------------------------------------------------------------------ #
 
-    def _module_for_call(self, module_id: str, method: str, value: int) -> Module:
+    def _module_for_call(self, module_id: str, method: str, value: int) -> tuple[Module, tuple]:
         module = self.modules.get(module_id)
         if module is None:
             raise errors.UnknownOperation(f"no module {module_id!r}")
-        if method not in module.exposed:
+        row = INTERFACES[type(module)].get(method)
+        if row is None:
             raise errors.UnknownOperation(f"{module_id} does not expose {method!r}")
         if value > 0 and method not in module.payable:
             raise errors.NonPayable(f"{module_id}.{method} does not accept native value")
-        return module
+        return module, row
 
     def transact(self, sender: Address, module_id: str, method: str,
                  args: dict | None = None, value: int = 0) -> TxResult:
@@ -1070,11 +1091,11 @@ class ChainState:
         ctx = ExecutionContext(sender, value, 0)
         writes: list[JournalEntry] | tuple[()] = ()
         try:
-            module = self._module_for_call(module_id, method, value)
+            module, row = self._module_for_call(module_id, method, value)
             if value:
                 self._debit_native(sender, value)
                 self._credit_native(module.address, value)
-            ret = self._dispatch(module, method, ctx, args)
+            ret = self._dispatch(module, method, row, ctx, args)
             self._commit(token)
             writes = self._undo
             result = TxResult(True, ret, None, "", self.events[events_mark:])
@@ -1098,35 +1119,39 @@ class ChainState:
             raise errors.DepthExceeded(f"call depth {depth} exceeds {MAX_CALL_DEPTH}")
         token = self.snapshot()
         try:
-            module = self._module_for_call(module_id, method, value)
+            module, row = self._module_for_call(module_id, method, value)
             if value:
                 self._debit_native(sender, value)
                 self._credit_native(module.address, value)
             child = ExecutionContext(sender, value, depth)
-            ret = self._dispatch(module, method, child, args)
+            ret = self._dispatch(module, method, row, child, args)
             self._commit(token)
             return ret
         except errors.LedgerError:
             self.rollback(token)
             raise
 
-    def _dispatch(self, module: Module, method: str, ctx: ExecutionContext,
+    def _dispatch(self, module: Module, method: str, row: tuple, ctx: ExecutionContext,
                   args: dict | None) -> Any:
-        # malformed arguments (wrong names, incomparable types, a sequence
-        # that is no list of pairs) revert rather than escape as raw
-        # TypeErrors or ValueErrors; scenario input is untrusted.  A dict
-        # goes to ``**`` as it is: the call binds its own copy
+        # scenario input is untrusted: arguments that are no list of pairs,
+        # or not exactly the row's names each of its kind, revert before the
+        # call.  A dict goes to ``**`` as it is: the call binds its own copy
         if type(args) is not dict:
             try:
                 args = dict(args or {})
             except (TypeError, ValueError) as exc:
                 raise errors.UnknownOperation(
                     f"bad arguments for {module.module_id}.{method}: {exc}") from exc
-        try:
-            return getattr(module, method)(self, ctx, **args)
-        except TypeError as exc:
-            raise errors.UnknownOperation(
-                f"bad arguments for {module.module_id}.{method}: {exc}") from exc
+        for name, kind in row:
+            value = args.get(name, ABSENT)
+            if value is ABSENT or kind is not None and (
+                    type(value) is not kind
+                    or kind is list and any(type(item) is not int for item in value)):
+                raise errors.UnknownOperation(f"bad argument {name!r} for {module.module_id}.{method}")
+        if len(args) != len(row):
+            name = next(key for key in args if key not in dict(row))  # an extra argument
+            raise errors.UnknownOperation(f"bad argument {name!r} for {module.module_id}.{method}")
+        return getattr(module, method)(self, ctx, **args)
 
     # ------------------------------------------------------------------ #
     # Native currency
@@ -1152,7 +1177,7 @@ class ChainState:
             raise errors.InvalidAmount("negative transfer")
         if to == ZERO_ADDRESS:
             raise errors.ZeroAddressRecipient("native transfer to the zero address")
-        if self.is_module_address(to):
+        if to in self.modules:
             raise errors.NonPayable(f"{to} does not accept plain native transfers")
         if self.native.get(frm, 0) < amount:
             raise errors.InsufficientNative(

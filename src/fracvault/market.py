@@ -35,11 +35,6 @@ def swap_output(amount_in: int, input_reserve: int, output_reserve: int,
 
 
 class Market(Module):
-    exposed = frozenset({
-        "add_liquidity", "remove_liquidity", "execute_trade", "quote",
-        "reserves", "shares_of", "total_shares_of_pool",
-    })
-
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  token_a: str, token_b: str, *,
                  fee_multiplier: int = DEFAULT_FEE_MULTIPLIER):

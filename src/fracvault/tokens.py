@@ -15,11 +15,6 @@ from .ledger import Address, ChainState, ExecutionContext, Module, ZERO_ADDRESS
 class FungibleToken(Module):
     """Standard fungible token; the deployer may mint and burn freely."""
 
-    exposed = frozenset({
-        "transfer", "transfer_from", "approve", "mint", "burn_from",
-        "balance_of", "total_supply", "allowance",
-    })
-
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  token_name: str, symbol: str):
         super().__init__(module_id)
@@ -77,8 +72,6 @@ class FractionalToken(FungibleToken):
     non-zero address; the update emits NFTVaultUpdated.
     """
 
-    exposed = FungibleToken.exposed | frozenset({"update_nft_vault", "nft_vault"})
-
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  token_name: str, symbol: str):
         super().__init__(module_id, state, deployer, token_name, symbol)
@@ -111,8 +104,6 @@ class FractionalToken(FungibleToken):
 
 class NftCollection(Module):
     """Single NFT collection; per-token approvals, deployer minting."""
-
-    exposed = frozenset({"mint", "transfer", "approve", "owner_of"})
 
     def __init__(self, module_id: str, state: ChainState, deployer: Address,
                  collection_name: str):

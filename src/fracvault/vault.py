@@ -73,13 +73,6 @@ class AssetView:
 
 
 class Vault(Module):
-    exposed = frozenset({
-        "deposit_nft", "deposit_nfts", "withdraw_nft",
-        "start_auction", "place_bid", "end_auction", "cancel_auction",
-        "redeem_fraction_value", "withdraw_pending",
-        "set_governance_contract", "set_auction_duration", "set_royalty_percent",
-        "get_asset", "auction_info", "pending_of",
-    })
     payable = frozenset({"place_bid"})
 
     def __init__(self, module_id: str, state: ChainState, deployer: Address,

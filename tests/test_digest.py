@@ -1115,9 +1115,7 @@ class _EagerChainState(ChainState):
 
 
 class _Emitter(Module):
-    exposed = frozenset({"ping"})
-
-    def ping(self, state, ctx, tag, count=1, read=False, fail=False):
+    def ping(self, state, ctx, tag, count, read, fail):
         for i in range(count):
             state.emit(ctx, self.module_id, "Ping", {"tag": tag, "i": i})
         if read:
@@ -1134,8 +1132,9 @@ def _emitter_world(cls):
     return state
 
 
-def _ping(state, tag, **flags):
-    return state.transact("alice", "emitter", "ping", {"tag": tag, **flags})
+def _ping(state, tag, count=1, read=False, fail=False):
+    return state.transact("alice", "emitter", "ping",
+                          {"tag": tag, "count": count, "read": read, "fail": fail})
 
 
 def _assert_same_chain(lazy, eager):

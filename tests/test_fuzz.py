@@ -274,8 +274,6 @@ CORRUPTIONS = {
 
 
 class _Corrupter(Module):
-    exposed = frozenset({"corrupt"})
-
     def __init__(self, write):
         super().__init__("corrupter")
         self.write = write
@@ -1003,7 +1001,8 @@ def test_a_run_drawn_by_a_peer_reports_as_one_process(monkeypatch, two_cpus, pla
 HEALTHY_DRAWN = FuzzPlan(seed=42, steps=peer.DRAW_MIN_STEPS)
 
 
-def test_a_module_fault_escapes_as_in_one_process(monkeypatch, two_cpus):
+@pytest.mark.parametrize("fault_type", [ValueError, TypeError])
+def test_a_module_fault_escapes_as_in_one_process(monkeypatch, two_cpus, fault_type):
     # the peer raises on the same action and flushes it before it exits,
     # so this process runs that action and raises too
     place_bid = Vault.place_bid
@@ -1012,16 +1011,16 @@ def test_a_module_fault_escapes_as_in_one_process(monkeypatch, two_cpus):
     def faulty(self, state, ctx, token_id):
         calls.append(token_id)
         if len(calls) == 100:
-            raise ValueError(f"a planted fault at transaction {state.tx_index}")
+            raise fault_type(f"a planted fault at transaction {state.tx_index}")
         return place_bid(self, state, ctx, token_id)
 
     monkeypatch.setattr(Vault, "place_bid", faulty)
-    with pytest.raises(ValueError, match="planted fault") as two:
+    with pytest.raises(fault_type, match="planted fault") as two:
         run_fuzz(HEALTHY_DRAWN)
     assert two_cpus == [os.getpid()]
     assert_no_child_left()
     calls.clear()
-    with pytest.raises(ValueError, match="planted fault") as one:
+    with pytest.raises(fault_type, match="planted fault") as one:
         _on_one_cpu(monkeypatch, lambda: run_fuzz(HEALTHY_DRAWN))
     assert str(two.value) == str(one.value)
 

@@ -7,9 +7,12 @@ import copy
 
 import pytest
 
-from fracvault import errors
-from fracvault.ledger import (ChainState, ExecutionContext, HookCall, Module,
-                              ReceiveHook, ZERO_ADDRESS)
+from fracvault import errors, mutations
+from fracvault.governance import Governance, Timelock
+from fracvault.ledger import (INTERFACES, ChainState, ExecutionContext, HookCall, Module,
+                              NativeTransfers, ReceiveHook, ZERO_ADDRESS)
+from fracvault.market import Market
+from fracvault.tokens import FractionalToken, FungibleToken, NftCollection
 from fracvault.vault import Vault
 
 from helpers import native_total, tx, tx_err
@@ -81,13 +84,133 @@ def test_recursive_hook_bounded_and_atomic(chain):
     assert chain.digest() == before
 
 
+_FUNGIBLE = {
+    "allowance": "owner: str, spender: str",
+    "approve": "spender: str, amount: int",
+    "balance_of": "owner: str",
+    "burn_from": "frm: str, amount: int",
+    "mint": "to: str, amount: int",
+    "total_supply": "",
+    "transfer": "to: str, amount: int",
+    "transfer_from": "frm: str, to: str, amount: int",
+}
+
+# each module class's interface: its methods, and each method's arguments
+# with their kinds (None: the method checks the argument itself)
+PINNED_INTERFACES = {
+    NativeTransfers: {
+        "balance_of": "owner: str",
+        "transfer": "to: str, amount: int",
+    },
+    FungibleToken: _FUNGIBLE,
+    FractionalToken: {**_FUNGIBLE, "nft_vault": "", "update_nft_vault": "vault: str"},
+    NftCollection: {
+        "approve": "token_id: int, spender: str",
+        "mint": "to: str, token_id: int",
+        "owner_of": "token_id: int",
+        "transfer": "token_id: int, to: str",
+    },
+    Vault: {
+        "auction_info": "token_id: int",
+        "cancel_auction": "token_id: int",
+        "deposit_nft": "nft_address: str, token_id: int",
+        "deposit_nfts": "token_ids: list",
+        "end_auction": "token_id: int",
+        "get_asset": "token_id: int",
+        "pending_of": "owner: str",
+        "place_bid": "token_id: int",
+        "redeem_fraction_value": "token_id: int, fraction_amount: int",
+        "set_auction_duration": "seconds: int",
+        "set_governance_contract": "governance: str",
+        "set_royalty_percent": "percent: int",
+        "start_auction": "asset_address: str, token_id: int, starting_price: int, duration: int",
+        "withdraw_nft": "nft_address: str, token_id: int",
+        "withdraw_pending": "",
+    },
+    Timelock: {
+        "cancel": "proposal_id: int",
+        "entry_of": "proposal_id: int",
+        "mark_executed": "proposal_id: int",
+        "schedule": "proposal_id: int",
+    },
+    Governance: {
+        "cancel_scheduled": "proposal_id: int",
+        "create_proposal": "description: str, target: str, action: None, voting_period: int",
+        "execute_proposal": "proposal_id: int",
+        "proposal_count": "",
+        "proposal_info": "proposal_id: int",
+        "proposal_threshold": "",
+        "vote": "proposal_id: int, support: bool",
+    },
+    Market: {
+        "add_liquidity": "amount_a: int, amount_b: int",
+        "execute_trade": "token_in: str, amount_in: int, min_amount_out: int",
+        "quote": "amount_in: int, input_reserve: int, output_reserve: int",
+        "remove_liquidity": "shares_burned: int",
+        "reserves": "",
+        "shares_of": "owner: str",
+        "total_shares_of_pool": "",
+    },
+}
+
+
+def _rows(cls):
+    return {method: ", ".join(f"{name}: {getattr(kind, '__name__', kind)}"
+                              for name, kind in row)
+            for method, row in INTERFACES[cls].items()}
+
+
+@pytest.mark.parametrize("cls", PINNED_INTERFACES, ids=lambda cls: cls.__name__)
+def test_the_interface_is_read_from_the_method_signatures(cls):
+    assert _rows(cls) == PINNED_INTERFACES[cls]
+    for mutant, patched in mutations.MUTANTS.items():
+        if cls in patched:  # patched methods keep their signatures
+            assert INTERFACES[mutations.mutant_class(mutant, cls)] == INTERFACES[cls]
+
+
+def test_an_interface_method_takes_only_required_named_arguments():
+    with pytest.raises(TypeError, match="_Defaulted.ping: interface arguments are required"):
+        class _Defaulted(Module):
+            def ping(self, state, ctx, tag=1):
+                return tag
+
+
 def test_bad_argument_names_revert_cleanly(world):
     state, handle = world
+    before = state.digest()
     result = state.transact("alice", handle.vault, "deposit_nft",
                             {"wrong_name": 1})
     assert not result.ok and result.error == "UnknownOperation"
     tx_err(state, "UnknownOperation", "alice", "nowhere", "do_thing")
     tx_err(state, "UnknownOperation", "alice", handle.vault, "snapshot_data")
+    missing = tx_err(state, "UnknownOperation", "alice", handle.vault, "deposit_nft",
+                     nft_address=handle.collection)
+    assert "bad argument 'token_id'" in missing.error_message
+    extra = tx_err(state, "UnknownOperation", "alice", handle.vault, "deposit_nft",
+                   nft_address=handle.collection, token_id=1, memo="x")
+    assert "bad argument 'memo'" in extra.error_message
+    assert state.digest() == before
+
+
+@pytest.mark.parametrize("module, method, args, bad", [
+    ("collection", "mint", {"to": ["alice"], "token_id": 4}, "to"),
+    ("collection", "mint", {"to": {"a": "1"}, "token_id": 4}, "to"),
+    ("collection", "mint", {"to": None, "token_id": 4}, "to"),
+    ("collection", "mint", {"to": "alice", "token_id": True}, "token_id"),
+    ("governance", "vote", {"proposal_id": 0, "support": 1}, "support"),
+    ("vault", "deposit_nfts", {"token_ids": [2, True]}, "token_ids"),
+    ("vault", "deposit_nfts", {"token_ids": [2, "3"]}, "token_ids"),
+], ids=["to-list", "to-object", "to-null", "token_id-bool", "support-int",
+        "token_ids-bool-item", "token_ids-str-item"])
+def test_wrong_kind_arguments_revert_cleanly(proposal_world, module, method, args, bad):
+    # each argument must be exactly of its annotated kind: a bool is no int,
+    # an int no bool, and every item of a list[int] is an int
+    state, handle = proposal_world
+    sender = "deployer" if module == "collection" else "alice"
+    before = state.digest()
+    result = tx_err(state, "UnknownOperation", sender, module, method, **args)
+    assert f"bad argument {bad!r} " in result.error_message
+    assert state.digest() == before
 
 
 @pytest.mark.parametrize("args, error", [
@@ -304,9 +427,12 @@ def test_non_ledger_error_rolls_back_and_propagates(world, monkeypatch):
 
 
 class _Guarded(Module):
-    """Methods that take the module's reentrancy lock."""
+    """Methods that take the module's reentrancy lock; ``fault`` raises
+    ``fault_type``."""
 
-    exposed = frozenset({"reenter", "fail", "fault", "ping"})
+    def __init__(self, module_id, fault_type):
+        super().__init__(module_id)
+        self.fault_type = fault_type
 
     def reenter(self, state, ctx):
         with state.reentrancy_lock(self.module_id):
@@ -318,21 +444,26 @@ class _Guarded(Module):
 
     def fault(self, state, ctx):
         with state.reentrancy_lock(self.module_id):
-            raise ValueError("planted fault")
+            raise self.fault_type("planted fault")
 
     def ping(self, state, ctx):
         with state.reentrancy_lock(self.module_id):
             return "pong"
 
 
-def test_reentered_guard_raises_and_a_raising_guard_releases(chain):
-    chain.install_module(_Guarded("guarded"))
+@pytest.mark.parametrize("fault_type", [ValueError, TypeError])
+def test_reentered_guard_raises_and_a_raising_guard_releases(chain, fault_type):
+    # a TypeError inside a method is a fault like any other: it escapes,
+    # and is not taken for bad arguments
+    chain.install_module(_Guarded("guarded", fault_type))
     result = tx_err(chain, "Reentered", "alice", "guarded", "reenter")
     assert result.error_message == "guarded.nonreentrant already held"
     tx_err(chain, "InvalidAmount", "alice", "guarded", "fail")
     assert tx(chain, "alice", "guarded", "ping") == "pong"
-    with pytest.raises(ValueError, match="planted fault"):
+    before = chain.digest()
+    with pytest.raises(fault_type, match="planted fault"):
         chain.transact("alice", "guarded", "fault")
+    assert chain.digest() == before
     assert tx(chain, "alice", "guarded", "ping") == "pong"
     assert chain._locks == set()
 

@@ -153,22 +153,23 @@ def _plant(monkeypatch, after: int, act):
     return done
 
 
+@pytest.mark.parametrize("fault_type", [ValueError, TypeError])
 def test_a_module_fault_in_the_peers_share_escapes_as_in_one_process(
-        tmp_path, monkeypatch, two_cpus, generated):
+        tmp_path, monkeypatch, two_cpus, generated, fault_type):
     # the peer exits on the fault, and this process replays the rest alone
     lines = generated[1_500]
     path = _write(tmp_path / "trace.jsonl", lines)
 
     def fault(state):
-        raise ValueError(f"a planted fault at transaction {state.tx_index}")
+        raise fault_type(f"a planted fault at transaction {state.tx_index}")
 
     done = _plant(monkeypatch, _split(lines) + 20, fault)
-    with pytest.raises(ValueError, match="planted fault") as two:
+    with pytest.raises(fault_type, match="planted fault") as two:
         replay_trace(path)
     assert two_cpus == [os.getpid()]
     assert_no_child_left()
     done.clear()
-    with pytest.raises(ValueError) as one:
+    with pytest.raises(fault_type) as one:
         _one_cpu(monkeypatch, lambda: replay_trace(path))
     assert str(two.value) == str(one.value)
 
